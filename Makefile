@@ -33,9 +33,10 @@ cover:
 # to catch regressions in the nil-trace zero-overhead contract (compare
 # NoTrace vs Traced allocs/op) and in the parallel pipeline's allocation
 # diet (compare DisassembleSerial vs DisassembleParallel, EvalJ1 vs
-# EvalJN). The run is converted to BENCH_pipeline.json (ns/op, allocs/op
-# and the speedup-x metrics, machine-readable) via cmd/benchjson.
-BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|EvalJ1|EvalJN|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins
+# EvalJN) and in inference's allocation count (InferLibc). The run is
+# converted to BENCH_pipeline.json (ns/op, allocs/op and the speedup-x
+# metrics, machine-readable) via cmd/benchjson.
+BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|EvalJ1|EvalJN|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins|InferLibc
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchtime 1x -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson -merge BENCH_pipeline.json -o BENCH_pipeline.json
 
@@ -62,10 +63,12 @@ benchgate:
 # Allocator bench smoke: one iteration of the indexed-allocator
 # microbenches against their sorted-slice reference, enough to catch a
 # complexity regression (Alloc* must not drift toward FreeSpace*)
-# without the full bench run's cost.
+# without the full bench run's cost. The second line does the same for
+# the delta path and for inference, whose allocs/op must stay a small
+# constant (allocation-free decode rejection, CSR flow relation).
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc' -benchtime 1x -benchmem .
 
 # Fuzz smoke: replay the committed seed corpora, then fuzz each target
 # for a bounded interval — long enough to catch shallow regressions in

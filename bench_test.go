@@ -25,6 +25,7 @@ import (
 	"zipr/internal/cgcsim"
 	"zipr/internal/core"
 	"zipr/internal/disasm"
+	"zipr/internal/infer"
 	layoutpkg "zipr/internal/layout"
 	"zipr/internal/loader"
 	"zipr/internal/obs"
@@ -507,6 +508,26 @@ func BenchmarkDisassembleParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	reportSpeedup(b, serialRef)
+}
+
+// inferSink keeps BenchmarkInferLibc's result live.
+var inferSink *infer.Result
+
+// BenchmarkInferLibc measures the inference disassembler alone on the
+// libc-scale library (about 1 MB of text, a candidate decode at every
+// offset). Its allocs/op pins the allocation-free decode rejection and
+// the CSR flow relation: a constant count, independent of text size.
+func BenchmarkInferLibc(b *testing.B) {
+	bin, err := synth.Build(11, synth.LibcProfile(1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(bin.Text().Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inferSink = infer.AnalyzeArch(bin, nil)
+	}
 }
 
 // BenchmarkPlaceLargeSynth measures the reassembly stage alone on the

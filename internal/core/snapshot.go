@@ -478,42 +478,51 @@ func (s *Snapshot) SizeBytes() int64 {
 const snapMagic = "ZSNP"
 const snapVersion = 2
 
-// Marshal serializes the snapshot (for irdb persistence). The format is
-// versioned and length-checked; Unmarshal rejects anything malformed.
+// Marshal serializes the snapshot (for irdb persistence and the disk
+// tier's snapshot spill). The format is versioned and length-checked;
+// Unmarshal rejects anything malformed. The encoder sizes its buffer
+// exactly and appends every field, so one Marshal is one allocation.
 func (s *Snapshot) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w32(snapVersion)
-	w32(uint32(len(s.Fingerprint)))
-	buf.WriteString(s.Fingerprint)
-	w32(s.InTextVA)
-	w32(s.InTextEnd)
-	w32(s.InTextOff)
-	w32(s.OutTextVA)
-	w32(s.OutTextOff)
-	w32(s.OutTextLen)
-	buf.Write(s.InDigest[:])
-	buf.Write(s.OutDigest[:])
-	w32(uint32(len(s.Input)))
-	buf.Write(s.Input)
-	w32(uint32(len(s.Output)))
-	buf.Write(s.Output)
-	w32(uint32(len(s.Units)))
+	const (
+		header = len(snapMagic) + 4 + 4 // magic, version, fingerprint length
+		geom   = 6 * 4                  // text geometry
+		unit   = 4 + 4 + sha256.Size + 4
+		inst   = 4 + 4 + 1 + 1
+	)
+	size := header + len(s.Fingerprint) + geom + 2*sha256.Size +
+		4 + len(s.Input) + 4 + len(s.Output) + 4
+	for i := range s.Units {
+		size += unit + len(s.Units[i].Insts)*inst
+	}
+	le := binary.LittleEndian
+	b := make([]byte, 0, size)
+	b = append(b, snapMagic...)
+	b = le.AppendUint32(b, snapVersion)
+	b = le.AppendUint32(b, uint32(len(s.Fingerprint)))
+	b = append(b, s.Fingerprint...)
+	for _, v := range [6]uint32{s.InTextVA, s.InTextEnd, s.InTextOff, s.OutTextVA, s.OutTextOff, s.OutTextLen} {
+		b = le.AppendUint32(b, v)
+	}
+	b = append(b, s.InDigest[:]...)
+	b = append(b, s.OutDigest[:]...)
+	b = le.AppendUint32(b, uint32(len(s.Input)))
+	b = append(b, s.Input...)
+	b = le.AppendUint32(b, uint32(len(s.Output)))
+	b = append(b, s.Output...)
+	b = le.AppendUint32(b, uint32(len(s.Units)))
 	for i := range s.Units {
 		u := &s.Units[i]
-		w32(u.Range.Start)
-		w32(u.Range.End)
-		buf.Write(u.Digest[:])
-		w32(uint32(len(u.Insts)))
+		b = le.AppendUint32(b, u.Range.Start)
+		b = le.AppendUint32(b, u.Range.End)
+		b = append(b, u.Digest[:]...)
+		b = le.AppendUint32(b, uint32(len(u.Insts)))
 		for _, rec := range u.Insts {
-			w32(rec.Off)
-			w32(rec.Placed)
-			buf.WriteByte(rec.Len)
-			buf.WriteByte(rec.Flags)
+			b = le.AppendUint32(b, rec.Off)
+			b = le.AppendUint32(b, rec.Placed)
+			b = append(b, rec.Len, rec.Flags)
 		}
 	}
-	return buf.Bytes()
+	return b
 }
 
 // UnmarshalSnapshot parses a Marshal-ed snapshot.

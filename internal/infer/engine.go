@@ -33,28 +33,35 @@ import (
 // structurally impossible, or already refuted. Refuted candidates gain
 // the RuleDeadEnd junk belief — the decode cannot be real code because
 // executing it would inevitably reach bytes that do not decode.
-func (r *Result) refuteDeadEnds(bin *binfmt.Binary) {
+func (r *Result) refuteDeadEnds() {
 	n := len(r.text)
-	// preds[s] lists the candidates whose viability requires s.
-	preds := make([][]int32, n)
-	var dead []int32 // retraction worklist (the semi-naive delta)
+	// The predecessor relation in CSR form: preds[at[s]:at[s+1]] lists,
+	// in ascending order, the candidates whose viability requires s. A
+	// first pass counts edges per successor (and seeds the outright
+	// refutations), a prefix sum turns the counts into bucket ends, and a
+	// descending second pass fills each bucket back to front. That is a
+	// constant number of allocations however large the text, with the
+	// worklist retracting in a fixed order: ascending within a bucket.
+	at := make([]int32, n+1)
+	// The retraction worklist (the semi-naive delta). A candidate enters
+	// it at most once, when its viability flips.
+	dead := make([]int32, 0, r.stats.Candidates)
 	var succs []int
 
 	for off := 0; off < n; off++ {
-		in := r.cand[off]
-		if in.Op == isa.OpInvalid {
+		if r.op[off] == isa.OpInvalid {
 			continue
 		}
 		r.viable[off] = true
 		var ok bool
-		succs, ok = r.flowSuccs(bin, in, off, n, succs[:0])
+		succs, ok = r.flowSuccs(off, succs[:0])
 		if !ok {
 			r.viable[off] = false
 			dead = append(dead, int32(off))
 			continue
 		}
 		for _, s := range succs {
-			if r.cand[s].Op == isa.OpInvalid {
+			if r.op[s] == isa.OpInvalid {
 				// Required successor does not decode: refuted outright.
 				if r.viable[off] {
 					r.viable[off] = false
@@ -62,7 +69,26 @@ func (r *Result) refuteDeadEnds(bin *binfmt.Binary) {
 				}
 				continue
 			}
-			preds[s] = append(preds[s], int32(off))
+			at[s]++
+		}
+	}
+	for s := 1; s <= n; s++ {
+		at[s] += at[s-1]
+	}
+	preds := make([]int32, at[n])
+	for off := n - 1; off >= 0; off-- {
+		if r.op[off] == isa.OpInvalid {
+			continue
+		}
+		var ok bool
+		if succs, ok = r.flowSuccs(off, succs[:0]); !ok {
+			continue
+		}
+		for _, s := range succs {
+			if r.op[s] != isa.OpInvalid {
+				at[s]--
+				preds[at[s]] = int32(off)
+			}
 		}
 	}
 
@@ -70,7 +96,7 @@ func (r *Result) refuteDeadEnds(bin *binfmt.Binary) {
 		s := dead[len(dead)-1]
 		dead = dead[:len(dead)-1]
 		r.stats.Iterations++
-		for _, p := range preds[s] {
+		for _, p := range preds[at[s]:at[s+1]] {
 			if r.viable[p] {
 				r.viable[p] = false
 				dead = append(dead, p)
@@ -79,7 +105,7 @@ func (r *Result) refuteDeadEnds(bin *binfmt.Binary) {
 	}
 
 	for off := 0; off < n; off++ {
-		if r.cand[off].Op == isa.OpInvalid || r.viable[off] || r.strong[off] {
+		if r.op[off] == isa.OpInvalid || r.viable[off] || r.strong[off] {
 			continue
 		}
 		r.stats.Nonviable++
@@ -103,7 +129,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 		off int32
 		w   uint8
 	}
-	var work []raise
+	work := make([]raise, 0, r.stats.StrongStarts) // every strong start is lifted
 
 	lift := func(off int, w uint8, rule RuleID) {
 		if w <= r.codeW[off] {
@@ -152,8 +178,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 		if cur.w < r.codeW[off] {
 			continue // superseded by a later, higher raise
 		}
-		in := r.cand[off]
-		if in.Op == isa.OpInvalid {
+		if r.op[off] == isa.OpInvalid {
 			continue
 		}
 		next := cur.w - hopDecay
@@ -161,7 +186,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 			next = codeFloor
 		}
 		var ok bool
-		succs, ok = r.flowSuccs(bin, in, off, n, succs[:0])
+		succs, ok = r.flowSuccs(off, succs[:0])
 		if !ok {
 			continue
 		}

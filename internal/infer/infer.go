@@ -139,10 +139,14 @@ type Result struct {
 	text []byte
 	arch isa.Arch
 
-	cand      []isa.Inst // candidate decode at each offset (OpInvalid: none)
-	strongCov []bool     // byte is covered by a provably-reached instruction
-	strong    []bool     // offset is a provably-reached instruction start
-	viable    []bool     // candidate's decode chains avoid dead ends
+	// The candidate relation, one entry per offset: what the decode
+	// there needs downstream, never the whole instruction.
+	op        []isa.Op // candidate's operation (OpInvalid: no candidate)
+	clen      []uint8  // candidate's encoded length
+	tgt       []int32  // candidate's static target: a text offset, tgtNone or tgtWild
+	strongCov []bool   // byte is covered by a provably-reached instruction
+	strong    []bool   // offset is a provably-reached instruction start
+	viable    []bool   // candidate's decode chains avoid dead ends
 
 	codeW    []uint8 // per-start code belief
 	codeRule []RuleID
@@ -243,7 +247,9 @@ func AnalyzeArch(bin *binfmt.Binary, arch isa.Arch) *Result {
 		base:      text.VAddr,
 		text:      text.Data,
 		arch:      isa.Of(arch),
-		cand:      make([]isa.Inst, n),
+		op:        make([]isa.Op, n),
+		clen:      make([]uint8, n),
+		tgt:       make([]int32, n),
 		strongCov: make([]bool, n),
 		strong:    make([]bool, n),
 		viable:    make([]bool, n),
@@ -255,7 +261,7 @@ func AnalyzeArch(bin *binfmt.Binary, arch isa.Arch) *Result {
 		junkRule:  make([]RuleID, n),
 	}
 	r.extractFacts(bin)
-	r.refuteDeadEnds(bin)
+	r.refuteDeadEnds()
 	r.propagateCode(bin)
 	return r
 }
@@ -267,13 +273,18 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	text := bin.Text()
 	n := len(r.text)
 
-	// Candidate instruction starts: a decode attempt at every offset.
-	for off := 0; off < n; off++ {
-		in, err := r.arch.Decode(r.text[off:], r.base+uint32(off))
+	// Candidate instruction starts: a decode attempt at every offset the
+	// ISA can start an instruction at. Fixed-width decoders reject every
+	// misaligned address, so those offsets are not tried at all.
+	arch, base, code := r.arch, r.base, r.text
+	align := arch.Align()
+	for off := int((align - base%align) % align); off < n; off += int(align) {
+		in, err := arch.Decode(code[off:], base+uint32(off))
 		if err != nil {
 			continue
 		}
-		r.cand[off] = in
+		r.op[off], r.clen[off] = in.Op, uint8(arch.InstLen(in))
+		r.tgt[off] = r.target(bin, in, off)
 		r.stats.Candidates++
 	}
 
@@ -310,25 +321,22 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 		if r.strong[off] {
 			continue
 		}
-		in := r.cand[off]
+		in := isa.Inst{Op: r.op[off]}
 		if in.Op == isa.OpInvalid {
 			continue
 		}
 		r.strong[off] = true
 		r.stats.StrongStarts++
-		for i := 0; i < r.arch.InstLen(in) && int(off)+i < n; i++ {
+		for i := 0; i < int(r.clen[off]) && int(off)+i < n; i++ {
 			r.strongCov[int(off)+i] = true
 		}
 		if in.HasFallthrough() {
-			seed(addr + uint32(r.arch.InstLen(in)))
+			seed(addr + uint32(r.clen[off]))
 		}
-		if t, ok := r.arch.TargetAddr(in, addr); ok {
-			switch in.Op {
-			case isa.OpLea, isa.OpLoadPC:
-				// Address formation / data reference, not a code edge.
-			default:
-				seed(t)
-			}
+		// A lea/loadpc target is address formation or a data reference,
+		// not a code edge.
+		if t := r.tgt[off]; t >= 0 && !in.IsPCRelData() {
+			seed(r.base + uint32(t))
 		}
 	}
 
@@ -342,19 +350,26 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 		r.dataW[b], r.dataRule[b] = w, rule
 	}
 
+	// One pass over the candidates for two independent facts.
 	// Data-access targets: a provably-reached loadpc names four bytes
-	// that the program reads as data.
+	// that the program reads as data. Overlap conflicts: a candidate
+	// whose span straddles bytes of a provably-reached instruction
+	// without being one is a junk decode.
 	for off := 0; off < n; off++ {
-		if !r.strong[off] {
-			continue
-		}
-		in := r.cand[off]
-		if in.Op != isa.OpLoadPC {
-			continue
-		}
-		if t, ok := r.arch.TargetAddr(in, r.base+uint32(off)); ok && text.Contains(t) {
-			for i := 0; i < 4; i++ {
-				markData(int(t-r.base)+i, WeightDataAccess, RuleDataAccess)
+		switch {
+		case r.op[off] == isa.OpInvalid:
+		case r.strong[off]:
+			if t := int(r.tgt[off]); r.op[off] == isa.OpLoadPC && t >= 0 {
+				for i := 0; i < 4; i++ {
+					markData(t+i, WeightDataAccess, RuleDataAccess)
+				}
+			}
+		default:
+			for i := 0; i < int(r.clen[off]) && off+i < n; i++ {
+				if r.strongCov[off+i] {
+					r.junkW[off], r.junkRule[off] = WeightOverlap, RuleOverlap
+					break
+				}
 			}
 		}
 	}
@@ -363,10 +378,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// whose value is the address of a decodable candidate is a stored
 	// code pointer — its four bytes are data, and its target is a code
 	// entry (consumed as a seed by propagateCode).
-	for off := 0; off+4 <= n; off += 1 {
-		if (r.base+uint32(off))%4 != 0 {
-			continue
-		}
+	for off := int((4 - r.base%4) % 4); off+4 <= n; off += 4 {
 		if r.strongCov[off] || r.strongCov[off+1] || r.strongCov[off+2] || r.strongCov[off+3] {
 			continue
 		}
@@ -375,7 +387,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 			continue
 		}
 		toff := v - r.base
-		if r.cand[toff].Op == isa.OpInvalid {
+		if r.op[toff] == isa.OpInvalid {
 			continue
 		}
 		r.ptrTargets = append(r.ptrTargets, int32(toff))
@@ -432,64 +444,72 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 		}
 		i = j
 	}
-
-	// Overlap conflicts: a candidate whose span straddles bytes of a
-	// provably-reached instruction without being one is a junk decode.
-	for off := 0; off < n; off++ {
-		in := r.cand[off]
-		if in.Op == isa.OpInvalid || r.strong[off] {
-			continue
-		}
-		for i := 0; i < r.arch.InstLen(in) && off+i < n; i++ {
-			if r.strongCov[off+i] {
-				r.junkW[off], r.junkRule[off] = WeightOverlap, RuleOverlap
-				break
-			}
-		}
-	}
 }
 
 func printable(b byte) bool { return b >= 0x20 && b <= 0x7E }
 
-// flowSuccs appends the offsets candidate in (at off) requires to be
+// Candidate target sentinels in Result.tgt (real targets are text
+// offsets, >= 0).
+const (
+	// tgtNone: no code or text-data target — no static target at all,
+	// or a PC-relative address into a segment other than text.
+	tgtNone = -1
+	// tgtWild: a structurally impossible target — a direct branch out
+	// of text, or a PC-relative address pointing into no segment at all.
+	tgtWild = -2
+)
+
+// target classifies the static target of candidate in at off for
+// Result.tgt. A PC-relative address pointing into no segment at all is
+// a wild displacement — strong junk evidence. (One-past-end of a
+// segment is allowed: end pointers are legitimate.)
+func (r *Result) target(bin *binfmt.Binary, in isa.Inst, off int) int32 {
+	t, ok := r.arch.TargetAddr(in, r.base+uint32(off))
+	if !ok {
+		return tgtNone
+	}
+	text := bin.Text()
+	if in.IsPCRelData() {
+		hit := false
+		for si := range bin.Segments {
+			seg := &bin.Segments[si]
+			if t >= seg.VAddr && t <= seg.End() {
+				hit = true
+				break
+			}
+		}
+		switch {
+		case !hit:
+			return tgtWild
+		case !text.Contains(t):
+			return tgtNone
+		}
+	} else if !text.Contains(t) {
+		return tgtWild
+	}
+	return int32(t - r.base)
+}
+
+// flowSuccs appends the offsets the candidate at off requires to be
 // viable code for itself to be viable: its fallthrough and its direct
 // branch/call target. ok=false means a successor is structurally
 // impossible (falls off the end of text, branches outside text, or
 // forms a PC-relative address outside every segment) and the candidate
 // is refuted outright.
-func (r *Result) flowSuccs(bin *binfmt.Binary, in isa.Inst, off int, n int, dst []int) (_ []int, ok bool) {
-	base := r.base
+func (r *Result) flowSuccs(off int, dst []int) (_ []int, ok bool) {
+	in := isa.Inst{Op: r.op[off]}
 	if in.HasFallthrough() {
-		ft := off + r.arch.InstLen(in)
-		if ft >= n {
+		ft := off + int(r.clen[off])
+		if ft >= len(r.text) {
 			return dst, false // execution would run off the end of text
 		}
 		dst = append(dst, ft)
 	}
-	if t, tok := r.arch.TargetAddr(in, base+uint32(off)); tok {
-		switch in.Op {
-		case isa.OpLea, isa.OpLoadPC:
-			// A PC-relative address pointing into no segment at all is a
-			// wild displacement — strong junk evidence. (One-past-end of a
-			// segment is allowed: end pointers are legitimate.)
-			hit := false
-			for si := range bin.Segments {
-				seg := &bin.Segments[si]
-				if t >= seg.VAddr && t <= seg.End() {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return dst, false
-			}
-		default:
-			text := bin.Text()
-			if !text.Contains(t) {
-				return dst, false // direct branch out of text
-			}
-			dst = append(dst, int(t-base))
-		}
+	switch t := r.tgt[off]; {
+	case t == tgtWild:
+		return dst, false
+	case t >= 0 && !in.IsPCRelData():
+		dst = append(dst, int(t))
 	}
 	return dst, true
 }

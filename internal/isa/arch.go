@@ -56,29 +56,32 @@ type Arch interface {
 }
 
 // zvm32Arch adapts the package-level variable-width codec to Arch.
+// Its methods take pointer receivers so an interface call reaches the
+// method itself, not a generated wrapper around it: Decode runs at every
+// text offset under inference, where that second call costs more than
+// the decode.
 type zvm32Arch struct{}
 
-func (zvm32Arch) Name() string                                     { return "zvm32" }
-func (zvm32Arch) MaxLen() int                                      { return MaxLen }
-func (zvm32Arch) Align() uint32                                    { return 1 }
-func (zvm32Arch) InstLen(in Inst) int                              { return in.Len() }
-func (zvm32Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) { return AppendEncode(dst, in) }
-func (zvm32Arch) Encode(in Inst) ([]byte, error)                   { return Encode(in) }
-func (zvm32Arch) Decode(b []byte, addr uint32) (Inst, error)       { return Decode(b) }
-func (zvm32Arch) TargetAddr(in Inst, addr uint32) (uint32, bool)   { return in.TargetAddr(addr) }
-func (zvm32Arch) RefLen() int                                      { return 5 }
-func (zvm32Arch) ChainRefLen() int                                 { return 2 }
-func (zvm32Arch) SledsSupported() bool                             { return true }
-func (zvm32Arch) BranchReach() uint32                              { return 0 }
-func (zvm32Arch) BranchDispOK(disp int64) bool                     { return disp >= -1<<31 && disp <= 1<<31-1 }
-func (zvm32Arch) VeneerLen() int                                   { return 0 }
-func (zvm32Arch) VeneerBytes(dest uint32) []byte                   { return nil }
+func (*zvm32Arch) Name() string                                     { return "zvm32" }
+func (*zvm32Arch) MaxLen() int                                      { return MaxLen }
+func (*zvm32Arch) Align() uint32                                    { return 1 }
+func (*zvm32Arch) InstLen(in Inst) int                              { return in.Len() }
+func (*zvm32Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) { return AppendEncode(dst, in) }
+func (*zvm32Arch) Encode(in Inst) ([]byte, error)                   { return Encode(in) }
+func (*zvm32Arch) TargetAddr(in Inst, addr uint32) (uint32, bool)   { return in.TargetAddr(addr) }
+func (*zvm32Arch) RefLen() int                                      { return 5 }
+func (*zvm32Arch) ChainRefLen() int                                 { return 2 }
+func (*zvm32Arch) SledsSupported() bool                             { return true }
+func (*zvm32Arch) BranchReach() uint32                              { return 0 }
+func (*zvm32Arch) BranchDispOK(disp int64) bool                     { return disp >= -1<<31 && disp <= 1<<31-1 }
+func (*zvm32Arch) VeneerLen() int                                   { return 0 }
+func (*zvm32Arch) VeneerBytes(dest uint32) []byte                   { return nil }
 
 // ZVM32 is the default, variable-width ISA.
-var ZVM32 Arch = zvm32Arch{}
+var ZVM32 Arch = &zvm32
 
 // ZVM64 is the fixed-width 4-byte ISA with ±1 MiB branch reach.
-var ZVM64 Arch = zvm64Arch{}
+var ZVM64 Arch = &zvm64Arch{}
 
 // DefaultArch is the ISA assumed wherever none is configured; every
 // pre-abstraction digest and golden cell was produced under it.

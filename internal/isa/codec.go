@@ -121,11 +121,41 @@ func MustEncode(in Inst) []byte {
 	return b
 }
 
+// Decode rejections are built once: inference decodes at every text
+// offset and most offsets are rejected, so a rejection must not
+// allocate. Each entry renders exactly as the fmt.Errorf it stands for
+// and wraps the same sentinel, so Error() and errors.Is are unchanged.
+var (
+	errBadOpcodeByte [256]error // "%w: %02x" of the opcode byte
+	errBadOpcode0F   [256]error // "%w: 0f %02x" of the byte after 0x0F
+	errBadRegByte    [256]error // "%w: r%d" of the register byte
+	errBadCcCode     [16]error  // "%w: cc %x" of the condition nibble
+)
+
+func init() {
+	for b := 0; b < 256; b++ {
+		errBadOpcodeByte[b] = fmt.Errorf("%w: %02x", ErrBadOpcode, b)
+		errBadOpcode0F[b] = fmt.Errorf("%w: 0f %02x", ErrBadOpcode, b)
+		errBadRegByte[b] = fmt.Errorf("%w: r%d", ErrBadReg, b)
+	}
+	for cc := range errBadCcCode {
+		errBadCcCode[cc] = fmt.Errorf("%w: cc %x", ErrBadCc, cc)
+	}
+}
+
+// zvm32 is the ZVM-32 codec the package-level functions call.
+var zvm32 zvm32Arch
+
 // Decode decodes the instruction at the start of b. It returns the
 // instruction and consumes Inst.Len bytes. Errors: ErrTruncated when b is
 // too short, ErrBadOpcode for undefined encodings, ErrBadReg for register
-// bytes >= NumRegs (such byte sequences are data, not code).
-func Decode(b []byte) (Inst, error) {
+// bytes >= NumRegs (such byte sequences are data, not code). A rejection
+// never allocates.
+func Decode(b []byte) (Inst, error) { return zvm32.Decode(b, 0) }
+
+// Decode is the ZVM-32 decoder; the variable-width encoding decodes the
+// same at every address.
+func (*zvm32Arch) Decode(b []byte, _ uint32) (Inst, error) {
 	if len(b) == 0 {
 		return Inst{}, ErrTruncated
 	}
@@ -145,11 +175,11 @@ func Decode(b []byte) (Inst, error) {
 			return Inst{}, ErrTruncated
 		}
 		if b[1]&0xF0 != 0x80 {
-			return Inst{}, fmt.Errorf("%w: 0f %02x", ErrBadOpcode, b[1])
+			return Inst{}, errBadOpcode0F[b[1]]
 		}
 		cc := Cc(b[1] & 0x0F)
 		if !ValidCc(cc) {
-			return Inst{}, fmt.Errorf("%w: cc %x", ErrBadCc, cc)
+			return Inst{}, errBadCcCode[cc]
 		}
 		if len(b) < 6 {
 			return Inst{}, ErrTruncated
@@ -158,58 +188,39 @@ func Decode(b []byte) (Inst, error) {
 	}
 	op := byteToOp[b[0]]
 	if op == OpInvalid {
-		return Inst{}, fmt.Errorf("%w: %02x", ErrBadOpcode, b[0])
+		return Inst{}, errBadOpcodeByte[b[0]]
 	}
 	info := opTable[op]
-	n := formLen[info.form]
-	if len(b) < n {
+	if len(b) < formLen[info.form] {
 		return Inst{}, ErrTruncated
 	}
-	reg := func(v byte) (uint8, error) {
-		if v >= NumRegs {
-			return 0, fmt.Errorf("%w: r%d", ErrBadReg, v)
-		}
-		return v, nil
-	}
 	in := Inst{Op: op}
-	var err error
 	switch info.form {
 	case fNone:
 	case fReg:
-		if in.Rd, err = reg(b[1]); err != nil {
-			return Inst{}, err
-		}
+		in.Rd = b[1]
 	case fImm8, fRel8:
 		in.Imm = int32(int8(b[1]))
 	case fRegReg:
-		if in.Rd, err = reg(b[1]); err != nil {
-			return Inst{}, err
-		}
-		if in.Rs, err = reg(b[2]); err != nil {
-			return Inst{}, err
-		}
+		in.Rd, in.Rs = b[1], b[2]
 	case fRegImm8:
-		if in.Rd, err = reg(b[1]); err != nil {
-			return Inst{}, err
-		}
-		in.Imm = int32(int8(b[2]))
+		in.Rd, in.Imm = b[1], int32(int8(b[2]))
 	case fImm32, fRel32:
 		in.Imm = int32(binary.LittleEndian.Uint32(b[1:5]))
 	case fRegImm32, fRegRel32:
-		if in.Rd, err = reg(b[1]); err != nil {
-			return Inst{}, err
-		}
-		in.Imm = int32(binary.LittleEndian.Uint32(b[2:6]))
+		in.Rd, in.Imm = b[1], int32(binary.LittleEndian.Uint32(b[2:6]))
 	case fMem:
-		if in.Rd, err = reg(b[1]); err != nil {
-			return Inst{}, err
-		}
-		if in.Rs, err = reg(b[2]); err != nil {
-			return Inst{}, err
-		}
-		in.Imm = int32(binary.LittleEndian.Uint32(b[3:7]))
+		in.Rd, in.Rs, in.Imm = b[1], b[2], int32(binary.LittleEndian.Uint32(b[3:7]))
 	default:
-		return Inst{}, fmt.Errorf("%w: %02x", ErrBadOpcode, b[0])
+		return Inst{}, errBadOpcodeByte[b[0]]
+	}
+	// Register bytes >= NumRegs are data, not code; forms without a
+	// register operand leave Rd/Rs zero.
+	if in.Rd >= NumRegs {
+		return Inst{}, errBadRegByte[in.Rd]
+	}
+	if in.Rs >= NumRegs {
+		return Inst{}, errBadRegByte[in.Rs]
 	}
 	return in, nil
 }

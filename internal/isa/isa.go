@@ -117,23 +117,23 @@ const (
 	CcG  Cc = 0xF // greater (signed >)
 )
 
-// ccNames maps condition codes to their mnemonic suffixes.
-var ccNames = map[Cc]string{
+// ccNames maps condition codes to their mnemonic suffixes; undefined
+// codes have the empty name.
+var ccNames = [16]string{
 	CcB: "b", CcAE: "ae", CcZ: "z", CcNZ: "nz",
 	CcL: "l", CcGE: "ge", CcLE: "le", CcG: "g",
 }
 
 // ValidCc reports whether cc is a defined condition code.
 func ValidCc(cc Cc) bool {
-	_, ok := ccNames[cc]
-	return ok
+	return int(cc) < len(ccNames) && ccNames[cc] != ""
 }
 
 // CcName returns the mnemonic suffix ("z", "nz", ...) for cc, or "?" if
 // cc is not a defined condition.
 func CcName(cc Cc) string {
-	if s, ok := ccNames[cc]; ok {
-		return s
+	if ValidCc(cc) {
+		return ccNames[cc]
 	}
 	return "?"
 }
@@ -171,8 +171,9 @@ const (
 	fMem                      // [op][ra][rb][disp32]
 )
 
-// formLen gives the encoded length in bytes of each form.
-var formLen = map[form]int{
+// formLen gives the encoded length in bytes of each form (0 for the
+// zero form of undefined ops).
+var formLen = [fMem + 1]int{
 	fNone: 1, fReg: 2, fImm8: 2, fRel8: 2, fRegReg: 3, fRegImm8: 3,
 	fImm32: 5, fRel32: 5, fRegImm32: 6, fRegRel32: 6, fCc8: 2, fCc32: 6,
 	fMem: 7,

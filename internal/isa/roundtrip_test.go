@@ -21,8 +21,10 @@ func boundaryCases(f form) []Inst {
 	imm8s := []int32{math.MinInt8, -1, 0, 1, math.MaxInt8}
 	imm32s := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
 	var ccs []Cc
-	for cc := range ccNames {
-		ccs = append(ccs, cc)
+	for cc := range Cc(len(ccNames)) {
+		if ValidCc(cc) {
+			ccs = append(ccs, cc)
+		}
 	}
 	var out []Inst
 	switch f {

@@ -131,14 +131,15 @@ func ZVM64BranchDispOK(disp int64) bool {
 	return disp%ZVM64Align == 0 && disp >= -ZVM64Reach && disp <= ZVM64Reach-ZVM64Align
 }
 
-// zvm64Arch implements Arch for the fixed-width ISA.
+// zvm64Arch implements Arch for the fixed-width ISA (pointer receivers,
+// as zvm32Arch).
 type zvm64Arch struct{}
 
-func (zvm64Arch) Name() string  { return "zvm64" }
-func (zvm64Arch) MaxLen() int   { return ZVM64MaxLen }
-func (zvm64Arch) Align() uint32 { return ZVM64Align }
+func (*zvm64Arch) Name() string  { return "zvm64" }
+func (*zvm64Arch) MaxLen() int   { return ZVM64MaxLen }
+func (*zvm64Arch) Align() uint32 { return ZVM64Align }
 
-func (zvm64Arch) InstLen(in Inst) int {
+func (*zvm64Arch) InstLen(in Inst) int {
 	if !in.Op.Valid() {
 		return 0
 	}
@@ -152,7 +153,7 @@ func (zvm64Arch) InstLen(in Inst) int {
 	return 4
 }
 
-func (a zvm64Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) {
+func (a *zvm64Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) {
 	if !in.Op.Valid() {
 		return dst, fmt.Errorf("%w: op %d", ErrBadOpcode, in.Op)
 	}
@@ -205,11 +206,11 @@ func (a zvm64Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) {
 	return dst, nil
 }
 
-func (a zvm64Arch) Encode(in Inst) ([]byte, error) {
+func (a *zvm64Arch) Encode(in Inst) ([]byte, error) {
 	return a.AppendEncode(make([]byte, 0, ZVM64MaxLen), in)
 }
 
-func (a zvm64Arch) Decode(b []byte, addr uint32) (Inst, error) {
+func (a *zvm64Arch) Decode(b []byte, addr uint32) (Inst, error) {
 	if addr%ZVM64Align != 0 {
 		return Inst{}, fmt.Errorf("%w: %#x", ErrMisaligned, addr)
 	}
@@ -219,7 +220,7 @@ func (a zvm64Arch) Decode(b []byte, addr uint32) (Inst, error) {
 	w := binary.LittleEndian.Uint32(b)
 	op := zvm64ByteToOp[byte(w)]
 	if op == OpInvalid {
-		return Inst{}, fmt.Errorf("%w: %02x", ErrBadOpcode, byte(w))
+		return Inst{}, errBadOpcodeByte[byte(w)]
 	}
 	f := zvm64Form[op]
 	in := Inst{Op: op}
@@ -267,7 +268,7 @@ func (a zvm64Arch) Decode(b []byte, addr uint32) (Inst, error) {
 		cc := Cc(w >> 8 & 0xF)
 		if op == OpJcc32 {
 			if !ValidCc(cc) {
-				return Inst{}, fmt.Errorf("%w: cc %x", ErrBadCc, cc)
+				return Inst{}, errBadCcCode[cc]
 			}
 			in.Cc = cc
 		} else if cc != 0 {
@@ -303,7 +304,7 @@ func (a zvm64Arch) Decode(b []byte, addr uint32) (Inst, error) {
 	return in, nil
 }
 
-func (a zvm64Arch) TargetAddr(in Inst, addr uint32) (uint32, bool) {
+func (a *zvm64Arch) TargetAddr(in Inst, addr uint32) (uint32, bool) {
 	switch in.Op {
 	case OpJmp32, OpJcc32, OpCall, OpLea, OpLoadPC:
 		return addr + uint32(a.InstLen(in)) + uint32(in.Imm), true
@@ -311,12 +312,12 @@ func (a zvm64Arch) TargetAddr(in Inst, addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-func (zvm64Arch) RefLen() int                  { return 4 }
-func (zvm64Arch) ChainRefLen() int             { return 0 }
-func (zvm64Arch) SledsSupported() bool         { return false }
-func (zvm64Arch) BranchReach() uint32          { return ZVM64Reach }
-func (zvm64Arch) BranchDispOK(disp int64) bool { return ZVM64BranchDispOK(disp) }
-func (zvm64Arch) VeneerLen() int               { return 12 }
+func (*zvm64Arch) RefLen() int                  { return 4 }
+func (*zvm64Arch) ChainRefLen() int             { return 0 }
+func (*zvm64Arch) SledsSupported() bool         { return false }
+func (*zvm64Arch) BranchReach() uint32          { return ZVM64Reach }
+func (*zvm64Arch) BranchDispOK(disp int64) bool { return ZVM64BranchDispOK(disp) }
+func (*zvm64Arch) VeneerLen() int               { return 12 }
 
 // VeneerBytes encodes the range-extension island: `pushi dest; ret`
 // (12 bytes). The push/ret pair forwards control to any absolute
@@ -325,7 +326,7 @@ func (zvm64Arch) VeneerLen() int               { return 12 }
 // taken conditional branches alike, and is itself position-independent
 // — the properties that let reassembly park one island anywhere within
 // reach of a starved branch and share it between sites.
-func (a zvm64Arch) VeneerBytes(dest uint32) []byte {
+func (a *zvm64Arch) VeneerBytes(dest uint32) []byte {
 	out := make([]byte, 0, 12)
 	out, err := a.AppendEncode(out, Inst{Op: OpPushI32, Imm: int32(dest)})
 	if err != nil {

@@ -45,7 +45,8 @@ func ScaledWorkers(n, minPerWorker int) int {
 	if minPerWorker < 1 {
 		minPerWorker = 1
 	}
-	return Workers(n/minPerWorker, n)
+	// Clamp before Workers, which reads a request of 0 as "GOMAXPROCS".
+	return Workers(max(n/minPerWorker, 1), n)
 }
 
 // Chunks partitions [0, n) into at most `workers` contiguous chunks and

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -23,8 +24,14 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestScaledWorkers(t *testing.T) {
+	// Pin a multi-CPU budget so the too-small case cannot pass by
+	// accident on a one-CPU host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if got := ScaledWorkers(10, 100); got != 1 {
 		t.Errorf("ScaledWorkers(10,100) = %d, want 1 (too small to shard)", got)
+	}
+	if got := ScaledWorkers(1<<20, 1024); got <= 1 {
+		t.Errorf("ScaledWorkers(1<<20,1024) = %d, want > 1", got)
 	}
 	if got := ScaledWorkers(1000, 1); got < 1 {
 		t.Errorf("ScaledWorkers(1000,1) = %d, want >= 1", got)

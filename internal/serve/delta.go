@@ -321,7 +321,11 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 		s.tr.Add("serve.snapshot.evict", evicted)
 	}
 	s.persistSnapshot(e)
-	s.disk.putSnapAsync(anc.dbKey(), snap.Marshal(), e.layout)
+	// putSnapAsync is nil-safe, but its argument is not free: serialize
+	// only when a disk tier will take the blob.
+	if s.disk != nil {
+		s.disk.putSnapAsync(anc.dbKey(), snap.Marshal(), e.layout)
+	}
 }
 
 // tryDelta attempts to answer the request from a delta ancestor.
