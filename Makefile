@@ -45,6 +45,11 @@ bench:
 #  - delta perf bar (ISSUE 7): applying a placement snapshot to a
 #    1-function edit of the >100k-instruction stress input must stay
 #    at least 5x faster than the from-scratch rewrite;
+#  - served delta bar: the same edit answered through serve.Server's
+#    delta tier (snapshot lookup, Apply, Rebase, store) must also stay
+#    at least 5x faster than the from-scratch rewrite, so a regression
+#    on the served path (once 329 ms, 1.2M allocs/op) cannot pass
+#    unseen;
 #  - disk-tier bar (ISSUE 8): a disk-tier hit (read + digest check)
 #    must stay at least 10x faster than a cold pipeline run;
 #  - gateway overhead bar (ISSUE 8): the gateway hop may cost at most
@@ -55,6 +60,7 @@ bench:
 #    two-way baseline (ratio > 1, gated at 1.0001).
 benchgate:
 	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteDeltaCold,BenchmarkRewriteDelta -min 5 BENCH_pipeline.json
+	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteDeltaCold,BenchmarkServeDeltaHit -min 5 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkServeColdMiss,BenchmarkDiskTierHit -min 10 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkDaemonHotCache,BenchmarkGatewayHotCache -min 0.333 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkCorpusPinsTwoWay,BenchmarkCorpusPinsWeighted -metric pins -min 1.0001 BENCH_pipeline.json

@@ -7,10 +7,11 @@
 //	     [-phase-times] [-trace-out trace.jsonl] [-sql "SELECT ..."] [-chaos-seed N]
 //	     input.zelf output.zelf
 //
-// The -sql flag runs a query against the captured IR database after
+// The -sql flag runs a SELECT against the IR database captured after
 // construction (tables: instructions, functions, fixed_ranges,
 // warnings) and prints the rows, which is handy for inspecting what the
-// analysis concluded about a binary.
+// analysis concluded about a binary. The database is a read-only dump:
+// any other statement is an error.
 //
 // -phase-times prints a per-phase wall-time and memory-delta table for
 // the rewrite; -trace-out writes the same data (every span, counter,
@@ -101,7 +102,7 @@ func run() error {
 	warns := flag.Bool("warnings", false, "print analysis warnings")
 	phaseTimes := flag.Bool("phase-times", false, "print a per-phase wall-time and memory-delta table")
 	traceOut := flag.String("trace-out", "", "write the phase trace and metrics as JSON-lines to this file")
-	sql := flag.String("sql", "", "run an SQL query against the captured IR")
+	sql := flag.String("sql", "", "run an SQL SELECT against the captured IR (read-only: WHERE, IN/NOT IN, ORDER BY, LIMIT, COUNT(*))")
 	mapOut := flag.String("map", "", "write an original->rewritten address map to this file")
 	verify := flag.String("verify-input", "", "run original and rewritten binaries on this input file and compare transcripts")
 	chaosSeed := flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off); the run must end in a verified rewrite or a typed error")
@@ -241,9 +242,6 @@ func run() error {
 				parts = append(parts, fmt.Sprintf("%s=%v", k, row[k]))
 			}
 			fmt.Println(strings.Join(parts, " "))
-		}
-		if res.Affected > 0 {
-			fmt.Printf("(%d rows affected)\n", res.Affected)
 		}
 	}
 	return nil

@@ -17,7 +17,13 @@ import (
 
 	"zipr/internal/asm"
 	"zipr/internal/binfmt"
+	"zipr/internal/cgcsim"
+	"zipr/internal/core"
+	"zipr/internal/ir"
+	"zipr/internal/isa"
+	"zipr/internal/layout"
 	"zipr/internal/synth"
+	"zipr/internal/transform"
 )
 
 // deltaConfigs are the (stack × layout) cells the identity suite runs:
@@ -215,5 +221,61 @@ func TestDeltaIdentitySmall(t *testing.T) {
 				t.Fatalf("delta refused a 1-function constant edit")
 			}
 		})
+	}
+}
+
+// opaqueTransform is a custom transform the snapshot eligibility check
+// cannot reason about.
+type opaqueTransform struct{}
+
+func (opaqueTransform) Name() string                   { return "opaque" }
+func (opaqueTransform) Apply(*transform.Context) error { return nil }
+
+// TestSnapshotSkipReasonsCounted: an ineligible CaptureSnapshot rewrite
+// leaves Report.Snapshot nil and names why through exactly one
+// rewrite.snapshot.skipped.<reason> trace counter; an eligible rewrite
+// captures a snapshot and counts no reason.
+func TestSnapshotSkipReasonsCounted(t *testing.T) {
+	cb32, err := cgcsim.CBArch(0, isa.DefaultArch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb64, err := cgcsim.CBArch(0, isa.ZVM64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimized := func(*ir.Program) core.Placer { return layout.Optimized{} }
+	cases := []struct {
+		name   string
+		bin    *binfmt.Binary
+		cfg    Config
+		placer func(*ir.Program) core.Placer
+		want   string // skip reason; "" = snapshot captured
+	}{
+		{"zvm32-null", cb32.Bin, Config{Transforms: []Transform{Null()}}, nil, ""},
+		{"zvm64-null", cb64.Bin, Config{ISA: "zvm64", Transforms: []Transform{Null()}}, nil, "isa"},
+		{"placer-hook", cb32.Bin, Config{}, optimized, "placer"},
+		{"custom-transform", cb32.Bin, Config{Transforms: []Transform{opaqueTransform{}}}, nil, "transforms"},
+	}
+	for _, tc := range cases {
+		tr := NewTrace()
+		tc.cfg.Trace = tr
+		tc.cfg.CaptureSnapshot = true
+		_, rep, err := rewriteBinaryPlacer(tc.bin.Clone(), tc.cfg, tc.placer)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (rep.Snapshot != nil) != (tc.want == "") {
+			t.Errorf("%s: snapshot captured = %v, want %v", tc.name, rep.Snapshot != nil, tc.want == "")
+		}
+		for _, reason := range []string{"isa", "placer", "chaos", "transforms", "build-error"} {
+			want := int64(0)
+			if reason == tc.want {
+				want = 1
+			}
+			if got := tr.Counter("rewrite.snapshot.skipped." + reason); got != want {
+				t.Errorf("%s: rewrite.snapshot.skipped.%s = %d, want %d", tc.name, reason, got, want)
+			}
+		}
 	}
 }

@@ -16,12 +16,9 @@
 //     data (jump tables, function-pointer tables), code-pointer-shaped
 //     absolute immediates, and branch targets of ambiguous regions.
 //
-// The expensive scans (data-segment words, in-text pointers, immediate
-// operands) fan out across GOMAXPROCS workers for large binaries: the
-// workers only *collect* candidate addresses, in shard order, and the
-// pins themselves are applied serially in exactly the order the old
-// single-threaded loop used, so pin sets, warning order and pin-
-// provenance counters are identical at any worker count.
+// The pointer and operand scans are plain serial loops: sharding them
+// across workers made no measurable difference on the library-sized
+// input (EXPERIMENTS.md, "Serial CFG scans").
 package cfg
 
 import (
@@ -36,7 +33,6 @@ import (
 	"zipr/internal/ir"
 	"zipr/internal/isa"
 	"zipr/internal/obs"
-	"zipr/internal/par"
 	"zipr/internal/zerr"
 )
 
@@ -56,43 +52,14 @@ type Options struct {
 	Inject *fault.Injector
 }
 
-// scanMinWords is the minimum number of scanned words per worker before
-// the pointer scans bother spawning goroutines.
-const scanMinWords = 16 << 10
-
 // collectTextPtrs scans data for stride-spaced little-endian words that
-// point into text and returns them in scan order. Large inputs shard
-// across workers; per-chunk collection concatenated in chunk order
-// reproduces the serial order exactly.
+// point into text and returns them in scan order.
 func collectTextPtrs(data []byte, stride int, text *binfmt.Segment) []uint32 {
-	if len(data) < 4 {
-		return nil
-	}
-	nWords := (len(data)-4)/stride + 1
-	workers := par.ScaledWorkers(nWords, scanMinWords)
-	if workers == 1 {
-		var out []uint32
-		for off := 0; off+4 <= len(data); off += stride {
-			if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	buckets := make([][]uint32, workers)
-	chunks := par.Chunks(workers, nWords, func(c, lo, hi int) {
-		var b []uint32
-		for w := lo; w < hi; w++ {
-			off := w * stride
-			if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
-				b = append(b, v)
-			}
-		}
-		buckets[c] = b
-	})
 	var out []uint32
-	for c := 0; c < chunks; c++ {
-		out = append(out, buckets[c]...)
+	for off := 0; off+4 <= len(data); off += stride {
+		if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
+			out = append(out, v)
+		}
 	}
 	return out
 }
@@ -103,40 +70,19 @@ type immCand struct {
 	lea  bool // "lea target" provenance instead of "immediate"
 }
 
-// immMinInsts is the minimum instruction count per worker for the
-// operand scan to shard.
-const immMinInsts = 32 << 10
-
 // collectImmCands walks the instruction list for address-shaped
-// absolute immediates and lea instructions that kept absolute targets,
-// sharding across workers for large programs; order matches the serial
-// walk.
+// absolute immediates and lea instructions that kept absolute targets.
 func collectImmCands(insts []*ir.Instruction) []immCand {
-	workers := par.ScaledWorkers(len(insts), immMinInsts)
-	scan := func(lo, hi int) []immCand {
-		var b []immCand
-		for _, node := range insts[lo:hi] {
-			switch node.Inst.Op {
-			case isa.OpMovI, isa.OpPushI32:
-				b = append(b, immCand{addr: uint32(node.Inst.Imm)})
-			case isa.OpLea:
-				if node.AbsTarget != 0 {
-					b = append(b, immCand{addr: node.AbsTarget, lea: true})
-				}
+	var out []immCand
+	for _, node := range insts {
+		switch node.Inst.Op {
+		case isa.OpMovI, isa.OpPushI32:
+			out = append(out, immCand{addr: uint32(node.Inst.Imm)})
+		case isa.OpLea:
+			if node.AbsTarget != 0 {
+				out = append(out, immCand{addr: node.AbsTarget, lea: true})
 			}
 		}
-		return b
-	}
-	if workers == 1 {
-		return scan(0, len(insts))
-	}
-	buckets := make([][]immCand, workers)
-	chunks := par.Chunks(workers, len(insts), func(c, lo, hi int) {
-		buckets[c] = scan(lo, hi)
-	})
-	var out []immCand
-	for c := 0; c < chunks; c++ {
-		out = append(out, buckets[c]...)
 	}
 	return out
 }
@@ -285,9 +231,8 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 		pinNode(e.Addr, "export")
 	}
 
-	// Data scan: aligned words in data segments. Workers collect the
-	// words that point into text (everything else is a no-op pin);
-	// applying them in scan order keeps pin provenance deterministic.
+	// Data scan: aligned words in data segments that point into text
+	// (everything else is a no-op pin), pinned in scan order.
 	for si := range bin.Segments {
 		seg := &bin.Segments[si]
 		if seg.Kind != binfmt.Data {

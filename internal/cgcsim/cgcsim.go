@@ -41,8 +41,7 @@ func Corpus(n int) ([]CB, error) {
 // machine code differs.
 func CorpusArch(n int, arch isa.Arch) ([]CB, error) {
 	cbs := make([]CB, n)
-	workers := par.ScaledWorkers(n, 4)
-	err := par.Each(workers, n, func(i int) error {
+	err := par.Each(par.Workers(max(n/4, 1), n), n, func(i int) error {
 		cb, err := CBArch(i, arch)
 		if err != nil {
 			return err

@@ -56,8 +56,8 @@ type Space interface {
 // fit queries logarithmic — a subtree whose max length is below the
 // request can be pruned without visiting it. Mutations (Carve, Release)
 // are O(log n) with no global re-sort and no full-list copy, unlike the
-// slice-splicing FreeSpace it replaces (which remains in freespace.go
-// as the reference implementation for differential tests).
+// slice-splicing FreeSpace it replaces (which survives, test-only, in
+// freespace_oracle_test.go as the reference for differential tests).
 type Alloc struct {
 	root  *anode
 	count int
@@ -231,7 +231,7 @@ func (a *Alloc) reshape(n *anode, oldStart uint32, nb ir.Range) {
 }
 
 // NewAlloc creates an allocator covering whole minus the holes
-// (identical construction semantics to NewFreeSpace).
+// (identical construction semantics to the test oracle NewFreeSpace).
 func NewAlloc(whole ir.Range, holes []ir.Range) *Alloc {
 	var blocks []ir.Range
 	cur := whole.Start
@@ -529,8 +529,9 @@ func (a *Alloc) Contains(r ir.Range) bool {
 }
 
 // FindWithin returns the lowest free range of exactly size bytes that
-// lies wholly inside window, if any (same contract as the reference
-// FreeSpace: blocks are clipped to the window before the fit test).
+// lies wholly inside window, if any (same contract as the test-only
+// reference FreeSpace: blocks are clipped to the window before the fit
+// test).
 func (a *Alloc) FindWithin(window ir.Range, size uint32) (ir.Range, bool) {
 	if size == 0 || window.End <= window.Start {
 		return ir.Range{}, false

@@ -6,10 +6,9 @@ import (
 	"zipr/internal/irdb"
 )
 
-// IRDB persistence. The pipeline stores the IR into the relational IRDB
-// after construction and again after transformation, in the mediation
-// role the paper assigns to its SQL-based IRDB; command-line tools can
-// then inspect the program with SQL queries.
+// IRDB dump. On request (zipr.Config.CaptureIR) the pipeline writes the
+// IR it built into the relational IRDB, the store the paper gives tools
+// to query; command-line tools then inspect the program with SELECT.
 
 // DB table names used by SaveToDB.
 const (
@@ -50,9 +49,6 @@ func SaveToDB(db *irdb.DB, p *Program) error {
 		if err := db.CreateTable(s); err != nil {
 			return fmt.Errorf("save ir: %w", err)
 		}
-	}
-	if err := db.CreateIndex(TableInstructions, "orig_addr"); err != nil {
-		return fmt.Errorf("save ir: %w", err)
 	}
 	idOf := func(i *Instruction) int64 {
 		if i == nil {

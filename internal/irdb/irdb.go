@@ -1,17 +1,15 @@
-// Package irdb implements the Intermediate Representation Database that
-// mediates communication between the rewriting pipeline's phases, in the
-// role the paper assigns to its SQL-based IRDB: disassembly and analysis
-// write facts about the original program, transformation reads and
-// rewrites them, and reassembly reads the final IR. The engine is a small
-// in-memory relational store with typed schemas, auto-increment primary
-// keys, secondary indexes, and a compact SQL subset (see package file
-// sql.go) for ad-hoc queries by tools.
+// Package irdb implements the Intermediate Representation Database in
+// the role the paper gives its SQL-based IRDB: the place pipeline results
+// are stored for tools to query. The pipeline dumps its IR here when
+// asked (zipr.Config.CaptureIR, through ir.SaveToDB), and tools read it
+// back with SELECT queries (package file sql.go). The engine is a small
+// in-memory, append-only relational store with typed schemas and
+// auto-increment primary keys.
 package irdb
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -46,25 +44,23 @@ type Row map[string]any
 // Errors returned by database operations.
 var (
 	ErrNoTable   = errors.New("irdb: no such table")
-	ErrNoRow     = errors.New("irdb: no such row")
 	ErrBadColumn = errors.New("irdb: no such column")
 	ErrBadType   = errors.New("irdb: value has wrong type for column")
 	ErrExists    = errors.New("irdb: table already exists")
 )
 
-// DB is an in-memory relational database. It is safe for concurrent use.
+// DB is an in-memory relational database. It is safe for concurrent use:
+// a Report hands its DB to callers, who may query it from several
+// goroutines.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
 }
 
 type table struct {
-	schema  Schema
-	cols    map[string]ColType
-	rows    map[int64]Row
-	order   []int64 // insertion order of live rows
-	nextID  int64
-	indexes map[string]map[any][]int64 // column -> value -> ids
+	schema Schema
+	cols   map[string]ColType
+	rows   []Row // insertion order; row i has id i+1
 }
 
 // New creates an empty database.
@@ -92,46 +88,8 @@ func (db *DB) CreateTable(s Schema) error {
 		}
 		cols[c.Name] = c.Type
 	}
-	db.tables[s.Name] = &table{
-		schema:  s,
-		cols:    cols,
-		rows:    make(map[int64]Row),
-		nextID:  1,
-		indexes: make(map[string]map[any][]int64),
-	}
+	db.tables[s.Name] = &table{schema: s, cols: cols}
 	return nil
-}
-
-// CreateIndex builds (and maintains) a secondary index on col.
-func (db *DB) CreateIndex(tableName, col string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	if _, ok := t.cols[col]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrBadColumn, tableName, col)
-	}
-	idx := make(map[any][]int64)
-	for _, id := range t.order {
-		v := t.rows[id][col]
-		idx[v] = append(idx[v], id)
-	}
-	t.indexes[col] = idx
-	return nil
-}
-
-// Tables returns the names of all tables, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // checkVal normalizes a value to the column's canonical Go type.
@@ -210,30 +168,10 @@ func (db *DB) Insert(tableName string, r Row) (int64, error) {
 			stored[c.Name] = zero(c.Type)
 		}
 	}
-	id := t.nextID
-	t.nextID++
+	id := int64(len(t.rows)) + 1
 	stored["id"] = id
-	t.rows[id] = stored
-	t.order = append(t.order, id)
-	for col, idx := range t.indexes {
-		idx[stored[col]] = append(idx[stored[col]], id)
-	}
+	t.rows = append(t.rows, stored)
 	return id, nil
-}
-
-// Get returns a copy of the row with the given id.
-func (db *DB) Get(tableName string, id int64) (Row, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	r, ok := t.rows[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s id %d", ErrNoRow, tableName, id)
-	}
-	return copyRow(r), nil
 }
 
 func copyRow(r Row) Row {
@@ -242,74 +180,6 @@ func copyRow(r Row) Row {
 		out[k] = v
 	}
 	return out
-}
-
-// Update overwrites the given columns of row id.
-func (db *DB) Update(tableName string, id int64, changes Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	r, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("%w: %s id %d", ErrNoRow, tableName, id)
-	}
-	for name, v := range changes {
-		if name == "id" {
-			return errors.New("irdb: cannot update id")
-		}
-		ct, ok := t.cols[name]
-		if !ok {
-			return fmt.Errorf("%w: %s.%s", ErrBadColumn, tableName, name)
-		}
-		nv, err := checkVal(ct, v)
-		if err != nil {
-			return fmt.Errorf("column %s: %w", name, err)
-		}
-		if idx, has := t.indexes[name]; has {
-			removeID(idx, r[name], id)
-			idx[nv] = append(idx[nv], id)
-		}
-		r[name] = nv
-	}
-	return nil
-}
-
-// Delete removes row id.
-func (db *DB) Delete(tableName string, id int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	r, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("%w: %s id %d", ErrNoRow, tableName, id)
-	}
-	for col, idx := range t.indexes {
-		removeID(idx, r[col], id)
-	}
-	delete(t.rows, id)
-	for i, v := range t.order {
-		if v == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-func removeID(idx map[any][]int64, key any, id int64) {
-	ids := idx[key]
-	for i, v := range ids {
-		if v == id {
-			idx[key] = append(ids[:i], ids[i+1:]...)
-			return
-		}
-	}
 }
 
 // Select returns copies of all rows matching pred, in insertion order.
@@ -322,54 +192,10 @@ func (db *DB) Select(tableName string, pred func(Row) bool) ([]Row, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
 	var out []Row
-	for _, id := range t.order {
-		r := t.rows[id]
+	for _, r := range t.rows {
 		if pred == nil || pred(r) {
 			out = append(out, copyRow(r))
 		}
 	}
 	return out, nil
-}
-
-// Lookup uses the index on col (building a scan if none exists) to find
-// rows whose col equals val.
-func (db *DB) Lookup(tableName, col string, val any) ([]Row, error) {
-	db.mu.RLock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		db.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	ct, ok := t.cols[col]
-	if !ok {
-		db.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s.%s", ErrBadColumn, tableName, col)
-	}
-	nv, err := checkVal(ct, val)
-	if err != nil {
-		db.mu.RUnlock()
-		return nil, err
-	}
-	if idx, has := t.indexes[col]; has {
-		ids := idx[nv]
-		out := make([]Row, 0, len(ids))
-		for _, id := range ids {
-			out = append(out, copyRow(t.rows[id]))
-		}
-		db.mu.RUnlock()
-		return out, nil
-	}
-	db.mu.RUnlock()
-	return db.Select(tableName, func(r Row) bool { return r[col] == nv })
-}
-
-// Count returns the number of rows in the table.
-func (db *DB) Count(tableName string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[tableName]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	return len(t.rows), nil
 }

@@ -3,6 +3,7 @@ package irdb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -26,34 +27,36 @@ func newTestDB(t *testing.T) *DB {
 	return db
 }
 
-func TestInsertGetUpdateDelete(t *testing.T) {
+func TestInsertSelectRoundTrip(t *testing.T) {
 	db := newTestDB(t)
 	id, err := db.Insert("insn", Row{"addr": 0x1000, "mnem": "nop", "pinned": true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Get("insn", id)
+	id2, err := db.Insert("insn", Row{"addr": uint32(0x1004), "mnem": "ret"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r["addr"].(int64) != 0x1000 || r["mnem"].(string) != "nop" || r["pinned"].(bool) != true {
+	if id != 1 || id2 != 2 {
+		t.Fatalf("ids = %d, %d, want 1, 2", id, id2)
+	}
+	rows, err := db.Select("insn", nil)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("select = %d rows (%v), want 2", len(rows), err)
+	}
+	r := rows[0]
+	if r["id"].(int64) != id || r["addr"].(int64) != 0x1000 || r["mnem"].(string) != "nop" || r["pinned"].(bool) != true {
 		t.Fatalf("row = %+v", r)
 	}
 	if b, ok := r["bytes"].([]byte); !ok || b != nil {
 		t.Fatalf("missing column default wrong: %+v", r["bytes"])
 	}
-	if err := db.Update("insn", id, Row{"mnem": "ret"}); err != nil {
-		t.Fatal(err)
+	if rows[1]["addr"].(int64) != 0x1004 || rows[1]["pinned"].(bool) {
+		t.Fatalf("second row = %+v", rows[1])
 	}
-	r, _ = db.Get("insn", id)
-	if r["mnem"].(string) != "ret" {
-		t.Fatalf("update failed: %+v", r)
-	}
-	if err := db.Delete("insn", id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get("insn", id); !errors.Is(err, ErrNoRow) {
-		t.Fatalf("get after delete: %v", err)
+	rows, _ = db.Select("insn", func(r Row) bool { return r["mnem"] == "ret" })
+	if len(rows) != 1 || rows[0]["id"].(int64) != id2 {
+		t.Fatalf("predicate select = %+v", rows)
 	}
 }
 
@@ -80,76 +83,39 @@ func TestErrorsAPI(t *testing.T) {
 	if err := db.CreateTable(Schema{Name: "t3", Cols: []Col{{Name: "a", Type: Int}, {Name: "a", Type: Int}}}); err == nil {
 		t.Fatal("duplicate column should fail")
 	}
-	if err := db.Update("insn", 99, Row{"mnem": "x"}); !errors.Is(err, ErrNoRow) {
-		t.Fatalf("update missing row: %v", err)
-	}
-	if err := db.Delete("insn", 99); !errors.Is(err, ErrNoRow) {
-		t.Fatalf("delete missing row: %v", err)
-	}
-}
-
-func TestSelectAndLookupWithIndex(t *testing.T) {
-	db := newTestDB(t)
-	for i := 0; i < 100; i++ {
-		_, err := db.Insert("insn", Row{"addr": 0x1000 + i, "mnem": fmt.Sprintf("op%d", i%10)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CreateIndex("insn", "mnem"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := db.Lookup("insn", "mnem", "op3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("lookup returned %d rows, want 10", len(rows))
-	}
-	// Index must track updates and deletes.
-	id := rows[0]["id"].(int64)
-	if err := db.Update("insn", id, Row{"mnem": "renamed"}); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = db.Lookup("insn", "mnem", "op3")
-	if len(rows) != 9 {
-		t.Fatalf("after update lookup = %d rows, want 9", len(rows))
-	}
-	rows, _ = db.Lookup("insn", "mnem", "renamed")
-	if len(rows) != 1 {
-		t.Fatalf("renamed lookup = %d rows, want 1", len(rows))
-	}
-	if err := db.Delete("insn", id); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = db.Lookup("insn", "mnem", "renamed")
-	if len(rows) != 0 {
-		t.Fatalf("after delete lookup = %d rows, want 0", len(rows))
-	}
-	// Unindexed lookup falls back to a scan.
-	rows, err = db.Lookup("insn", "addr", 0x1001)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("unindexed lookup = %d rows (%v), want 1", len(rows), err)
-	}
-	n, err := db.Count("insn")
-	if err != nil || n != 99 {
-		t.Fatalf("count = %d, want 99", n)
+	if _, err := db.Select("nope", nil); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("select from missing table: %v", err)
 	}
 }
 
 func TestSelectReturnsCopies(t *testing.T) {
 	db := newTestDB(t)
-	id, _ := db.Insert("insn", Row{"mnem": "nop"})
+	db.Insert("insn", Row{"mnem": "nop"})
 	rows, _ := db.Select("insn", nil)
 	rows[0]["mnem"] = "corrupted"
-	r, _ := db.Get("insn", id)
-	if r["mnem"].(string) != "nop" {
+	rows, _ = db.Select("insn", nil)
+	if rows[0]["mnem"].(string) != "nop" {
 		t.Fatal("Select leaked internal row storage")
 	}
 }
 
 func TestSQLEndToEnd(t *testing.T) {
 	db := New()
+	err := db.CreateTable(Schema{Name: "funcs", Cols: []Col{
+		{Name: "name", Type: Text}, {Name: "entry", Type: Int}, {Name: "leaf", Type: Bool},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{
+		{"name": "main", "entry": 0x1000, "leaf": false},
+		{"name": "helper", "entry": 4112, "leaf": true},
+		{"name": "exit", "entry": 4200, "leaf": true},
+	} {
+		if _, err := db.Insert("funcs", r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mustExec := func(q string) Result {
 		t.Helper()
 		res, err := db.Exec(q)
@@ -158,46 +124,66 @@ func TestSQLEndToEnd(t *testing.T) {
 		}
 		return res
 	}
-	mustExec("CREATE TABLE funcs (name TEXT, entry INT, leaf BOOL)")
-	mustExec("INSERT INTO funcs (name, entry, leaf) VALUES ('main', 0x1000, FALSE)")
-	mustExec("INSERT INTO funcs (name, entry, leaf) VALUES ('helper', 4112, TRUE)")
-	mustExec("INSERT INTO funcs (name, entry, leaf) VALUES ('exit', 4200, TRUE)")
 
 	res := mustExec("SELECT * FROM funcs WHERE leaf = TRUE")
 	if len(res.Rows) != 2 {
 		t.Fatalf("leaf query = %d rows, want 2", len(res.Rows))
 	}
-	res = mustExec("SELECT name FROM funcs WHERE entry >= 4112 AND entry < 4200")
+	if got := strings.Join(res.Cols, ","); got != "id,entry,leaf,name" {
+		t.Fatalf("SELECT * columns = %s, want id then the schema's sorted", got)
+	}
+	res = mustExec("select name from funcs where entry >= 4112 and entry < 4200")
 	if len(res.Rows) != 1 || res.Rows[0]["name"].(string) != "helper" {
 		t.Fatalf("range query rows = %+v", res.Rows)
 	}
 	if _, has := res.Rows[0]["entry"]; has {
 		t.Fatal("projection leaked unselected column")
 	}
-	res = mustExec("UPDATE funcs SET leaf = FALSE WHERE name = 'helper'")
-	if res.Affected != 1 {
-		t.Fatalf("update affected = %d", res.Affected)
+	res = mustExec("SELECT name, entry FROM funcs WHERE leaf != TRUE AND entry <= 0x1000")
+	if len(res.Rows) != 1 || res.Rows[0]["name"].(string) != "main" || res.Rows[0]["entry"].(int64) != 0x1000 {
+		t.Fatalf("multi-column projection rows = %+v", res.Rows)
 	}
-	res = mustExec("SELECT * FROM funcs WHERE leaf = TRUE")
-	if len(res.Rows) != 1 {
-		t.Fatalf("after update leaf rows = %d, want 1", len(res.Rows))
+	res = mustExec("SELECT * FROM funcs WHERE entry > -1")
+	if len(res.Rows) != 3 || res.Rows[2]["id"].(int64) != 3 {
+		t.Fatalf("negative literal rows = %+v", res.Rows)
 	}
-	res = mustExec("DELETE FROM funcs WHERE entry > 4100")
-	if res.Affected != 2 {
-		t.Fatalf("delete affected = %d, want 2", res.Affected)
+}
+
+// TestSQLRejectsWrites: the IRDB is a read-only dump, so every statement
+// other than SELECT is an unsupported-statement error that leaves the
+// table untouched.
+func TestSQLRejectsWrites(t *testing.T) {
+	db := New()
+	if err := db.CreateTable(Schema{Name: "t", Cols: []Col{{Name: "a", Type: Int}}}); err != nil {
+		t.Fatal(err)
 	}
-	res = mustExec("SELECT * FROM funcs")
-	if len(res.Rows) != 1 || res.Rows[0]["name"].(string) != "main" {
-		t.Fatalf("final rows = %+v", res.Rows)
+	if _, err := db.Insert("t", Row{"a": 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"CREATE TABLE u (a INT)",
+		"INSERT INTO t (a) VALUES (2)",
+		"UPDATE t SET a = 2 WHERE a = 1",
+		"DELETE FROM t WHERE a = 1",
+		"insert into t (a) values (3)",
+	} {
+		_, err := db.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "unsupported statement") {
+			t.Errorf("Exec(%q) = %v, want unsupported statement", q, err)
+		}
+	}
+	res, err := db.Exec("SELECT a FROM t")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0]["a"].(int64) != 1 {
+		t.Fatalf("table changed by rejected writes: %v %+v", err, res.Rows)
 	}
 }
 
 func TestSQLStrings(t *testing.T) {
 	db := New()
-	if _, err := db.Exec("CREATE TABLE t (s TEXT)"); err != nil {
+	if err := db.CreateTable(Schema{Name: "t", Cols: []Col{{Name: "s", Type: Text}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO t (s) VALUES ('he llo; world')"); err != nil {
+	if _, err := db.Insert("t", Row{"s": "he llo; world"}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Exec("SELECT * FROM t WHERE s = 'he llo; world'")
@@ -212,23 +198,27 @@ func TestSQLStrings(t *testing.T) {
 
 func TestSQLErrors(t *testing.T) {
 	db := New()
-	if _, err := db.Exec("CREATE TABLE t (a INT)"); err != nil {
+	if err := db.CreateTable(Schema{Name: "t", Cols: []Col{{Name: "a", Type: Int}}}); err != nil {
 		t.Fatal(err)
 	}
 	bad := []string{
 		"",
 		"DROP TABLE t",
-		"CREATE TABLE",
-		"CREATE TABLE x (a FLOAT)",
+		"SELECT",
 		"SELECT FROM t",
+		"SELECT * FROM",
+		"SELECT * t",
 		"SELECT * FROM missing",
 		"SELECT nosuch FROM t",
-		"INSERT INTO t (a) VALUES ('notint')",
-		"INSERT INTO t (a) VALUES (1) garbage",
-		"UPDATE t SET",
+		"SELECT a, FROM t",
+		"SELECT * FROM t garbage",
+		"SELECT * FROM t WHERE",
+		"SELECT * FROM t WHERE a",
+		"SELECT * FROM t WHERE a = 0xzz",
 		"SELECT * FROM t WHERE a ~ 3",
 		"SELECT * FROM t WHERE 'lit' = a",
-		"INSERT INTO t (a) VALUES ('unterminated",
+		"SELECT * FROM t WHERE a = nosuchword",
+		"SELECT * FROM t WHERE a = 'unterminated",
 	}
 	for _, q := range bad {
 		if _, err := db.Exec(q); err == nil {
@@ -250,8 +240,8 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := db.Get("insn", id); err != nil {
-					t.Error(err)
+				if rows, err := db.Select("insn", func(r Row) bool { return r["id"] == id }); err != nil || len(rows) != 1 {
+					t.Errorf("own row %d: %d rows (%v)", id, len(rows), err)
 					return
 				}
 				if _, err := db.Select("insn", func(r Row) bool { return r["addr"].(int64)%7 == 0 }); err != nil {
@@ -262,24 +252,21 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	n, _ := db.Count("insn")
-	if n != 800 {
-		t.Fatalf("count = %d, want 800", n)
+	rows, _ := db.Select("insn", nil)
+	if len(rows) != 800 {
+		t.Fatalf("count = %d, want 800", len(rows))
 	}
 }
 
 func TestQuickInsertLookupConsistency(t *testing.T) {
-	// Property: after inserting N rows with arbitrary int keys, Lookup on
-	// an indexed column finds exactly the rows with that key.
+	// Property: after inserting N rows with arbitrary int keys, a SELECT
+	// on the key finds exactly the rows with that key.
 	f := func(keys []int16) bool {
 		db := New()
 		if err := db.CreateTable(Schema{Name: "t", Cols: []Col{{Name: "k", Type: Int}}}); err != nil {
 			return false
 		}
-		if err := db.CreateIndex("t", "k"); err != nil {
-			return false
-		}
-		want := map[int64]int{}
+		want := map[int64]int64{}
 		for _, k := range keys {
 			if _, err := db.Insert("t", Row{"k": int64(k)}); err != nil {
 				return false
@@ -287,8 +274,8 @@ func TestQuickInsertLookupConsistency(t *testing.T) {
 			want[int64(k)]++
 		}
 		for k, n := range want {
-			rows, err := db.Lookup("t", "k", k)
-			if err != nil || len(rows) != n {
+			res, err := db.Exec(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE k = %d", k))
+			if err != nil || res.Rows[0]["count"].(int64) != n {
 				return false
 			}
 		}
@@ -296,21 +283,5 @@ func TestQuickInsertLookupConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTablesSorted(t *testing.T) {
-	db := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := db.CreateTable(Schema{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := db.Tables()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tables() = %v, want %v", got, want)
-		}
 	}
 }

@@ -8,16 +8,13 @@ import (
 )
 
 // This file implements the SQL subset of the IRDB, used by command-line
-// tools to inspect pipeline state. Supported statements:
+// tools to inspect a captured IR. The IRDB is a read-only dump, so SELECT
+// is the only statement:
 //
-//	CREATE TABLE t (a INT, b TEXT, c BOOL, d BYTES)
-//	INSERT INTO t (a, b) VALUES (1, 'x')
 //	SELECT * FROM t WHERE a = 1 AND b != 'x'
 //	SELECT * FROM t WHERE a IN (1, 2, 3) AND b NOT IN ('x')
 //	SELECT a, b FROM t ORDER BY a DESC LIMIT 10
 //	SELECT COUNT(*) FROM t WHERE a > 3
-//	UPDATE t SET a = 2 WHERE b = 'x'
-//	DELETE FROM t WHERE a < 3
 //
 // Comparison operators: = != < <= > >=, plus IN/NOT IN over literal
 // lists, combined with AND. An empty IN () list matches no row (and
@@ -28,32 +25,21 @@ import (
 
 // Result is the outcome of an Exec call.
 type Result struct {
-	Cols     []string // selected column names (SELECT only)
-	Rows     []Row    // matching rows (SELECT only)
-	Affected int      // rows inserted/updated/deleted
-	LastID   int64    // id of the inserted row (INSERT only)
+	Cols []string // selected column names
+	Rows []Row    // matching rows
 }
 
-// Exec parses and runs one SQL statement.
+// Exec parses and runs one SELECT statement.
 func (db *DB) Exec(query string) (Result, error) {
 	toks, err := tokenize(query)
 	if err != nil {
 		return Result{}, err
 	}
 	p := &sqlParser{toks: toks}
-	switch {
-	case p.peekKw("CREATE"):
-		return p.create(db)
-	case p.peekKw("INSERT"):
-		return p.insert(db)
-	case p.peekKw("SELECT"):
-		return p.query(db)
-	case p.peekKw("UPDATE"):
-		return p.update(db)
-	case p.peekKw("DELETE"):
-		return p.deleteStmt(db)
+	if !p.peekKw("SELECT") {
+		return Result{}, fmt.Errorf("irdb: unsupported statement %q", query)
 	}
-	return Result{}, fmt.Errorf("irdb: unsupported statement %q", query)
+	return p.query(db)
 }
 
 type token struct {
@@ -367,120 +353,6 @@ func compare(stored any, op string, lit any) bool {
 	return false
 }
 
-func (p *sqlParser) create(db *DB) (Result, error) {
-	p.pos++ // CREATE
-	if err := p.eatKw("TABLE"); err != nil {
-		return Result{}, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return Result{}, err
-	}
-	if err := p.eatPunct("("); err != nil {
-		return Result{}, err
-	}
-	var cols []Col
-	for {
-		cn, err := p.ident()
-		if err != nil {
-			return Result{}, err
-		}
-		tn, err := p.ident()
-		if err != nil {
-			return Result{}, err
-		}
-		var ct ColType
-		switch strings.ToUpper(tn) {
-		case "INT", "INTEGER":
-			ct = Int
-		case "TEXT":
-			ct = Text
-		case "BYTES", "BLOB":
-			ct = Bytes
-		case "BOOL", "BOOLEAN":
-			ct = Bool
-		default:
-			return Result{}, fmt.Errorf("irdb: unknown column type %q", tn)
-		}
-		cols = append(cols, Col{Name: cn, Type: ct})
-		if p.pos < len(p.toks) && p.toks[p.pos].text == "," {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if err := p.eatPunct(")"); err != nil {
-		return Result{}, err
-	}
-	if err := p.done(); err != nil {
-		return Result{}, err
-	}
-	if err := db.CreateTable(Schema{Name: name, Cols: cols}); err != nil {
-		return Result{}, err
-	}
-	return Result{}, nil
-}
-
-func (p *sqlParser) insert(db *DB) (Result, error) {
-	p.pos++ // INSERT
-	if err := p.eatKw("INTO"); err != nil {
-		return Result{}, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return Result{}, err
-	}
-	if err := p.eatPunct("("); err != nil {
-		return Result{}, err
-	}
-	var cols []string
-	for {
-		cn, err := p.ident()
-		if err != nil {
-			return Result{}, err
-		}
-		cols = append(cols, cn)
-		if p.pos < len(p.toks) && p.toks[p.pos].text == "," {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if err := p.eatPunct(")"); err != nil {
-		return Result{}, err
-	}
-	if err := p.eatKw("VALUES"); err != nil {
-		return Result{}, err
-	}
-	if err := p.eatPunct("("); err != nil {
-		return Result{}, err
-	}
-	row := Row{}
-	for i := range cols {
-		v, err := p.literal()
-		if err != nil {
-			return Result{}, err
-		}
-		row[cols[i]] = v
-		if i < len(cols)-1 {
-			if err := p.eatPunct(","); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if err := p.eatPunct(")"); err != nil {
-		return Result{}, err
-	}
-	if err := p.done(); err != nil {
-		return Result{}, err
-	}
-	id, err := db.Insert(name, row)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Affected: 1, LastID: id}, nil
-}
-
 func (p *sqlParser) query(db *DB) (Result, error) {
 	p.pos++ // SELECT
 	var cols []string
@@ -662,82 +534,4 @@ func validateColumn(db *DB, table, col string) error {
 		return fmt.Errorf("%w: %s.%s", ErrBadColumn, table, col)
 	}
 	return nil
-}
-
-func (p *sqlParser) update(db *DB) (Result, error) {
-	p.pos++ // UPDATE
-	name, err := p.ident()
-	if err != nil {
-		return Result{}, err
-	}
-	if err := p.eatKw("SET"); err != nil {
-		return Result{}, err
-	}
-	changes := Row{}
-	for {
-		cn, err := p.ident()
-		if err != nil {
-			return Result{}, err
-		}
-		if err := p.eatPunct("="); err != nil {
-			return Result{}, err
-		}
-		v, err := p.literal()
-		if err != nil {
-			return Result{}, err
-		}
-		changes[cn] = v
-		if p.pos < len(p.toks) && p.toks[p.pos].text == "," {
-			p.pos++
-			continue
-		}
-		break
-	}
-	pred, err := p.where()
-	if err != nil {
-		return Result{}, err
-	}
-	if err := p.done(); err != nil {
-		return Result{}, err
-	}
-	rows, err := db.Select(name, pred)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, r := range rows {
-		id, _ := r["id"].(int64)
-		if err := db.Update(name, id, changes); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Affected: len(rows)}, nil
-}
-
-func (p *sqlParser) deleteStmt(db *DB) (Result, error) {
-	p.pos++ // DELETE
-	if err := p.eatKw("FROM"); err != nil {
-		return Result{}, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return Result{}, err
-	}
-	pred, err := p.where()
-	if err != nil {
-		return Result{}, err
-	}
-	if err := p.done(); err != nil {
-		return Result{}, err
-	}
-	rows, err := db.Select(name, pred)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, r := range rows {
-		id, _ := r["id"].(int64)
-		if err := db.Delete(name, id); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Affected: len(rows)}, nil
 }

@@ -2,8 +2,8 @@ package irdb
 
 // SQL edge-case coverage: IN-list predicates (including the empty
 // list's vacuous semantics), quote escaping in Text literals, ORDER BY
-// on secondary-indexed columns, and the reader/writer concurrency
-// contract (exercised under -race by `make race`).
+// on a Text column, and the reader/writer concurrency contract
+// (exercised under -race by `make race`).
 
 import (
 	"fmt"
@@ -14,25 +14,19 @@ import (
 func edgeDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
-	mustExec := func(q string) {
-		t.Helper()
-		if _, err := db.Exec(q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+	err := db.CreateTable(Schema{Name: "syms", Cols: []Col{
+		{Name: "addr", Type: Int}, {Name: "name", Type: Text}, {Name: "hot", Type: Bool},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustExec("CREATE TABLE syms (addr INT, name TEXT, hot BOOL)")
-	for i, row := range []struct {
-		addr int
-		name string
-		hot  bool
-	}{
-		{0x1000, "alpha", true},
-		{0x2000, "beta", false},
-		{0x3000, "gamma", true},
-		{0x4000, "delta", false},
+	for i, r := range []Row{
+		{"addr": 0x1000, "name": "alpha", "hot": true},
+		{"addr": 0x2000, "name": "beta", "hot": false},
+		{"addr": 0x3000, "name": "gamma", "hot": true},
+		{"addr": 0x4000, "name": "delta", "hot": false},
 	} {
-		q := fmt.Sprintf("INSERT INTO syms (addr, name, hot) VALUES (%d, '%s', %v)", row.addr, row.name, row.hot)
-		if _, err := db.Exec(q); err != nil {
+		if _, err := db.Insert("syms", r); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -94,44 +88,38 @@ func TestSQLInLists(t *testing.T) {
 
 func TestSQLStringEscaping(t *testing.T) {
 	db := New()
-	if _, err := db.Exec("CREATE TABLE notes (txt TEXT)"); err != nil {
+	if err := db.CreateTable(Schema{Name: "notes", Cols: []Col{{Name: "txt", Type: Text}}}); err != nil {
 		t.Fatal(err)
 	}
-	// '' escapes a quote; the stored value carries the single quote.
-	inserts := map[string]string{
-		"INSERT INTO notes (txt) VALUES ('it''s')":      "it's",
-		"INSERT INTO notes (txt) VALUES ('''')":         "'",
-		"INSERT INTO notes (txt) VALUES ('a''''b')":     "a''b",
-		"INSERT INTO notes (txt) VALUES ('')":           "",
-		"INSERT INTO notes (txt) VALUES ('no escapes')": "no escapes",
-		"INSERT INTO notes (txt) VALUES ('trailing''')": "trailing'",
-		"INSERT INTO notes (txt) VALUES ('''leading')":  "'leading",
+	// '' escapes a quote: each literal must match exactly the stored
+	// text it spells.
+	literals := map[string]string{
+		"'it''s'":      "it's",
+		"''''":         "'",
+		"'a''''b'":     "a''b",
+		"''":           "",
+		"'no escapes'": "no escapes",
+		"'trailing'''": "trailing'",
+		"'''leading'":  "'leading",
 	}
-	for q, want := range inserts {
+	for _, stored := range literals {
+		if _, err := db.Insert("notes", Row{"txt": stored}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lit, want := range literals {
+		q := "SELECT txt FROM notes WHERE txt = " + lit
 		res, err := db.Exec(q)
 		if err != nil {
 			t.Errorf("%s: %v", q, err)
 			continue
 		}
-		got, err := db.Get("notes", res.LastID)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Rows) != 1 || res.Rows[0]["txt"] != want {
+			t.Errorf("%s: rows %+v, want exactly %q", q, res.Rows, want)
 		}
-		if got["txt"] != want {
-			t.Errorf("%s: stored %q, want %q", q, got["txt"], want)
-		}
-	}
-	// Escaped literals work in predicates too: the WHERE value must
-	// match the unescaped stored text.
-	res, err := db.Exec("SELECT COUNT(*) FROM notes WHERE txt = 'it''s'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Rows[0]["count"].(int64); n != 1 {
-		t.Fatalf("escaped WHERE literal matched %d rows, want 1", n)
 	}
 	// And in IN lists.
-	res, err = db.Exec("SELECT COUNT(*) FROM notes WHERE txt IN ('it''s', '''')")
+	res, err := db.Exec("SELECT COUNT(*) FROM notes WHERE txt IN ('it''s', '''')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,56 +137,52 @@ func TestSQLStringEscaping(t *testing.T) {
 	}
 }
 
-func TestSQLOrderByIndexedColumn(t *testing.T) {
+func TestSQLOrderByTextColumn(t *testing.T) {
 	db := edgeDB(t)
-	// A secondary index on the ORDER BY column must not change result
-	// order or content — only how Select scans.
-	orderQ := "SELECT name FROM syms WHERE addr > 0 ORDER BY name DESC"
-	want := []string{"gamma", "delta", "beta", "alpha"}
-	check := func(label string) {
-		t.Helper()
-		res, err := db.Exec(orderQ)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if len(res.Rows) != len(want) {
-			t.Fatalf("%s: %d rows, want %d", label, len(res.Rows), len(want))
-		}
-		for i, r := range res.Rows {
-			if r["name"] != want[i] {
-				t.Fatalf("%s: row %d = %v, want %s", label, i, r["name"], want[i])
-			}
-		}
-	}
-	check("unindexed")
-	if err := db.CreateIndex("syms", "name"); err != nil {
+	res, err := db.Exec("SELECT name FROM syms WHERE addr > 0 ORDER BY name DESC")
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("indexed")
-	// Ascending with LIMIT, over the index.
-	res, err := db.Exec("SELECT name FROM syms ORDER BY name ASC LIMIT 2")
+	want := []string{"gamma", "delta", "beta", "alpha"}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(want))
+	}
+	for i, r := range res.Rows {
+		if r["name"] != want[i] {
+			t.Fatalf("row %d = %v, want %s", i, r["name"], want[i])
+		}
+	}
+	res, err = db.Exec("SELECT name FROM syms ORDER BY name ASC LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 || res.Rows[0]["name"] != "alpha" || res.Rows[1]["name"] != "beta" {
-		t.Fatalf("indexed ASC LIMIT: %+v", res.Rows)
+		t.Fatalf("ASC LIMIT: %+v", res.Rows)
 	}
-	// ORDER BY an unknown column stays a typed error with the index in
-	// place.
+	// Bool columns order false before true; the sort is stable, so
+	// ties keep insertion order.
+	res, err = db.Exec("SELECT name FROM syms ORDER BY hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, r["name"].(string))
+	}
+	if fmt.Sprint(got) != "[beta delta alpha gamma]" {
+		t.Fatalf("ORDER BY hot = %v", got)
+	}
 	if _, err := db.Exec("SELECT name FROM syms ORDER BY nosuch"); err == nil {
 		t.Fatal("ORDER BY unknown column accepted")
 	}
 }
 
 // TestSQLConcurrentReadersWriter drives concurrent Exec readers against
-// Exec writers on one DB. Run under -race this is the locking contract's
+// Insert writers on one DB. Run under -race this is the locking contract's
 // regression test; without -race it still checks nothing is lost.
 func TestSQLConcurrentReadersWriter(t *testing.T) {
 	db := New()
-	if _, err := db.Exec("CREATE TABLE log (n INT, tag TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateIndex("log", "n"); err != nil {
+	if err := db.CreateTable(Schema{Name: "log", Cols: []Col{{Name: "n", Type: Int}, {Name: "tag", Type: Text}}}); err != nil {
 		t.Fatal(err)
 	}
 	const writers, readers, perWriter = 2, 4, 50
@@ -209,8 +193,7 @@ func TestSQLConcurrentReadersWriter(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				q := fmt.Sprintf("INSERT INTO log (n, tag) VALUES (%d, 'w%d')", w*perWriter+i, w)
-				if _, err := db.Exec(q); err != nil {
+				if _, err := db.Insert("log", Row{"n": w*perWriter + i, "tag": fmt.Sprintf("w%d", w)}); err != nil {
 					errs <- err
 					return
 				}

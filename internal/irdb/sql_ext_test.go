@@ -5,13 +5,9 @@ import "testing"
 func setupExt(t *testing.T) *DB {
 	t.Helper()
 	db := New()
-	mustExec := func(q string) {
-		t.Helper()
-		if _, err := db.Exec(q); err != nil {
-			t.Fatalf("Exec(%q): %v", q, err)
-		}
+	if err := db.CreateTable(Schema{Name: "pins", Cols: []Col{{Name: "addr", Type: Int}, {Name: "kind", Type: Text}}}); err != nil {
+		t.Fatal(err)
 	}
-	mustExec("CREATE TABLE pins (addr INT, kind TEXT)")
 	for _, row := range []struct {
 		addr int
 		kind string

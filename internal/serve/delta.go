@@ -11,8 +11,7 @@ package serve
 // Ancestors are indexed by (config fingerprint, input length) — the two
 // properties of a request that are cheap to compute before any diffing —
 // and up to snapCandidates most-recent ancestors per index entry are
-// tried in MRU order. Optionally, snapshots persist through an irdb
-// database (Options.SnapshotDB) shared across Server instances, so a
+// tried in MRU order. With a disk tier, snapshots also spill to it, so a
 // restarted daemon keeps its ancestry.
 
 import (
@@ -24,7 +23,6 @@ import (
 	"zipr"
 	"zipr/internal/core"
 	"zipr/internal/fault"
-	"zipr/internal/irdb"
 )
 
 // snapCandidates bounds how many ancestors one (fingerprint, length)
@@ -46,9 +44,9 @@ func ancKeyOf(cfg zipr.Config, inLen int) ancKey {
 	return ancKey{fp: sha256.Sum256([]byte(cfg.Fingerprint())), inLen: inLen}
 }
 
-// dbKey renders the ancestor index key as the single indexed text
-// column of the persistence table.
-func (a ancKey) dbKey() string {
+// slotKey renders the ancestor index key as the name of the disk tier's
+// per-ancestor snapshot slot.
+func (a ancKey) slotKey() string {
 	return fmt.Sprintf("%s:%d", hex.EncodeToString(a.fp[:]), a.inLen)
 }
 
@@ -167,140 +165,35 @@ func (st *snapStore) unlink(e *snapEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// snapTable is the persistence schema: one row per snapshot, indexed by
-// the ancestor key and the content address.
-const snapTable = "placement_snapshots"
-
-func ensureSnapTable(db *irdb.DB) error {
-	err := db.CreateTable(irdb.Schema{
-		Name: snapTable,
-		Cols: []irdb.Col{
-			{Name: "key", Type: irdb.Text},
-			{Name: "anc", Type: irdb.Text},
-			{Name: "layout", Type: irdb.Text},
-			{Name: "blob", Type: irdb.Bytes},
-		},
-	})
-	if err != nil {
-		if errors.Is(err, irdb.ErrExists) {
-			return nil
-		}
-		return err
-	}
-	if err := db.CreateIndex(snapTable, "key"); err != nil {
-		return err
-	}
-	return db.CreateIndex(snapTable, "anc")
-}
-
-// persistSnapshot writes e through to the snapshot database, bounding
-// the rows per ancestor key the same way the in-memory index is
-// bounded. Persistence failures are ignored — the durable tier is an
-// optimization, never a correctness dependency.
-func (s *Server) persistSnapshot(e *snapEntry) {
-	if s.sdb == nil {
-		return
-	}
-	ancStr := e.anc.dbKey()
-	rows, err := s.sdb.Lookup(snapTable, "anc", ancStr)
-	if err != nil {
-		return
-	}
-	keyStr := e.key.String()
-	// Replace any row under the same content address, then trim the
-	// oldest rows past the candidate bound (rows come back in insertion
-	// order).
-	live := 0
-	for _, r := range rows {
-		if r["key"] == keyStr {
-			_ = s.sdb.Delete(snapTable, r["id"].(int64))
-		} else {
-			live++
-		}
-	}
-	for _, r := range rows {
-		if live < snapCandidates || r["key"] == keyStr {
-			break
-		}
-		_ = s.sdb.Delete(snapTable, r["id"].(int64))
-		live--
-	}
-	_, _ = s.sdb.Insert(snapTable, irdb.Row{
-		"key":    keyStr,
-		"anc":    ancStr,
-		"layout": e.layout,
-		"blob":   e.snap.Marshal(),
-	})
-}
-
-// unpersistSnapshot removes a stale snapshot from the durable tier.
-func (s *Server) unpersistSnapshot(key Key) {
-	if s.sdb == nil {
-		return
-	}
-	rows, err := s.sdb.Lookup(snapTable, "key", key.String())
-	if err != nil {
-		return
-	}
-	for _, r := range rows {
-		_ = s.sdb.Delete(snapTable, r["id"].(int64))
-	}
-}
-
-// loadSnapshots pulls an ancestor's persisted snapshots into candidate
-// entries when the in-memory store has none: first from the shared
-// SnapshotDB (a fresh Server sharing ancestry with a previous
-// instance), then from the disk tier's per-ancestor snapshot slot.
-// Unparseable rows/blobs are deleted.
+// loadSnapshots pulls an ancestor's spilled snapshot from the disk
+// tier's per-ancestor slot when the in-memory store has none (a
+// restarted daemon keeps its ancestry this way). An unparseable blob is
+// deleted.
 func (s *Server) loadSnapshots(anc ancKey) []*snapEntry {
-	var out []*snapEntry
-	if s.sdb != nil {
-		rows, err := s.sdb.Lookup(snapTable, "anc", anc.dbKey())
-		if err != nil {
-			rows = nil
-		}
-		for i := len(rows) - 1; i >= 0 && len(out) < snapCandidates; i-- { // newest first
-			r := rows[i]
-			snap, err := core.UnmarshalSnapshot(r["blob"].([]byte))
-			if err != nil || snap.Fingerprint == "" {
-				_ = s.sdb.Delete(snapTable, r["id"].(int64))
-				continue
-			}
-			var key Key
-			if kb, err := hex.DecodeString(r["key"].(string)); err == nil && len(kb) == len(key) {
-				copy(key[:], kb)
-			}
-			layout, _ := r["layout"].(string)
-			out = append(out, &snapEntry{
-				key:    key,
-				anc:    anc,
-				snap:   snap,
-				size:   snap.SizeBytes(),
-				layout: layout,
-			})
-		}
+	if s.disk == nil {
+		return nil
 	}
-	if len(out) == 0 && s.disk != nil {
-		if blob, layout, ok := s.disk.getSnap(anc.dbKey(), s.inj); ok {
-			if snap, err := core.UnmarshalSnapshot(blob); err == nil && snap.Fingerprint != "" {
-				out = append(out, &snapEntry{
-					key:    snapDiskKey(anc.dbKey()),
-					anc:    anc,
-					snap:   snap,
-					size:   snap.SizeBytes(),
-					layout: layout,
-					disk:   true,
-				})
-			} else {
-				s.disk.delSnap(anc.dbKey())
-			}
-		}
+	blob, layout, ok := s.disk.getSnap(anc.slotKey(), s.inj)
+	if !ok {
+		return nil
 	}
-	return out
+	snap, err := core.UnmarshalSnapshot(blob)
+	if err != nil || snap.Fingerprint == "" {
+		s.disk.delSnap(anc.slotKey())
+		return nil
+	}
+	return []*snapEntry{{
+		key:    snapDiskKey(anc.slotKey()),
+		anc:    anc,
+		snap:   snap,
+		size:   snap.SizeBytes(),
+		layout: layout,
+		disk:   true,
+	}}
 }
 
 // storeSnapshot records a completed rewrite's snapshot as a delta
-// ancestor, in memory and (when configured) durably.
+// ancestor, in memory and (when a disk tier exists) on disk.
 func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zipr.Report) {
 	e := &snapEntry{
 		key:      key,
@@ -320,18 +213,17 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	if evicted > 0 {
 		s.tr.Add("serve.snapshot.evict", evicted)
 	}
-	s.persistSnapshot(e)
 	// putSnapAsync is nil-safe, but its argument is not free: serialize
 	// only when a disk tier will take the blob.
 	if s.disk != nil {
-		s.disk.putSnapAsync(anc.dbKey(), snap.Marshal(), e.layout)
+		s.disk.putSnapAsync(anc.slotKey(), snap.Marshal(), e.layout)
 	}
 }
 
 // tryDelta attempts to answer the request from a delta ancestor.
 // Returns ok=false when no ancestor applies — the caller then runs the
 // full pipeline. Every candidate failure is contained: a stale snapshot
-// is dropped (memory and durable tier), an inapplicable edit just moves
+// is dropped (memory and disk tier), an inapplicable edit just moves
 // to the next candidate, and the two-outcome contract holds because a
 // successful Apply is byte-identical to the pipeline by construction.
 func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, rep *zipr.Report, snap *core.Snapshot, ok bool) {
@@ -370,9 +262,8 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 				s.mu.Unlock()
 				s.tr.Add("serve.delta.stale", 1)
 				s.tel.deltaStale.Add(1)
-				s.unpersistSnapshot(e.key)
 				if e.disk {
-					s.disk.delSnap(e.anc.dbKey())
+					s.disk.delSnap(e.anc.slotKey())
 				}
 			}
 			continue

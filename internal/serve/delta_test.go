@@ -3,8 +3,9 @@ package serve
 // Delta-serving tests: the snapshot ancestry answers edited inputs
 // byte-identically to the pipeline (outcome "delta"), stale snapshots
 // degrade to full rewrites (never a divergent binary), output-cache
-// eviction does not destroy delta ancestry (separate byte budgets), and
-// a SnapshotDB carries ancestry across Server instances.
+// eviction does not destroy delta ancestry (separate byte budgets).
+// Ancestry across Server instances rides the disk tier
+// (TestDiskTierSnapshotSpill).
 
 import (
 	"bytes"
@@ -15,7 +16,6 @@ import (
 	"zipr"
 	"zipr/internal/asm"
 	"zipr/internal/fault"
-	"zipr/internal/irdb"
 	"zipr/internal/obs"
 	"zipr/internal/synth"
 )
@@ -257,45 +257,6 @@ func TestSnapshotBudgetEviction(t *testing.T) {
 	}
 	if _, _, meta, err := s2.RewriteMeta(ctx, edited[0], cfg); err != nil || meta.Outcome != OutcomeMiss {
 		t.Fatalf("delta disabled: outcome %s err %v", meta.Outcome, err)
-	}
-}
-
-// TestSnapshotDBSharesAncestry: a second Server sharing the SnapshotDB
-// answers an edited input by delta without ever having seen the base.
-func TestSnapshotDBSharesAncestry(t *testing.T) {
-	base, edited := deltaImages(t, 1)
-	cfg := nullCfg()
-	db := irdb.New()
-	ctx := context.Background()
-
-	s1 := New(Options{Workers: 2, SnapshotDB: db})
-	if _, _, meta, err := s1.RewriteMeta(ctx, base, cfg); err != nil || meta.Outcome != OutcomeMiss {
-		t.Fatalf("base: outcome %s err %v", meta.Outcome, err)
-	}
-	s1.Close()
-
-	s2 := New(Options{Workers: 2, SnapshotDB: db})
-	defer s2.Close()
-	out, _, meta, err := s2.RewriteMeta(ctx, edited[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Outcome != OutcomeDelta {
-		t.Fatalf("fresh server with shared DB: outcome %s, want delta", meta.Outcome)
-	}
-	want, _, err := zipr.Rewrite(edited[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, want) {
-		t.Fatal("delta answer from persisted snapshot diverges")
-	}
-	rows, err := db.Lookup(snapTable, "anc", ancKeyOf(cfg, len(base)).dbKey())
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("persistence table empty: %v", err)
-	}
-	if len(rows) > snapCandidates {
-		t.Fatalf("persistence table holds %d rows per ancestor, cap is %d", len(rows), snapCandidates)
 	}
 }
 

@@ -257,8 +257,7 @@ func TestChaosDiskTierCorruptQuarantines(t *testing.T) {
 }
 
 // TestDiskTierSnapshotSpill: placement snapshots spill to disk, so a
-// restarted server with no SnapshotDB still answers an edited input via
-// the delta path.
+// restarted server still answers an edited input via the delta path.
 func TestDiskTierSnapshotSpill(t *testing.T) {
 	base, edited := deltaImages(t, 1)
 	cfg := zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}}

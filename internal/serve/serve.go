@@ -43,7 +43,6 @@ import (
 
 	"zipr"
 	"zipr/internal/fault"
-	"zipr/internal/irdb"
 	"zipr/internal/obs"
 	"zipr/internal/zerr"
 )
@@ -66,11 +65,6 @@ type Options struct {
 	// budgeted separately from CacheBytes on purpose: output-byte
 	// eviction under memory pressure must not destroy delta ancestry.
 	SnapshotBytes int64
-	// SnapshotDB, when non-nil, persists placement snapshots through an
-	// irdb database shared across Server instances, so a restarted
-	// daemon keeps its delta ancestry. Purely an optimization: rows are
-	// integrity-verified on load and dropped when stale.
-	SnapshotDB *irdb.DB
 	// Disk, when non-nil, is the disk-backed second cache tier: rewrite
 	// outputs and placement snapshots spill to it asynchronously
 	// (write-behind; the hot path never blocks on disk), and a RAM miss
@@ -143,7 +137,6 @@ type Server struct {
 	inj  *fault.Injector
 	sem  chan struct{}
 
-	sdb  *irdb.DB
 	disk *DiskTier
 
 	mu       sync.Mutex
@@ -195,9 +188,6 @@ func New(opts Options) *Server {
 	}
 	if opts.SnapshotBytes > 0 {
 		s.snaps = newSnapStore(opts.SnapshotBytes)
-		if opts.SnapshotDB != nil && ensureSnapTable(opts.SnapshotDB) == nil {
-			s.sdb = opts.SnapshotDB
-		}
 	}
 	return s
 }

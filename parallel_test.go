@@ -1,8 +1,8 @@
 package zipr
 
 // Determinism tests for the parallel pipeline: every fan-out level —
-// concurrent dual disassembly, sharded pin scans, the corpus worker
-// pool — must produce output byte-identical to the serial path, for
+// concurrent dual disassembly and the corpus worker pool — must
+// produce output byte-identical to the serial path, for
 // every layout strategy (including the seeded diversity layout, whose
 // placement is random but derived only from Config.Seed).
 

@@ -33,7 +33,6 @@ import (
 	"zipr/internal/isa"
 	"zipr/internal/layout"
 	"zipr/internal/obs"
-	"zipr/internal/par"
 	"zipr/internal/transform"
 	"zipr/internal/zerr"
 )
@@ -152,10 +151,7 @@ func NewProfiler() *transform.Profiler { return &transform.Profiler{} }
 // hotRanges converts hot function entries into the original-address
 // spans the profile-guided placer classifies hints against. With no hot
 // entries it returns immediately — the common non-PGO configuration
-// used to walk every instruction of every function for nothing. Extent
-// computation is per-function independent, so large programs shard it
-// across workers; results are collected per function index, keeping the
-// output identical to the serial walk.
+// used to walk every instruction of every function for nothing.
 func hotRanges(prog *ir.Program, hotFuncs []uint32) []ir.Range {
 	if len(hotFuncs) == 0 {
 		return nil
@@ -165,31 +161,23 @@ func hotRanges(prog *ir.Program, hotFuncs []uint32) []ir.Range {
 		hotSet[a] = true
 	}
 	arch := prog.ISA()
-	extents := make([]ir.Range, len(prog.Functions))
-	workers := par.ScaledWorkers(len(prog.Functions), 64)
-	par.Chunks(workers, len(prog.Functions), func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			f := prog.Functions[fi]
-			if f.Entry == nil || !hotSet[f.Entry.OrigAddr] {
+	var ranges []ir.Range
+	for _, f := range prog.Functions {
+		if f.Entry == nil || !hotSet[f.Entry.OrigAddr] {
+			continue
+		}
+		r := ir.Range{Start: f.Entry.OrigAddr, End: f.Entry.OrigAddr + 1}
+		for _, n := range f.Insts {
+			if n.OrigAddr == 0 {
 				continue
 			}
-			r := ir.Range{Start: f.Entry.OrigAddr, End: f.Entry.OrigAddr + 1}
-			for _, n := range f.Insts {
-				if n.OrigAddr == 0 {
-					continue
-				}
-				if n.OrigAddr < r.Start {
-					r.Start = n.OrigAddr
-				}
-				if end := n.OrigAddr + uint32(arch.InstLen(n.Inst)); end > r.End {
-					r.End = end
-				}
+			if n.OrigAddr < r.Start {
+				r.Start = n.OrigAddr
 			}
-			extents[fi] = r
+			if end := n.OrigAddr + uint32(arch.InstLen(n.Inst)); end > r.End {
+				r.End = end
+			}
 		}
-	})
-	var ranges []ir.Range
-	for _, r := range extents {
 		if r.End > r.Start {
 			ranges = append(ranges, r)
 		}
@@ -441,6 +429,33 @@ func snapshotSafeTransforms(transforms []Transform) (safe, frameSensitive bool) 
 	return true, frameSensitive
 }
 
+// captureSnapshot builds the placement snapshot of a finished rewrite.
+// Capture is best-effort: an ineligible rewrite gets no snapshot, and
+// bumps one rewrite.snapshot.skipped.<reason> trace counter naming why.
+func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, arch isa.Arch, customPlacer bool, inj *FaultInjector, tr *Trace) *core.Snapshot {
+	safe, frameSensitive := snapshotSafeTransforms(cfgv.Transforms)
+	switch {
+	case !isa.IsDefault(arch):
+		tr.Add("rewrite.snapshot.skipped.isa", 1)
+	case customPlacer:
+		tr.Add("rewrite.snapshot.skipped.placer", 1)
+	case inj.ArmedPipeline():
+		tr.Add("rewrite.snapshot.skipped.chaos", 1)
+	case !safe:
+		tr.Add("rewrite.snapshot.skipped.transforms", 1)
+	default:
+		sp := tr.Start("snapshot")
+		snap, err := core.BuildSnapshot(prog, res, frameSensitive, cfgv.Fingerprint())
+		sp.End()
+		if err != nil {
+			tr.Add("rewrite.snapshot.skipped.build-error", 1)
+			return nil
+		}
+		return snap
+	}
+	return nil
+}
+
 // SizeOverhead returns the relative file growth (e.g. 0.03 = +3%).
 func (r *Report) SizeOverhead() float64 {
 	if r.InputSize == 0 {
@@ -620,17 +635,8 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	}
 	report.Stats = Stats(res.Stats)
 	report.Layout = placer.Name()
-	if cfgv.CaptureSnapshot && newPlacer == nil && !inj.ArmedPipeline() && isa.IsDefault(arch) {
-		// Snapshot capture is best-effort: any ineligibility (custom
-		// transforms, no text, pipeline chaos) just leaves Snapshot nil.
-		if safe, frameSensitive := snapshotSafeTransforms(cfgv.Transforms); safe {
-			sp = tr.Start("snapshot")
-			snap, err := core.BuildSnapshot(prog, res, frameSensitive, cfgv.Fingerprint())
-			sp.End()
-			if err == nil {
-				report.Snapshot = snap
-			}
-		}
+	if cfgv.CaptureSnapshot {
+		report.Snapshot = captureSnapshot(prog, res, cfgv, arch, newPlacer != nil, inj, tr)
 	}
 	if cfgv.EmitMap {
 		report.AddrMap = make(map[uint32]uint32)
