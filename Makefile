@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is the full local gate.
 GO ?= go
 
-.PHONY: build vet test race cover bench benchgate benchsmoke fuzzsmoke isasweep fleet-smoke examples metricslint ci
+.PHONY: build vet test race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint ci
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,14 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc' -benchtime 1x -benchmem .
 
+# Bench module guard: the benchmark harness is a module of its own
+# (bench/go.mod, replacing zipr with ../), so `go build ./...` at the
+# root never compiles it. Vet and test it here, so that deleting or
+# changing a root API it imports fails CI instead of the next benchmark
+# run.
+benchbuild:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Fuzz smoke: replay the committed seed corpora, then fuzz each target
 # for a bounded interval — long enough to catch shallow regressions in
 # the allocator's differential contract and the whole-pipeline
@@ -118,4 +126,4 @@ examples:
 metricslint:
 	$(GO) test -run 'TestMetricsNamingLint|TestPromExposition|TestPromName' ./internal/serve/ ./internal/obs/
 
-ci: build vet race cover bench benchgate benchsmoke fuzzsmoke isasweep fleet-smoke examples metricslint
+ci: build vet race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint

@@ -526,7 +526,7 @@ func BenchmarkInferLibc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inferSink = infer.AnalyzeArch(bin, nil)
+		inferSink = infer.Analyze(bin, nil)
 	}
 }
 

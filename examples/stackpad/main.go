@@ -63,20 +63,22 @@ func run(bin *binfmt.Binary, input []byte) (vm.Result, error) {
 
 // frameAllocs scans a binary's decodable instructions for sp
 // adjustments, returning the distinct negative immediates (frame sizes).
+// The binaries here are built and rewritten under the default ISA.
 func frameAllocs(bin *binfmt.Binary) []int32 {
+	arch := isa.DefaultArch()
 	var out []int32
 	text := bin.Text()
 	off := 0
 	for off < len(text.Data) {
-		in, err := isa.Decode(text.Data[off:])
+		in, err := arch.Decode(text.Data[off:], text.VAddr+uint32(off))
 		if err != nil {
-			off++
+			off += int(arch.Align())
 			continue
 		}
 		if (in.Op == isa.OpAddI || in.Op == isa.OpAddI8) && in.Rd == isa.SP && in.Imm < 0 {
 			out = append(out, in.Imm)
 		}
-		off += in.Len()
+		off += arch.InstLen(in)
 	}
 	return out
 }

@@ -85,15 +85,6 @@ func MustAssemble(src string) *binfmt.Binary {
 	return b
 }
 
-// MustAssembleArch is AssembleArch for sources known valid.
-func MustAssembleArch(src string, arch isa.Arch) *binfmt.Binary {
-	b, err := AssembleArch(src, arch)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 type pendingExport struct {
 	name  string
 	label string

@@ -351,11 +351,11 @@ w: .word 5
 	text := bin.Text().Data
 	off := 0
 	for off < len(text)-4 {
-		in, err := isa.Decode(text[off:])
+		in, err := isa.ZVM32.Decode(text[off:], bin.Text().VAddr+uint32(off))
 		if err != nil {
 			t.Fatalf("decode at %d: %v", off, err)
 		}
-		off += in.Len()
+		off += isa.ZVM32.InstLen(in)
 	}
 	if off != len(text)-4 {
 		t.Fatalf("resync mismatch: off=%d len=%d", off, len(text))

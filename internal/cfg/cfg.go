@@ -87,13 +87,6 @@ func collectImmCands(insts []*ir.Instruction) []immCand {
 	return out
 }
 
-// BuildTraced is Build with spans for IR lifting, pin analysis and
-// function partitioning plus pin-provenance counters emitted to tr; a
-// nil trace disables instrumentation.
-func BuildTraced(bin *binfmt.Binary, agg disasm.Aggregated, tr *obs.Trace) (*ir.Program, error) {
-	return BuildOpts(bin, agg, Options{Trace: tr})
-}
-
 // BuildOpts is Build with full options.
 func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Program, error) {
 	tr := opts.Trace

@@ -11,6 +11,16 @@ import (
 	"zipr/internal/isa"
 )
 
+// encode32 returns the ZVM-32 encoding of in, failing t on error.
+func encode32(t *testing.T, in isa.Inst) []byte {
+	t.Helper()
+	b, err := isa.ZVM32.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func build(t *testing.T, src string) *ir.Program {
 	t.Helper()
 	bin, err := asm.Assemble(src)
@@ -249,7 +259,7 @@ func TestLoadPCFromCodeForcesFixedRange(t *testing.T) {
 	// code (pathological, paper case 2).
 	var code []byte
 	app := func(in isa.Inst) {
-		code = append(code, isa.MustEncode(in)...)
+		code = append(code, encode32(t, in)...)
 	}
 	app(isa.Inst{Op: isa.OpLoadPC, Rd: 2, Imm: 0}) // reads the next instruction's bytes
 	app(isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})
@@ -289,7 +299,7 @@ func TestAmbiguousRegionBranchTargetsPinned(t *testing.T) {
 	// Unreached-but-decodable region contains a jmp into real code; the
 	// target must be pinned.
 	var code []byte
-	app := func(in isa.Inst) { code = append(code, isa.MustEncode(in)...) }
+	app := func(in isa.Inst) { code = append(code, encode32(t, in)...) }
 	app(isa.Inst{Op: isa.OpJmp32, Imm: 5})   // entry jumps over the blob
 	app(isa.Inst{Op: isa.OpJmp32, Imm: -10}) // unreached: branches back to entry
 	app(isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})

@@ -647,7 +647,7 @@ func (r *reassembler) emitSled(plan sledPlan) error {
 	spanEnd := start + uint32(plan.span)
 	r.raw = append(r.raw, rawWrite{at: start, bytes: sledBytes(plan.span)})
 
-	dispatch, refs, err := genDispatch(plan.entries)
+	dispatch, refs, err := genDispatch(r.arch, plan.entries)
 	if err != nil {
 		return err
 	}

@@ -81,9 +81,12 @@ type dispatchRef struct {
 	target *ir.Instruction
 }
 
-// emitter builds raw machine code with local label fixups.
+// emitter builds raw machine code with local label fixups, encoding
+// through arch. The first encode error sticks and finish reports it.
 type emitter struct {
+	arch   isa.Arch
 	buf    []byte
+	err    error
 	labels map[string]int
 	fixups []struct {
 		off   int // offset of the rel32 field
@@ -91,12 +94,14 @@ type emitter struct {
 	}
 }
 
-func newEmitter() *emitter {
-	return &emitter{labels: map[string]int{}}
+func newEmitter(arch isa.Arch) *emitter {
+	return &emitter{arch: arch, labels: map[string]int{}}
 }
 
 func (e *emitter) inst(in isa.Inst) {
-	e.buf = append(e.buf, isa.MustEncode(in)...)
+	if e.err == nil {
+		e.buf, e.err = e.arch.AppendEncode(e.buf, in)
+	}
 }
 
 func (e *emitter) label(name string) {
@@ -105,7 +110,7 @@ func (e *emitter) label(name string) {
 
 // jcc emits a long conditional jump to a local label.
 func (e *emitter) jcc(cc isa.Cc, label string) {
-	e.buf = append(e.buf, isa.MustEncode(isa.Inst{Op: isa.OpJcc32, Cc: cc})...)
+	e.inst(isa.Inst{Op: isa.OpJcc32, Cc: cc})
 	e.fixups = append(e.fixups, struct {
 		off   int
 		label string
@@ -113,6 +118,9 @@ func (e *emitter) jcc(cc isa.Cc, label string) {
 }
 
 func (e *emitter) finish() ([]byte, error) {
+	if e.err != nil {
+		return nil, fmt.Errorf("core: dispatch encode: %w", e.err)
+	}
 	for _, f := range e.fixups {
 		target, ok := e.labels[f.label]
 		if !ok {
@@ -131,8 +139,10 @@ func (e *emitter) finish() ([]byte, error) {
 // and jumps to the entry's relocated target through a patchable slot.
 // All registers are preserved; flags are clobbered, matching the
 // rewriter's documented assumption that flags are dead across indirect
-// control transfers.
-func genDispatch(entries []sledEntry) ([]byte, []dispatchRef, error) {
+// control transfers. The code is encoded through arch; sleds exist only
+// on ISAs with SledsSupported (ZVM-32), whose rel32 branch layout the
+// label fixups assume.
+func genDispatch(arch isa.Arch, entries []sledEntry) ([]byte, []dispatchRef, error) {
 	if len(entries) == 0 {
 		return nil, nil, fmt.Errorf("core: sled with no entries")
 	}
@@ -151,7 +161,7 @@ func genDispatch(entries []sledEntry) ([]byte, []dispatchRef, error) {
 	}
 	sort.Slice(tops, func(i, j int) bool { return tops[i] < tops[j] })
 
-	e := newEmitter()
+	e := newEmitter(arch)
 	var refs []dispatchRef
 
 	// Prologue: save r0, fetch the top pushed word.

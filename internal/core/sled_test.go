@@ -10,6 +10,16 @@ import (
 	"zipr/internal/vm"
 )
 
+// encode32 returns the ZVM-32 encoding of in, failing t on error.
+func encode32(t *testing.T, in isa.Inst) []byte {
+	t.Helper()
+	b, err := isa.ZVM32.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestSimulateSledEntrySmall(t *testing.T) {
 	// Span 4 (the paper's example): each entry pushes exactly one word.
 	want := []uint32{0x90686868, 0x90906868, 0x90909068, 0x90909090}
@@ -60,7 +70,7 @@ func runSled(t *testing.T, span int, entryOffsets []int, enter int) int32 {
 			words:  simulateSledEntry(span, off),
 		})
 	}
-	dispatch, refs, err := genDispatch(entries)
+	dispatch, refs, err := genDispatch(isa.ZVM32, entries)
 	if err != nil {
 		t.Fatalf("genDispatch: %v", err)
 	}
@@ -74,14 +84,14 @@ func runSled(t *testing.T, span int, entryOffsets []int, enter int) int32 {
 	stubOff := make([]int, len(entries))
 	for i := range entries {
 		stubOff[i] = len(image)
-		image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpMovI, Rd: 1, Imm: int32(100 + i)})...)
-		image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})...)
-		image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpSyscall})...)
+		image = append(image, encode32(t, isa.Inst{Op: isa.OpMovI, Rd: 1, Imm: int32(100 + i)})...)
+		image = append(image, encode32(t, isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})...)
+		image = append(image, encode32(t, isa.Inst{Op: isa.OpSyscall})...)
 	}
 	// Patch the sled tail jump and the dispatch's target jumps.
 	putJmp := func(at, dest int) {
 		disp := int32(dest - (at + 5))
-		copy(image[at:], isa.MustEncode(isa.Inst{Op: isa.OpJmp32, Imm: disp}))
+		copy(image[at:], encode32(t, isa.Inst{Op: isa.OpJmp32, Imm: disp}))
 	}
 	putJmp(jmpAt, dispatchOff)
 	for _, ref := range refs {
@@ -162,7 +172,7 @@ func TestSledPreservesRegisters(t *testing.T) {
 	target.Fallthrough = t2
 	t2.Fallthrough = t3
 	entries := []sledEntry{{offset: 0, target: target, words: simulateSledEntry(2, 0)}}
-	dispatch, refs, err := genDispatch(entries)
+	dispatch, refs, err := genDispatch(isa.ZVM32, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +182,11 @@ func TestSledPreservesRegisters(t *testing.T) {
 	dOff := len(image)
 	image = append(image, dispatch...)
 	sOff := len(image)
-	image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpMov, Rd: 1, Rs: 5})...)
-	image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})...)
-	image = append(image, isa.MustEncode(isa.Inst{Op: isa.OpSyscall})...)
+	image = append(image, encode32(t, isa.Inst{Op: isa.OpMov, Rd: 1, Rs: 5})...)
+	image = append(image, encode32(t, isa.Inst{Op: isa.OpMovI, Rd: 0, Imm: 1})...)
+	image = append(image, encode32(t, isa.Inst{Op: isa.OpSyscall})...)
 	putJmp := func(at, dest int) {
-		copy(image[at:], isa.MustEncode(isa.Inst{Op: isa.OpJmp32, Imm: int32(dest - (at + 5))}))
+		copy(image[at:], encode32(t, isa.Inst{Op: isa.OpJmp32, Imm: int32(dest - (at + 5))}))
 	}
 	putJmp(jmpAt, dOff)
 	putJmp(dOff+refs[0].off, sOff)
@@ -201,18 +211,18 @@ func TestSledPreservesRegisters(t *testing.T) {
 }
 
 func TestGenDispatchErrors(t *testing.T) {
-	if _, _, err := genDispatch(nil); err == nil {
+	if _, _, err := genDispatch(isa.ZVM32, nil); err == nil {
 		t.Fatal("empty sled should fail")
 	}
 	bad := []sledEntry{{offset: 0, words: nil}}
-	if _, _, err := genDispatch(bad); err == nil {
+	if _, _, err := genDispatch(isa.ZVM32, bad); err == nil {
 		t.Fatal("entry with no pushes should fail")
 	}
 	dup := []sledEntry{
 		{offset: 0, words: []uint32{1, 2}},
 		{offset: 5, words: []uint32{9, 2}},
 	}
-	if _, _, err := genDispatch(dup); err == nil {
+	if _, _, err := genDispatch(isa.ZVM32, dup); err == nil {
 		t.Fatal("indistinguishable entries should fail")
 	}
 }

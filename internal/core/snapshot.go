@@ -83,6 +83,10 @@ type SnapUnit struct {
 // with BuildSnapshot + Finish (zipr.Rewrite does this under
 // Config.CaptureSnapshot); answer edited inputs with Apply.
 type Snapshot struct {
+	// Arch is the ISA the ancestor images are encoded in: Apply decodes
+	// edits and Rebase re-digests units under it. nil means ZVM-32, as
+	// for ir.Program.Arch.
+	Arch isa.Arch
 	// Fingerprint is the Config.Fingerprint the rewrite ran under; delta
 	// is only valid between identical fingerprints.
 	Fingerprint string
@@ -156,7 +160,9 @@ func BuildSnapshot(p *ir.Program, res *Result, frameSensitive bool, fingerprint 
 	if outText == nil {
 		return nil, fmt.Errorf("core: snapshot: no output text segment")
 	}
+	arch := p.ISA()
 	s := &Snapshot{
+		Arch:        arch,
 		Fingerprint: fingerprint,
 		InTextVA:    text.VAddr,
 		InTextEnd:   text.End(),
@@ -188,13 +194,13 @@ units:
 		if overlapsFixed(u) {
 			continue
 		}
-		digest, err := ir.UnitDigest(text.Data, text.VAddr, u)
+		digest, err := ir.UnitDigest(arch, text.Data, text.VAddr, u)
 		if err != nil {
 			continue
 		}
 		su := SnapUnit{Range: u, Digest: digest}
 		for addr := u.Start; addr < u.End; {
-			orig, err := isa.Decode(text.Data[addr-text.VAddr:])
+			orig, err := arch.Decode(text.Data[addr-text.VAddr:], addr)
 			if err != nil {
 				continue units
 			}
@@ -205,7 +211,8 @@ units:
 				// vouch for every byte it spans.
 				continue units
 			}
-			rec := SnapInst{Off: addr - u.Start, Len: uint8(orig.Len())}
+			ln := uint32(arch.InstLen(orig))
+			rec := SnapInst{Off: addr - u.Start, Len: uint8(ln)}
 			switch orig.Op {
 			case isa.OpMovI, isa.OpPushI32:
 				rec.Flags |= snapImmSeed
@@ -218,11 +225,11 @@ units:
 			spAdd := (orig.Op == isa.OpAddI || orig.Op == isa.OpAddI8) && orig.Rd == isa.SP
 			if ok && n.Target == nil && n.AbsTarget == 0 && n.Inst == orig &&
 				opEditable(orig.Op) && !(frameSensitive && spAdd) &&
-				placed >= s.OutTextVA && placed+uint32(orig.Len()) <= s.OutTextVA+s.OutTextLen {
+				placed >= s.OutTextVA && placed+ln <= s.OutTextVA+s.OutTextLen {
 				rec.Flags |= snapEditable
 			}
 			su.Insts = append(su.Insts, rec)
-			addr += uint32(orig.Len())
+			addr += ln
 		}
 		s.Units = append(s.Units, su)
 	}
@@ -348,6 +355,7 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 		return nil, nil, fmt.Errorf("%w: edit outside function units", ErrDeltaInapplicable)
 	}
 
+	arch := isa.Of(s.Arch)
 	out := append([]byte(nil), s.Output...)
 	info := &DeltaInfo{}
 	for ui := range s.Units {
@@ -375,20 +383,21 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 			if bytes.Equal(oldB, newB) {
 				continue
 			}
+			addr := u.Range.Start + rec.Off
 			if rec.Flags&snapEditable == 0 {
 				return nil, nil, fmt.Errorf("%w: edited instruction at %#x is not freely editable",
-					ErrDeltaInapplicable, u.Range.Start+rec.Off)
+					ErrDeltaInapplicable, addr)
 			}
-			oldIn, err1 := isa.Decode(oldB)
-			newIn, err2 := isa.Decode(newB)
+			oldIn, err1 := arch.Decode(oldB, addr)
+			newIn, err2 := arch.Decode(newB, addr)
 			if err1 != nil || err2 != nil {
 				return nil, nil, fmt.Errorf("%w: edited bytes at %#x do not decode",
-					ErrDeltaInapplicable, u.Range.Start+rec.Off)
+					ErrDeltaInapplicable, addr)
 			}
 			if newIn.Op != oldIn.Op || newIn.Cc != oldIn.Cc || newIn.Rd != oldIn.Rd ||
-				newIn.Rs != oldIn.Rs || newIn.Len() != int(rec.Len) {
+				newIn.Rs != oldIn.Rs || arch.InstLen(newIn) != int(rec.Len) {
 				return nil, nil, fmt.Errorf("%w: edit at %#x changes more than the immediate",
-					ErrDeltaInapplicable, u.Range.Start+rec.Off)
+					ErrDeltaInapplicable, addr)
 			}
 			if rec.Flags&snapImmSeed != 0 {
 				// movi/pushi immediates feed the pin scan and the weak
@@ -397,7 +406,7 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 				for _, imm := range [2]uint32{uint32(oldIn.Imm), uint32(newIn.Imm)} {
 					if imm >= s.InTextVA && imm < s.InTextEnd {
 						return nil, nil, fmt.Errorf("%w: immediate %#x at %#x is address-shaped",
-							ErrDeltaInapplicable, imm, u.Range.Start+rec.Off)
+							ErrDeltaInapplicable, imm, addr)
 					}
 				}
 			}
@@ -441,6 +450,7 @@ func (s *Snapshot) outSliceOf(out []byte, va, n uint32) []byte {
 // are immutable after build.
 func (s *Snapshot) Rebase(input, output []byte, info *DeltaInfo) (*Snapshot, error) {
 	ns := &Snapshot{
+		Arch:        s.Arch,
 		Fingerprint: s.Fingerprint,
 		Input:       append([]byte(nil), input...),
 		Output:      append([]byte(nil), output...),
@@ -456,7 +466,7 @@ func (s *Snapshot) Rebase(input, output []byte, info *DeltaInfo) (*Snapshot, err
 	ns.OutDigest = sha256.Sum256(ns.Output)
 	text := ns.Input[ns.InTextOff : ns.InTextOff+(ns.InTextEnd-ns.InTextVA)]
 	for _, ui := range info.Changed {
-		d, err := ir.UnitDigest(text, ns.InTextVA, ns.Units[ui].Range)
+		d, err := ir.UnitDigest(isa.Of(ns.Arch), text, ns.InTextVA, ns.Units[ui].Range)
 		if err != nil {
 			return nil, fmt.Errorf("core: rebase digest: %w", err)
 		}
@@ -476,20 +486,22 @@ func (s *Snapshot) SizeBytes() int64 {
 }
 
 const snapMagic = "ZSNP"
-const snapVersion = 2
+const snapVersion = 3
 
-// Marshal serializes the snapshot (for irdb persistence and the disk
-// tier's snapshot spill). The format is versioned and length-checked;
-// Unmarshal rejects anything malformed. The encoder sizes its buffer
-// exactly and appends every field, so one Marshal is one allocation.
+// Marshal serializes the snapshot (for the disk tier's snapshot spill).
+// The format is versioned and length-checked, and names the snapshot's
+// ISA; Unmarshal rejects anything malformed. The encoder sizes its
+// buffer exactly and appends every field, so one Marshal is one
+// allocation.
 func (s *Snapshot) Marshal() []byte {
 	const (
-		header = len(snapMagic) + 4 + 4 // magic, version, fingerprint length
-		geom   = 6 * 4                  // text geometry
+		header = len(snapMagic) + 4 + 4 + 4 // magic, version, ISA name and fingerprint lengths
+		geom   = 6 * 4                      // text geometry
 		unit   = 4 + 4 + sha256.Size + 4
 		inst   = 4 + 4 + 1 + 1
 	)
-	size := header + len(s.Fingerprint) + geom + 2*sha256.Size +
+	name := isa.Of(s.Arch).Name()
+	size := header + len(name) + len(s.Fingerprint) + geom + 2*sha256.Size +
 		4 + len(s.Input) + 4 + len(s.Output) + 4
 	for i := range s.Units {
 		size += unit + len(s.Units[i].Insts)*inst
@@ -498,6 +510,8 @@ func (s *Snapshot) Marshal() []byte {
 	b := make([]byte, 0, size)
 	b = append(b, snapMagic...)
 	b = le.AppendUint32(b, snapVersion)
+	b = le.AppendUint32(b, uint32(len(name)))
+	b = append(b, name...)
 	b = le.AppendUint32(b, uint32(len(s.Fingerprint)))
 	b = append(b, s.Fingerprint...)
 	for _, v := range [6]uint32{s.InTextVA, s.InTextEnd, s.InTextOff, s.OutTextVA, s.OutTextOff, s.OutTextLen} {
@@ -525,7 +539,8 @@ func (s *Snapshot) Marshal() []byte {
 	return b
 }
 
-// UnmarshalSnapshot parses a Marshal-ed snapshot.
+// UnmarshalSnapshot parses a Marshal-ed snapshot. Blobs of an older
+// format version or naming an unknown ISA fail with ErrSnapshotStale.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	r := snapReader{b: data}
 	if string(r.take(4)) != snapMagic {
@@ -534,7 +549,12 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	if v := r.u32(); v != snapVersion {
 		return nil, fmt.Errorf("%w: snapshot version %d", ErrSnapshotStale, v)
 	}
-	s := &Snapshot{}
+	name := string(r.take(int(r.u32())))
+	arch, err := isa.ByName(name)
+	if err != nil || name == "" {
+		return nil, fmt.Errorf("%w: snapshot ISA %q", ErrSnapshotStale, name)
+	}
+	s := &Snapshot{Arch: arch}
 	s.Fingerprint = string(r.take(int(r.u32())))
 	s.InTextVA = r.u32()
 	s.InTextEnd = r.u32()

@@ -1,4 +1,5 @@
-// Package disasm disassembles ZVM-32 binaries with two independent
+// Package disasm disassembles binaries under an isa.Arch (ZVM-32 or
+// ZVM-64; Options.Arch, nil meaning ZVM-32) with two independent
 // strategies — a linear sweep (objdump-like) and a recursive traversal
 // (IDA-like) — and aggregates their output using the paper's four-case
 // code/data disambiguation policy:
@@ -61,16 +62,12 @@ type Result struct {
 	Classes []Class
 }
 
-// LinearSweep decodes text from its first byte onward, resynchronizing
-// one byte at a time after undecodable bytes, the way objdump -D works.
-func LinearSweep(text []byte, base uint32) Result {
-	return LinearSweepArch(text, base, nil)
-}
-
-// LinearSweepArch is LinearSweep under an explicit ISA (nil means the
-// default). Fixed-width ISAs resynchronize at the next aligned address
-// instead of the next byte — misaligned starts can never be fetched.
-func LinearSweepArch(text []byte, base uint32, arch isa.Arch) Result {
+// LinearSweep decodes text (based at base) under arch from its first
+// byte onward, resynchronizing after undecodable bytes the way objdump
+// -D works: at the next byte on ZVM-32, at the next aligned address on
+// fixed-width ISAs, whose misaligned starts can never be fetched. nil
+// means the default ISA.
+func LinearSweep(text []byte, base uint32, arch isa.Arch) Result {
 	res := Result{
 		Insts:   NewInstMap(base, len(text)),
 		Classes: make([]Class, len(text)),
@@ -127,7 +124,9 @@ type recState struct {
 //     embedded in text, and mislabeling data as relocatable code is the
 //     one unrecoverable failure mode (paper case 4). Weak bytes stay at
 //     their original addresses.
-func RecursiveTraversal(bin *binfmt.Binary) Result {
+//
+// Decoding runs under arch (nil means the default ISA).
+func RecursiveTraversal(bin *binfmt.Binary, arch isa.Arch) Result {
 	text := bin.Text()
 	res := Result{
 		Insts:   NewInstMap(text.VAddr, len(text.Data)),
@@ -135,7 +134,7 @@ func RecursiveTraversal(bin *binfmt.Binary) Result {
 		Classes: make([]Class, len(text.Data)),
 	}
 	st := &recState{visited: make([]uint8, len(text.Data))}
-	recursiveInto(&res, bin, st, nil, isa.DefaultArch())
+	recursiveInto(&res, bin, st, nil, isa.Of(arch))
 	return res
 }
 
@@ -280,18 +279,10 @@ type Aggregated struct {
 	warnCands []uint32
 }
 
-// Aggregate merges the two disassemblers' views per the four-case
-// policy. The dense instruction maps iterate in address order, so the
-// ambiguous set and the warning list come out deterministic (the old
-// hash-map walk emitted warnings in random order).
-func Aggregate(bin *binfmt.Binary, linear, recursive Result) Aggregated {
-	agg := aggregateCore(bin, linear, recursive, isa.DefaultArch())
-	finishAggregate(&agg, bin)
-	return agg
-}
-
-// aggregateCore builds the per-byte classification and the ambiguous
-// instruction set. Fixed ranges and warnings are derived afterwards by
+// aggregateCore merges the two disassemblers' views per the four-case
+// policy into the per-byte classification and the ambiguous instruction
+// set. The dense instruction maps iterate in address order, so both come
+// out deterministic. Fixed ranges and warnings are derived afterwards by
 // finishAggregate, so an arbitration pass can prune the ambiguous set
 // in between.
 func aggregateCore(bin *binfmt.Binary, linear, recursive Result, arch isa.Arch) Aggregated {
@@ -516,13 +507,6 @@ func Disassemble(bin *binfmt.Binary) (Aggregated, error) {
 	return DisassembleOpts(bin, Options{})
 }
 
-// DisassembleTraced is Disassemble with per-stage spans (linear sweep,
-// recursive traversal, code/data disambiguation) and classification
-// metrics emitted to tr; a nil trace disables instrumentation.
-func DisassembleTraced(bin *binfmt.Binary, tr *obs.Trace) (Aggregated, error) {
-	return DisassembleOpts(bin, Options{Trace: tr})
-}
-
 // DisassembleOpts runs the two disassemblers — concurrently unless
 // opts.Serial — and aggregates their views. Both modes produce the same
 // Aggregated value: the disassemblers share no state, and aggregation
@@ -569,7 +553,7 @@ func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 		sp.End()
 		if opts.Arbitration == ArbWeighted {
 			sp = tr.Start("inference")
-			inf = infer.AnalyzeArch(bin, arch)
+			inf = infer.Analyze(bin, arch)
 			sp.End()
 		}
 	} else {
@@ -594,7 +578,7 @@ func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				inf = infer.AnalyzeArch(bin, arch)
+				inf = infer.Analyze(bin, arch)
 				infSp.End()
 			}()
 		}

@@ -10,6 +10,16 @@ import (
 	"zipr/internal/isa"
 )
 
+// encode32 returns the ZVM-32 encoding of in, failing t on error.
+func encode32(t *testing.T, in isa.Inst) []byte {
+	t.Helper()
+	b, err := isa.ZVM32.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func classAt(t *testing.T, agg Aggregated, bin *binfmt.Binary, addr uint32) Class {
 	t.Helper()
 	return agg.Classes[addr-bin.Text().VAddr]
@@ -18,7 +28,7 @@ func classAt(t *testing.T, agg Aggregated, bin *binfmt.Binary, addr uint32) Clas
 func TestLinearSweepResync(t *testing.T) {
 	// nop, then an undecodable byte, then ret.
 	text := []byte{0x90, 0x00, 0xC3}
-	res := LinearSweep(text, 0x1000)
+	res := LinearSweep(text, 0x1000, nil)
 	if res.Classes[0] != Code || res.Classes[1] != Data || res.Classes[2] != Code {
 		t.Fatalf("classes = %v", res.Classes)
 	}
@@ -46,7 +56,7 @@ after:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin)
+	rec := RecursiveTraversal(bin, nil)
 	text := bin.Text()
 	// The string bytes must not be classified Code by the recursive pass.
 	strOff := 6 + 6 + 5 // lea + loadpc + jmp
@@ -83,7 +93,7 @@ tab: .word handler
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin)
+	rec := RecursiveTraversal(bin, nil)
 	handlerAddr, ok := findLabelByDataWord(bin)
 	if !ok {
 		t.Fatal("test setup: no pointer found in data")
@@ -120,7 +130,7 @@ seed:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin)
+	rec := RecursiveTraversal(bin, nil)
 	if rec.Insts.Len() < 3 {
 		t.Fatalf("expected export coverage, got %d instructions", rec.Insts.Len())
 	}
@@ -190,7 +200,7 @@ func TestAggregateWarnsOnAmbiguousBranches(t *testing.T) {
 	// Craft raw bytes: reached ret, then an unreached region that decodes
 	// to a direct branch (case 3/4 risk): jmp32 encoding.
 	text := []byte{0xC3}
-	text = append(text, isa.MustEncode(isa.Inst{Op: isa.OpJmp32, Imm: -5})...)
+	text = append(text, encode32(t, isa.Inst{Op: isa.OpJmp32, Imm: -5})...)
 	bin := &binfmt.Binary{
 		Type:  binfmt.Exec,
 		Entry: 0x00100000,

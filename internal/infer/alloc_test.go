@@ -24,7 +24,7 @@ func TestAnalyzeAllocsBounded(t *testing.T) {
 			t.Fatalf("scale %v: %v", scale, err)
 		}
 		var res *Result
-		allocs := testing.AllocsPerRun(1, func() { res = Analyze(bin) })
+		allocs := testing.AllocsPerRun(1, func() { res = Analyze(bin, nil) })
 		if res.Stats().Candidates == 0 {
 			t.Fatalf("scale %v: no candidates", scale)
 		}

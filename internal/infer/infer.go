@@ -226,18 +226,12 @@ func (r *Result) Verdict(addr uint32, length int) (Verdict, RuleID) {
 }
 
 // Analyze runs fact extraction and the weighted fixed point over bin's
-// text segment under the default ISA. It is a pure function of the
-// binary: no shared state, safe to run concurrently with the other two
-// disassemblers.
-func Analyze(bin *binfmt.Binary) *Result {
-	return AnalyzeArch(bin, nil)
-}
-
-// AnalyzeArch is Analyze under an explicit ISA (nil means the default).
-// Fixed-width ISAs restrict the candidate relation to aligned offsets —
-// the decoder rejects everything else — which shrinks the fact base but
-// leaves every rule unchanged.
-func AnalyzeArch(bin *binfmt.Binary, arch isa.Arch) *Result {
+// text segment under arch (nil means the default ISA). It is a pure
+// function of the binary: no shared state, safe to run concurrently
+// with the other two disassemblers. Fixed-width ISAs restrict the
+// candidate relation to aligned offsets — the decoder rejects everything
+// else — which shrinks the fact base but leaves every rule unchanged.
+func Analyze(bin *binfmt.Binary, arch isa.Arch) *Result {
 	text := bin.Text()
 	if text == nil {
 		return &Result{}

@@ -25,16 +25,16 @@ func leaLabels(t *testing.T, bin *binfmt.Binary) []uint32 {
 	addr := bin.Entry
 	var out []uint32
 	for {
-		in, err := isa.Decode(text.Data[addr-text.VAddr:])
+		in, err := isa.ZVM32.Decode(text.Data[addr-text.VAddr:], addr)
 		if err != nil || in.Op != isa.OpLea {
 			return out
 		}
-		tgt, ok := in.TargetAddr(addr)
+		tgt, ok := isa.ZVM32.TargetAddr(in, addr)
 		if !ok {
 			t.Fatalf("lea at %#x has no target", addr)
 		}
 		out = append(out, tgt)
-		addr += uint32(in.Len())
+		addr += uint32(isa.ZVM32.InstLen(in))
 	}
 }
 
@@ -44,7 +44,7 @@ func analyzeSrc(t *testing.T, src string) (*Result, []uint32) {
 	if err != nil {
 		t.Fatalf("fixture does not assemble: %v", err)
 	}
-	return Analyze(bin), leaLabels(t, bin)
+	return Analyze(bin, nil), leaLabels(t, bin)
 }
 
 func TestRules(t *testing.T) {
@@ -386,7 +386,7 @@ blob: .word 0x11223344
 // TestNoTextSegment: a binary without text yields an empty result, not
 // a panic.
 func TestNoTextSegment(t *testing.T) {
-	r := Analyze(&binfmt.Binary{})
+	r := Analyze(&binfmt.Binary{}, nil)
 	if w, rule := r.CodeBelief(0x100000); w != 0 || rule != RuleNone {
 		t.Fatalf("empty result answered %d/%s", w, rule)
 	}

@@ -33,22 +33,23 @@ import (
 // FunctionExtent returns the original-address interval spanned by f's
 // instructions that carry original addresses, and false when f has none
 // (synthetic or empty functions). Instruction lengths are re-decoded
-// from the original text (based at textVA): transforms may have widened
+// under arch from the original text (based at textVA), each at its real
+// address so fixed-width ISAs accept it: transforms may have widened
 // or replaced the node's current Inst, and extents must describe the
 // *input* bytes a unit vouches for, not the transformed shape. A node
 // whose original bytes no longer decode falls back to the current
 // length; such units fail the exporter's tiling walk and are dropped.
-func FunctionExtent(f *Function, text []byte, textVA uint32) (Range, bool) {
+func FunctionExtent(f *Function, text []byte, textVA uint32, arch isa.Arch) (Range, bool) {
 	var r Range
 	found := false
 	for _, n := range f.Insts {
 		if n.OrigAddr == 0 {
 			continue
 		}
-		ln := uint32(n.Inst.Len())
+		ln := uint32(arch.InstLen(n.Inst))
 		if off := n.OrigAddr - textVA; n.OrigAddr >= textVA && int(off) < len(text) {
-			if in, err := isa.Decode(text[off:]); err == nil {
-				ln = uint32(in.Len())
+			if in, err := arch.Decode(text[off:], n.OrigAddr); err == nil {
+				ln = uint32(arch.InstLen(in))
 			}
 		}
 		end := n.OrigAddr + ln
@@ -75,7 +76,7 @@ func FunctionExtent(f *Function, text []byte, textVA uint32) (Range, bool) {
 // delta invalidation function-granular.
 //
 // Extents are measured against the original text bytes (FunctionExtent
-// re-decodes lengths), so a unit is an interval of the *input* image;
+// re-decodes lengths under p.ISA()), so a unit is an interval of the *input* image;
 // the exporter's tiling walk then verifies every byte of it decodes to
 // an instruction the IR still accounts for.
 func PartitionUnits(p *Program) []Range {
@@ -86,9 +87,10 @@ func PartitionUnits(p *Program) []Range {
 	if text == nil {
 		return nil
 	}
+	arch := p.ISA()
 	var extents []Range
 	for _, f := range p.Functions {
-		if r, ok := FunctionExtent(f, text.Data, text.VAddr); ok {
+		if r, ok := FunctionExtent(f, text.Data, text.VAddr, arch); ok {
 			extents = append(extents, r)
 		}
 	}
@@ -129,11 +131,12 @@ const (
 )
 
 // UnitDigest walks the unit's bytes in text (the whole original text
-// segment based at textVA), decoding instruction by instruction, and
-// returns the unit's canonical content digest. Decoding must tile the
-// interval exactly; a decode error or an instruction crossing u.End
-// fails with an error (such units are not delta-eligible).
-func UnitDigest(text []byte, textVA uint32, u Range) ([sha256.Size]byte, error) {
+// segment based at textVA), decoding instruction by instruction under
+// arch at each instruction's real address, and returns the unit's
+// canonical content digest. Decoding must tile the interval exactly; a
+// decode error or an instruction crossing u.End fails with an error
+// (such units are not delta-eligible).
+func UnitDigest(arch isa.Arch, text []byte, textVA uint32, u Range) ([sha256.Size]byte, error) {
 	var zero [sha256.Size]byte
 	if u.Start < textVA || u.End > textVA+uint32(len(text)) || u.Start >= u.End {
 		return zero, fmt.Errorf("ir: unit %+v outside text", u)
@@ -142,17 +145,17 @@ func UnitDigest(text []byte, textVA uint32, u Range) ([sha256.Size]byte, error) 
 	var rec [14]byte
 	addr := u.Start
 	for addr < u.End {
-		in, err := isa.Decode(text[addr-textVA:])
+		in, err := arch.Decode(text[addr-textVA:], addr)
 		if err != nil {
 			return zero, fmt.Errorf("ir: unit decode at %#x: %w", addr, err)
 		}
-		ln := uint32(in.Len())
+		ln := uint32(arch.InstLen(in))
 		if addr+ln > u.End {
 			return zero, fmt.Errorf("ir: instruction at %#x crosses unit end %#x", addr, u.End)
 		}
 		class := byte(digRaw)
 		val := uint32(in.Imm)
-		if t, ok := in.TargetAddr(addr); ok {
+		if t, ok := arch.TargetAddr(in, addr); ok {
 			if u.Contains(t) {
 				class, val = digRelInner, t-u.Start
 			} else {

@@ -2,16 +2,17 @@ package isa
 
 import "fmt"
 
-// Arch abstracts the ISA-specific facts the rewriting pipeline depends
-// on: the instruction codec (widths, alignment, decode errors), the
-// branch-reach model, and the pin/reference regime reassembly must use
-// (x86-style chains and 0x68 push-sleds on ZVM-32; fixed-width range
-// islands/veneers on ZVM-64). Everything above the codec — the IR, the
-// transforms, the placers — stays ISA-neutral and talks to one of these.
-//
-// The package-level Encode/Decode/Inst.Len functions remain the ZVM-32
-// codec; Arch is the seam through which a second ISA enters the
-// pipeline without disturbing existing digests.
+// Arch is the instruction-set architecture: the only codec in the
+// repository, and the ISA-specific facts the rewriting pipeline depends
+// on. It owns encoding, decoding, instruction lengths and static targets
+// (widths, alignment, decode errors), the branch-reach model, and the
+// pin/reference regime reassembly must use (x86-style chains and 0x68
+// push-sleds on ZVM-32; fixed-width range islands/veneers on ZVM-64).
+// Inst itself is ISA-neutral, so every layer that turns bytes into
+// instructions or back — disassembly, the IR's unit digests, snapshots,
+// reassembly, the VM — holds an Arch value and cannot decode one ISA's
+// bytes with the other's codec by accident. Everything above the codec
+// (the transforms, the placers) talks only to this interface.
 type Arch interface {
 	// Name is the canonical ISA name ("zvm32", "zvm64"); it keys the
 	// registry, the config fingerprint and the test matrices.
@@ -30,7 +31,10 @@ type Arch interface {
 	// Decode decodes the instruction at the start of b, which sits at
 	// address addr (fixed-width ISAs reject misaligned addr).
 	Decode(b []byte, addr uint32) (Inst, error)
-	// TargetAddr is Inst.TargetAddr under this ISA's lengths.
+	// TargetAddr returns the absolute target of a direct branch or
+	// PC-relative data reference decoded at addr (the displacement is
+	// relative to the next instruction); false for instructions without
+	// a static target.
 	TargetAddr(in Inst, addr uint32) (uint32, bool)
 
 	// RefLen is the size in bytes of an unconstrained reference jump —
@@ -55,30 +59,26 @@ type Arch interface {
 	VeneerBytes(dest uint32) []byte
 }
 
-// zvm32Arch adapts the package-level variable-width codec to Arch.
-// Its methods take pointer receivers so an interface call reaches the
+// zvm32Arch implements Arch for the variable-width ISA (codec.go). Its
+// methods take pointer receivers so an interface call reaches the
 // method itself, not a generated wrapper around it: Decode runs at every
 // text offset under inference, where that second call costs more than
 // the decode.
 type zvm32Arch struct{}
 
-func (*zvm32Arch) Name() string                                     { return "zvm32" }
-func (*zvm32Arch) MaxLen() int                                      { return MaxLen }
-func (*zvm32Arch) Align() uint32                                    { return 1 }
-func (*zvm32Arch) InstLen(in Inst) int                              { return in.Len() }
-func (*zvm32Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) { return AppendEncode(dst, in) }
-func (*zvm32Arch) Encode(in Inst) ([]byte, error)                   { return Encode(in) }
-func (*zvm32Arch) TargetAddr(in Inst, addr uint32) (uint32, bool)   { return in.TargetAddr(addr) }
-func (*zvm32Arch) RefLen() int                                      { return 5 }
-func (*zvm32Arch) ChainRefLen() int                                 { return 2 }
-func (*zvm32Arch) SledsSupported() bool                             { return true }
-func (*zvm32Arch) BranchReach() uint32                              { return 0 }
-func (*zvm32Arch) BranchDispOK(disp int64) bool                     { return disp >= -1<<31 && disp <= 1<<31-1 }
-func (*zvm32Arch) VeneerLen() int                                   { return 0 }
-func (*zvm32Arch) VeneerBytes(dest uint32) []byte                   { return nil }
+func (*zvm32Arch) Name() string                   { return "zvm32" }
+func (*zvm32Arch) MaxLen() int                    { return MaxLen }
+func (*zvm32Arch) Align() uint32                  { return 1 }
+func (*zvm32Arch) RefLen() int                    { return 5 }
+func (*zvm32Arch) ChainRefLen() int               { return 2 }
+func (*zvm32Arch) SledsSupported() bool           { return true }
+func (*zvm32Arch) BranchReach() uint32            { return 0 }
+func (*zvm32Arch) BranchDispOK(disp int64) bool   { return disp >= -1<<31 && disp <= 1<<31-1 }
+func (*zvm32Arch) VeneerLen() int                 { return 0 }
+func (*zvm32Arch) VeneerBytes(dest uint32) []byte { return nil }
 
 // ZVM32 is the default, variable-width ISA.
-var ZVM32 Arch = &zvm32
+var ZVM32 Arch = &zvm32Arch{}
 
 // ZVM64 is the fixed-width 4-byte ISA with ±1 MiB branch reach.
 var ZVM64 Arch = &zvm64Arch{}
@@ -110,6 +110,3 @@ func ByName(name string) (Arch, error) {
 	}
 	return nil, fmt.Errorf("isa: unknown ISA %q (want zvm32 or zvm64)", name)
 }
-
-// ArchNames lists the registered ISA names, default first.
-func ArchNames() []string { return []string{"zvm32", "zvm64"} }

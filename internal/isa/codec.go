@@ -20,10 +20,31 @@ var (
 // MaxLen is the longest possible ZVM-32 encoding in bytes.
 const MaxLen = 7
 
-// AppendEncode appends the encoding of in to dst and returns the extended
-// slice. It returns an error when the instruction is malformed (invalid
-// op, register out of range, immediate out of range for the form).
-func AppendEncode(dst []byte, in Inst) ([]byte, error) {
+// InstLen returns the ZVM-32 encoded length of in in bytes, or 0 when
+// in is invalid.
+func (*zvm32Arch) InstLen(in Inst) int {
+	if !in.Op.Valid() {
+		return 0
+	}
+	return formLen[opTable[in.Op].form]
+}
+
+// TargetAddr returns the absolute target address of a direct branch or
+// PC-relative data reference decoded at address addr. The second result
+// is false for instructions without a static target.
+func (a *zvm32Arch) TargetAddr(in Inst, addr uint32) (uint32, bool) {
+	switch in.Op {
+	case OpJmp8, OpJmp32, OpJcc8, OpJcc32, OpCall, OpLea, OpLoadPC:
+		return addr + uint32(a.InstLen(in)) + uint32(in.Imm), true
+	}
+	return 0, false
+}
+
+// AppendEncode appends the ZVM-32 encoding of in to dst and returns the
+// extended slice. It returns an error when the instruction is malformed
+// (invalid op, register out of range, immediate out of range for the
+// form).
+func (*zvm32Arch) AppendEncode(dst []byte, in Inst) ([]byte, error) {
 	if !in.Op.Valid() {
 		return dst, fmt.Errorf("%w: op %d", ErrBadOpcode, in.Op)
 	}
@@ -106,19 +127,9 @@ func AppendEncode(dst []byte, in Inst) ([]byte, error) {
 	return dst, fmt.Errorf("%w: op %d", ErrBadOpcode, in.Op)
 }
 
-// Encode returns the encoding of in.
-func Encode(in Inst) ([]byte, error) {
-	return AppendEncode(make([]byte, 0, MaxLen), in)
-}
-
-// MustEncode is Encode for instructions known valid by construction; it
-// panics on error and is intended for internal code generators and tests.
-func MustEncode(in Inst) []byte {
-	b, err := Encode(in)
-	if err != nil {
-		panic(err)
-	}
-	return b
+// Encode returns the ZVM-32 encoding of in.
+func (a *zvm32Arch) Encode(in Inst) ([]byte, error) {
+	return a.AppendEncode(make([]byte, 0, MaxLen), in)
 }
 
 // Decode rejections are built once: inference decodes at every text
@@ -143,18 +154,12 @@ func init() {
 	}
 }
 
-// zvm32 is the ZVM-32 codec the package-level functions call.
-var zvm32 zvm32Arch
-
-// Decode decodes the instruction at the start of b. It returns the
-// instruction and consumes Inst.Len bytes. Errors: ErrTruncated when b is
-// too short, ErrBadOpcode for undefined encodings, ErrBadReg for register
+// Decode decodes the ZVM-32 instruction at the start of b; the
+// variable-width encoding decodes the same at every address. Errors:
+// ErrTruncated when b is too short, ErrBadOpcode for undefined
+// encodings, ErrBadCc for undefined conditions, ErrBadReg for register
 // bytes >= NumRegs (such byte sequences are data, not code). A rejection
 // never allocates.
-func Decode(b []byte) (Inst, error) { return zvm32.Decode(b, 0) }
-
-// Decode is the ZVM-32 decoder; the variable-width encoding decodes the
-// same at every address.
 func (*zvm32Arch) Decode(b []byte, _ uint32) (Inst, error) {
 	if len(b) == 0 {
 		return Inst{}, ErrTruncated

@@ -13,6 +13,13 @@
 // descending full stack. CALL pushes the return address; RET pops it.
 // All branch displacements are relative to the address of the *next*
 // instruction, exactly as on x86.
+//
+// The package has two encodings of that one logical instruction set:
+// ZVM-32, variable-width (codec.go), and ZVM-64, fixed-width with
+// bounded branch reach (zvm64.go). Inst is the logical instruction, the
+// same under both. The Arch values ZVM32 and ZVM64 are the only way to
+// encode or decode an instruction, or to find its length or static
+// target.
 package isa
 
 import "fmt"
@@ -275,7 +282,10 @@ func (op Op) Valid() bool {
 	return op > OpInvalid && op < opMax && opTable[op].form != 0
 }
 
-// Inst is a single decoded (or to-be-encoded) instruction.
+// Inst is a single decoded (or to-be-encoded) instruction in logical
+// form. Its predicates (IsBranch, HasFallthrough, ...) hold on every
+// ISA; its encoded bytes, length and static target depend on the ISA and
+// come from an Arch (Encode, InstLen, TargetAddr).
 type Inst struct {
 	Op Op
 	Cc Cc    // condition for OpJcc8/OpJcc32
@@ -285,15 +295,6 @@ type Inst struct {
 	// displacement, or a branch/PC displacement relative to the next
 	// instruction.
 	Imm int32
-}
-
-// Len returns the encoded length of the instruction in bytes, or 0 when
-// the instruction is invalid.
-func (in Inst) Len() int {
-	if !in.Op.Valid() {
-		return 0
-	}
-	return formLen[opTable[in.Op].form]
 }
 
 // IsBranch reports whether the instruction is any control transfer other
@@ -343,17 +344,6 @@ func (in Inst) HasFallthrough() bool {
 // IsPCRelData reports whether the instruction forms or loads from a
 // PC-relative address (the mandatory-transform targets besides branches).
 func (in Inst) IsPCRelData() bool { return in.Op == OpLea || in.Op == OpLoadPC }
-
-// TargetAddr returns the absolute target address of a direct branch or
-// PC-relative data reference decoded at address addr. The second result
-// is false for instructions without a static target.
-func (in Inst) TargetAddr(addr uint32) (uint32, bool) {
-	switch in.Op {
-	case OpJmp8, OpJmp32, OpJcc8, OpJcc32, OpCall, OpLea, OpLoadPC:
-		return addr + uint32(in.Len()) + uint32(in.Imm), true
-	}
-	return 0, false
-}
 
 // String renders the instruction in the assembler's syntax.
 func (in Inst) String() string {

@@ -49,17 +49,17 @@ func TestEncodeDecodeRoundTripTable(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b, err := Encode(tt.in)
+			b, err := ZVM32.Encode(tt.in)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
 			if len(b) != tt.len {
 				t.Fatalf("encoded length = %d, want %d", len(b), tt.len)
 			}
-			if got := tt.in.Len(); got != tt.len {
+			if got := ZVM32.InstLen(tt.in); got != tt.len {
 				t.Fatalf("Len() = %d, want %d", got, tt.len)
 			}
-			out, err := Decode(b)
+			out, err := ZVM32.Decode(b, 0)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -72,13 +72,20 @@ func TestEncodeDecodeRoundTripTable(t *testing.T) {
 
 func TestSledOpcodeBytes(t *testing.T) {
 	// The paper's sled construction depends on these exact byte values.
-	if b := MustEncode(Inst{Op: OpPushI32, Imm: 0}); b[0] != 0x68 {
+	enc := func(in Inst) []byte {
+		b, err := ZVM32.Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if b := enc(Inst{Op: OpPushI32, Imm: 0}); b[0] != 0x68 {
 		t.Errorf("pushi opcode = %#x, want 0x68", b[0])
 	}
-	if b := MustEncode(Inst{Op: OpNop}); b[0] != 0x90 {
+	if b := enc(Inst{Op: OpNop}); b[0] != 0x90 {
 		t.Errorf("nop opcode = %#x, want 0x90", b[0])
 	}
-	if b := MustEncode(Inst{Op: OpHlt}); b[0] != 0xf4 {
+	if b := enc(Inst{Op: OpHlt}); b[0] != 0xf4 {
 		t.Errorf("hlt opcode = %#x, want 0xf4", b[0])
 	}
 	// A run of 0x68s followed by four 0x90s decodes validly from every
@@ -87,11 +94,11 @@ func TestSledOpcodeBytes(t *testing.T) {
 	for entry := 0; entry < 4; entry++ {
 		pc := entry
 		for pc < len(sled)-1 {
-			in, err := Decode(sled[pc:])
+			in, err := ZVM32.Decode(sled[pc:], 0)
 			if err != nil {
 				t.Fatalf("entry %d: decode at %d: %v", entry, pc, err)
 			}
-			pc += in.Len()
+			pc += ZVM32.InstLen(in)
 		}
 		if pc != len(sled)-1 {
 			t.Errorf("entry %d: resynchronized at %d, want %d", entry, pc, len(sled)-1)
@@ -116,8 +123,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(tt.b); !errors.Is(err, tt.want) {
-				t.Fatalf("Decode(% x) error = %v, want %v", tt.b, err, tt.want)
+			if _, err := ZVM32.Decode(tt.b, 0); !errors.Is(err, tt.want) {
+				t.Fatalf("ZVM32.Decode(% x) error = %v, want %v", tt.b, err, tt.want)
 			}
 		})
 	}
@@ -138,8 +145,8 @@ func TestEncodeErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Encode(tt.in); err == nil {
-				t.Fatalf("Encode(%+v) succeeded, want error", tt.in)
+			if _, err := ZVM32.Encode(tt.in); err == nil {
+				t.Fatalf("ZVM32.Encode(%+v) succeeded, want error", tt.in)
 			}
 		})
 	}
@@ -184,19 +191,19 @@ func TestBranchPredicates(t *testing.T) {
 
 func TestTargetAddr(t *testing.T) {
 	in := Inst{Op: OpJmp32, Imm: 0x10}
-	got, ok := in.TargetAddr(0x1000)
+	got, ok := ZVM32.TargetAddr(in, 0x1000)
 	if !ok || got != 0x1000+5+0x10 {
 		t.Fatalf("TargetAddr = %#x, %v; want %#x, true", got, ok, 0x1000+5+0x10)
 	}
 	in = Inst{Op: OpJmp8, Imm: -2} // self-branch
-	got, ok = in.TargetAddr(0x1000)
+	got, ok = ZVM32.TargetAddr(in, 0x1000)
 	if !ok || got != 0x1000 {
 		t.Fatalf("self jmp TargetAddr = %#x, %v; want 0x1000, true", got, ok)
 	}
-	if _, ok := (Inst{Op: OpRet}).TargetAddr(0); ok {
+	if _, ok := ZVM32.TargetAddr(Inst{Op: OpRet}, 0); ok {
 		t.Fatal("ret should have no static target")
 	}
-	if _, ok := (Inst{Op: OpLoad}).TargetAddr(0); ok {
+	if _, ok := ZVM32.TargetAddr(Inst{Op: OpLoad}, 0); ok {
 		t.Fatal("load should have no static target")
 	}
 }
@@ -283,18 +290,18 @@ func TestQuickRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < 50; i++ {
 			in := randomInst(r)
-			b, err := Encode(in)
+			b, err := ZVM32.Encode(in)
 			if err != nil {
 				t.Logf("encode %+v: %v", in, err)
 				return false
 			}
-			out, err := Decode(b)
+			out, err := ZVM32.Decode(b, 0)
 			if err != nil || out != in {
 				t.Logf("round trip %+v -> % x -> %+v (%v)", in, b, out, err)
 				return false
 			}
 			// Decoding with trailing garbage must give the same result.
-			out2, err := Decode(append(append([]byte{}, b...), 0xAA, 0xBB))
+			out2, err := ZVM32.Decode(append(append([]byte{}, b...), 0xAA, 0xBB), 0)
 			if err != nil || out2 != in {
 				return false
 			}
@@ -308,16 +315,16 @@ func TestQuickRoundTrip(t *testing.T) {
 
 func TestQuickDecodeNeverPanicsAndLenConsistent(t *testing.T) {
 	f := func(raw []byte) bool {
-		in, err := Decode(raw)
+		in, err := ZVM32.Decode(raw, 0)
 		if err != nil {
 			return true
 		}
 		// A successful decode must re-encode to the identical bytes.
-		enc, err := Encode(in)
+		enc, err := ZVM32.Encode(in)
 		if err != nil {
 			return false
 		}
-		return len(enc) == in.Len() && bytes.Equal(enc, raw[:len(enc)])
+		return len(enc) == ZVM32.InstLen(in) && bytes.Equal(enc, raw[:len(enc)])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -20,19 +20,12 @@ func TestDecodeRejectNoAlloc(t *testing.T) {
 	}
 	rejected := 0
 	for _, in := range inputs {
-		if _, err := Decode(in); err != nil {
+		if _, err := ZVM32.Decode(in, 0); err != nil {
 			rejected++
 		}
 	}
 	if rejected < len(inputs)/2 {
 		t.Fatalf("only %d of %d short inputs rejected; the sweep lost its point", rejected, len(inputs))
-	}
-	if n := testing.AllocsPerRun(5, func() {
-		for _, in := range inputs {
-			_, _ = Decode(in)
-		}
-	}); n != 0 {
-		t.Errorf("Decode: %v allocs per sweep, want 0", n)
 	}
 	if n := testing.AllocsPerRun(5, func() {
 		for _, in := range inputs {
@@ -95,8 +88,8 @@ func TestDecodeRejectErrorsRender(t *testing.T) {
 		{[]byte{0x01, 0xff, 0x99}, "isa: register index out of range: r255"},
 	}
 	for _, tt := range decodes {
-		if _, err := Decode(tt.b); err == nil || err.Error() != tt.want {
-			t.Errorf("Decode(% x) error = %v, want %q", tt.b, err, tt.want)
+		if _, err := ZVM32.Decode(tt.b, 0); err == nil || err.Error() != tt.want {
+			t.Errorf("ZVM32.Decode(% x) error = %v, want %q", tt.b, err, tt.want)
 		}
 	}
 }

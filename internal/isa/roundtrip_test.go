@@ -103,7 +103,7 @@ func TestRoundTripEveryOpcode(t *testing.T) {
 		for _, c := range cases {
 			in := c
 			in.Op = op
-			enc, err := Encode(in)
+			enc, err := ZVM32.Encode(in)
 			if err != nil {
 				t.Errorf("%s %+v: Encode: %v", info.name, in, err)
 				continue
@@ -111,19 +111,19 @@ func TestRoundTripEveryOpcode(t *testing.T) {
 			if want := formLen[info.form]; len(enc) != want {
 				t.Errorf("%s %+v: encoded %d bytes, form says %d", info.name, in, len(enc), want)
 			}
-			if got := in.Len(); got != len(enc) {
+			if got := ZVM32.InstLen(in); got != len(enc) {
 				t.Errorf("%s %+v: Len() = %d, encoding is %d bytes", info.name, in, got, len(enc))
 			}
-			dec, err := Decode(enc)
+			dec, err := ZVM32.Decode(enc, 0)
 			if err != nil {
-				t.Errorf("%s %+v: Decode(% x): %v", info.name, in, enc, err)
+				t.Errorf("%s %+v: ZVM32.Decode(% x): %v", info.name, in, enc, err)
 				continue
 			}
 			if dec != in {
 				t.Errorf("%s: round trip mangled instruction\n  in  %+v\n  out %+v (bytes % x)", info.name, in, dec, enc)
 				continue
 			}
-			re, err := Encode(dec)
+			re, err := ZVM32.Encode(dec)
 			if err != nil {
 				t.Errorf("%s %+v: re-encode: %v", info.name, dec, err)
 				continue
@@ -134,7 +134,7 @@ func TestRoundTripEveryOpcode(t *testing.T) {
 			// Decoding with trailing garbage must not change the result:
 			// the decoder consumes exactly Len bytes.
 			padded := append(append([]byte(nil), enc...), 0xCC, 0xCC)
-			if dec2, err := Decode(padded); err != nil || dec2 != in {
+			if dec2, err := ZVM32.Decode(padded, 0); err != nil || dec2 != in {
 				t.Errorf("%s %+v: decode with trailing bytes: %+v, %v", info.name, in, dec2, err)
 			}
 		}
@@ -163,14 +163,14 @@ func TestShortBranchExtremes(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			enc, err := Encode(tt.in)
+			enc, err := ZVM32.Encode(tt.in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(enc, tt.want) {
 				t.Fatalf("encoded % x, want % x", enc, tt.want)
 			}
-			dec, err := Decode(enc)
+			dec, err := ZVM32.Decode(enc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +182,11 @@ func TestShortBranchExtremes(t *testing.T) {
 	// One past each extreme must be rejected, not truncated.
 	for _, imm := range []int32{-129, 128} {
 		for _, op := range []Op{OpJmp8, OpPushI8} {
-			if _, err := Encode(Inst{Op: op, Imm: imm}); err == nil {
+			if _, err := ZVM32.Encode(Inst{Op: op, Imm: imm}); err == nil {
 				t.Errorf("%s imm=%d: out-of-range immediate accepted", opTable[op].name, imm)
 			}
 		}
-		if _, err := Encode(Inst{Op: OpJcc8, Cc: CcZ, Imm: imm}); err == nil {
+		if _, err := ZVM32.Encode(Inst{Op: OpJcc8, Cc: CcZ, Imm: imm}); err == nil {
 			t.Errorf("jcc.s imm=%d: out-of-range immediate accepted", imm)
 		}
 	}
@@ -212,7 +212,7 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
-			if b, err := Encode(tt.in); err == nil {
+			if b, err := ZVM32.Encode(tt.in); err == nil {
 				t.Fatalf("accepted as % x", b)
 			}
 		})
@@ -229,12 +229,12 @@ func TestDecodeTruncation(t *testing.T) {
 		if info.form == fCc8 || info.form == fCc32 {
 			in.Cc = CcZ
 		}
-		enc, err := Encode(in)
+		enc, err := ZVM32.Encode(in)
 		if err != nil {
 			t.Fatalf("%s: %v", info.name, err)
 		}
 		for n := 0; n < len(enc); n++ {
-			if _, err := Decode(enc[:n]); err == nil {
+			if _, err := ZVM32.Decode(enc[:n], 0); err == nil {
 				t.Errorf("%s: decoding %d of %d bytes succeeded", info.name, n, len(enc))
 			}
 		}
@@ -253,7 +253,7 @@ func TestDecodeRejectsBadRegisterBytes(t *testing.T) {
 		{0x8B, 0, NumRegs, 0, 0, 0, 0}, // load base r16
 	}
 	for _, b := range cases {
-		if in, err := Decode(b); err == nil {
+		if in, err := ZVM32.Decode(b, 0); err == nil {
 			t.Errorf("% x: decoded as %+v, want register error", b, in)
 		}
 	}

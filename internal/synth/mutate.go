@@ -7,14 +7,10 @@
 package synth
 
 import (
-	"fmt"
 	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
-
-	"zipr/internal/asm"
-	"zipr/internal/binfmt"
 )
 
 var (
@@ -81,19 +77,4 @@ func MutateWiden(src string) (out string, ok bool) {
 		}
 	}
 	return src, false
-}
-
-// BuildMutated assembles a profile's program plus a variant with the
-// constants of count functions mutated; both images share the profile's
-// layout (identical function boundaries and reference structure).
-func BuildMutated(seed int64, p Profile, mutSeed int64, count int) (base, edited *binfmt.Binary, mutated int, err error) {
-	src := Generate(seed, p)
-	msrc, mutated := MutateConsts(src, mutSeed, count)
-	if base, err = asm.Assemble(src); err != nil {
-		return nil, nil, 0, fmt.Errorf("synth %s: %w", p.Name, err)
-	}
-	if edited, err = asm.Assemble(msrc); err != nil {
-		return nil, nil, 0, fmt.Errorf("synth %s (mutated): %w", p.Name, err)
-	}
-	return base, edited, mutated, nil
 }

@@ -16,7 +16,7 @@ func prog(t *testing.T, insts ...isa.Inst) []byte {
 	t.Helper()
 	var out []byte
 	for _, in := range insts {
-		b, err := isa.Encode(in)
+		b, err := isa.ZVM32.Encode(in)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", in, err)
 		}

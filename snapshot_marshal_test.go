@@ -3,20 +3,29 @@ package zipr
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"zipr/internal/core"
+	"zipr/internal/isa"
 	"zipr/internal/synth"
 )
 
 // marshalSnapshotOracle is the snapshot encoder as first written: one
 // binary.Write per field into a growing buffer. It stays here as the
 // byte-for-byte reference for core.Snapshot.Marshal's append encoder.
-func marshalSnapshotOracle(s *Snapshot) []byte {
+// Format version 3 adds the ISA name after the version; version 2 blobs
+// have none.
+func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("ZSNP")
 	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w32(2)
+	w32(version)
+	if version >= 3 {
+		name := isa.Of(s.Arch).Name()
+		w32(uint32(len(name)))
+		buf.WriteString(name)
+	}
 	w32(uint32(len(s.Fingerprint)))
 	buf.WriteString(s.Fingerprint)
 	w32(s.InTextVA)
@@ -55,7 +64,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	check := func(name string, snap *Snapshot) {
 		t.Helper()
 		got := snap.Marshal()
-		if want := marshalSnapshotOracle(snap); !bytes.Equal(got, want) {
+		if want := marshalSnapshotOracle(snap, 3); !bytes.Equal(got, want) {
 			t.Fatalf("%s: Marshal differs from the reference encoder (%d vs %d bytes)", name, len(got), len(want))
 		}
 		if cap(got) != len(got) {
@@ -69,7 +78,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: Marshal/UnmarshalSnapshot does not round-trip", name)
 		}
 	}
-	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty)) {
+	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty, 3)) {
 		t.Fatal("empty snapshot: Marshal differs from the reference encoder")
 	}
 
@@ -104,5 +113,47 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	}
 	if units == 0 {
 		t.Fatal("no corpus snapshot recorded a unit; the comparison is vacuous")
+	}
+}
+
+// TestSnapshotFormatV3 checks that a marshaled snapshot carries its ISA
+// on both ISAs, and that blobs of the previous format or naming an
+// unknown ISA are refused as stale (the disk tier then deletes them).
+func TestSnapshotFormatV3(t *testing.T) {
+	seed, prof := synth.CBProfile(3)
+	src := synth.Generate(seed, prof)
+	_, rep, err := Rewrite(mustImage(t, src), Config{CaptureSnapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Snapshot == nil {
+		t.Fatal("zvm32: no snapshot captured")
+	}
+	_, snap64, err := stagedRewrite(mustImageArch(t, synth.GenerateArch(seed, prof, isa.ZVM64), isa.ZVM64),
+		isa.ZVM64, stagedCells()[0])
+	if err != nil {
+		t.Fatalf("zvm64 capture: %v", err)
+	}
+	for _, snap := range []*Snapshot{rep.Snapshot, snap64} {
+		name := snap.Arch.Name()
+		blob := snap.Marshal()
+		back, err := core.UnmarshalSnapshot(blob)
+		if err != nil {
+			t.Fatalf("%s: UnmarshalSnapshot: %v", name, err)
+		}
+		if back.Arch != snap.Arch {
+			t.Fatalf("%s: round trip gives Arch %v", name, back.Arch)
+		}
+		if !bytes.Equal(back.Marshal(), blob) {
+			t.Fatalf("%s: Marshal/UnmarshalSnapshot does not round-trip", name)
+		}
+
+		unknown := bytes.Replace(blob, []byte(name), []byte("zvm99"), 1)
+		if _, err := core.UnmarshalSnapshot(unknown); !errors.Is(err, ErrSnapshotStale) {
+			t.Fatalf("%s: unknown ISA name: err = %v, want ErrSnapshotStale", name, err)
+		}
+		if _, err := core.UnmarshalSnapshot(marshalSnapshotOracle(snap, 2)); !errors.Is(err, ErrSnapshotStale) {
+			t.Fatalf("%s: version 2 blob: err = %v, want ErrSnapshotStale", name, err)
+		}
 	}
 }
