@@ -71,10 +71,14 @@ benchgate:
 # complexity regression (Alloc* must not drift toward FreeSpace*)
 # without the full bench run's cost. The second line does the same for
 # the delta path and for inference, whose allocs/op must stay a small
-# constant (allocation-free decode rejection, CSR flow relation).
+# constant (allocation-free decode rejection, CSR flow relation). The
+# third line runs every workload of the end-to-end benchmark harness for
+# one second each (about a minute on two cores); the harness checks every
+# output, so a change that breaks a benchmark run fails here first.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc' -benchtime 1x -benchmem .
+	bash bench/run.sh --seconds 1 --seed 0
 
 # Bench module guard: the benchmark harness is a module of its own
 # (bench/go.mod, replacing zipr with ../), so `go build ./...` at the

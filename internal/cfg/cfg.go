@@ -121,13 +121,18 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	}
 	var extraFixed []ir.Range
 
-	// Link fallthroughs and targets.
-	for _, a := range addrs {
-		node := p.ByAddr[a]
+	// Link fallthroughs and targets. p.Insts[:n] holds the decoded nodes
+	// in address order (synthetic nodes are appended after them), so the
+	// fallthrough is usually the next node; the address map is consulted
+	// only when the next decode starts elsewhere (overlapping decodes).
+	for i, a := range addrs {
+		node := p.Insts[i]
 		in := node.Inst
 		next := a + uint32(arch.InstLen(in))
 		if in.HasFallthrough() {
-			if ft, ok := p.ByAddr[next]; ok {
+			if i+1 < len(addrs) && addrs[i+1] == next {
+				node.Fallthrough = p.Insts[i+1]
+			} else if ft, ok := p.ByAddr[next]; ok {
 				node.Fallthrough = ft
 			} else if text.Contains(next) && inFixed(next) {
 				// Execution falls into a fixed region, which keeps its
@@ -306,7 +311,7 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	sp.End()
 
 	sp = tr.Start("partition-functions")
-	buildFunctions(p, addrs)
+	buildFunctions(p)
 	sp.End()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -333,7 +338,7 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 // transform API: entries are the program entry, exports, direct call
 // targets and pinned instructions; bodies are flooded over fallthrough
 // and non-call branch links.
-func buildFunctions(p *ir.Program, addrs []uint32) {
+func buildFunctions(p *ir.Program) {
 	entrySet := map[*ir.Instruction]string{}
 	if p.Entry != nil {
 		entrySet[p.Entry] = "main"
@@ -364,22 +369,26 @@ func buildFunctions(p *ir.Program, addrs []uint32) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].OrigAddr < entries[j].OrigAddr })
 
-	owned := map[*ir.Instruction]bool{}
+	// Ownership and entry marks, by instruction ID.
+	owned := make([]bool, p.MaxID()+1)
+	isEntry := make([]bool, p.MaxID()+1)
+	for _, entry := range entries {
+		isEntry[entry.ID] = true
+	}
+	var stack []*ir.Instruction
 	for _, entry := range entries {
 		fn := &ir.Function{Name: entrySet[entry], Entry: entry}
-		stack := []*ir.Instruction{entry}
+		stack = append(stack[:0], entry)
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if n == nil || owned[n] {
+			if n == nil || owned[n.ID] {
 				continue
 			}
-			if n != entry {
-				if _, isEntry := entrySet[n]; isEntry {
-					continue // belongs to its own function
-				}
+			if n != entry && isEntry[n.ID] {
+				continue // belongs to its own function
 			}
-			owned[n] = true
+			owned[n.ID] = true
 			fn.Insts = append(fn.Insts, n)
 			stack = append(stack, n.Fallthrough)
 			if n.Inst.Op != isa.OpCall && n.Target != nil {
@@ -390,5 +399,4 @@ func buildFunctions(p *ir.Program, addrs []uint32) {
 			p.Functions = append(p.Functions, fn)
 		}
 	}
-	_ = addrs
 }

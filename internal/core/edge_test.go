@@ -6,6 +6,7 @@ import (
 
 	"zipr/internal/ir"
 	"zipr/internal/isa"
+	"zipr/internal/obs"
 )
 
 func TestDeferredSizeMismatchRejected(t *testing.T) {
@@ -166,5 +167,59 @@ func TestChainMultiHop(t *testing.T) {
 	out := runBin(t, res.Binary)
 	if out.ExitCode != 21 {
 		t.Fatalf("exit = %d, want 21", out.ExitCode)
+	}
+}
+
+// TestPlantedHltPastInitialTable: a fallthrough to nothing gets a hlt
+// planted during reassembly, with an ID past the placement table sized
+// from the program up front. The table grows for it, Layout answers for
+// it, a node that is never placed (or was created afterwards) reads as
+// unplaced, and the placed-insts gauge counts exactly the placed nodes.
+func TestPlantedHltPastInitialTable(t *testing.T) {
+	const base = 0x00100000
+	p := ir.NewProgram(newTestBin(base, 256))
+	entry := p.AddOrig(base, isa.Inst{Op: isa.OpNop})
+	entry.Pinned = true
+	p.Entry = entry // falls through to nothing
+	orphan := p.NewInst(isa.Inst{Op: isa.OpRet})
+	maxID := p.MaxID()
+
+	tr := obs.New()
+	res, err := Reassemble(p, Options{Placer: optPlacer{}, Trace: tr})
+	if err != nil {
+		t.Fatalf("reassemble: %v", err)
+	}
+	hlt := entry.Fallthrough
+	if hlt == nil || hlt.Inst.Op != isa.OpHlt || hlt.ID <= maxID {
+		t.Fatalf("planted fallthrough = %v, want a hlt with ID > %d", hlt, maxID)
+	}
+	at, ok := res.Layout.AddrOf(hlt)
+	if !ok {
+		t.Fatal("Layout.AddrOf has no address for the planted hlt")
+	}
+	if ea, _ := res.Layout.AddrOf(entry); at != ea+uint32(isa.ZVM32.InstLen(entry.Inst)) {
+		t.Fatalf("hlt at %#x, want right after the entry at %#x", at, ea)
+	}
+	text := res.Binary.Text()
+	if got, err := isa.ZVM32.Decode(text.Data[at-text.VAddr:], at); err != nil || got.Op != isa.OpHlt {
+		t.Fatalf("bytes at %#x decode to %v (%v), want hlt", at, got, err)
+	}
+	if _, ok := res.Layout.AddrOf(orphan); ok {
+		t.Fatal("Layout.AddrOf answers for a node that was never placed")
+	}
+	if _, ok := res.Layout.AddrOf(p.NewInst(isa.Inst{Op: isa.OpNop})); ok {
+		t.Fatal("Layout.AddrOf answers for a node created after reassembly")
+	}
+	placed := 0
+	for _, n := range p.Insts {
+		if _, ok := res.Layout.AddrOf(n); ok {
+			placed++
+		}
+	}
+	if placed != 2 {
+		t.Fatalf("%d nodes placed, want 2 (entry and hlt)", placed)
+	}
+	if g := tr.Gauge("reassemble.placed-insts"); g != int64(placed) {
+		t.Fatalf("placed-insts gauge = %d, want %d", g, placed)
 	}
 }

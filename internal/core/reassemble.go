@@ -26,7 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -127,7 +129,18 @@ type reassembler struct {
 	imageEnd uint32
 	fs       *Alloc
 
-	m        map[*ir.Instruction]uint32
+	// addr is the placement table M, indexed by instruction ID: the
+	// placed address plus one, 0 while unplaced. IDs are dense
+	// (ir.Program.MaxID), so a slice replaces a pointer-keyed map; it
+	// grows only for nodes created during reassembly (the hlt buildChain
+	// plants).
+	addr []uint32
+	// order lists placed instructions in placement order, and runs cuts
+	// it into contiguous address ranges, so emit sorts the runs (a few
+	// thousand) instead of every instruction.
+	order []*ir.Instruction
+	runs  []placeRun
+
 	work     []workItem
 	jmps     []jmpWrite
 	inlines  map[uint32]*inlineRegion // keyed by region start (= pinned addr)
@@ -141,11 +154,19 @@ type reassembler struct {
 	veneers map[uint32][]uint32
 
 	// chainSeen/chainEpoch implement buildChain's cycle detection with
-	// one reusable map instead of a fresh allocation per dollop: an
-	// instruction is in the current chain iff its entry equals the
-	// current epoch.
-	chainSeen  map[*ir.Instruction]uint64
-	chainEpoch uint64
+	// one reusable ID-indexed slice instead of a fresh allocation per
+	// dollop: an instruction is in the current chain iff its entry equals
+	// the current epoch. chainBuf is the chain itself, reused likewise.
+	chainSeen  []uint32
+	chainEpoch uint32
+	chainBuf   []*ir.Instruction
+}
+
+// placeRun is a contiguous address range [start, end) of placed
+// instructions, order[lo:hi], laid back to back in placement order.
+type placeRun struct {
+	start, end uint32
+	lo, hi     int
 }
 
 type rawWrite struct {
@@ -186,10 +207,11 @@ func Reassemble(p *ir.Program, opts Options) (*Result, error) {
 		imageEnd: text.End,
 		overflow: text.End,
 		// Nearly every instruction ends up placed, so size the placement
-		// map for all of them up front instead of rehashing on the way.
-		m:         make(map[*ir.Instruction]uint32, len(p.Insts)),
+		// tables for all of them up front instead of growing on the way.
+		addr:      make([]uint32, p.MaxID()+1),
+		order:     make([]*ir.Instruction, 0, len(p.Insts)),
 		inlines:   make(map[uint32]*inlineRegion),
-		chainSeen: make(map[*ir.Instruction]uint64, 64),
+		chainSeen: make([]uint32, p.MaxID()+1),
 		veneers:   make(map[uint32][]uint32),
 	}
 	r.fs = NewAlloc(text, p.Fixed)
@@ -282,7 +304,7 @@ func (r *reassembler) flushMetrics() {
 			int64(100-int(largest.Len())*100/total))
 	}
 	r.tr.SetGauge("reassemble.image-bytes", int64(len(r.image)))
-	r.tr.SetGauge("reassemble.placed-insts", int64(len(r.m)))
+	r.tr.SetGauge("reassemble.placed-insts", int64(len(r.order)))
 }
 
 // tracedPlacer wraps a Placer with per-placer placement-decision
@@ -798,7 +820,7 @@ func (r *reassembler) processWork() error {
 		item := r.work[len(r.work)-1]
 		r.work = r.work[:len(r.work)-1]
 		rounds++
-		if _, placed := r.m[item.target]; placed {
+		if r.isPlaced(item.target) {
 			// The dollop containing this reference target is already
 			// placed (placement cache hit): the round resolves for free.
 			hits++
@@ -829,7 +851,7 @@ func (r *reassembler) finishInlines() error {
 		if reg.done {
 			continue
 		}
-		addr, placed := r.m[reg.target]
+		addr, placed := r.addrOf(reg.target)
 		if placed && addr == reg.region.Start {
 			reg.done = true
 			continue
@@ -848,31 +870,77 @@ func (r *reassembler) finishInlines() error {
 
 // buildChain collects the maximal fallthrough chain starting at t that
 // has not been placed yet. It returns the chain and the continuation
-// instruction (nil when the chain ends in a terminator).
+// instruction (nil when the chain ends in a terminator). The chain
+// lives in a buffer the next call reuses, so callers must be done with
+// it before building another.
 func (r *reassembler) buildChain(t *ir.Instruction) ([]*ir.Instruction, *ir.Instruction) {
-	var insts []*ir.Instruction
+	insts := r.chainBuf[:0]
 	r.chainEpoch++
 	cur := t
 	for cur != nil {
-		if _, placed := r.m[cur]; placed || r.chainSeen[cur] == r.chainEpoch {
-			return insts, cur
+		if r.isPlaced(cur) || r.chainSeen[cur.ID] == r.chainEpoch {
+			break
 		}
 		insts = append(insts, cur)
-		r.chainSeen[cur] = r.chainEpoch
+		r.chainSeen[cur.ID] = r.chainEpoch
 		if !cur.Inst.HasFallthrough() {
-			return insts, nil
+			cur = nil
+			break
 		}
 		next := cur.Fallthrough
 		if next == nil {
 			// Falls through with no successor: IR inconsistency; trap.
 			r.p.Warnf("core: instruction %s falls through to nothing; planting hlt", cur)
-			h := r.p.NewInst(isa.Inst{Op: isa.OpHlt})
-			cur.Fallthrough = h
-			next = h
+			next = r.p.NewInst(isa.Inst{Op: isa.OpHlt})
+			r.grow(next.ID)
+			cur.Fallthrough = next
 		}
 		cur = next
 	}
-	return insts, nil
+	r.chainBuf = insts
+	return insts, cur
+}
+
+// grow extends the ID-indexed tables to cover id, for a node created
+// after reassembly sized them.
+func (r *reassembler) grow(id int64) {
+	if n := int(id) + 1; n > len(r.addr) {
+		r.addr = append(r.addr, make([]uint32, n-len(r.addr))...)
+		r.chainSeen = append(r.chainSeen, make([]uint32, n-len(r.chainSeen))...)
+	}
+}
+
+// addrOf returns n's placed address.
+func (r *reassembler) addrOf(n *ir.Instruction) (uint32, bool) { return lookupAddr(r.addr, n) }
+
+// isPlaced reports whether n has an address yet.
+func (r *reassembler) isPlaced(n *ir.Instruction) bool {
+	_, ok := r.addrOf(n)
+	return ok
+}
+
+// lookupAddr reads n's address out of an ID-indexed placement table.
+func lookupAddr(tab []uint32, n *ir.Instruction) (uint32, bool) {
+	if id := uint64(n.ID); id < uint64(len(tab)) && tab[id] != 0 {
+		return tab[id] - 1, true
+	}
+	return 0, false
+}
+
+// place assigns n the address at and returns the address after it. An
+// instruction that starts where the previous one ended extends the
+// current run; any other starts a new run.
+func (r *reassembler) place(n *ir.Instruction, at uint32) uint32 {
+	r.addr[n.ID] = at + 1
+	end := at + uint32(r.instLen(n))
+	if k := len(r.runs) - 1; k >= 0 && r.runs[k].end == at {
+		r.runs[k].end = end
+		r.runs[k].hi++
+	} else {
+		r.runs = append(r.runs, placeRun{start: at, end: end, lo: len(r.order), hi: len(r.order) + 1})
+	}
+	r.order = append(r.order, n)
+	return end
 }
 
 // instLen returns the emitted length of an IR instruction under the
@@ -885,17 +953,14 @@ func (r *reassembler) instLen(n *ir.Instruction) int { return r.arch.InstLen(n.I
 // immediately after. It returns the first unused address.
 func (r *reassembler) layChunk(insts []*ir.Instruction, addr uint32, cont *ir.Instruction) uint32 {
 	for _, n := range insts {
-		r.m[n] = addr
-		addr += uint32(r.instLen(n))
-		if n.Target != nil {
-			if _, placed := r.m[n.Target]; !placed {
-				r.work = append(r.work, workItem{target: n.Target, hint: addr})
-			}
+		addr = r.place(n, addr)
+		if n.Target != nil && !r.isPlaced(n.Target) {
+			r.work = append(r.work, workItem{target: n.Target, hint: addr})
 		}
 	}
 	if cont != nil {
 		r.jmps = append(r.jmps, jmpWrite{at: addr, size: r.ref, target: cont})
-		if _, placed := r.m[cont]; !placed {
+		if !r.isPlaced(cont) {
 			r.work = append(r.work, workItem{target: cont, hint: addr})
 		}
 		addr += uint32(r.ref)
@@ -999,7 +1064,7 @@ func (r *reassembler) placeDollop(t *ir.Instruction, hint uint32) error {
 		end := r.layChunk(take, blk.Start, nil)
 		if tail != nil {
 			r.jmps = append(r.jmps, jmpWrite{at: end, size: r.ref, target: tail})
-			if _, placed := r.m[tail]; !placed {
+			if !r.isPlaced(tail) {
 				r.work = append(r.work, workItem{target: tail, hint: end})
 			}
 		}
@@ -1020,7 +1085,7 @@ func (r *reassembler) placeDollop(t *ir.Instruction, hint uint32) error {
 // the fallthrough chain reaches them exactly (this is what lets a Null
 // transform put almost every byte back where it came from).
 func (r *reassembler) placeInline(reg *inlineRegion) error {
-	if _, placed := r.m[reg.target]; placed {
+	if r.isPlaced(reg.target) {
 		return nil // finishInlines will plant a reference
 	}
 	insts, cont := r.buildChain(reg.target)
@@ -1045,12 +1110,9 @@ func (r *reassembler) placeInline(reg *inlineRegion) error {
 		return nil
 	}
 	lay := func(n *ir.Instruction) {
-		r.m[n] = addr
-		addr += uint32(r.instLen(n))
-		if n.Target != nil {
-			if _, placed := r.m[n.Target]; !placed {
-				r.work = append(r.work, workItem{target: n.Target, hint: addr})
-			}
+		addr = r.place(n, addr)
+		if n.Target != nil && !r.isPlaced(n.Target) {
+			r.work = append(r.work, workItem{target: n.Target, hint: addr})
 		}
 	}
 
@@ -1098,7 +1160,7 @@ func (r *reassembler) placeInline(reg *inlineRegion) error {
 			// Seam into an already-placed instruction sitting exactly at
 			// capEnd (an earlier inline chain): also no jump needed.
 			if needNext != nil {
-				if a, placed := r.m[needNext]; placed && a == capEnd {
+				if a, placed := r.addrOf(needNext); placed && a == capEnd {
 					lay(n)
 					idx++
 					if isLast {
@@ -1115,7 +1177,7 @@ func (r *reassembler) placeInline(reg *inlineRegion) error {
 		// Whole chain laid; execution ends or crosses a seam.
 	case idx == len(insts):
 		r.jmps = append(r.jmps, jmpWrite{at: addr, size: r.ref, target: cont})
-		if _, placed := r.m[cont]; !placed {
+		if !r.isPlaced(cont) {
 			r.work = append(r.work, workItem{target: cont, hint: addr})
 		}
 		addr += uint32(r.ref)
@@ -1152,36 +1214,38 @@ func (r *reassembler) emit() (*binfmt.Binary, *ir.Layout, error) {
 	for _, w := range r.raw {
 		copy(r.image[w.at-r.text.Start:], w.bytes)
 	}
-	// Instructions, in address order. Writes are disjoint, so order only
-	// matters on fixed-width ISAs, where encoding an out-of-reach branch
-	// allocates a veneer island: iterating the placement map directly
-	// would make island addresses depend on map iteration order.
-	type placedInst struct {
-		n    *ir.Instruction
-		addr uint32
-	}
-	order := make([]placedInst, 0, len(r.m))
-	for n, addr := range r.m {
-		order = append(order, placedInst{n: n, addr: addr})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].addr != order[j].addr {
-			return order[i].addr < order[j].addr
+	// Instructions, in (address, ID) order. Writes are disjoint, so order
+	// only matters on fixed-width ISAs, where encoding an out-of-reach
+	// branch allocates a veneer island in emit order. Runs are disjoint
+	// address ranges with strictly ascending addresses inside, so sorting
+	// the runs by start orders every instruction.
+	slices.SortFunc(r.runs, func(a, b placeRun) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return order[i].n.ID < order[j].n.ID
+		return cmp.Compare(r.order[a.lo].ID, r.order[b.lo].ID)
 	})
-	for _, pl := range order {
-		enc, err := r.encodeAt(pl.n, pl.addr)
-		if err != nil {
-			return nil, nil, err
+	for i, run := range r.runs {
+		if i > 0 && run.start < r.runs[i-1].end {
+			return nil, nil, fmt.Errorf("core: placed code overlaps at %#x", run.start)
 		}
-		copy(r.image[pl.addr-r.text.Start:], enc)
+		at := run.start
+		for _, n := range r.order[run.lo:run.hi] {
+			in, err := r.patch(n, at)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := r.encodeInto(at, in); err != nil {
+				return nil, nil, fmt.Errorf("core: encode %s: %w", n, err)
+			}
+			at += uint32(r.instLen(n))
+		}
 	}
 	// Reference jumps.
 	for _, j := range r.jmps {
 		dest := j.abs
 		if j.target != nil {
-			d, ok := r.m[j.target]
+			d, ok := r.addrOf(j.target)
 			if !ok {
 				return nil, nil, fmt.Errorf("core: reference at %#x targets unplaced instruction %s", j.at, j.target)
 			}
@@ -1208,18 +1272,14 @@ func (r *reassembler) emit() (*binfmt.Binary, *ir.Layout, error) {
 		default:
 			return nil, nil, fmt.Errorf("core: bad reference size %d", j.size)
 		}
-		enc, err := r.arch.Encode(in)
-		if err != nil {
+		if err := r.encodeInto(j.at, in); err != nil {
 			return nil, nil, fmt.Errorf("core: reference at %#x: %w", j.at, err)
 		}
-		copy(r.image[j.at-r.text.Start:], enc)
 	}
 
+	tab := r.addr
 	layout := &ir.Layout{
-		AddrOf: func(n *ir.Instruction) (uint32, bool) {
-			a, ok := r.m[n]
-			return a, ok
-		},
+		AddrOf:   func(n *ir.Instruction) (uint32, bool) { return lookupAddr(tab, n) },
 		TextBase: r.text.Start,
 		TextEnd:  r.imageEnd,
 	}
@@ -1263,7 +1323,7 @@ func (r *reassembler) emit() (*binfmt.Binary, *ir.Layout, error) {
 		})
 	}
 	if r.p.Bin.Type == binfmt.Exec {
-		e, ok := r.m[r.p.Entry]
+		e, ok := r.addrOf(r.p.Entry)
 		if !ok {
 			return nil, nil, fmt.Errorf("core: entry instruction never placed")
 		}
@@ -1278,13 +1338,22 @@ func (r *reassembler) emit() (*binfmt.Binary, *ir.Layout, error) {
 	return out, layout, nil
 }
 
-// encodeAt re-encodes IR instruction n for its final address, resolving
-// logical and absolute targets.
-func (r *reassembler) encodeAt(n *ir.Instruction, addr uint32) ([]byte, error) {
+// encodeInto encodes in straight into the image at address at. The
+// image is sliced only now, after any veneer allocation that may have
+// grown it.
+func (r *reassembler) encodeInto(at uint32, in isa.Inst) error {
+	off := at - r.text.Start
+	_, err := r.arch.AppendEncode(r.image[off:off], in)
+	return err
+}
+
+// patch returns IR instruction n as it must be encoded at its final
+// address, resolving logical and absolute targets.
+func (r *reassembler) patch(n *ir.Instruction, addr uint32) (isa.Inst, error) {
 	in := n.Inst
 	resolveDest := func() (uint32, error) {
 		if n.Target != nil {
-			d, ok := r.m[n.Target]
+			d, ok := r.addrOf(n.Target)
 			if !ok {
 				return 0, fmt.Errorf("core: %s targets unplaced instruction", n)
 			}
@@ -1298,12 +1367,12 @@ func (r *reassembler) encodeAt(n *ir.Instruction, addr uint32) ([]byte, error) {
 		case isa.OpJmp8, isa.OpJmp32, isa.OpJcc8, isa.OpJcc32, isa.OpCall, isa.OpLoadPC:
 			dest, err := resolveDest()
 			if err != nil {
-				return nil, err
+				return isa.Inst{}, err
 			}
 			ilen := int64(r.arch.InstLen(in))
 			disp := int64(dest) - int64(addr) - ilen
 			if (in.Op == isa.OpJmp8 || in.Op == isa.OpJcc8) && (disp < -128 || disp > 127) {
-				return nil, fmt.Errorf("core: short branch %s out of range after placement", n)
+				return isa.Inst{}, fmt.Errorf("core: short branch %s out of range after placement", n)
 			}
 			if r.arch.BranchReach() != 0 && !r.arch.BranchDispOK(disp) {
 				switch in.Op {
@@ -1314,7 +1383,7 @@ func (r *reassembler) encodeAt(n *ir.Instruction, addr uint32) ([]byte, error) {
 					// rel32 immediate).
 					v, verr := r.veneerFor(dest, addr, int(ilen))
 					if verr != nil {
-						return nil, verr
+						return isa.Inst{}, verr
 					}
 					disp = int64(v) - int64(addr) - ilen
 				}
@@ -1323,7 +1392,7 @@ func (r *reassembler) encodeAt(n *ir.Instruction, addr uint32) ([]byte, error) {
 		case isa.OpLea:
 			dest, err := resolveDest()
 			if err != nil {
-				return nil, err
+				return isa.Inst{}, err
 			}
 			if n.Target != nil {
 				// Materialize the rewritten code address (same length).
@@ -1334,16 +1403,12 @@ func (r *reassembler) encodeAt(n *ir.Instruction, addr uint32) ([]byte, error) {
 		case isa.OpMovI, isa.OpPushI32, isa.OpCmpI:
 			dest, err := resolveDest()
 			if err != nil {
-				return nil, err
+				return isa.Inst{}, err
 			}
 			in.Imm = int32(dest)
 		default:
-			return nil, fmt.Errorf("core: %s has a target but is not patchable", n)
+			return isa.Inst{}, fmt.Errorf("core: %s has a target but is not patchable", n)
 		}
 	}
-	enc, err := r.arch.Encode(in)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode %s: %w", n, err)
-	}
-	return enc, nil
+	return in, nil
 }

@@ -166,6 +166,11 @@ func (p *Program) NewInst(in isa.Inst) *Instruction {
 	return node
 }
 
+// MaxID returns the largest instruction ID handed out so far. IDs are
+// dense — NewInst numbers nodes 1…MaxID — so a slice of MaxID()+1
+// entries indexes every node by ID.
+func (p *Program) MaxID() int64 { return p.nextID }
+
 // AddOrig registers an instruction decoded from the original binary at
 // addr and records it in the address map.
 func (p *Program) AddOrig(addr uint32, in isa.Inst) *Instruction {

@@ -17,6 +17,17 @@ package serve
 //   - The hot path never blocks on disk writes: spills go through a
 //     bounded write-behind queue drained by one background goroutine;
 //     a full queue drops the spill (counted), never the request.
+//   - Reads see queued writes. A spill is indexed only once its object
+//     is synced and renamed into place; until then a read of its key is
+//     answered from the pending job's in-memory bytes (counted as
+//     PendingHits, apart from the digest-verified Hits), so a repeat
+//     that arrives before the writer catches up still skips the
+//     pipeline.
+//   - Spills coalesce. A spill to a key whose job the writer has not
+//     started replaces that job's bytes instead of queueing another, so
+//     a burst of snapshot spills to one ancestor slot costs one write,
+//     of the newest blob. Deleting a snapshot slot discards its pending
+//     job too.
 //   - Every read is digest-verified against the SHA-256 recorded at
 //     write time. A mismatch quarantines the file and drops the index
 //     entry: the tier degrades to a miss, it never serves wrong bytes.
@@ -56,6 +67,7 @@ const diskQueueDepth = 256
 // surfaced through serve.Stats and ziprd's /stats.
 type DiskStats struct {
 	Hits         int64 // digest-verified reads served
+	PendingHits  int64 // reads answered from a spill not yet written
 	Misses       int64 // lookups with no index entry
 	Corrupt      int64 // reads that failed the digest check (quarantined)
 	Evicted      int64 // entries dropped for the byte budget
@@ -86,12 +98,19 @@ type diskRecord struct {
 	Layout string `json:"layout,omitempty"`
 }
 
-// diskJob is one queued write-behind spill.
+// diskJob is one queued write-behind spill. While it is pending — from
+// putAsync until the writer has indexed or abandoned it — reads of its
+// key are answered from data; until the writer takes it, a later spill
+// to the same key replaces kind, data and layout. After taken is set
+// those fields no longer change, so the writer reads them unlocked.
 type diskJob struct {
 	key    Key
 	kind   string
 	data   []byte
 	layout string
+
+	taken   bool // the writer has started on it (guarded by DiskTier.mu)
+	dropped bool // delSnap discarded it (guarded by DiskTier.mu)
 }
 
 // DiskTier is the disk-backed second cache tier. Construct with
@@ -110,10 +129,11 @@ type DiskTier struct {
 	ops     int64 // journal lines written since open/compaction
 	stats   DiskStats
 	closed  bool
+	pending map[Key]*diskJob // spills queued or being written, by key
 
 	tel *telemetry // bound by the owning Server; nil-safe
 
-	wq chan diskJob
+	wq chan *diskJob
 	wg sync.WaitGroup
 }
 
@@ -122,6 +142,17 @@ type DiskTier struct {
 // files, a torn journal tail, index entries without a matching object,
 // orphaned objects — and reports the count via Stats().Recovered.
 func OpenDiskTier(dir string, budget int64) (*DiskTier, error) {
+	t, err := openDiskTier(dir, budget)
+	if err != nil {
+		return nil, err
+	}
+	t.startWriter()
+	return t, nil
+}
+
+// openDiskTier is OpenDiskTier without the writer: spills stay pending
+// until startWriter.
+func openDiskTier(dir string, budget int64) (*DiskTier, error) {
 	if budget <= 0 {
 		budget = 256 << 20
 	}
@@ -129,7 +160,8 @@ func OpenDiskTier(dir string, budget int64) (*DiskTier, error) {
 		dir:     dir,
 		budget:  budget,
 		entries: make(map[Key]*diskEntry),
-		wq:      make(chan diskJob, diskQueueDepth),
+		pending: make(map[Key]*diskJob),
+		wq:      make(chan *diskJob, diskQueueDepth),
 	}
 	for _, sub := range []string{"objects", "tmp", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -144,9 +176,13 @@ func OpenDiskTier(dir string, budget int64) (*DiskTier, error) {
 		return nil, fmt.Errorf("disk tier: journal: %w", err)
 	}
 	t.journal = jf
+	return t, nil
+}
+
+// startWriter starts the write-behind goroutine.
+func (t *DiskTier) startWriter() {
 	t.wg.Add(1)
 	go t.writer()
-	return t, nil
 }
 
 func (t *DiskTier) journalPath() string { return filepath.Join(t.dir, "journal") }
@@ -366,73 +402,108 @@ func (t *DiskTier) syncGaugesLocked() {
 	t.tel.diskEntries.Set(int64(len(t.entries)))
 }
 
-// putAsync enqueues one spill on the write-behind queue. The data is
-// copied, so callers may keep mutating their buffer. A full queue or a
-// closed tier drops the spill. Nil-safe.
+// putAsync enqueues one spill on the write-behind queue, or folds it
+// into the key's queued job when the writer has not started on that
+// one. The data is copied, so callers may keep mutating their buffer. A
+// full queue or a closed tier drops the spill. Nil-safe.
 func (t *DiskTier) putAsync(key Key, kind string, data []byte, layout string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
+	if job := t.pending[key]; job != nil && !job.taken {
+		job.kind, job.layout = kind, layout
+		job.data = append(job.data[:0], data...)
+		return
+	}
+	job := &diskJob{key: key, kind: kind, data: append([]byte(nil), data...), layout: layout}
 	// Holding t.mu across the send is safe: the writer never takes t.mu
 	// while receiving, and the send is non-blocking.
 	select {
-	case t.wq <- diskJob{key: key, kind: kind, data: append([]byte(nil), data...), layout: layout}:
+	case t.wq <- job:
+		t.pending[key] = job
 	default:
 		t.stats.WriteDropped++
 	}
-	t.mu.Unlock()
 }
 
-// writer is the write-behind goroutine: content to tmp, sync, rename,
-// then index + journal + eviction under the lock.
+// writer is the write-behind goroutine: it takes each job, stores it
+// outside the lock, then indexes it and retires it from pending.
 func (t *DiskTier) writer() {
 	defer t.wg.Done()
 	for job := range t.wq {
-		t.write(job)
+		t.mu.Lock()
+		job.taken = true
+		dropped := job.dropped
+		t.mu.Unlock()
+		var e *diskEntry
+		if !dropped {
+			e = t.store(job)
+		}
+		t.commit(job, e)
 	}
 }
 
-func (t *DiskTier) write(job diskJob) {
+// store writes a taken job's object: content to tmp, sync, rename. It
+// returns the entry to index, or nil when the object is not in place.
+func (t *DiskTier) store(job *diskJob) *diskEntry {
 	if int64(len(job.data)) > t.budget {
-		return
+		return nil
 	}
 	h := job.key.String()
 	tmp := filepath.Join(t.dir, "tmp", h+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return
+		return nil
 	}
 	if _, err := f.Write(job.data); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return
+		return nil
 	}
 	if f.Sync() != nil || f.Close() != nil {
 		os.Remove(tmp)
-		return
+		return nil
 	}
 	dst := t.objectPath(job.key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		os.Remove(tmp)
-		return
+		return nil
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		os.Remove(tmp)
-		return
+		return nil
 	}
-	e := &diskEntry{
+	return &diskEntry{
 		key:    job.key,
 		kind:   job.kind,
 		size:   int64(len(job.data)),
 		sum:    sha256.Sum256(job.data),
 		layout: job.layout,
 	}
+}
+
+// commit retires a finished job from pending and indexes its stored
+// object (e, nil when nothing was stored): journal, then eviction. A
+// job delSnap discarded while it was being written leaves no entry and
+// no object behind.
+func (t *DiskTier) commit(job *diskJob, e *diskEntry) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending[job.key] == job {
+		delete(t.pending, job.key)
+	}
+	if e == nil {
+		return
+	}
+	if job.dropped {
+		os.Remove(t.objectPath(job.key))
+		return
+	}
 	if old := t.entries[e.key]; old != nil {
 		t.removeLocked(old, false)
 	}
@@ -442,19 +513,25 @@ func (t *DiskTier) write(job diskJob) {
 	t.appendJournalLocked(putRecord(e))
 	t.evictLocked(e)
 	t.syncGaugesLocked()
-	t.mu.Unlock()
 }
 
-// get returns the digest-verified bytes for key, or ok=false. A failed
-// digest check quarantines the object and drops the entry. inj may
-// arm fault.DiskTierCorrupt, which flips one byte of the read before
-// verification — the check must turn it into a quarantined miss.
-// Nil-safe.
+// get returns the bytes for key, or ok=false: a copy of a pending
+// spill's bytes when one is queued or being written, else the
+// digest-verified object. A failed digest check quarantines the object
+// and drops the entry. inj may arm fault.DiskTierCorrupt, which flips
+// one byte of a disk read before verification — the check must turn it
+// into a quarantined miss. Nil-safe.
 func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string, ok bool) {
 	if t == nil {
 		return nil, "", false
 	}
 	t.mu.Lock()
+	if job := t.pending[key]; job != nil {
+		data, layout = append([]byte(nil), job.data...), job.layout
+		t.stats.PendingHits++
+		t.mu.Unlock()
+		return data, layout, true
+	}
 	e := t.entries[key]
 	if e == nil {
 		t.stats.Misses++
@@ -504,6 +581,10 @@ func (t *DiskTier) delSnap(anc string) {
 	}
 	key := snapDiskKey(anc)
 	t.mu.Lock()
+	if job := t.pending[key]; job != nil {
+		job.dropped = true
+		delete(t.pending, key)
+	}
 	if e := t.entries[key]; e != nil {
 		t.removeLocked(e, true)
 		t.syncGaugesLocked()

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"zipr"
@@ -246,13 +247,123 @@ func TestChaosDiskTierCorruptQuarantines(t *testing.T) {
 	if st.PipelineRuns != 1 {
 		t.Fatalf("pipeline runs = %d, want 1 (the verified fallback)", st.PipelineRuns)
 	}
-	// The poisoned file moved to quarantine and the entry is gone.
+	// The poisoned file moved to quarantine, and the verified fallback's
+	// re-spill replaced it: after a restart the key reads back, digest-
+	// verified from disk, as the clean bytes.
 	key := CacheKey(in, s.effective(cfg))
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", key.String())); err != nil {
 		t.Fatalf("corrupt object not quarantined: %v", err)
 	}
-	if _, _, ok := tier2.get(key, nil); ok {
-		t.Fatal("corrupt entry still indexed after quarantine")
+	tier2.Close()
+	tier3 := openTier(t, dir, 0)
+	data, _, ok := tier3.get(key, nil)
+	if !ok || !bytes.Equal(data, want) {
+		t.Fatalf("after restart the key reads back ok=%v, equal=%v; want the clean bytes", ok, bytes.Equal(data, want))
+	}
+	if st := tier3.Stats(); st.Hits != 1 {
+		t.Fatalf("disk hits after restart = %d, want 1", st.Hits)
+	}
+}
+
+// openPausedTier opens a disk tier whose writer has not started, so
+// every spill stays pending until the returned start function runs.
+func openPausedTier(t *testing.T, dir string) (tier *DiskTier, start func()) {
+	t.Helper()
+	tier, err := openDiskTier(dir, 0)
+	if err != nil {
+		t.Fatalf("open disk tier: %v", err)
+	}
+	var started bool
+	start = func() {
+		if !started {
+			started = true
+			tier.startWriter()
+		}
+	}
+	t.Cleanup(func() { start(); tier.Close() })
+	return tier, start
+}
+
+// TestDiskTierPendingRead: a repeat that arrives while its output spill
+// is still queued is answered from the pending job — a disk-tier hit
+// with no second pipeline run — and the spill still lands on disk.
+func TestDiskTierPendingRead(t *testing.T) {
+	in := testImages(t)[0]
+	cfg := nullCfg()
+	dir := t.TempDir()
+	tier, start := openPausedTier(t, dir)
+	s := New(Options{Workers: 1, CacheBytes: -1, SnapshotBytes: -1, Disk: tier})
+	defer s.Close()
+	cold, _, err := s.Rewrite(context.Background(), in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, meta, err := s.RewriteMeta(context.Background(), in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Outcome != OutcomeHit || meta.Tier != TierDisk {
+		t.Fatalf("repeat outcome/tier = %s/%s, want hit/disk", meta.Outcome, meta.Tier)
+	}
+	if !bytes.Equal(out, cold) {
+		t.Fatal("pending answer diverges from the rewrite")
+	}
+	st := s.Stats()
+	if st.PipelineRuns != 1 || st.DiskPendingHits != 1 || st.DiskHits != 0 {
+		t.Fatalf("pipeline runs/pending hits/disk hits = %d/%d/%d, want 1/1/0",
+			st.PipelineRuns, st.DiskPendingHits, st.DiskHits)
+	}
+	out[0] ^= 0xFF // a caller owns its answer; the pending job must not change
+
+	start()
+	tier.Close()
+	tier2 := openTier(t, dir, 0)
+	data, _, ok := tier2.get(CacheKey(in, cfg), nil)
+	if !ok || !bytes.Equal(data, cold) {
+		t.Fatal("the spill answered while pending did not land on disk intact")
+	}
+}
+
+// TestDiskTierSnapshotSpillsCoalesce: snapshot spills to one ancestor
+// slot that arrive before the writer drains are one write, of the
+// newest blob, which a restart reads back; deleting a slot discards its
+// pending spill.
+func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
+	dir := t.TempDir()
+	tier, start := openPausedTier(t, dir)
+	older, newer := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 80)
+	tier.putSnapAsync("slot", older, "optimized")
+	tier.putSnapAsync("slot", newer, "diversity")
+	tier.putSnapAsync("gone", older, "optimized")
+	tier.delSnap("gone")
+	if n := len(tier.wq); n != 2 {
+		t.Fatalf("queued jobs = %d, want 2 (one per slot)", n)
+	}
+	if data, layout, ok := tier.getSnap("slot", nil); !ok || !bytes.Equal(data, newer) || layout != "diversity" {
+		t.Fatalf("pending read ok=%v layout=%q, want the newest blob", ok, layout)
+	}
+	if _, _, ok := tier.getSnap("gone", nil); ok {
+		t.Fatal("deleted slot still answers from its pending spill")
+	}
+
+	start()
+	tier.Close()
+	journal, err := os.ReadFile(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if puts := strings.Count(string(journal), `"op":"put"`); puts != 1 {
+		t.Fatalf("journal holds %d puts, want 1", puts)
+	}
+	tier2 := openTier(t, dir, 0)
+	if data, layout, ok := tier2.getSnap("slot", nil); !ok || !bytes.Equal(data, newer) || layout != "diversity" {
+		t.Fatalf("after restart ok=%v layout=%q, want the newest blob", ok, layout)
+	}
+	if _, _, ok := tier2.getSnap("gone", nil); ok {
+		t.Fatal("deleted slot's spill was written")
+	}
+	if st := tier2.Stats(); st.Hits != 1 || st.PendingHits != 0 {
+		t.Fatalf("hits/pending hits = %d/%d, want 1/0", st.Hits, st.PendingHits)
 	}
 }
 
@@ -290,5 +401,43 @@ func TestDiskTierSnapshotSpill(t *testing.T) {
 	}
 	if !bytes.Equal(out, want) {
 		t.Fatal("disk-restored delta answer diverges from a from-scratch rewrite")
+	}
+}
+
+// TestDiskTierConcurrentSpillsAndReads: spills and reads of overlapping
+// keys from several goroutines, with the writer draining meanwhile,
+// only ever answer a key's own bytes, whether from a pending job or
+// from disk, and every key is on disk after Close.
+func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTier(t, dir, 0)
+	const keys, workers, rounds = 8, 4, 50
+	blob := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 512+i) }
+	key := func(i int) Key { return CacheKey([]byte{byte(i)}, nullCfg()) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w + r) % keys
+				tier.putAsync(key(i), diskKindOut, blob(i), "optimized")
+				j := (w*3 + r) % keys
+				if data, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
+					t.Errorf("key %d answered with another key's bytes", j)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	tier.Close()
+	if st := tier.Stats(); st.WriteDropped != 0 {
+		t.Fatalf("%d spills dropped; the queue should hold this load", st.WriteDropped)
+	}
+	tier2 := openTier(t, dir, 0)
+	for i := 0; i < keys; i++ {
+		if data, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
+			t.Fatalf("key %d missing or wrong after restart", i)
+		}
 	}
 }

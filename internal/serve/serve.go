@@ -119,6 +119,9 @@ type Stats struct {
 	DiskRecovered int64 // partial/orphaned artifacts discarded at open
 	DiskEntries   int   // current disk-tier index entries
 	DiskBytes     int64 // current disk-tier stored bytes
+	// DiskPendingHits counts disk-tier reads answered from a spill the
+	// writer had not yet indexed (not counted in DiskHits).
+	DiskPendingHits int64
 
 	// Metrics is the labeled-registry snapshot (request totals and
 	// rolling latency quantiles by outcome); nil when the server was
@@ -216,6 +219,7 @@ func (s *Server) Stats() Stats {
 		st.DiskRecovered = ds.Recovered
 		st.DiskEntries = ds.Entries
 		st.DiskBytes = ds.Bytes
+		st.DiskPendingHits = ds.PendingHits
 	}
 	st.Metrics = s.reg.Snapshot()
 	return st

@@ -127,7 +127,7 @@ func newTelemetry(reg *obs.Registry) telemetry {
 	for _, tr := range tiers {
 		t.tier[tr] = tierVec.With(tr)
 	}
-	t.diskHits = reg.Counter("serve.disk.hits", "disk-tier reads served after digest verification").With()
+	t.diskHits = reg.Counter("serve.disk.hits", "disk-tier reads served, digest-verified or from a spill not yet written").With()
 	t.diskPromotes = reg.Counter("serve.disk.promotes", "disk-tier hits promoted into the in-memory cache").With()
 	t.diskCorrupt = reg.Counter("serve.disk.corrupt", "disk-tier reads quarantined for a failed digest check").With()
 	t.diskBytes = reg.Gauge("serve.disk.bytes", "disk-tier stored bytes").With()
