@@ -567,7 +567,7 @@ func BenchmarkPlaceLargeSynth(b *testing.B) {
 	if a, c := reassemble(layoutpkg.Optimized{}), reassemble(layoutpkg.Optimized{}); !bytes.Equal(a.Binary.Text().Data, c.Binary.Text().Data) {
 		b.Fatal("reassembly of a shared program is not repeatable")
 	}
-	legacyRef := benchWall(b, 1, func() { reassemble(layoutpkg.LegacyOptimized{}) })
+	legacyRef := benchWall(b, 1, func() { reassemble(LegacyOptimized{}) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

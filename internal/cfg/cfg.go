@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"zipr/internal/binfmt"
@@ -101,15 +102,14 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 
 	// Create nodes in address order for deterministic IDs; the dense
 	// instruction map iterates ascending, so no collect-and-sort pass.
-	n := agg.Insts.Len()
-	p.Insts = make([]*ir.Instruction, 0, n)
-	p.ByAddr = make(map[uint32]*ir.Instruction, n)
-	addrs := make([]uint32, 0, n)
+	// The decoded count is known, so every decoded node comes from one
+	// slab.
+	p.Reserve(agg.Insts.Len())
 	agg.Insts.All(func(a uint32, in isa.Inst) bool {
 		p.AddOrig(a, in)
-		addrs = append(addrs, a)
 		return true
 	})
+	decoded := p.Insts
 
 	inFixed := func(a uint32) bool {
 		for _, r := range p.Fixed {
@@ -121,18 +121,19 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	}
 	var extraFixed []ir.Range
 
-	// Link fallthroughs and targets. p.Insts[:n] holds the decoded nodes
-	// in address order (synthetic nodes are appended after them), so the
-	// fallthrough is usually the next node; the address map is consulted
-	// only when the next decode starts elsewhere (overlapping decodes).
-	for i, a := range addrs {
-		node := p.Insts[i]
+	// Link fallthroughs and targets. decoded holds the decoded nodes in
+	// address order (synthetic nodes are appended to p.Insts after them),
+	// so the fallthrough is usually the next node; the address index is
+	// consulted only when the next decode starts elsewhere (overlapping
+	// decodes).
+	for i, node := range decoded {
+		a := node.OrigAddr
 		in := node.Inst
 		next := a + uint32(arch.InstLen(in))
 		if in.HasFallthrough() {
-			if i+1 < len(addrs) && addrs[i+1] == next {
-				node.Fallthrough = p.Insts[i+1]
-			} else if ft, ok := p.ByAddr[next]; ok {
+			if i+1 < len(decoded) && decoded[i+1].OrigAddr == next {
+				node.Fallthrough = decoded[i+1]
+			} else if ft := p.At(next); ft != nil {
 				node.Fallthrough = ft
 			} else if text.Contains(next) && inFixed(next) {
 				// Execution falls into a fixed region, which keeps its
@@ -153,21 +154,20 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 		switch in.Op {
 		case isa.OpLoadPC:
 			node.AbsTarget = t
-			if tn, isCode := p.ByAddr[t]; isCode && !inFixed(t) {
+			if p.At(t) != nil && !inFixed(t) {
 				// Data read from relocatable code bytes: keep the original
 				// bytes in place too (case 2 "both" handling).
 				p.Warnf("cfg: loadpc at %#x reads relocatable code at %#x; fixing those bytes", a, t)
 				extraFixed = append(extraFixed, ir.Range{Start: t, End: t + 4})
-				_ = tn
 			}
 		case isa.OpLea:
-			if tn, ok := p.ByAddr[t]; ok {
+			if tn := p.At(t); tn != nil {
 				node.Target = tn // materialized to the rewritten address
 			} else {
 				node.AbsTarget = t // data or fixed bytes: address unchanged
 			}
 		default: // direct branches: jmp, jcc, call
-			if tn, ok := p.ByAddr[t]; ok {
+			if tn := p.At(t); tn != nil {
 				node.Target = tn
 			} else if text.Contains(t) && !inFixed(t) {
 				p.Warnf("cfg: branch at %#x targets undecoded text %#x; keeping absolute", a, t)
@@ -190,7 +190,7 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 		pinsBy = make(map[string]int64)
 	}
 	pinNode := func(a uint32, why string) {
-		if n, ok := p.ByAddr[a]; ok {
+		if n := p.At(a); n != nil {
 			if !n.Pinned {
 				n.Pinned = true
 				if pinsBy != nil {
@@ -206,7 +206,8 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 
 	// Entry and exports.
 	if bin.Type == binfmt.Exec {
-		e, ok := p.ByAddr[bin.Entry]
+		e := p.At(bin.Entry)
+		ok := e != nil
 		injected := ok && inj.Fires(fault.EntryLost, bin.Entry)
 		if injected {
 			// Injected analysis failure: pretend the entry never decoded.
@@ -286,13 +287,14 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	// an address the instruction already owns); what this exercises is
 	// the layout's ability to satisfy them or fail typed.
 	if inj.Armed(fault.PinFlood) {
-		for i, a := range addrs {
+		for i, node := range decoded {
+			a := node.OrigAddr
 			if !inj.Fires(fault.PinFlood, a) {
 				continue
 			}
 			run := 1 + inj.Pick(fault.PinFlood, a, 6)
-			for j := i; j < len(addrs) && j < i+run; j++ {
-				pinNode(addrs[j], "fault-injected")
+			for j := i; j < len(decoded) && j < i+run; j++ {
+				pinNode(decoded[j].OrigAddr, "fault-injected")
 			}
 		}
 	}
@@ -337,47 +339,49 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 // buildFunctions partitions instructions into functions for the
 // transform API: entries are the program entry, exports, direct call
 // targets and pinned instructions; bodies are flooded over fallthrough
-// and non-call branch links.
+// and non-call branch links. Every body is carved from one backing
+// slice, capped so that a later append copies instead of overwriting
+// the next function's instructions.
 func buildFunctions(p *ir.Program) {
-	entrySet := map[*ir.Instruction]string{}
+	// Entry marks by instruction ID; only the entry and exports carry a
+	// name of their own, the rest are named sub_<addr> when carved.
+	isEntry := make([]bool, p.MaxID()+1)
+	var entries []*ir.Instruction
+	addEntry := func(n *ir.Instruction) {
+		if !isEntry[n.ID] {
+			isEntry[n.ID] = true
+			entries = append(entries, n)
+		}
+	}
+	named := map[int64]string{}
 	if p.Entry != nil {
-		entrySet[p.Entry] = "main"
+		addEntry(p.Entry)
+		named[p.Entry.ID] = "main"
 	}
 	for _, e := range p.Bin.Exports {
-		if n, ok := p.ByAddr[e.Addr]; ok {
-			entrySet[n] = e.Name
+		if n := p.At(e.Addr); n != nil {
+			addEntry(n)
+			named[n.ID] = e.Name
 		}
 	}
 	for _, n := range p.Insts {
 		if n.Inst.Op == isa.OpCall && n.Target != nil {
-			if _, ok := entrySet[n.Target]; !ok {
-				entrySet[n.Target] = fmt.Sprintf("sub_%x", n.Target.OrigAddr)
-			}
+			addEntry(n.Target)
 		}
-	}
-	for _, n := range p.Insts {
 		if n.Pinned {
-			if _, ok := entrySet[n]; !ok {
-				entrySet[n] = fmt.Sprintf("sub_%x", n.OrigAddr)
-			}
+			addEntry(n)
 		}
 	}
 	// Deterministic order: by original address.
-	entries := make([]*ir.Instruction, 0, len(entrySet))
-	for n := range entrySet {
-		entries = append(entries, n)
-	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].OrigAddr < entries[j].OrigAddr })
 
-	// Ownership and entry marks, by instruction ID.
 	owned := make([]bool, p.MaxID()+1)
-	isEntry := make([]bool, p.MaxID()+1)
-	for _, entry := range entries {
-		isEntry[entry.ID] = true
-	}
+	body := make([]*ir.Instruction, 0, len(p.Insts))
+	fns := make([]ir.Function, 0, len(entries))
+	p.Functions = make([]*ir.Function, 0, len(entries))
 	var stack []*ir.Instruction
 	for _, entry := range entries {
-		fn := &ir.Function{Name: entrySet[entry], Entry: entry}
+		start := len(body)
 		stack = append(stack[:0], entry)
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
@@ -389,14 +393,20 @@ func buildFunctions(p *ir.Program) {
 				continue // belongs to its own function
 			}
 			owned[n.ID] = true
-			fn.Insts = append(fn.Insts, n)
+			body = append(body, n)
 			stack = append(stack, n.Fallthrough)
 			if n.Inst.Op != isa.OpCall && n.Target != nil {
 				stack = append(stack, n.Target)
 			}
 		}
-		if len(fn.Insts) > 0 {
-			p.Functions = append(p.Functions, fn)
+		if len(body) == start {
+			continue
 		}
+		name, ok := named[entry.ID]
+		if !ok {
+			name = "sub_" + strconv.FormatUint(uint64(entry.OrigAddr), 16)
+		}
+		fns = append(fns, ir.Function{Name: name, Entry: entry, Insts: body[start:len(body):len(body)]})
+		p.Functions = append(p.Functions, &fns[len(fns)-1])
 	}
 }

@@ -1,7 +1,7 @@
 package cfg
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"zipr/internal/asm"
@@ -249,8 +249,18 @@ helper:
 	if len(helperFn.Insts) != 2 {
 		t.Fatalf("helper insts = %d, want 2", len(helperFn.Insts))
 	}
-	if !strings.HasPrefix(helperFn.Name, "sub_") {
-		t.Fatalf("helper name = %q", helperFn.Name)
+	if want := fmt.Sprintf("sub_%x", helperFn.Entry.OrigAddr); helperFn.Name != want {
+		t.Fatalf("helper name = %q, want %q", helperFn.Name, want)
+	}
+	if p.Functions[0] != mainFn {
+		t.Fatal("functions must be ordered by entry address")
+	}
+	// Bodies share one backing array; an append to one must copy, not
+	// overwrite the next function's instructions.
+	head := helperFn.Insts[0]
+	mainFn.Insts = append(mainFn.Insts, p.NewInst(isa.Inst{Op: isa.OpNop}))
+	if helperFn.Insts[0] != head {
+		t.Fatal("appending to one function's body overwrote the next")
 	}
 }
 
@@ -322,7 +332,7 @@ func TestAmbiguousRegionBranchTargetsPinned(t *testing.T) {
 	}
 	// The ambiguous jmp at +5 targets 0x00100000 (entry, already pinned)
 	// — construct expectation dynamically: target = 5+5-10 = 0.
-	if n := p.ByAddr[0x00100000]; n == nil || !n.Pinned {
+	if n := p.At(0x00100000); n == nil || !n.Pinned {
 		t.Fatal("ambiguous-region branch target not pinned")
 	}
 }

@@ -125,6 +125,10 @@ type reassembler struct {
 	arch   isa.Arch
 	ref    int // unconstrained reference size (arch.RefLen)
 
+	// pins lists the pinned instructions by original address. Core never
+	// pins or unpins, so planPins computes it once and emit reuses it.
+	pins []*ir.Instruction
+
 	image    []byte // rewritten text image, starting at text.Start
 	imageEnd uint32
 	fs       *Alloc
@@ -411,7 +415,8 @@ const minInlineGap = 12
 // (which grabs arbitrary free space) allocated — otherwise a chain slot
 // or dispatch blob could land on bytes a later pinned reference needs.
 func (r *reassembler) planPins() error {
-	pins := r.p.PinnedInsts()
+	r.pins = r.p.PinnedInsts()
+	pins := r.pins
 	fixed := r.p.Fixed
 	r.stats.Pinned = len(pins)
 	inline := r.placer.InlinePins()
@@ -1283,7 +1288,7 @@ func (r *reassembler) emit() (*binfmt.Binary, *ir.Layout, error) {
 		TextBase: r.text.Start,
 		TextEnd:  r.imageEnd,
 	}
-	for _, n := range r.p.PinnedInsts() {
+	for _, n := range r.pins {
 		layout.PinnedAddrs = append(layout.PinnedAddrs, n.OrigAddr)
 	}
 

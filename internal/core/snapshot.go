@@ -204,7 +204,7 @@ units:
 			if err != nil {
 				continue units
 			}
-			n := p.ByAddr[addr]
+			n := p.At(addr)
 			if n == nil || n.Deleted || n.OrigAddr != addr {
 				// Hole in the relocatable decode (weak-only bytes, an
 				// instruction a transform deleted): the unit cannot

@@ -11,6 +11,8 @@ package ir
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"zipr/internal/binfmt"
@@ -122,8 +124,6 @@ type Program struct {
 	Arch isa.Arch
 	// Insts lists every IR instruction, in creation order.
 	Insts []*Instruction
-	// ByAddr maps original addresses to relocatable instructions.
-	ByAddr map[uint32]*Instruction
 	// Entry is the program entry instruction (nil for libraries).
 	Entry *Instruction
 	// Fixed lists text ranges whose original bytes must stay in place.
@@ -145,23 +145,56 @@ type Program struct {
 	Warnings []string
 
 	nextID int64
+	// byOff indexes original addresses for At, one entry per Align()
+	// bytes of text from textBase: 0 when no node starts there, k for
+	// slab[k-1], and heapRef|i for heap[i], a node outside the slab. It
+	// holds no pointers, so the collector never scans it.
+	byOff     []uint32
+	textBase  uint32
+	text      Range
+	slotShift uint8
+	heap      []*Instruction
+	// slab holds the nodes Reserve preallocated; slab[i] has ID
+	// slabBase+i. NewInst takes from it until it is full and never
+	// appends past its capacity, so nodes never move.
+	slab     []Instruction
+	slabBase int64
 }
+
+// heapRef marks a byOff entry that indexes heap instead of slab.
+const heapRef = 1 << 31
 
 // ISA returns the program's architecture, defaulting to ZVM-32.
 func (p *Program) ISA() isa.Arch { return isa.Of(p.Arch) }
 
 // NewProgram creates an empty IR for bin.
 func NewProgram(bin *binfmt.Binary) *Program {
-	return &Program{
-		Bin:    bin,
-		ByAddr: make(map[uint32]*Instruction),
+	return &Program{Bin: bin}
+}
+
+// Reserve preallocates room for n more nodes: the next n NewInst calls
+// take their nodes from one slab instead of one heap object each. A
+// lifter that knows its decoded count calls it once, before the first
+// AddOrig.
+func (p *Program) Reserve(n int) {
+	if p.slab != nil {
+		panic("ir: Reserve called twice")
 	}
+	p.Insts = slices.Grow(p.Insts, n)
+	p.slab = make([]Instruction, 0, n)
+	p.slabBase = p.nextID + 1
 }
 
 // NewInst creates and registers a fresh instruction node.
 func (p *Program) NewInst(in isa.Inst) *Instruction {
 	p.nextID++
-	node := &Instruction{ID: p.nextID, Inst: in}
+	var node *Instruction
+	if len(p.slab) < cap(p.slab) {
+		p.slab = append(p.slab, Instruction{ID: p.nextID, Inst: in})
+		node = &p.slab[len(p.slab)-1]
+	} else {
+		node = &Instruction{ID: p.nextID, Inst: in}
+	}
 	p.Insts = append(p.Insts, node)
 	return node
 }
@@ -172,12 +205,64 @@ func (p *Program) NewInst(in isa.Inst) *Instruction {
 func (p *Program) MaxID() int64 { return p.nextID }
 
 // AddOrig registers an instruction decoded from the original binary at
-// addr and records it in the address map.
+// addr and indexes it by address (At) when addr lies in text.
 func (p *Program) AddOrig(addr uint32, in isa.Inst) *Instruction {
 	node := p.NewInst(in)
 	node.OrigAddr = addr
-	p.ByAddr[addr] = node
+	p.setAt(addr, node)
 	return node
+}
+
+// At returns the instruction decoded at original address addr, or nil
+// when addr lies outside text or starts no decoded instruction. After
+// Normalize, the address of a deleted pinned instruction reaches the
+// node that took over its pin.
+func (p *Program) At(addr uint32) *Instruction {
+	off := addr - p.textBase
+	i := off >> p.slotShift
+	if i >= uint32(len(p.byOff)) || i<<p.slotShift != off {
+		return nil
+	}
+	switch k := p.byOff[i]; {
+	case k == 0:
+		return nil
+	case k&heapRef != 0:
+		return p.heap[k&^heapRef]
+	default:
+		return &p.slab[k-1]
+	}
+}
+
+// setAt makes At(addr) return node. Addresses outside text, or not
+// aligned to an instruction boundary of the ISA, are not indexed. The
+// table is allocated on first use, with one slot per Align() bytes.
+func (p *Program) setAt(addr uint32, node *Instruction) {
+	if p.byOff == nil {
+		t := p.Bin.Text()
+		if t == nil {
+			return
+		}
+		align := p.ISA().Align()
+		p.slotShift = uint8(bits.TrailingZeros32(align))
+		p.text = Range{Start: t.VAddr, End: t.End()}
+		p.textBase = t.VAddr &^ (align - 1)
+		p.byOff = make([]uint32, (p.text.End-p.textBase+align-1)>>p.slotShift)
+	}
+	off := addr - p.textBase
+	if !p.text.Contains(addr) || off&(1<<p.slotShift-1) != 0 {
+		return
+	}
+	i := off >> p.slotShift
+	if s := node.ID - p.slabBase; s >= 0 && s < int64(len(p.slab)) && &p.slab[s] == node {
+		p.byOff[i] = uint32(s) + 1
+		return
+	}
+	if k := p.byOff[i]; k&heapRef != 0 {
+		p.heap[k&^heapRef] = node
+		return
+	}
+	p.byOff[i] = heapRef | uint32(len(p.heap))
+	p.heap = append(p.heap, node)
 }
 
 // Warnf records a non-fatal diagnostic.
@@ -327,7 +412,7 @@ func (p *Program) Normalize() error {
 					repl.OrigAddr = n.OrigAddr
 				}
 				repl.Pinned = true
-				p.ByAddr[n.OrigAddr] = repl
+				p.setAt(n.OrigAddr, repl)
 			}
 			continue
 		}

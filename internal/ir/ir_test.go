@@ -48,8 +48,8 @@ func TestInsertBeforeRedirectsReferences(t *testing.T) {
 	if j.Target != a {
 		t.Fatal("branch target must now reach the inserted instruction")
 	}
-	if p.ByAddr[0x1000] != a {
-		t.Fatal("address map must still reach the sequence head")
+	if p.At(0x1000) != a {
+		t.Fatal("At must still reach the sequence head")
 	}
 }
 
@@ -97,6 +97,126 @@ func TestDataEndWithoutDataSegment(t *testing.T) {
 	if got := p.DataEnd(); got != 0x2000 { // text ends 0x1040 -> page up
 		t.Fatalf("DataEnd = %#x, want 0x2000", got)
 	}
+}
+
+func TestAtEdgeCases(t *testing.T) {
+	p := NewProgram(testBin()) // text is [0x1000, 0x1040)
+	if p.At(0x1000) != nil {
+		t.Fatal("At on a program with no decoded node must be nil")
+	}
+	first := p.AddOrig(0x1000, isa.Inst{Op: isa.OpMovI, Rd: 1}) // 6 bytes
+	last := p.AddOrig(0x103f, isa.Inst{Op: isa.OpRet})
+	if p.At(0x1000) != first || p.At(0x103f) != last {
+		t.Fatal("At must reach the nodes at both ends of text")
+	}
+	for _, tc := range []struct {
+		name string
+		addr uint32
+	}{
+		{"below text", 0x0fff},
+		{"text end", 0x1040},
+		{"data segment", 0x2000},
+		{"zero", 0},
+		{"top of the address space", 0xffffffff},
+		{"middle of an instruction", 0x1003},
+		{"undecoded offset", 0x1020},
+	} {
+		if n := p.At(tc.addr); n != nil {
+			t.Errorf("%s: At(%#x) = %s, want nil", tc.name, tc.addr, n)
+		}
+	}
+	// A second decode at an address replaces the first, as an insert
+	// into a map would.
+	again := p.AddOrig(0x1000, isa.Inst{Op: isa.OpNop})
+	if p.At(0x1000) != again {
+		t.Fatal("re-adding an address must rebind it")
+	}
+	// Nodes outside text are still created, just not indexed.
+	if n := p.AddOrig(0x2004, isa.Inst{Op: isa.OpNop}); n.OrigAddr != 0x2004 || p.At(0x2004) != nil {
+		t.Fatal("a node outside text must be created but not indexed")
+	}
+}
+
+func TestAtWithoutTextSegment(t *testing.T) {
+	bin := testBin()
+	bin.Segments = bin.Segments[1:] // data only
+	p := NewProgram(bin)
+	n := p.AddOrig(0x1000, isa.Inst{Op: isa.OpNop})
+	if n == nil || n.OrigAddr != 0x1000 {
+		t.Fatal("AddOrig must still create the node")
+	}
+	for _, a := range []uint32{0, 0x1000, 0x2000} {
+		if p.At(a) != nil {
+			t.Fatalf("At(%#x) must be nil without a text segment", a)
+		}
+	}
+	if (&Program{}).At(0x1000) != nil {
+		t.Fatal("At on a zero Program must be nil")
+	}
+}
+
+func TestAtFixedWidthSlots(t *testing.T) {
+	// A ZVM-64 program's index has one slot per 4 bytes: aligned
+	// addresses are indexed, unaligned ones are never instruction starts.
+	p := NewProgram(testBin())
+	p.Arch = isa.ZVM64
+	a := p.AddOrig(0x1004, isa.Inst{Op: isa.OpNop})
+	last := p.AddOrig(0x103c, isa.Inst{Op: isa.OpRet})
+	if p.At(0x1004) != a || p.At(0x103c) != last {
+		t.Fatal("aligned nodes must be indexed")
+	}
+	if n := p.AddOrig(0x1006, isa.Inst{Op: isa.OpNop}); n == nil || p.At(0x1006) != nil {
+		t.Fatal("an unaligned node must be created but not indexed")
+	}
+	for _, addr := range []uint32{0x1000, 0x1005, 0x1007, 0x1008, 0x1040, 0x0ffc} {
+		if n := p.At(addr); n != nil {
+			t.Errorf("At(%#x) = %s, want nil", addr, n)
+		}
+	}
+	if len(p.byOff) != 16 {
+		t.Fatalf("index has %d slots for 64 bytes of 4-byte slots, want 16", len(p.byOff))
+	}
+}
+
+func TestReserveSlab(t *testing.T) {
+	p := NewProgram(testBin())
+	p.Reserve(3)
+	a := p.AddOrig(0x1000, isa.Inst{Op: isa.OpNop})
+	b := p.AddOrig(0x1001, isa.Inst{Op: isa.OpNop})
+	c := p.AddOrig(0x1002, isa.Inst{Op: isa.OpRet})
+	// Past the reservation nodes come from the heap; the slab never
+	// grows, so the first three never move.
+	d := p.NewInst(isa.Inst{Op: isa.OpHlt})
+	for i, n := range []*Instruction{a, b, c, d} {
+		if n.ID != int64(i+1) || p.Insts[i] != n {
+			t.Fatalf("node %d: ID %d, Insts[%d] = %v", i, n.ID, i, p.Insts[i])
+		}
+	}
+	if p.At(0x1000) != a || p.At(0x1001) != b || p.At(0x1002) != c {
+		t.Fatal("slab nodes must be indexed by address")
+	}
+	if &p.slab[0] != a || &p.slab[2] != c || cap(p.slab) != 3 {
+		t.Fatal("reserved nodes must live in the slab")
+	}
+	a.Fallthrough = b
+	if p.Insts[0].Fallthrough != b {
+		t.Fatal("slab node lost a link")
+	}
+	// Rebinding an address to a heap node and back to a slab node.
+	p.setAt(0x1001, d)
+	if p.At(0x1001) != d {
+		t.Fatal("At must follow a rebind to a heap node")
+	}
+	p.setAt(0x1001, c)
+	if p.At(0x1001) != c || p.At(0x1002) != c {
+		t.Fatal("At must follow a rebind to a slab node")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Reserve must panic: it would move indexed slab positions")
+		}
+	}()
+	p.Reserve(1)
 }
 
 func TestValidate(t *testing.T) {

@@ -63,8 +63,8 @@ func TestNormalizeMovesPinToSuccessor(t *testing.T) {
 	if !succ.Pinned || succ.OrigAddr != 0x1000 {
 		t.Fatalf("pin not moved: pinned=%v orig=%#x", succ.Pinned, succ.OrigAddr)
 	}
-	if p.ByAddr[0x1000] != succ {
-		t.Fatal("address map not updated")
+	if p.At(0x1000) != succ {
+		t.Fatal("At does not reach the moved pin")
 	}
 }
 
@@ -82,15 +82,44 @@ func TestNormalizeAliasesConflictingPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// succ keeps its own pin; an alias jump carries the deleted pin.
-	alias := p.ByAddr[0x1000]
+	alias := p.At(0x1000)
 	if alias == succ || alias == nil {
 		t.Fatalf("expected alias node, got %v", alias)
 	}
 	if alias.Inst.Op != isa.OpJmp32 || alias.Target != succ || !alias.Pinned || alias.OrigAddr != 0x1000 {
 		t.Fatalf("alias wrong: %s", alias)
 	}
-	if p.ByAddr[0x1001] != succ || !succ.Pinned {
+	if p.At(0x1001) != succ || !succ.Pinned {
 		t.Fatal("successor pin damaged")
+	}
+}
+
+func TestNormalizeRedirectsThroughDeletedRun(t *testing.T) {
+	// Slab-allocated nodes, as cfg builds them: a pinned node and its
+	// unpinned successor are both deleted, so the pin travels over the
+	// run to the first live node, and At follows it there.
+	p := NewProgram(testBin())
+	p.Reserve(3)
+	pinned := p.AddOrig(0x1000, isa.Inst{Op: isa.OpNop})
+	pinned.Pinned = true
+	mid := p.AddOrig(0x1001, isa.Inst{Op: isa.OpNop})
+	end := p.AddOrig(0x1002, isa.Inst{Op: isa.OpRet})
+	pinned.Fallthrough = mid
+	mid.Fallthrough = end
+	for _, n := range []*Instruction{pinned, mid} {
+		if err := p.Delete(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	alias := p.At(0x1000)
+	if alias == nil || alias.Inst.Op != isa.OpJmp32 || alias.Target != end || !alias.Pinned {
+		t.Fatalf("At(0x1000) = %v, want a pinned alias jmp to %s", alias, end)
+	}
+	if p.At(0x1002) != end || end.Pinned {
+		t.Fatal("the live successor must keep its own address and stay unpinned")
 	}
 }
 

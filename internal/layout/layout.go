@@ -9,8 +9,9 @@
 // query interface: each placement decision is answered by O(log n)
 // lookups instead of a copy and linear scan of the whole block list,
 // which is what lets placement scale to libc/libjvm-sized inputs. The
-// pre-index slice-scanning implementations survive in legacy.go as the
-// differential-testing and benchmarking reference.
+// pre-index slice-scanning implementations survive, test-only, in the
+// root package's legacy_placer_test.go as the differential-testing and
+// benchmarking reference.
 package layout
 
 import (

@@ -8,7 +8,6 @@ import (
 	"zipr/internal/cgcsim"
 	"zipr/internal/core"
 	"zipr/internal/ir"
-	"zipr/internal/layout"
 )
 
 // The indexed allocator must be a pure complexity change: every layout
@@ -16,7 +15,7 @@ import (
 // the O(log n) queries instead of the legacy full-snapshot linear
 // scans. These tests rewrite a corpus twice — once with the production
 // placers, once with the legacy slice-scanning placers preserved in
-// layout/legacy.go — and compare the serialized images byte for byte.
+// legacy_placer_test.go — and compare the serialized images byte for byte.
 
 // imageWith rewrites bin with an optional placer hook and returns the
 // serialized output image.
@@ -50,7 +49,7 @@ func TestOptimizedByteIdentityWithLegacyPlacer(t *testing.T) {
 		} {
 			cfg := Config{Transforms: transforms}
 			want := imageWith(t, cb.Bin, cfg, func(*ir.Program) core.Placer {
-				return layout.LegacyOptimized{}
+				return LegacyOptimized{}
 			})
 			got := imageWith(t, cb.Bin, cfg, nil)
 			if !bytes.Equal(want, got) {
@@ -65,7 +64,7 @@ func TestProfileGuidedByteIdentityWithLegacyPlacer(t *testing.T) {
 		hot := []uint32{cb.Bin.Entry}
 		cfg := Config{Transforms: []Transform{Null()}, Layout: LayoutProfileGuided, HotFuncs: hot}
 		want := imageWith(t, cb.Bin, cfg, func(prog *ir.Program) core.Placer {
-			return &layout.LegacyProfileGuided{Hot: hotRanges(prog, hot)}
+			return &LegacyProfileGuided{Hot: hotRanges(prog, hot)}
 		})
 		got := imageWith(t, cb.Bin, cfg, nil)
 		if !bytes.Equal(want, got) {
@@ -82,7 +81,7 @@ func TestProfileGuidedByteIdentityWithRealProfile(t *testing.T) {
 	hot := collectProfile(t, orig, training)
 	cfg := Config{Layout: LayoutProfileGuided, HotFuncs: hot}
 	want := imageWith(t, orig, cfg, func(prog *ir.Program) core.Placer {
-		return &layout.LegacyProfileGuided{Hot: hotRanges(prog, hot)}
+		return &LegacyProfileGuided{Hot: hotRanges(prog, hot)}
 	})
 	got := imageWith(t, orig, cfg, nil)
 	if !bytes.Equal(want, got) {
@@ -99,7 +98,7 @@ func TestDiversityByteIdentityWithLegacyPlacer(t *testing.T) {
 		for _, seed := range []int64{1, 42, 0xC0FFEE} {
 			cfg := Config{Transforms: []Transform{Null()}, Layout: LayoutDiversity, Seed: seed}
 			want := imageWith(t, cb.Bin, cfg, func(*ir.Program) core.Placer {
-				return layout.NewLegacyDiversity(seed)
+				return NewLegacyDiversity(seed)
 			})
 			got := imageWith(t, cb.Bin, cfg, nil)
 			if !bytes.Equal(want, got) {
