@@ -1,7 +1,11 @@
 # Build/test entry points; `make ci` is the full local gate.
 GO ?= go
 
-.PHONY: build vet test race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint ci
+.PHONY: fmt build vet test race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint ci
+
+# Formatting gate: gofmt must list no file.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -131,4 +135,4 @@ examples:
 metricslint:
 	$(GO) test -run 'TestMetricsNamingLint|TestPromExposition|TestPromName' ./internal/serve/ ./internal/obs/
 
-ci: build vet race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint
+ci: fmt build vet race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint

@@ -27,7 +27,7 @@ var pinsCorpus struct {
 func pinsCorpusImages(b *testing.B) [][]byte {
 	b.Helper()
 	pinsCorpus.once.Do(func() {
-		corpus, err := cgcsim.Corpus(synth.CorpusSize)
+		corpus, err := cgcsim.Corpus(synth.CorpusSize, nil)
 		if err != nil {
 			pinsCorpus.err = err
 			return

@@ -46,7 +46,7 @@ var (
 func corpusSample(b *testing.B) []cgcsim.CB {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchCorpus, benchErr = cgcsim.Corpus(benchCorpusSize)
+		benchCorpus, benchErr = cgcsim.Corpus(benchCorpusSize, nil)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -68,7 +68,7 @@ func evalAndReport(b *testing.B, prefix string, fn cgcsim.RewriteFunc) {
 	cbs := corpusSample(b)
 	var last cgcsim.Summary
 	for i := 0; i < b.N; i++ {
-		rows, err := cgcsim.Evaluate(cbs, fn)
+		rows, err := cgcsim.EvaluateParallel(cbs, fn, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkFig6Memory(b *testing.B) {
 	all := append(append([]cgcsim.CB(nil), cbs...), pathoCB)
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, err := cgcsim.Evaluate(all, rewriteFunc(LayoutOptimized, CFI()))
+		rows, err := cgcsim.EvaluateParallel(all, rewriteFunc(LayoutOptimized, CFI()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,12 +210,12 @@ func BenchmarkAblatePinning(b *testing.B) {
 	cbs := corpusSample(b)
 	var heur, naive cgcsim.Summary
 	for i := 0; i < b.N; i++ {
-		rows, err := cgcsim.Evaluate(cbs, rewriteFunc(LayoutOptimized, Null()))
+		rows, err := cgcsim.EvaluateParallel(cbs, rewriteFunc(LayoutOptimized, Null()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		heur = cgcsim.Summarize(rows)
-		rows, err = cgcsim.Evaluate(cbs, rewriteFunc(LayoutOptimized, PinBlocks(), Null()))
+		rows, err = cgcsim.EvaluateParallel(cbs, rewriteFunc(LayoutOptimized, PinBlocks(), Null()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,12 +231,12 @@ func BenchmarkAblateLayout(b *testing.B) {
 	cbs := corpusSample(b)
 	var opt, div cgcsim.Summary
 	for i := 0; i < b.N; i++ {
-		rows, err := cgcsim.Evaluate(cbs, rewriteFunc(LayoutOptimized, Null()))
+		rows, err := cgcsim.EvaluateParallel(cbs, rewriteFunc(LayoutOptimized, Null()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		opt = cgcsim.Summarize(rows)
-		rows, err = cgcsim.Evaluate(cbs, rewriteFunc(LayoutDiversity, Null()))
+		rows, err = cgcsim.EvaluateParallel(cbs, rewriteFunc(LayoutDiversity, Null()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

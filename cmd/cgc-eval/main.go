@@ -137,7 +137,7 @@ func rewriteWith(layoutKind zipr.LayoutKind, tfs ...zipr.Transform) cgcsim.Rewri
 func runFigs(n int, which string) error {
 	fmt.Printf("# CGC evaluation: %d challenge binaries, %d pollers each, %d workers\n", n, cgcsim.PollersPerCB, jobs)
 	start := time.Now()
-	cbs, err := cgcsim.Corpus(n)
+	cbs, err := cgcsim.Corpus(n, nil)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func runWithLibs(bin *binfmt.Binary, libs map[string]*binfmt.Binary, input []byt
 
 func runAblatePinning(n int) error {
 	fmt.Printf("# Ablation A1 (§II-A2): heuristic pinning vs. naive block pinning (%d CBs)\n", n)
-	cbs, err := cgcsim.Corpus(n)
+	cbs, err := cgcsim.Corpus(n, nil)
 	if err != nil {
 		return err
 	}
@@ -356,7 +356,7 @@ func runAblatePinning(n int) error {
 
 func runAblateLayout(n int) error {
 	fmt.Printf("# Ablation A2 (§III): optimized vs. diversity layout (%d CBs)\n", n)
-	cbs, err := cgcsim.Corpus(n)
+	cbs, err := cgcsim.Corpus(n, nil)
 	if err != nil {
 		return err
 	}

@@ -124,7 +124,7 @@ func TestGoldenThroughFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	indices := []int{0, 17, 38, synth.PathologicalCB}
-	corpus, err := cgcsim.Corpus(synth.CorpusSize)
+	corpus, err := cgcsim.Corpus(synth.CorpusSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestGoldenThroughServer(t *testing.T) {
 	}
 	// A spread of corpus programs, including the pathological CB.
 	indices := []int{0, 17, 38, synth.PathologicalCB}
-	corpus, err := cgcsim.Corpus(synth.CorpusSize)
+	corpus, err := cgcsim.Corpus(synth.CorpusSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestGoldenCorpus(t *testing.T) {
 	if *updateGolden && stride != 1 {
 		t.Fatal("-update needs the full corpus: run without -race and -short")
 	}
-	corpus, err := cgcsim.Corpus(synth.CorpusSize)
+	corpus, err := cgcsim.Corpus(synth.CorpusSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGoldenCorpus(t *testing.T) {
 		measureOrig := func() []cgcsim.Transcript {
 			if origTS == nil {
 				var err error
-				_, origTS, err = cgcsim.Measure(cb.Bin, nil, cb.Pollers)
+				_, origTS, err = cgcsim.MeasureArch(cb.Bin, nil, cb.Pollers, nil)
 				if err != nil {
 					t.Fatalf("%s: original execution: %v", cb.Name, err)
 				}
@@ -200,7 +200,7 @@ func TestGoldenCorpus(t *testing.T) {
 							t.Errorf("%s: unmarshal rewritten image: %v", key, err)
 							return "", false
 						}
-						_, rwTS, err := cgcsim.Measure(rw, nil, cb.Pollers)
+						_, rwTS, err := cgcsim.MeasureArch(rw, nil, cb.Pollers, nil)
 						if err != nil {
 							t.Errorf("%s: rewritten execution: %v", key, err)
 							return "", false

@@ -19,7 +19,7 @@ import (
 )
 
 func TestWeightedArbitrationDifferential(t *testing.T) {
-	corpus, err := cgcsim.Corpus(synth.CorpusSize)
+	corpus, err := cgcsim.Corpus(synth.CorpusSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestWeightedArbitrationDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", cb.Name, err)
 		}
-		_, origTS, err := cgcsim.Measure(cb.Bin, nil, cb.Pollers)
+		_, origTS, err := cgcsim.MeasureArch(cb.Bin, nil, cb.Pollers, nil)
 		if err != nil {
 			t.Fatalf("%s: original execution: %v", cb.Name, err)
 		}
@@ -59,7 +59,7 @@ func TestWeightedArbitrationDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: unmarshal (%s): %v", cb.Name, arb, err)
 			}
-			_, ts, err := cgcsim.Measure(rw, nil, cb.Pollers)
+			_, ts, err := cgcsim.MeasureArch(rw, nil, cb.Pollers, nil)
 			if err != nil {
 				t.Fatalf("%s: rewritten execution (%s): %v", cb.Name, arb, err)
 			}

@@ -29,17 +29,12 @@ type CB struct {
 const PollersPerCB = 4
 
 // Corpus builds the n-binary challenge corpus (use synth.CorpusSize for
-// the paper's 62). Binaries and pollers are deterministic: every CB is
-// derived solely from its index, so construction fans out across
-// workers and fills the slice by index.
-func Corpus(n int) ([]CB, error) {
-	return CorpusArch(n, isa.DefaultArch())
-}
-
-// CorpusArch builds the corpus for the given instruction set. Profiles,
-// seeds and pollers are identical across ISAs; only the generated
-// machine code differs.
-func CorpusArch(n int, arch isa.Arch) ([]CB, error) {
+// the paper's 62) for the given instruction set; nil means ZVM-32.
+// Profiles, seeds and pollers are identical across ISAs; only the
+// generated machine code differs. Binaries and pollers are
+// deterministic: every CB is derived solely from its index, so
+// construction fans out across workers and fills the slice by index.
+func Corpus(n int, arch isa.Arch) ([]CB, error) {
 	cbs := make([]CB, n)
 	err := par.Each(par.Workers(max(n/4, 1), n), n, func(i int) error {
 		cb, err := CBArch(i, arch)
@@ -56,10 +51,10 @@ func CorpusArch(n int, arch isa.Arch) ([]CB, error) {
 }
 
 // CBArch builds the single corpus entry with index i for the given
-// instruction set — the unit CorpusArch fans out over. Suites that pin
-// a sparse slice of the corpus (the per-ISA golden matrix) use it to
-// get exactly the programs they need, with the same binaries and
-// pollers a full CorpusArch run would produce at that index.
+// instruction set (nil means ZVM-32) — the unit Corpus fans out over.
+// Suites that pin a sparse slice of the corpus (the per-ISA golden
+// matrix) use it to get exactly the programs they need, with the same
+// binaries and pollers a full Corpus run would produce at that index.
 func CBArch(i int, arch isa.Arch) (CB, error) {
 	seed, profile := synth.CBProfile(i)
 	bin, err := synth.BuildArch(seed, profile, arch)
@@ -77,7 +72,7 @@ func CBArch(i int, arch isa.Arch) (CB, error) {
 }
 
 // VeneerCB builds the handwritten veneer-stress challenge binary for
-// arch, with deterministic pollers derived the same way as CorpusArch's.
+// arch, with deterministic pollers derived the same way as Corpus's.
 // On a bounded-reach ISA its rewrite must emit range-extension islands
 // (see synth.VeneerStressSource).
 func VeneerCB(arch isa.Arch) (CB, error) {
@@ -109,13 +104,9 @@ type Transcript struct {
 	Exit   int32
 }
 
-// Measure runs every poller against bin and returns metrics plus the
+// MeasureArch runs every poller against bin on a VM for the given
+// instruction set (nil means ZVM-32) and returns metrics plus the
 // transcripts (the functionality oracle).
-func Measure(bin *binfmt.Binary, libs map[string]*binfmt.Binary, pollers [][]byte) (Metrics, []Transcript, error) {
-	return MeasureArch(bin, libs, pollers, isa.DefaultArch())
-}
-
-// MeasureArch is Measure with an explicit instruction set for the VM.
 func MeasureArch(bin *binfmt.Binary, libs map[string]*binfmt.Binary, pollers [][]byte, arch isa.Arch) (Metrics, []Transcript, error) {
 	m := Metrics{FileSize: bin.FileSize()}
 	transcripts := make([]Transcript, 0, len(pollers))
@@ -218,15 +209,9 @@ type Row struct {
 	Functional bool
 }
 
-// Evaluate rewrites every CB under rewrite and measures overheads
-// against the unmodified binaries, using one worker per GOMAXPROCS.
-// Equivalent to EvaluateParallel(cbs, rewrite, 0).
-func Evaluate(cbs []CB, rewrite RewriteFunc) ([]Row, error) {
-	return EvaluateParallel(cbs, rewrite, 0)
-}
-
-// EvaluateParallel is Evaluate with an explicit worker count (the
-// cgc-eval -j flag); workers <= 0 uses GOMAXPROCS. Each CB's
+// EvaluateParallel rewrites every CB under rewrite and measures
+// overheads against the unmodified binaries, with the given worker
+// count (the cgc-eval -j flag); workers <= 0 uses GOMAXPROCS. Each CB's
 // rewrite-and-measure cycle is independent, so the corpus fans out
 // across a bounded pool; rows are written by corpus index, making the
 // result order — and, because each cycle is deterministic, the result
@@ -241,7 +226,7 @@ func EvaluateParallel(cbs []CB, rewrite RewriteFunc, workers int) ([]Row, error)
 	rows := make([]Row, len(cbs))
 	err := par.Each(par.Workers(workers, len(cbs)), len(cbs), func(i int) error {
 		cb := &cbs[i]
-		baseM, baseT, err := Measure(cb.Bin, nil, cb.Pollers)
+		baseM, baseT, err := MeasureArch(cb.Bin, nil, cb.Pollers, nil)
 		if err != nil {
 			return fmt.Errorf("cgcsim: %s baseline: %w", cb.Name, err)
 		}
@@ -249,7 +234,7 @@ func EvaluateParallel(cbs []CB, rewrite RewriteFunc, workers int) ([]Row, error)
 		if err != nil {
 			return fmt.Errorf("cgcsim: %s rewrite: %w", cb.Name, err)
 		}
-		newM, newT, err := Measure(rcb, nil, cb.Pollers)
+		newM, newT, err := MeasureArch(rcb, nil, cb.Pollers, nil)
 		if err != nil {
 			return fmt.Errorf("cgcsim: %s rewritten run: %w", cb.Name, err)
 		}

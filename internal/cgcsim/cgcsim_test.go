@@ -1,11 +1,13 @@
 package cgcsim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"zipr"
 	"zipr/internal/binfmt"
+	"zipr/internal/isa"
 )
 
 func rewriteNull(bin *binfmt.Binary) (*binfmt.Binary, error) {
@@ -18,17 +20,21 @@ func rewriteCFI(bin *binfmt.Binary) (*binfmt.Binary, error) {
 	return out, err
 }
 
+// TestCorpusDeterministic: two builds of the corpus agree, and a nil
+// arch builds the ZVM-32 corpus.
 func TestCorpusDeterministic(t *testing.T) {
-	a, err := Corpus(3)
+	a, err := Corpus(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Corpus(3)
+	b, err := Corpus(3, isa.ZVM32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].Bin.FileSize() != b[i].Bin.FileSize() {
+		ab, _ := a[i].Bin.Marshal()
+		bb, _ := b[i].Bin.Marshal()
+		if !bytes.Equal(ab, bb) {
 			t.Fatalf("cb%d differs between builds", i)
 		}
 		for p := range a[i].Pollers {
@@ -40,12 +46,12 @@ func TestCorpusDeterministic(t *testing.T) {
 }
 
 func TestMeasureAndEquivalence(t *testing.T) {
-	cbs, err := Corpus(2)
+	cbs, err := Corpus(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := cbs[0]
-	m, tr, err := Measure(cb.Bin, nil, cb.Pollers)
+	m, tr, err := MeasureArch(cb.Bin, nil, cb.Pollers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestMeasureAndEquivalence(t *testing.T) {
 	if len(tr) != len(cb.Pollers) {
 		t.Fatalf("transcripts = %d", len(tr))
 	}
-	m2, tr2, err := Measure(cb.Bin, nil, cb.Pollers)
+	m2, tr2, err := MeasureArch(cb.Bin, nil, cb.Pollers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestMeasureAndEquivalence(t *testing.T) {
 		t.Fatal("measurement not deterministic")
 	}
 	// Different binaries must differ.
-	_, trOther, err := Measure(cbs[1].Bin, nil, cbs[1].Pollers)
+	_, trOther, err := MeasureArch(cbs[1].Bin, nil, cbs[1].Pollers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +108,11 @@ func TestHistogramBinning(t *testing.T) {
 }
 
 func TestEvaluateNullTransformSample(t *testing.T) {
-	cbs, err := Corpus(4)
+	cbs, err := Corpus(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Evaluate(cbs, rewriteNull)
+	rows, err := EvaluateParallel(cbs, rewriteNull, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +131,11 @@ func TestEvaluateNullTransformSample(t *testing.T) {
 }
 
 func TestEvaluateCFISample(t *testing.T) {
-	cbs, err := Corpus(3)
+	cbs, err := Corpus(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Evaluate(cbs, rewriteCFI)
+	rows, err := EvaluateParallel(cbs, rewriteCFI, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +150,12 @@ func TestEvaluateCFISample(t *testing.T) {
 }
 
 func TestEvaluatePropagatesErrors(t *testing.T) {
-	cbs, err := Corpus(1)
+	cbs, err := Corpus(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	_, err = Evaluate(cbs, func(*binfmt.Binary) (*binfmt.Binary, error) { return nil, boom })
+	_, err = EvaluateParallel(cbs, func(*binfmt.Binary) (*binfmt.Binary, error) { return nil, boom }, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v", err)
 	}

@@ -388,8 +388,12 @@ func resolveDeleted(n *Instruction) *Instruction {
 // Normalize splices deleted instructions out of every link (fallthrough
 // chains, branch targets, pins, functions, the entry) so the
 // reassembler never sees them. Transforms call p.Delete freely; the
-// pipeline normalizes once before reassembly.
+// pipeline normalizes once before reassembly. A program with no
+// deleted node is returned untouched, without allocating.
 func (p *Program) Normalize() error {
+	if !slices.ContainsFunc(p.Insts, func(n *Instruction) bool { return n.Deleted }) {
+		return nil
+	}
 	live := make([]*Instruction, 0, len(p.Insts))
 	for _, n := range p.Insts {
 		if n.Deleted {

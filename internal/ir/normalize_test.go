@@ -157,3 +157,26 @@ func TestNormalizeFunctionsFiltered(t *testing.T) {
 		t.Fatalf("function not normalized: %+v", f)
 	}
 }
+
+// TestNormalizeWithoutDeletionsIsFree: a program with no deleted node
+// (every Null rewrite) normalizes without allocating and keeps its
+// node list as it was.
+func TestNormalizeWithoutDeletionsIsFree(t *testing.T) {
+	p := NewProgram(testBin())
+	a := p.AddOrig(0x1000, isa.Inst{Op: isa.OpNop})
+	b := p.AddOrig(0x1001, isa.Inst{Op: isa.OpRet})
+	a.Fallthrough = b
+	p.Entry = a
+	p.Functions = []*Function{{Name: "f", Entry: a, Insts: []*Instruction{a, b}}}
+	before := p.Insts
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := p.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Normalize allocated %v times per run, want 0", allocs)
+	}
+	if len(p.Insts) != len(before) || &p.Insts[0] != &before[0] || p.Insts[0] != a || p.Insts[1] != b {
+		t.Fatalf("Insts changed: %v", p.Insts)
+	}
+}

@@ -327,7 +327,7 @@ func TestPromExpositionSelfCheck(t *testing.T) {
 
 func TestPromNameMapping(t *testing.T) {
 	cases := map[string]string{
-		"serve.request.latency": "zipr_serve_request_latency",
+		"serve.request.latency":  "zipr_serve_request_latency",
 		"reassemble.free-blocks": "zipr_reassemble_free_blocks",
 		"Weird Name!":            "zipr_weird_name_",
 	}

@@ -34,100 +34,43 @@ func CacheKey(input []byte, cfg zipr.Config) Key {
 	return k
 }
 
-// entry is one cached rewrite: the output image plus the report fields
-// that survive caching (pointers into pipeline state — Trace, IRDB,
-// AddrMap — are deliberately not cached; requests that need them take
-// the miss path). sum pins the output bytes so corruption of a cached
-// entry is detected on hit instead of being served.
-type entry struct {
-	key      Key
-	out      []byte
-	sum      [sha256.Size]byte
+// cachedReport is the part of a rewrite's report that survives caching,
+// shared by output-cache entries and snapshot-store entries. Pointers
+// into pipeline state (Trace, IRDB, AddrMap) are deliberately not
+// cached; requests that need them take the miss path.
+type cachedReport struct {
 	stats    zipr.Stats
 	layout   string
 	warnings []string
-
-	prev, next *entry // LRU list, most recent at head
 }
 
-// lruCache is a byte-budgeted LRU over rewrite outputs. Not safe for
-// concurrent use; the Server serializes access under its mutex.
-type lruCache struct {
-	budget  int64
-	bytes   int64
-	entries map[Key]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
-	evicted int64
-}
-
-func newLRUCache(budget int64) *lruCache {
-	return &lruCache{budget: budget, entries: make(map[Key]*entry)}
-}
-
-// get returns the entry for k (promoting it to most-recently-used) or
-// nil.
-func (c *lruCache) get(k Key) *entry {
-	e := c.entries[k]
-	if e == nil {
-		return nil
-	}
-	c.unlink(e)
-	c.pushFront(e)
-	return e
-}
-
-// put inserts or replaces the entry for e.key and evicts from the cold
-// end until the byte budget holds again. An entry larger than the whole
-// budget is not cached at all — it would only evict everything else and
-// then be evicted by the next insert.
-func (c *lruCache) put(e *entry) {
-	if old := c.entries[e.key]; old != nil {
-		c.remove(old)
-	}
-	if int64(len(e.out)) > c.budget {
-		return
-	}
-	c.entries[e.key] = e
-	c.pushFront(e)
-	c.bytes += int64(len(e.out))
-	for c.bytes > c.budget && c.tail != nil && c.tail != e {
-		c.evicted++
-		c.remove(c.tail)
+func keepReport(rep *zipr.Report) cachedReport {
+	return cachedReport{
+		stats:    rep.Stats,
+		layout:   rep.Layout,
+		warnings: append([]string(nil), rep.Warnings...),
 	}
 }
 
-// remove drops e from the cache entirely.
-func (c *lruCache) remove(e *entry) {
-	if c.entries[e.key] != e {
-		return
-	}
-	delete(c.entries, e.key)
-	c.unlink(e)
-	c.bytes -= int64(len(e.out))
-}
-
-func (c *lruCache) pushFront(e *entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+// report rebuilds the report a cold rewrite produced, minus per-run
+// pipeline state, for an answer of outSize bytes to an input of inSize
+// bytes.
+func (r *cachedReport) report(inSize, outSize int) *zipr.Report {
+	return &zipr.Report{
+		Stats:      r.stats,
+		Layout:     r.layout,
+		Warnings:   append([]string(nil), r.warnings...),
+		InputSize:  inSize,
+		OutputSize: outSize,
 	}
 }
 
-func (c *lruCache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// entry is one cached rewrite: the output image plus its report. sum
+// pins the output bytes so corruption of a cached entry is detected on
+// hit instead of being served. The output cache is an lru[entry] over
+// output bytes; the Server serializes access under its mutex.
+type entry struct {
+	out []byte
+	sum [sha256.Size]byte
+	cachedReport
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zipr"
 	"zipr/internal/core"
@@ -50,126 +51,99 @@ func (a ancKey) slotKey() string {
 	return fmt.Sprintf("%s:%d", hex.EncodeToString(a.fp[:]), a.inLen)
 }
 
-// snapEntry is one stored snapshot plus the report fields a delta
-// answer reproduces (by the snapshot identity argument, the edited
-// input's from-scratch report equals its ancestor's for these fields).
+// snapEntry is one stored snapshot plus the report a delta answer
+// reproduces (by the snapshot identity argument, the edited input's
+// from-scratch report equals its ancestor's).
 type snapEntry struct {
-	key      Key
-	anc      ancKey
-	snap     *core.Snapshot
-	size     int64
-	stats    zipr.Stats
-	layout   string
-	warnings []string
-	disk     bool // loaded from the disk tier's snapshot slot
-
-	prev, next *snapEntry // LRU list, most recent at head
+	anc  ancKey
+	snap *core.Snapshot
+	disk bool // loaded from the disk tier's snapshot slot
+	cachedReport
 }
 
+// snapNode is a snapshot as the store holds it: the lru node carries
+// its key and byte size.
+type snapNode = lruNode[snapEntry]
+
 // snapStore is the byte-budgeted LRU of placement snapshots with the
-// ancestor index. Not safe for concurrent use; the Server serializes
-// access under its mutex.
+// ancestor index. The index is also an eviction rule: a snapshot pushed
+// off its ancestor's list of snapCandidates can never be offered to a
+// request again, so it leaves the store. Not safe for concurrent use;
+// the Server serializes access under its mutex.
 type snapStore struct {
-	budget  int64
-	bytes   int64
-	entries map[Key]*snapEntry
-	byAnc   map[ancKey][]*snapEntry // MRU order, bounded by snapCandidates
-	head    *snapEntry
-	tail    *snapEntry
-	evicted int64
+	lru   *lru[snapEntry]
+	byAnc map[ancKey][]*snapNode // most recent first, at most snapCandidates
 }
 
 func newSnapStore(budget int64) *snapStore {
 	return &snapStore{
-		budget:  budget,
-		entries: make(map[Key]*snapEntry),
-		byAnc:   make(map[ancKey][]*snapEntry),
+		lru:   newLRU[snapEntry](budget),
+		byAnc: make(map[ancKey][]*snapNode),
 	}
 }
 
-// candidates returns up to snapCandidates entries for anc, most recent
-// first. The returned slice is a copy; entries are immutable once
-// stored except through remove.
-func (st *snapStore) candidates(anc ancKey) []*snapEntry {
-	return append([]*snapEntry(nil), st.byAnc[anc]...)
+// candidates returns up to snapCandidates snapshots for anc, most
+// recent first. The returned slice is a copy; stored nodes are
+// immutable except through remove.
+func (st *snapStore) candidates(anc ancKey) []*snapNode {
+	return append([]*snapNode(nil), st.byAnc[anc]...)
 }
 
-// put inserts e, replacing any entry under the same key, and evicts
-// from the cold end until the byte budget holds. Oversized snapshots
-// are not stored at all.
-func (st *snapStore) put(e *snapEntry) {
-	if old := st.entries[e.key]; old != nil {
+// put stores e under key as the newest candidate of its ancestor,
+// replacing any snapshot under the same key, and returns how many
+// snapshots left the store to make room: the one pushed off the
+// ancestor's candidate list, and the coldest ones while the byte budget
+// is exceeded. An oversized snapshot is not stored at all.
+func (st *snapStore) put(key Key, e snapEntry, size int64) (evicted int64) {
+	if old := st.lru.peek(key); old != nil {
 		st.remove(old)
 	}
-	if e.size > st.budget {
-		return
+	n := st.lru.put(key, e, size)
+	if n == nil {
+		return 0
 	}
-	st.entries[e.key] = e
-	st.pushFront(e)
-	st.bytes += e.size
-	lst := append([]*snapEntry{e}, st.byAnc[e.anc]...)
-	if len(lst) > snapCandidates {
-		lst = lst[:snapCandidates]
+	lst := st.byAnc[e.anc]
+	if len(lst) == snapCandidates {
+		st.lru.remove(lst[snapCandidates-1])
+		lst = lst[:snapCandidates-1]
+		evicted++
 	}
-	st.byAnc[e.anc] = lst
-	for st.bytes > st.budget && st.tail != nil && st.tail != e {
-		st.evicted++
-		st.remove(st.tail)
+	st.byAnc[e.anc] = append([]*snapNode{n}, lst...)
+	st.lru.evict(n, func(v *snapNode) {
+		st.unindex(v)
+		evicted++
+	})
+	return evicted
+}
+
+// remove drops n from the store and the ancestor index.
+func (st *snapStore) remove(n *snapNode) {
+	if st.lru.remove(n) {
+		st.unindex(n)
 	}
 }
 
-// remove drops e entirely (budget, LRU list and ancestor index).
-func (st *snapStore) remove(e *snapEntry) {
-	if st.entries[e.key] != e {
-		return
-	}
-	delete(st.entries, e.key)
-	st.unlink(e)
-	st.bytes -= e.size
-	lst := st.byAnc[e.anc]
+// unindex drops n from its ancestor's candidate list.
+func (st *snapStore) unindex(n *snapNode) {
+	lst := st.byAnc[n.val.anc]
 	for i, x := range lst {
-		if x == e {
-			lst = append(lst[:i], lst[i+1:]...)
+		if x == n {
+			lst = slices.Delete(lst, i, i+1) // clears the vacated slot
 			break
 		}
 	}
 	if len(lst) == 0 {
-		delete(st.byAnc, e.anc)
+		delete(st.byAnc, n.val.anc)
 	} else {
-		st.byAnc[e.anc] = lst
+		st.byAnc[n.val.anc] = lst
 	}
-}
-
-func (st *snapStore) pushFront(e *snapEntry) {
-	e.prev, e.next = nil, st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-}
-
-func (st *snapStore) unlink(e *snapEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if st.head == e {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if st.tail == e {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // loadSnapshots pulls an ancestor's spilled snapshot from the disk
 // tier's per-ancestor slot when the in-memory store has none (a
 // restarted daemon keeps its ancestry this way). An unparseable blob is
 // deleted.
-func (s *Server) loadSnapshots(anc ancKey) []*snapEntry {
+func (s *Server) loadSnapshots(anc ancKey) []*snapNode {
 	if s.disk == nil {
 		return nil
 	}
@@ -182,32 +156,29 @@ func (s *Server) loadSnapshots(anc ancKey) []*snapEntry {
 		s.disk.delSnap(anc.slotKey())
 		return nil
 	}
-	return []*snapEntry{{
-		key:    snapDiskKey(anc.slotKey()),
-		anc:    anc,
-		snap:   snap,
-		size:   snap.SizeBytes(),
-		layout: layout,
-		disk:   true,
+	return []*snapNode{{
+		key:  snapDiskKey(anc.slotKey()),
+		size: snap.SizeBytes(),
+		val: snapEntry{
+			anc:          anc,
+			snap:         snap,
+			disk:         true,
+			cachedReport: cachedReport{layout: layout},
+		},
 	}}
 }
 
 // storeSnapshot records a completed rewrite's snapshot as a delta
 // ancestor, in memory and (when a disk tier exists) on disk.
 func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zipr.Report) {
-	e := &snapEntry{
-		key:      key,
-		anc:      anc,
-		snap:     snap,
-		size:     snap.SizeBytes(),
-		stats:    rep.Stats,
-		layout:   rep.Layout,
-		warnings: append([]string(nil), rep.Warnings...),
+	e := snapEntry{
+		anc:          anc,
+		snap:         snap,
+		cachedReport: keepReport(rep),
 	}
+	size := snap.SizeBytes()
 	s.mu.Lock()
-	before := s.snaps.evicted
-	s.snaps.put(e)
-	evicted := s.snaps.evicted - before
+	evicted := s.snaps.put(key, e, size)
 	s.syncSnapGaugesLocked()
 	s.mu.Unlock()
 	if evicted > 0 {
@@ -216,7 +187,7 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	// putSnapAsync is nil-safe, but its argument is not free: serialize
 	// only when a disk tier will take the blob.
 	if s.disk != nil {
-		s.disk.putSnapAsync(anc.slotKey(), snap.Marshal(), e.layout)
+		s.disk.putSnapAsync(anc.slotKey(), snap.Marshal(), rep.Layout)
 	}
 }
 
@@ -240,7 +211,7 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 			// repeats; the delta path is for edited inputs.
 			continue
 		}
-		snap := e.snap
+		snap := e.val.snap
 		if s.inj.Fires(fault.DeltaStaleSnapshot, key.site()^e.key.site()) && len(snap.Output) > 0 {
 			// Serve a snapshot whose digests mismatch: flip a byte in a
 			// clone (stored entries are shared across concurrent requests)
@@ -262,22 +233,16 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 				s.mu.Unlock()
 				s.tr.Add("serve.delta.stale", 1)
 				s.tel.deltaStale.Add(1)
-				if e.disk {
-					s.disk.delSnap(e.anc.slotKey())
+				if e.val.disk {
+					s.disk.delSnap(anc.slotKey())
 				}
 			}
 			continue
 		}
-		rep := &zipr.Report{
-			Stats:      e.stats,
-			Layout:     e.layout,
-			Warnings:   append([]string(nil), e.warnings...),
-			InputSize:  len(input),
-			OutputSize: len(res),
-		}
+		rep := e.val.report(len(input), len(res))
 		// The answered request becomes a new ancestor: rebase the
 		// snapshot onto its images so edit chains keep delta latency.
-		ns, err := e.snap.Rebase(input, res, info)
+		ns, err := e.val.snap.Rebase(input, res, info)
 		if err == nil {
 			s.storeSnapshot(key, anc, ns, rep)
 		} else {
@@ -296,8 +261,8 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 // syncSnapGaugesLocked publishes snapshot-store occupancy gauges;
 // caller holds s.mu.
 func (s *Server) syncSnapGaugesLocked() {
-	s.tr.SetGauge("serve.snapshot.bytes", s.snaps.bytes)
-	s.tr.SetGauge("serve.snapshot.entries", int64(len(s.snaps.entries)))
-	s.tel.snapBytes.Set(s.snaps.bytes)
-	s.tel.snapCount.Set(int64(len(s.snaps.entries)))
+	s.tr.SetGauge("serve.snapshot.bytes", s.snaps.lru.bytes)
+	s.tr.SetGauge("serve.snapshot.entries", int64(s.snaps.lru.len()))
+	s.tel.snapBytes.Set(s.snaps.lru.bytes)
+	s.tel.snapCount.Set(int64(s.snaps.lru.len()))
 }

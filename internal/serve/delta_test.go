@@ -106,17 +106,21 @@ func TestDeltaAnswersEditedInput(t *testing.T) {
 }
 
 // TestDeltaChainOfEdits: each delta answer is rebased into a new
-// ancestor, so an edit of the edit still takes the delta path.
+// ancestor, so an edit of the edit still takes the delta path. Every
+// step stores a snapshot under the same ancestor index entry, so the
+// chain also runs past snapCandidates: a snapshot pushed off the
+// candidate list must leave the store.
 func TestDeltaChainOfEdits(t *testing.T) {
 	seed, prof := deltaProfile()
 	src := synth.Generate(seed, prof)
 	cfg := nullCfg()
-	s := New(Options{Workers: 2})
+	tr := obs.New()
+	s := New(Options{Workers: 2, Trace: tr})
 	defer s.Close()
 	ctx := context.Background()
 
 	cur := src
-	for step := 0; step < 3; step++ {
+	for step := 0; step < snapCandidates+2; step++ {
 		bin, err := asm.Assemble(cur)
 		if err != nil {
 			t.Fatal(err)
@@ -141,6 +145,13 @@ func TestDeltaChainOfEdits(t *testing.T) {
 			t.Fatalf("step %d: no mutable function", step)
 		}
 		cur = next
+	}
+	if st := s.Stats(); st.SnapEntries > snapCandidates || st.SnapAncestors != 1 {
+		t.Fatalf("snapshot store holds %d snapshots under %d ancestors, want at most %d under 1",
+			st.SnapEntries, st.SnapAncestors, snapCandidates)
+	}
+	if got := tr.Counter("serve.snapshot.evict"); got != 2 {
+		t.Fatalf("serve.snapshot.evict = %d, want 2 (%d snapshots stored, %d kept)", got, snapCandidates+2, snapCandidates)
 	}
 }
 

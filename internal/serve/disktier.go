@@ -42,12 +42,14 @@ package serve
 //     resets to insertion order across a restart).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"zipr/internal/fault"
@@ -77,16 +79,15 @@ type DiskStats struct {
 	Bytes        int64 // current stored bytes
 }
 
-// diskEntry is one indexed object.
+// diskEntry is one indexed object; the index is an lru[diskEntry] over
+// object bytes, whose nodes carry the key and size.
 type diskEntry struct {
-	key    Key
 	kind   string
-	size   int64
 	sum    [sha256.Size]byte
 	layout string
-
-	prev, next *diskEntry // LRU list, most recent at head
 }
+
+type diskNode = lruNode[diskEntry]
 
 // diskRecord is the journal line shape.
 type diskRecord struct {
@@ -117,14 +118,10 @@ type diskJob struct {
 // OpenDiskTier; all methods are safe for concurrent use. A nil *DiskTier
 // disables the tier (every method is a nil-safe no-op).
 type DiskTier struct {
-	dir    string
-	budget int64
+	dir string
 
 	mu      sync.Mutex
-	entries map[Key]*diskEntry
-	head    *diskEntry
-	tail    *diskEntry
-	bytes   int64
+	idx     *lru[diskEntry]
 	journal *os.File
 	ops     int64 // journal lines written since open/compaction
 	stats   DiskStats
@@ -158,8 +155,7 @@ func openDiskTier(dir string, budget int64) (*DiskTier, error) {
 	}
 	t := &DiskTier{
 		dir:     dir,
-		budget:  budget,
-		entries: make(map[Key]*diskEntry),
+		idx:     newLRU[diskEntry](budget),
 		pending: make(map[Key]*diskJob),
 		wq:      make(chan *diskJob, diskQueueDepth),
 	}
@@ -211,19 +207,8 @@ func (t *DiskTier) recover() error {
 	if raw, err := os.ReadFile(t.journalPath()); err == nil {
 		lines := 0
 		for len(raw) > 0 {
-			nl := -1
-			for i, b := range raw {
-				if b == '\n' {
-					nl = i
-					break
-				}
-			}
 			var line []byte
-			if nl < 0 {
-				line, raw = raw, nil
-			} else {
-				line, raw = raw[:nl], raw[nl+1:]
-			}
+			line, raw, _ = bytes.Cut(raw, []byte{'\n'})
 			if len(line) == 0 {
 				continue
 			}
@@ -251,11 +236,7 @@ func (t *DiskTier) recover() error {
 	for _, r := range live {
 		ordered = append(ordered, r)
 	}
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].seq < ordered[j-1].seq; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
 	indexed := make(map[string]bool, len(ordered))
 	for _, rc := range ordered {
 		r := rc.r
@@ -274,13 +255,16 @@ func (t *DiskTier) recover() error {
 			t.stats.Recovered++
 			continue
 		}
-		e := &diskEntry{key: key, kind: r.Kind, size: r.Size, layout: r.Layout}
+		e := diskEntry{kind: r.Kind, layout: r.Layout}
 		if sb, err := hex.DecodeString(r.Sum); err == nil && len(sb) == len(e.sum) {
 			copy(e.sum[:], sb)
 		}
-		t.entries[key] = e
-		t.pushFront(e)
-		t.bytes += e.size
+		if t.idx.put(key, e, r.Size) == nil {
+			// Larger than the whole budget: evicted, as the final pass
+			// would have.
+			t.stats.Evicted++
+			os.Remove(t.objectPath(key))
+		}
 		indexed[r.Key] = true
 	}
 	// Orphans: object files renamed into place whose journal line was
@@ -302,13 +286,12 @@ func (t *DiskTier) recover() error {
 			}
 		}
 	}
-	evicted := t.stats.Evicted
 	t.evictLocked(nil)
 	// Compact a journal that has grown far past the live set (or whose
 	// deletions could not be journaled because recovery eviction runs
 	// before the journal reopens), so reopen cost tracks occupancy
 	// rather than history.
-	if t.ops > 2*int64(len(t.entries))+16 || t.stats.Evicted > evicted {
+	if t.ops > 2*int64(t.idx.len())+16 || t.stats.Evicted > 0 {
 		t.compact()
 	}
 	return nil
@@ -324,10 +307,10 @@ func (t *DiskTier) compact() {
 	}
 	enc := json.NewEncoder(f)
 	n := int64(0)
-	for e := t.tail; e != nil; e = e.prev { // oldest first
+	t.idx.each(func(e *diskNode) {
 		enc.Encode(putRecord(e))
 		n++
-	}
+	})
 	if f.Sync() != nil || f.Close() != nil {
 		os.Remove(tmp)
 		return
@@ -337,14 +320,14 @@ func (t *DiskTier) compact() {
 	}
 }
 
-func putRecord(e *diskEntry) diskRecord {
+func putRecord(e *diskNode) diskRecord {
 	return diskRecord{
 		Op:     "put",
-		Kind:   e.kind,
+		Kind:   e.val.kind,
 		Key:    e.key.String(),
 		Size:   e.size,
-		Sum:    hex.EncodeToString(e.sum[:]),
-		Layout: e.layout,
+		Sum:    hex.EncodeToString(e.val.sum[:]),
+		Layout: e.val.layout,
 	}
 }
 
@@ -377,8 +360,8 @@ func (t *DiskTier) Stats() DiskStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.stats
-	st.Entries = len(t.entries)
-	st.Bytes = t.bytes
+	st.Entries = t.idx.len()
+	st.Bytes = t.idx.bytes
 	return st
 }
 
@@ -398,8 +381,8 @@ func (t *DiskTier) syncGaugesLocked() {
 	if t.tel == nil {
 		return
 	}
-	t.tel.diskBytes.Set(t.bytes)
-	t.tel.diskEntries.Set(int64(len(t.entries)))
+	t.tel.diskBytes.Set(t.idx.bytes)
+	t.tel.diskEntries.Set(int64(t.idx.len()))
 }
 
 // putAsync enqueues one spill on the write-behind queue, or folds it
@@ -451,7 +434,7 @@ func (t *DiskTier) writer() {
 // store writes a taken job's object: content to tmp, sync, rename. It
 // returns the entry to index, or nil when the object is not in place.
 func (t *DiskTier) store(job *diskJob) *diskEntry {
-	if int64(len(job.data)) > t.budget {
+	if int64(len(job.data)) > t.idx.budget {
 		return nil
 	}
 	h := job.key.String()
@@ -479,9 +462,7 @@ func (t *DiskTier) store(job *diskJob) *diskEntry {
 		return nil
 	}
 	return &diskEntry{
-		key:    job.key,
 		kind:   job.kind,
-		size:   int64(len(job.data)),
 		sum:    sha256.Sum256(job.data),
 		layout: job.layout,
 	}
@@ -504,14 +485,9 @@ func (t *DiskTier) commit(job *diskJob, e *diskEntry) {
 		os.Remove(t.objectPath(job.key))
 		return
 	}
-	if old := t.entries[e.key]; old != nil {
-		t.removeLocked(old, false)
-	}
-	t.entries[e.key] = e
-	t.pushFront(e)
-	t.bytes += e.size
-	t.appendJournalLocked(putRecord(e))
-	t.evictLocked(e)
+	n := t.idx.put(job.key, *e, int64(len(job.data)))
+	t.appendJournalLocked(putRecord(n))
+	t.evictLocked(n)
 	t.syncGaugesLocked()
 }
 
@@ -532,13 +508,15 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 		t.mu.Unlock()
 		return data, layout, true
 	}
-	e := t.entries[key]
+	// A read promotes the entry before it is verified; a failed check
+	// removes it anyway.
+	e := t.idx.get(key)
 	if e == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
 		return nil, "", false
 	}
-	sum, lay := e.sum, e.layout
+	sum, lay := e.val.sum, e.val.layout
 	t.mu.Unlock()
 
 	data, err := os.ReadFile(t.objectPath(key))
@@ -546,14 +524,10 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 		data[inj.Pick(fault.DiskTierCorrupt, key.site(), len(data))] ^= 0xFF
 	}
 	if err != nil || sha256.Sum256(data) != sum {
-		t.quarantine(key, e, err == nil)
+		t.quarantine(e, err == nil)
 		return nil, "", false
 	}
 	t.mu.Lock()
-	if cur := t.entries[key]; cur == e {
-		t.unlink(e)
-		t.pushFront(e)
-	}
 	t.stats.Hits++
 	t.mu.Unlock()
 	return data, lay, true
@@ -585,8 +559,8 @@ func (t *DiskTier) delSnap(anc string) {
 		job.dropped = true
 		delete(t.pending, key)
 	}
-	if e := t.entries[key]; e != nil {
-		t.removeLocked(e, true)
+	if e := t.idx.peek(key); e != nil {
+		t.removeLocked(e)
 		t.syncGaugesLocked()
 	}
 	t.mu.Unlock()
@@ -608,11 +582,9 @@ func snapDiskKey(anc string) Key {
 // journal), and a corrupt file is moved aside for postmortem rather
 // than deleted. fileOK reports whether the object file was readable
 // (false: it vanished; nothing to move).
-func (t *DiskTier) quarantine(key Key, e *diskEntry, fileOK bool) {
+func (t *DiskTier) quarantine(e *diskNode, fileOK bool) {
 	t.mu.Lock()
-	if cur := t.entries[key]; cur == e {
-		t.removeLocked(e, true)
-	}
+	t.removeLocked(e)
 	t.stats.Corrupt++
 	if t.tel != nil {
 		t.tel.diskCorrupt.Add(1)
@@ -620,34 +592,27 @@ func (t *DiskTier) quarantine(key Key, e *diskEntry, fileOK bool) {
 	t.syncGaugesLocked()
 	t.mu.Unlock()
 	if fileOK {
-		os.Rename(t.objectPath(key), filepath.Join(t.dir, "quarantine", key.String()))
+		os.Rename(t.objectPath(e.key), filepath.Join(t.dir, "quarantine", e.key.String()))
 	}
 }
 
-// removeLocked drops e from the index, recency list and byte total,
-// optionally journaling the deletion. Caller holds t.mu.
-func (t *DiskTier) removeLocked(e *diskEntry, journal bool) {
-	if t.entries[e.key] != e {
-		return
-	}
-	delete(t.entries, e.key)
-	t.unlink(e)
-	t.bytes -= e.size
-	if journal {
+// removeLocked drops e from the index and journals the deletion; an
+// entry already removed or replaced is left alone. Caller holds t.mu.
+func (t *DiskTier) removeLocked(e *diskNode) {
+	if t.idx.remove(e) {
 		t.appendJournalLocked(diskRecord{Op: "del", Key: e.key.String()})
 	}
 }
 
-// evictLocked unlinks cold entries until the byte budget holds. keep,
-// when non-nil, is never evicted (the entry just inserted). Caller
-// holds t.mu.
-func (t *DiskTier) evictLocked(keep *diskEntry) {
-	for t.bytes > t.budget && t.tail != nil && t.tail != keep {
-		victim := t.tail
+// evictLocked drops cold entries until the byte budget holds, journaling
+// each deletion and removing its object. keep, when non-nil, is never
+// evicted (the entry just inserted). Caller holds t.mu.
+func (t *DiskTier) evictLocked(keep *diskNode) {
+	t.idx.evict(keep, func(victim *diskNode) {
 		t.stats.Evicted++
-		t.removeLocked(victim, true)
+		t.appendJournalLocked(diskRecord{Op: "del", Key: victim.key.String()})
 		os.Remove(t.objectPath(victim.key))
-	}
+	})
 }
 
 // appendJournalLocked writes one journal line; caller holds t.mu. The
@@ -662,29 +627,4 @@ func (t *DiskTier) appendJournalLocked(r diskRecord) {
 	}
 	t.journal.Write(append(b, '\n'))
 	t.ops++
-}
-
-func (t *DiskTier) pushFront(e *diskEntry) {
-	e.prev, e.next = nil, t.head
-	if t.head != nil {
-		t.head.prev = e
-	}
-	t.head = e
-	if t.tail == nil {
-		t.tail = e
-	}
-}
-
-func (t *DiskTier) unlink(e *diskEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if t.head == e {
-		t.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if t.tail == e {
-		t.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

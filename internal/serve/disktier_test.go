@@ -191,6 +191,35 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 	}
 }
 
+// TestDiskTierReopenDropsOversized: an entry larger than the whole
+// budget of a reopened tier is evicted on its own, as the RAM cache
+// refuses one, instead of flushing the entries that fit; the eviction
+// is journaled, so the next open recovers nothing.
+func TestDiskTierReopenDropsOversized(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTier(t, dir, 0)
+	small, big := CacheKey([]byte{1}, nullCfg()), CacheKey([]byte{2}, nullCfg())
+	tier.putAsync(small, diskKindOut, bytes.Repeat([]byte{1}, 1000), "optimized")
+	tier.putAsync(big, diskKindOut, bytes.Repeat([]byte{2}, 3000), "optimized")
+	tier.Close()
+
+	tier2 := openTier(t, dir, 2500)
+	if st := tier2.Stats(); st.Entries != 1 || st.Bytes != 1000 || st.Evicted != 1 || st.Recovered != 0 {
+		t.Fatalf("after reopen: %+v, want 1 entry of 1000 bytes, 1 evicted, 0 recovered", st)
+	}
+	if _, err := os.Stat(tier2.objectPath(big)); !os.IsNotExist(err) {
+		t.Fatalf("oversized object left on disk: %v", err)
+	}
+	if _, _, ok := tier2.get(small, nil); !ok {
+		t.Fatal("the entry within budget did not survive the reopen")
+	}
+	tier2.Close()
+	tier3 := openTier(t, dir, 2500)
+	if st := tier3.Stats(); st.Entries != 1 || st.Recovered != 0 || st.Evicted != 0 {
+		t.Fatalf("third open: %+v, want 1 entry, nothing recovered or evicted", st)
+	}
+}
+
 // TestChaosDiskTierCorruptQuarantines pins the two-outcome contract for
 // fault.DiskTierCorrupt: a corrupted disk read is caught by the digest
 // check, the file is quarantined, the entry degrades to a miss, and the

@@ -143,8 +143,8 @@ type Server struct {
 	disk *DiskTier
 
 	mu       sync.Mutex
-	cache    *lruCache  // nil when caching is disabled
-	snaps    *snapStore // nil when delta serving is disabled
+	cache    *lru[entry] // nil when caching is disabled
+	snaps    *snapStore  // nil when delta serving is disabled
 	inflight map[Key]*call
 	stats    Stats
 	closed   bool
@@ -183,7 +183,7 @@ func New(opts Options) *Server {
 		inflight: make(map[Key]*call),
 	}
 	if opts.CacheBytes > 0 {
-		s.cache = newLRUCache(opts.CacheBytes)
+		s.cache = newLRU[entry](opts.CacheBytes)
 	}
 	if opts.Disk != nil {
 		s.disk = opts.Disk
@@ -201,12 +201,12 @@ func (s *Server) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	if s.cache != nil {
-		st.CacheEntries = len(s.cache.entries)
+		st.CacheEntries = s.cache.len()
 		st.CacheBytes = s.cache.bytes
 	}
 	if s.snaps != nil {
-		st.SnapEntries = len(s.snaps.entries)
-		st.SnapBytes = s.snaps.bytes
+		st.SnapEntries = s.snaps.lru.len()
+		st.SnapBytes = s.snaps.lru.bytes
 		st.SnapAncestors = len(s.snaps.byAnc)
 	}
 	if s.disk != nil {
@@ -288,7 +288,8 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		return nil, nil, meta, fmt.Errorf("serve: %w: server closed", zerr.ErrBusy)
 	}
 	if cacheable && s.cache != nil {
-		if e := s.cache.get(key); e != nil {
+		if n := s.cache.get(key); n != nil {
+			e := &n.val
 			if s.inj.Fires(fault.CacheCorrupt, key.site()) && len(e.out) > 0 {
 				// Corrupt the stored entry itself: the digest check below
 				// must catch it, evict it, and fall back to a fresh run.
@@ -296,7 +297,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			}
 			out := append([]byte(nil), e.out...)
 			sum := e.sum
-			rep := s.hitReport(e, len(input))
+			rep := e.report(len(input), len(e.out))
 			s.mu.Unlock()
 			if sha256.Sum256(out) == sum {
 				s.count("serve.cache.hit", &s.stats.Hits)
@@ -306,8 +307,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			}
 			// Verified fallback: drop the poisoned entry and rewrite.
 			s.mu.Lock()
-			if e2 := s.cache.entries[key]; e2 == e {
-				s.cache.remove(e)
+			if s.cache.remove(n) {
 				s.syncCacheGaugesLocked()
 			}
 			s.mu.Unlock()
@@ -492,36 +492,22 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 // cachePut stores a completed rewrite's output in the content-addressed
 // cache, counting evictions the insert forced.
 func (s *Server) cachePut(key Key, out []byte, rep *zipr.Report) {
-	e := &entry{
-		key:      key,
-		out:      append([]byte(nil), out...),
-		sum:      sha256.Sum256(out),
-		stats:    rep.Stats,
-		layout:   rep.Layout,
-		warnings: append([]string(nil), rep.Warnings...),
+	e := entry{
+		out:          append([]byte(nil), out...),
+		sum:          sha256.Sum256(out),
+		cachedReport: keepReport(rep),
 	}
+	var evicted int64
 	s.mu.Lock()
-	before := s.cache.evicted
-	s.cache.put(e)
-	evicted := s.cache.evicted - before
+	if n := s.cache.put(key, e, int64(len(e.out))); n != nil {
+		s.cache.evict(n, func(*lruNode[entry]) { evicted++ })
+	}
 	s.stats.Evictions += evicted
 	s.syncCacheGaugesLocked()
 	s.mu.Unlock()
 	if evicted > 0 {
 		s.tr.Add("serve.cache.evict", evicted)
 		s.tel.evictions.Add(evicted)
-	}
-}
-
-// hitReport reconstructs the report a cold rewrite of this entry
-// produced, minus per-run pipeline state. Caller holds s.mu.
-func (s *Server) hitReport(e *entry, inputSize int) *zipr.Report {
-	return &zipr.Report{
-		Stats:      e.stats,
-		Layout:     e.layout,
-		Warnings:   append([]string(nil), e.warnings...),
-		InputSize:  inputSize,
-		OutputSize: len(e.out),
 	}
 }
 
@@ -543,7 +529,7 @@ func (s *Server) span(name string) {
 // s.mu.
 func (s *Server) syncCacheGaugesLocked() {
 	s.tr.SetGauge("serve.cache.bytes", s.cache.bytes)
-	s.tr.SetGauge("serve.cache.entries", int64(len(s.cache.entries)))
+	s.tr.SetGauge("serve.cache.entries", int64(s.cache.len()))
 	s.tel.cacheBytes.Set(s.cache.bytes)
-	s.tel.cacheCount.Set(int64(len(s.cache.entries)))
+	s.tel.cacheCount.Set(int64(s.cache.len()))
 }

@@ -249,25 +249,21 @@ func TestWorkerCountDeterministic(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: the byte budget must hold after inserts, evicting
-// least-recently-used entries first.
+// TestLRUEviction: the output cache's byte budget must hold after
+// inserts, evicting least-recently-used entries first.
 func TestLRUEviction(t *testing.T) {
-	c := newLRUCache(100)
-	mk := func(id byte, n int) *entry {
-		var k Key
-		k[0] = id
-		return &entry{key: k, out: bytes.Repeat([]byte{id}, n)}
-	}
-	c.put(mk(1, 40))
-	c.put(mk(2, 40))
-	k1 := Key{}
-	k1[0] = 1
+	s := New(Options{CacheBytes: 100})
+	defer s.Close()
+	c := s.cache
+	put := func(id byte, n int) { s.cachePut(Key{id}, bytes.Repeat([]byte{id}, n), &zipr.Report{}) }
+	put(1, 40)
+	put(2, 40)
+	k1 := Key{1}
 	if c.get(k1) == nil { // promote 1: now 2 is the LRU
 		t.Fatal("entry 1 missing")
 	}
-	c.put(mk(3, 40)) // 120 > 100: evicts 2
-	k2 := Key{}
-	k2[0] = 2
+	put(3, 40) // 120 > 100: evicts 2
+	k2 := Key{2}
 	if c.get(k2) != nil {
 		t.Fatal("LRU entry 2 survived eviction")
 	}
@@ -277,14 +273,13 @@ func TestLRUEviction(t *testing.T) {
 	if c.bytes > 100 {
 		t.Fatalf("cache bytes %d exceed budget", c.bytes)
 	}
-	if c.evicted != 1 {
-		t.Fatalf("evicted = %d, want 1", c.evicted)
+	if ev := s.Stats().Evictions; ev != 1 {
+		t.Fatalf("evicted = %d, want 1", ev)
 	}
 	// An entry larger than the whole budget must not be cached (and
 	// must not wipe the working set).
-	c.put(mk(4, 200))
-	k4 := Key{}
-	k4[0] = 4
+	put(4, 200)
+	k4 := Key{4}
 	if c.get(k4) != nil {
 		t.Fatal("over-budget entry was cached")
 	}

@@ -124,7 +124,7 @@ func evalCapture(t *testing.T, cbs []cgcsim.CB, layout LayoutKind, workers int) 
 // evaluation produce byte-identical rewritten images, identical
 // Report.Stats and identical result rows under all three layouts.
 func TestEvalWorkersDeterministic(t *testing.T) {
-	cbs, err := cgcsim.Corpus(6)
+	cbs, err := cgcsim.Corpus(6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

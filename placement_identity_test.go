@@ -34,7 +34,7 @@ func imageWith(t *testing.T, bin *binfmt.Binary, cfg Config, hook func(*ir.Progr
 
 func identityCorpus(t *testing.T) []cgcsim.CB {
 	t.Helper()
-	cbs, err := cgcsim.Corpus(6)
+	cbs, err := cgcsim.Corpus(6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

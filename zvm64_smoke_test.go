@@ -8,7 +8,7 @@ import (
 )
 
 func TestZVM64Smoke(t *testing.T) {
-	cbs, err := cgcsim.CorpusArch(5, isa.ZVM64)
+	cbs, err := cgcsim.Corpus(5, isa.ZVM64)
 	if err != nil {
 		t.Fatal(err)
 	}
