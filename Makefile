@@ -75,14 +75,17 @@ benchgate:
 # complexity regression (Alloc* must not drift toward FreeSpace*)
 # without the full bench run's cost. The second line does the same for
 # the delta path, for inference and for IR construction, whose allocs/op
-# must stay a small constant (allocation-free decode rejection, CSR flow
-# relation, slab-allocated decoded nodes and the text-offset index). The
+# must stay a small constant (bitset fact base, CSR flow relation,
+# slab-allocated decoded nodes and the text-offset index), and for the
+# whole disassembly stage on the library, whose speedup-x over
+# Options.Serial shows whether the split decode and the inference
+# goroutine still pay for themselves. The
 # third line runs every workload of the end-to-end benchmark harness for
 # one second each (about a minute on two cores); the harness checks every
 # output, so a change that breaks a benchmark run fails here first.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc|BuildLibc' -benchtime 1x -benchmem . ./internal/cfg/
+	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc|DisassembleLibc|BuildLibc' -benchtime 1x -benchmem . ./internal/cfg/
 	bash bench/run.sh --seconds 1 --seed 0
 
 # Bench module guard: the benchmark harness is a module of its own

@@ -26,6 +26,7 @@ import (
 	"zipr/internal/core"
 	"zipr/internal/disasm"
 	"zipr/internal/infer"
+	"zipr/internal/isa"
 	layoutpkg "zipr/internal/layout"
 	"zipr/internal/loader"
 	"zipr/internal/obs"
@@ -510,23 +511,52 @@ func BenchmarkDisassembleParallel(b *testing.B) {
 	reportSpeedup(b, serialRef)
 }
 
+// BenchmarkDisassembleLibc measures the whole disassembly stage —
+// decode table, both walks, inference and weighted arbitration — on the
+// about 1 MB library the large-lib workload rewrites, and reports the
+// speedup of the default concurrent mode over Options.Serial: the split
+// table fill and inference beside the walks must pay for themselves.
+func BenchmarkDisassembleLibc(b *testing.B) {
+	bin, err := synth.Build(11, synth.LibcProfile(1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(serial bool) {
+		if _, err := disasm.DisassembleOpts(bin, disasm.Options{Serial: serial, Arbitration: disasm.ArbWeighted}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	serialRef := benchWall(b, 3, func() { run(true) })
+	b.SetBytes(int64(len(bin.Text().Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(false)
+	}
+	b.StopTimer()
+	reportSpeedup(b, serialRef)
+}
+
 // inferSink keeps BenchmarkInferLibc's result live.
 var inferSink *infer.Result
 
 // BenchmarkInferLibc measures the inference disassembler alone on the
-// libc-scale library (about 1 MB of text, a candidate decode at every
-// offset). Its allocs/op pins the allocation-free decode rejection and
-// the CSR flow relation: a constant count, independent of text size.
+// libc-scale library (about 1 MB of text, a candidate at every offset
+// that decodes); the decode table is built once outside the clock, as
+// disassembly shares it. Its allocs/op pins the bitset fact base and the
+// CSR flow relation: a constant count, independent of text size.
 func BenchmarkInferLibc(b *testing.B) {
 	bin, err := synth.Build(11, synth.LibcProfile(1.0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(bin.Text().Data)))
+	text := bin.Text()
+	tab := isa.DecodeText(nil, text.Data, text.VAddr)
+	b.SetBytes(int64(len(text.Data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inferSink = infer.Analyze(bin, nil)
+		inferSink = infer.Analyze(bin, tab)
 	}
 }
 

@@ -231,6 +231,56 @@ type opaqueTransform struct{}
 func (opaqueTransform) Name() string                   { return "opaque" }
 func (opaqueTransform) Apply(*transform.Context) error { return nil }
 
+// TestSnapshotDeclineWarns: a requested capture that is declined — on
+// ZVM-64, or under a transform the eligibility check cannot reason
+// about — names its reason in a report warning, and a run that did not
+// request capture gets no such warning. The output bytes are the same
+// either way.
+func TestSnapshotDeclineWarns(t *testing.T) {
+	for _, tc := range []struct {
+		name, reason string
+		cfg          Config
+		arch         isa.Arch
+	}{
+		{"zvm64-null", "isa", Config{ISA: "zvm64", Transforms: []Transform{Null()}}, isa.ZVM64},
+		{"custom-transform", "transforms", Config{Transforms: []Transform{opaqueTransform{}}}, isa.DefaultArch()},
+	} {
+		cb, err := cgcsim.CBArch(0, tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image, err := cb.Bin.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := map[bool][]byte{}
+		for _, capture := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.CaptureSnapshot = capture
+			out, rep, err := Rewrite(image, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			outs[capture] = out
+			declined := 0
+			for _, w := range rep.Warnings {
+				if strings.HasPrefix(w, "snapshot capture declined") {
+					declined++
+					if !strings.Contains(w, "("+tc.reason+")") {
+						t.Errorf("%s: warning %q does not name reason %q", tc.name, w, tc.reason)
+					}
+				}
+			}
+			if want := map[bool]int{false: 0, true: 1}[capture]; declined != want || rep.Snapshot != nil {
+				t.Errorf("%s capture=%v: %d decline warnings (want %d), snapshot %v", tc.name, capture, declined, want, rep.Snapshot != nil)
+			}
+		}
+		if !bytes.Equal(outs[false], outs[true]) {
+			t.Errorf("%s: the declined capture changed the output bytes", tc.name)
+		}
+	}
+}
+
 // TestSnapshotSkipReasonsCounted: an ineligible CaptureSnapshot rewrite
 // leaves Report.Snapshot nil and names why through exactly one
 // rewrite.snapshot.skipped.<reason> trace counter; an eligible rewrite

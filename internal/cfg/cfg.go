@@ -96,7 +96,9 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	p := ir.NewProgram(bin)
 	p.Arch = agg.Arch
 	arch := p.ISA()
-	p.Fixed = append(p.Fixed, agg.Fixed...)
+	// Merged once here, and re-merged whenever ranges are added below,
+	// so inFixed can binary-search it.
+	p.Fixed = ir.MergeRanges(agg.Fixed)
 	p.Warnings = append(p.Warnings, agg.Warnings...)
 	text := bin.Text()
 
@@ -111,14 +113,7 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	})
 	decoded := p.Insts
 
-	inFixed := func(a uint32) bool {
-		for _, r := range p.Fixed {
-			if r.Contains(a) {
-				return true
-			}
-		}
-		return false
-	}
+	inFixed := func(a uint32) bool { return ir.InRanges(p.Fixed, a) }
 	var extraFixed []ir.Range
 
 	// Link fallthroughs and targets. decoded holds the decoded nodes in

@@ -1,7 +1,7 @@
 // Package disasm disassembles binaries under an isa.Arch (ZVM-32 or
-// ZVM-64; Options.Arch, nil meaning ZVM-32) with two independent
-// strategies — a linear sweep (objdump-like) and a recursive traversal
-// (IDA-like) — and aggregates their output using the paper's four-case
+// ZVM-64; Options.Arch, nil meaning ZVM-32) with two strategies — a
+// linear sweep (objdump-like) and a recursive traversal (IDA-like) —
+// and aggregates their output using the paper's four-case
 // code/data disambiguation policy:
 //
 //  1. Both agree a byte range is code reached from known entries: the
@@ -16,11 +16,15 @@
 //     detected; the aggregation stays conservative (case 3) whenever
 //     there is any disagreement, and emits warnings to aid debugging.
 //
-// The two disassemblers are independent until aggregation, so the
-// pipeline runs them concurrently by default (Options.Serial forces the
-// back-to-back order for comparison); the merged Aggregated view is
-// byte-identical either way because aggregation only starts after both
-// have finished.
+// All three disassemblers (the inference vote of ArbWeighted included)
+// read one isa.DecodeTable, filled at the start of each run, so every
+// text offset is decoded exactly once; their per-offset sets are bitsets
+// over that table. The fan-out sits where the work is: the table fill
+// splits into two halves, and under weighted arbitration inference runs
+// on its own goroutine beside the two walks (Options.Serial forces one
+// goroutine for comparison). The merged Aggregated view is byte-identical
+// either way, because the table is the same and aggregation starts only
+// after every vote is in.
 package disasm
 
 import (
@@ -49,113 +53,76 @@ const (
 
 // Result is the output of a single disassembler.
 type Result struct {
-	// Insts maps instruction start addresses to decoded instructions.
+	// Insts holds the instruction starts the disassembler claims as code.
 	Insts *InstMap
-	// Weak maps addresses decoded only from address-shaped hints (lea
+	// Weak holds instructions decoded only from address-shaped hints (lea
 	// targets, immediates that look like code pointers). Such bytes
 	// might be data — a jump table is indistinguishable from code at a
 	// lea target — so they are never relocated: the aggregator treats
 	// them as code AND data (paper case 3), and CFG construction uses
 	// their decodes only to pin targets conservatively.
 	Weak *InstMap
-	// Classes classifies every byte of text (indexed from text base).
-	Classes []Class
+	// Code marks the text offsets covered by Insts; every other byte is
+	// data to this disassembler.
+	Code isa.Bitset
 }
 
-// LinearSweep decodes text (based at base) under arch from its first
-// byte onward, resynchronizing after undecodable bytes the way objdump
-// -D works: at the next byte on ZVM-32, at the next aligned address on
-// fixed-width ISAs, whose misaligned starts can never be fetched. nil
-// means the default ISA.
-func LinearSweep(text []byte, base uint32, arch isa.Arch) Result {
-	res := Result{
-		Insts:   NewInstMap(base, len(text)),
-		Classes: make([]Class, len(text)),
-	}
-	linearSweepInto(&res, text, base, isa.Of(arch))
-	return res
-}
-
-// linearSweepInto runs the sweep into pre-sized result buffers.
-func linearSweepInto(res *Result, text []byte, base uint32, arch isa.Arch) {
-	step := int(arch.Align())
-	off := 0
-	for off < len(text) {
-		in, err := arch.Decode(text[off:], base+uint32(off))
-		if err != nil {
-			for i := 0; i < step && off+i < len(text); i++ {
-				res.Classes[off+i] = Data
-			}
+// LinearSweep walks tab from its first byte onward, resynchronizing
+// after undecodable bytes the way objdump -D works: at the next byte on
+// ZVM-32, at the next aligned offset on fixed-width ISAs, whose
+// misaligned starts can never be fetched.
+func LinearSweep(tab *isa.DecodeTable) Result {
+	n := len(tab.Insts)
+	res := Result{Insts: newInstMap(tab), Code: isa.NewBitset(n)}
+	step := int(tab.Arch.Align())
+	for off := 0; off < n; {
+		l := int(tab.Lens[off])
+		if l == 0 {
 			off += step
 			continue
 		}
-		n := arch.InstLen(in)
-		res.Insts.Put(base+uint32(off), in)
-		for i := 0; i < n; i++ {
-			res.Classes[off+i] = Code
-		}
-		off += n
+		res.Insts.Put(tab.Base + uint32(off))
+		res.Code.SetRange(off, off+l)
+		off += l
 	}
+	return res
 }
 
-// visit flags for the recursive traversal, one byte per text offset.
-const (
-	visitedStrong uint8 = 1 << iota
-	visitedWeak
-)
-
-// recState is the recursive traversal's working state: dense visited
-// flags plus the two worklist tiers. It lives in the scratch pool.
-type recState struct {
-	visited      []uint8
-	strong, weak []uint32
-}
-
-// RecursiveTraversal follows control flow from every known entry point.
-// It distinguishes two tiers of confidence:
+// RecursiveTraversal follows control flow over tab from every known
+// entry point of bin. It distinguishes two tiers of confidence:
 //
 //   - Strong seeds — the program entry, exported symbols, and code
 //     pointers discovered by scanning data segments — plus everything
 //     reachable from them through fallthroughs and direct branches, are
 //     relocatable code (Result.Insts).
 //   - Weak seeds — lea targets and address-shaped absolute immediates —
-//     plus their flow, are decoded into Result.Weak but NOT classified
+//     plus their flow, are recorded in Result.Weak but NOT classified
 //     as code: a lea may just as well name a jump table or other data
 //     embedded in text, and mislabeling data as relocatable code is the
 //     one unrecoverable failure mode (paper case 4). Weak bytes stay at
 //     their original addresses.
 //
-// Decoding runs under arch (nil means the default ISA).
-func RecursiveTraversal(bin *binfmt.Binary, arch isa.Arch) Result {
-	text := bin.Text()
-	res := Result{
-		Insts:   NewInstMap(text.VAddr, len(text.Data)),
-		Weak:    NewInstMap(text.VAddr, len(text.Data)),
-		Classes: make([]Class, len(text.Data)),
-	}
-	st := &recState{visited: make([]uint8, len(text.Data))}
-	recursiveInto(&res, bin, st, nil, isa.Of(arch))
-	return res
-}
-
-// recursiveInto runs the traversal into pre-sized result buffers. A
-// non-nil injector with DisasmDisagree armed demotes seeded data-scan
+// A non-nil injector with DisasmDisagree armed demotes seeded data-scan
 // pointers from the strong tier to the weak tier: the functions they
 // reach become "decode but are not provably reached", which downstream
 // phases must handle with the paper's case-3 policy (bytes fixed in
 // place, targets pinned via the ambiguous set).
-func recursiveInto(res *Result, bin *binfmt.Binary, st *recState, inj *fault.Injector, arch isa.Arch) {
+func RecursiveTraversal(bin *binfmt.Binary, tab *isa.DecodeTable, inj *fault.Injector) Result {
+	n := len(tab.Insts)
+	res := Result{Insts: newInstMap(tab), Weak: newInstMap(tab), Code: isa.NewBitset(n)}
+	visitedStrong, visitedWeak := isa.NewBitset(n), isa.NewBitset(n)
+	var strong, weak []uint32
 	text := bin.Text()
 	inText := func(a uint32) bool { return text.Contains(a) }
 
 	seedStrong := func(a uint32) {
 		if inText(a) {
-			st.strong = append(st.strong, a)
+			strong = append(strong, a)
 		}
 	}
 	seedWeak := func(a uint32) {
 		if inText(a) {
-			st.weak = append(st.weak, a)
+			weak = append(weak, a)
 		}
 	}
 	if bin.Type == binfmt.Exec {
@@ -182,28 +149,27 @@ func recursiveInto(res *Result, bin *binfmt.Binary, st *recState, inj *fault.Inj
 		}
 	}
 
-	// visit decodes one address, recording flow into the given tier's
-	// worklist; weak traversal never overrides strong coverage.
+	// step takes the decode at one address, recording flow into the
+	// given tier's worklist; weak traversal never overrides strong
+	// coverage.
 	step := func(addr uint32, isStrong bool) {
-		off := addr - text.VAddr
-		in, err := arch.Decode(text.Data[off:], addr)
-		if err != nil {
+		off := int(addr - tab.Base)
+		in, l := tab.Insts[off], int(tab.Lens[off])
+		if l == 0 {
 			return // a supposed entry that does not decode: leave unknown
 		}
 		flow := seedWeak
 		if isStrong {
-			res.Insts.Put(addr, in)
-			for i := 0; i < arch.InstLen(in); i++ {
-				res.Classes[int(off)+i] = Code
-			}
+			res.Insts.Put(addr)
+			res.Code.SetRange(off, off+l)
 			flow = seedStrong
 		} else {
-			res.Weak.Put(addr, in)
+			res.Weak.Put(addr)
 		}
 		if in.HasFallthrough() {
-			flow(addr + uint32(arch.InstLen(in)))
+			flow(addr + uint32(l))
 		}
-		if t, ok := arch.TargetAddr(in, addr); ok {
+		if t, ok := tab.Arch.TargetAddr(in, addr); ok {
 			switch in.Op {
 			case isa.OpLea:
 				seedWeak(t) // address formation: maybe code, maybe data
@@ -218,32 +184,27 @@ func recursiveInto(res *Result, bin *binfmt.Binary, st *recState, inj *fault.Inj
 			seedWeak(uint32(in.Imm))
 		}
 	}
-	for len(st.strong) > 0 {
-		addr := st.strong[len(st.strong)-1]
-		st.strong = st.strong[:len(st.strong)-1]
-		if !inText(addr) {
+	for len(strong) > 0 {
+		addr := strong[len(strong)-1]
+		strong = strong[:len(strong)-1]
+		off := int(addr - tab.Base)
+		if visitedStrong.Has(off) {
 			continue
 		}
-		off := addr - text.VAddr
-		if st.visited[off]&visitedStrong != 0 {
-			continue
-		}
-		st.visited[off] |= visitedStrong
+		visitedStrong.Set(off)
 		step(addr, true)
 	}
-	for len(st.weak) > 0 {
-		addr := st.weak[len(st.weak)-1]
-		st.weak = st.weak[:len(st.weak)-1]
-		if !inText(addr) {
+	for len(weak) > 0 {
+		addr := weak[len(weak)-1]
+		weak = weak[:len(weak)-1]
+		off := int(addr - tab.Base)
+		if visitedStrong.Has(off) || visitedWeak.Has(off) {
 			continue
 		}
-		off := addr - text.VAddr
-		if st.visited[off]&(visitedWeak|visitedStrong) != 0 {
-			continue
-		}
-		st.visited[off] |= visitedWeak
+		visitedWeak.Set(off)
 		step(addr, false)
 	}
+	return res
 }
 
 // Aggregated is the merged, conservative view consumed by CFG
@@ -281,40 +242,36 @@ type Aggregated struct {
 
 // aggregateCore merges the two disassemblers' views per the four-case
 // policy into the per-byte classification and the ambiguous instruction
-// set. The dense instruction maps iterate in address order, so both come
-// out deterministic. Fixed ranges and warnings are derived afterwards by
+// set. The instruction sets iterate in address order, so both come out
+// deterministic. Fixed ranges and warnings are derived afterwards by
 // finishAggregate, so an arbitration pass can prune the ambiguous set
 // in between.
-func aggregateCore(bin *binfmt.Binary, linear, recursive Result, arch isa.Arch) Aggregated {
-	text := bin.Text()
-	n := len(text.Data)
+func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
+	n := len(tab.Insts)
 	agg := Aggregated{
 		Insts:      recursive.Insts,
-		AmbigInsts: NewInstMap(text.VAddr, n),
+		AmbigInsts: newInstMap(tab),
 		Classes:    make([]Class, n),
-		Arch:       arch,
+		Arch:       tab.Arch,
 	}
-	// Case 1: recursive coverage is authoritative code.
-	copy(agg.Classes, recursive.Classes)
-
-	// Remaining bytes: ambiguous if the linear sweep decoded them,
-	// conclusive data otherwise.
-	for i := 0; i < n; i++ {
-		if agg.Classes[i] == Code {
-			continue
-		}
-		if linear.Classes[i] == Code {
+	// Case 1: recursive coverage is authoritative code. Remaining
+	// bytes: ambiguous if the linear sweep decoded them, conclusive data
+	// otherwise.
+	for i := range agg.Classes {
+		switch {
+		case recursive.Code.Has(i):
+			agg.Classes[i] = Code
+		case linear.Code.Has(i):
 			agg.Classes[i] = Ambig
-		} else {
+		default:
 			agg.Classes[i] = Data
 		}
 	}
 	// Instructions whose linear decode starts inside a non-code byte are
 	// candidates for "both" handling (case 3).
 	linear.Insts.All(func(addr uint32, in isa.Inst) bool {
-		off := addr - text.VAddr
-		if agg.Classes[off] == Ambig {
-			agg.AmbigInsts.Put(addr, in)
+		if agg.Classes[addr-tab.Base] == Ambig {
+			agg.AmbigInsts.Put(addr)
 			if in.IsDirectBranch() {
 				agg.warnCands = append(agg.warnCands, addr)
 			}
@@ -326,15 +283,15 @@ func aggregateCore(bin *binfmt.Binary, linear, recursive Result, arch isa.Arch) 
 	// CFG construction should pin their targets, but their bytes stay
 	// fixed in place. They also upgrade their bytes to Ambig so fixed
 	// ranges cover them even where the linear sweep misaligned.
-	recursive.Weak.All(func(addr uint32, in isa.Inst) bool {
-		off := addr - text.VAddr
+	recursive.Weak.All(func(addr uint32, _ isa.Inst) bool {
+		off := int(addr - tab.Base)
 		if agg.Classes[off] == Code {
 			return true
 		}
-		agg.AmbigInsts.Put(addr, in)
-		for i := 0; i < arch.InstLen(in) && int(off)+i < n; i++ {
-			if agg.Classes[int(off)+i] != Code {
-				agg.Classes[int(off)+i] = Ambig
+		agg.AmbigInsts.Put(addr)
+		for i := off; i < off+int(tab.Lens[off]); i++ {
+			if agg.Classes[i] != Code {
+				agg.Classes[i] = Ambig
 			}
 		}
 		return true
@@ -346,9 +303,8 @@ func aggregateCore(bin *binfmt.Binary, linear, recursive Result, arch isa.Arch) 
 // ambiguous set: the case-4 warnings (ascending order, survivors of
 // any arbitration pruning) and the fixed ranges (maximal runs of
 // Data/Ambig bytes).
-func finishAggregate(agg *Aggregated, bin *binfmt.Binary) {
-	text := bin.Text()
-	n := len(text.Data)
+func finishAggregate(agg *Aggregated, base uint32) {
+	n := len(agg.Classes)
 	for _, addr := range agg.warnCands {
 		in, ok := agg.AmbigInsts.Get(addr)
 		if !ok {
@@ -370,8 +326,8 @@ func finishAggregate(agg *Aggregated, bin *binfmt.Binary) {
 			j++
 		}
 		fixed = append(fixed, ir.Range{
-			Start: text.VAddr + uint32(i),
-			End:   text.VAddr + uint32(j),
+			Start: base + uint32(i),
+			End:   base + uint32(j),
 		})
 		i = j
 	}
@@ -393,20 +349,15 @@ func finishAggregate(agg *Aggregated, bin *binfmt.Binary) {
 // InferRuleDisagree injector vetoes individual demotions (site = the
 // candidate's address): the worst case of every veto firing is exactly
 // the two-way baseline.
-func applyArbitration(agg *Aggregated, bin *binfmt.Binary, res *infer.Result, inj *fault.Injector) {
-	text := bin.Text()
-	n := len(text.Data)
-	const (
-		coverKept uint8 = 1 << iota
-		coverDemoted
-	)
-	arch := isa.Of(agg.Arch)
-	cover := make([]uint8, n)
+func applyArbitration(agg *Aggregated, tab *isa.DecodeTable, res *infer.Result, inj *fault.Injector) {
+	n := len(tab.Insts)
+	kept, demoted := isa.NewBitset(n), isa.NewBitset(n)
 	var demote []uint32
-	agg.AmbigInsts.All(func(addr uint32, in isa.Inst) bool {
-		off := int(addr - text.VAddr)
-		verdict, _ := res.Verdict(addr, arch.InstLen(in))
-		bit := coverKept
+	agg.AmbigInsts.All(func(addr uint32, _ isa.Inst) bool {
+		off := int(addr - tab.Base)
+		l := int(tab.Lens[off])
+		verdict, _ := res.Verdict(addr, l)
+		cover := kept
 		if verdict == infer.VerdictData {
 			if inj.Fires(fault.InferRuleDisagree, addr) {
 				// Injected rule disagreement: the demotion is vetoed and
@@ -414,54 +365,21 @@ func applyArbitration(agg *Aggregated, bin *binfmt.Binary, res *infer.Result, in
 				agg.Disputed++
 			} else {
 				demote = append(demote, addr)
-				bit = coverDemoted
+				cover = demoted
 			}
 		}
-		for i := 0; i < arch.InstLen(in) && off+i < n; i++ {
-			cover[off+i] |= bit
-		}
+		cover.SetRange(off, off+l)
 		return true
 	})
 	for _, addr := range demote {
 		agg.AmbigInsts.Delete(addr)
 	}
 	agg.Demoted = len(demote)
-	for i := 0; i < n; i++ {
-		if agg.Classes[i] == Ambig && cover[i]&coverDemoted != 0 && cover[i]&coverKept == 0 {
+	for i, c := range agg.Classes {
+		if c == Ambig && demoted.Has(i) && !kept.Has(i) {
 			agg.Classes[i] = Data
 		}
 	}
-}
-
-// scratch holds the per-disassembly buffers that do not survive into
-// the Aggregated result: the whole linear-sweep view, the weak tier,
-// the recursive class array, and the traversal state. Pooling them
-// keeps the hot rewrite path on a handful of allocations per binary.
-type scratch struct {
-	linear Result
-	rec    recState
-	weak   *InstMap
-	recCls []Class
-}
-
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &scratch{
-			linear: Result{Insts: &InstMap{}},
-			weak:   &InstMap{},
-		}
-	},
-}
-
-// grow reslices b to n bytes, reallocating only when the pooled backing
-// array is too small.
-func grow[T Class | uint8](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
 }
 
 // Arbitration selects the code/data disambiguation policy.
@@ -483,9 +401,11 @@ const (
 
 // Options configures a disassembly run.
 type Options struct {
-	// Serial forces the disassemblers to run back-to-back on the
-	// calling goroutine instead of concurrently. The output is identical
-	// either way; the knob exists for benchmarking and debugging.
+	// Serial keeps the whole run on the calling goroutine: the decode
+	// table is filled in one pass instead of two concurrent halves, and
+	// inference runs after the two walks instead of beside them. The
+	// output is identical either way; the knob exists for benchmarking
+	// and debugging.
 	Serial bool
 	// Arbitration selects two-way (default) or weighted three-way
 	// disambiguation.
@@ -507,110 +427,88 @@ func Disassemble(bin *binfmt.Binary) (Aggregated, error) {
 	return DisassembleOpts(bin, Options{})
 }
 
-// DisassembleOpts runs the two disassemblers — concurrently unless
-// opts.Serial — and aggregates their views. Both modes produce the same
-// Aggregated value: the disassemblers share no state, and aggregation
-// begins only after both complete.
+// DisassembleOpts decodes bin's text into one table, runs the
+// disassemblers over it and aggregates their views. The concurrent
+// default and opts.Serial produce the same Aggregated value: the table
+// is the same whichever goroutine fills which half, the disassemblers
+// only read it, and aggregation begins only after every vote is in.
 func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 	tr := opts.Trace
-	arch := isa.Of(opts.Arch)
 	text := bin.Text()
 	if text == nil {
 		return Aggregated{}, fmt.Errorf("disasm: binary has no text segment")
 	}
 	n := len(text.Data)
 
-	sc := scratchPool.Get().(*scratch)
-	sc.linear.Insts.reset(text.VAddr, n)
-	sc.linear.Classes = grow(sc.linear.Classes, n)
-	sc.weak.reset(text.VAddr, n)
-	sc.recCls = grow(sc.recCls, n)
-	sc.rec.visited = grow(sc.rec.visited, n)
-	sc.rec.strong = sc.rec.strong[:0]
-	sc.rec.weak = sc.rec.weak[:0]
-
-	lin := sc.linear
-	// The recursive result's strong instructions become Aggregated.Insts
-	// and escape to the caller, so that map is always freshly allocated;
-	// the weak tier and class array are pooled scratch.
-	rec := Result{
-		Insts:   NewInstMap(text.VAddr, n),
-		Weak:    sc.weak,
-		Classes: sc.recCls,
-	}
-
-	// The inference disassembler is the third, independent vote under
-	// weighted arbitration; it shares no state with the other two, so
-	// the concurrent mode runs all three in parallel.
-	var inf *infer.Result
-
+	sp := tr.Start("decode")
+	var tab *isa.DecodeTable
 	if opts.Serial {
-		sp := tr.Start("linear-sweep")
-		linearSweepInto(&lin, text.Data, text.VAddr, arch)
-		sp.End()
-		sp = tr.Start("recursive-traversal")
-		recursiveInto(&rec, bin, &sc.rec, opts.Inject, arch)
-		sp.End()
-		if opts.Arbitration == ArbWeighted {
-			sp = tr.Start("inference")
-			inf = infer.Analyze(bin, arch)
-			sp.End()
-		}
+		tab = isa.DecodeText(opts.Arch, text.Data, text.VAddr)
 	} else {
-		// The spans are created detached on this goroutine — in a
-		// deterministic order, attached under the currently open phase —
-		// and ended by the workers (obs documents this as the
-		// concurrent-span pattern).
-		linSp := tr.StartDetached("linear-sweep")
-		recSp := tr.StartDetached("recursive-traversal")
-		var infSp *obs.Span
-		if opts.Arbitration == ArbWeighted {
-			infSp = tr.StartDetached("inference")
-		}
-		var wg sync.WaitGroup
+		tab = isa.NewDecodeTable(opts.Arch, text.Data, text.VAddr)
+		// Split on a cache-line boundary so the halves share no line of
+		// the length array.
+		half := n / 2 &^ 63
+		done := make(chan struct{})
+		go func() {
+			tab.Fill(half, n)
+			close(done)
+		}()
+		tab.Fill(0, half)
+		<-done
+	}
+	sp.End()
+
+	// The inference disassembler is the third vote under weighted
+	// arbitration. It only reads the table, so the concurrent mode runs
+	// it on its own goroutine beside the two walks; the detached span is
+	// created here and ended by the worker (obs's concurrent-span
+	// pattern).
+	weighted := opts.Arbitration == ArbWeighted
+	var inf *infer.Result
+	var wg sync.WaitGroup
+	if weighted && !opts.Serial {
+		infSp := tr.StartDetached("inference")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			linearSweepInto(&lin, text.Data, text.VAddr, arch)
-			linSp.End()
+			inf = infer.Analyze(bin, tab)
+			infSp.End()
 		}()
-		if opts.Arbitration == ArbWeighted {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				inf = infer.Analyze(bin, arch)
-				infSp.End()
-			}()
-		}
-		recursiveInto(&rec, bin, &sc.rec, opts.Inject, arch)
-		recSp.End()
-		wg.Wait()
 	}
+	sp = tr.Start("linear-sweep")
+	lin := LinearSweep(tab)
+	sp.End()
+	sp = tr.Start("recursive-traversal")
+	rec := RecursiveTraversal(bin, tab, opts.Inject)
+	sp.End()
+	if weighted && opts.Serial {
+		sp = tr.Start("inference")
+		inf = infer.Analyze(bin, tab)
+		sp.End()
+	}
+	wg.Wait()
 
 	// Injected truncation: the linear sweep "stops decoding" at a seeded
 	// cut point, as if the sweep hit an undecodable tail. Bytes past the
 	// cut lose their linear Code claim (their decoded instructions are
-	// kept out of the ambiguous set by the class check in Aggregate), so
-	// recursive coverage alone decides — a strict reduction in evidence
-	// that aggregation must absorb conservatively.
+	// kept out of the ambiguous set by the class check in aggregateCore),
+	// so recursive coverage alone decides — a strict reduction in
+	// evidence that aggregation must absorb conservatively.
 	if inj := opts.Inject; inj.Armed(fault.DisasmTruncate) && n > 0 &&
 		inj.Fires(fault.DisasmTruncate, text.VAddr) {
-		cut := inj.Pick(fault.DisasmTruncate, text.VAddr, n)
-		for off := cut; off < n; off++ {
-			if lin.Classes[off] == Code {
-				lin.Classes[off] = Data
-			}
+		for off := inj.Pick(fault.DisasmTruncate, text.VAddr, n); off < n; off++ {
+			lin.Code.Clear(off)
 		}
 	}
 
-	sp := tr.Start("disambiguate")
-	agg := aggregateCore(bin, lin, rec, arch)
-	if opts.Arbitration == ArbWeighted && inf != nil {
-		applyArbitration(&agg, bin, inf, opts.Inject)
+	sp = tr.Start("disambiguate")
+	agg := aggregateCore(tab, lin, rec)
+	if inf != nil {
+		applyArbitration(&agg, tab, inf, opts.Inject)
 	}
-	finishAggregate(&agg, bin)
+	finishAggregate(&agg, text.VAddr)
 	sp.End()
-	scratchPool.Put(sc)
 	if tr.Enabled() && inf != nil {
 		st := inf.Stats()
 		tr.SetGauge("infer.candidates", int64(st.Candidates))

@@ -20,6 +20,12 @@ func encode32(t *testing.T, in isa.Inst) []byte {
 	return b
 }
 
+// decode returns the default-ISA decode table of bin's text.
+func decode(bin *binfmt.Binary) *isa.DecodeTable {
+	text := bin.Text()
+	return isa.DecodeText(nil, text.Data, text.VAddr)
+}
+
 func classAt(t *testing.T, agg Aggregated, bin *binfmt.Binary, addr uint32) Class {
 	t.Helper()
 	return agg.Classes[addr-bin.Text().VAddr]
@@ -28,9 +34,9 @@ func classAt(t *testing.T, agg Aggregated, bin *binfmt.Binary, addr uint32) Clas
 func TestLinearSweepResync(t *testing.T) {
 	// nop, then an undecodable byte, then ret.
 	text := []byte{0x90, 0x00, 0xC3}
-	res := LinearSweep(text, 0x1000, nil)
-	if res.Classes[0] != Code || res.Classes[1] != Data || res.Classes[2] != Code {
-		t.Fatalf("classes = %v", res.Classes)
+	res := LinearSweep(isa.DecodeText(nil, text, 0x1000))
+	if !res.Code.Has(0) || res.Code.Has(1) || !res.Code.Has(2) {
+		t.Fatalf("code coverage = %b", res.Code)
 	}
 	i0, _ := res.Insts.Get(0x1000)
 	i2, _ := res.Insts.Get(0x1002)
@@ -56,12 +62,12 @@ after:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin, nil)
+	rec := RecursiveTraversal(bin, decode(bin), nil)
 	text := bin.Text()
 	// The string bytes must not be classified Code by the recursive pass.
 	strOff := 6 + 6 + 5 // lea + loadpc + jmp
 	for i := strOff; i < strOff+5; i++ {
-		if rec.Classes[i] == Code {
+		if rec.Code.Has(i) {
 			t.Fatalf("recursive pass classified string byte %d as code", i)
 		}
 	}
@@ -93,7 +99,7 @@ tab: .word handler
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin, nil)
+	rec := RecursiveTraversal(bin, decode(bin), nil)
 	handlerAddr, ok := findLabelByDataWord(bin)
 	if !ok {
 		t.Fatal("test setup: no pointer found in data")
@@ -130,7 +136,7 @@ seed:
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := RecursiveTraversal(bin, nil)
+	rec := RecursiveTraversal(bin, decode(bin), nil)
 	if rec.Insts.Len() < 3 {
 		t.Fatalf("expected export coverage, got %d instructions", rec.Insts.Len())
 	}
@@ -144,7 +150,7 @@ seed:
 	if rec.Insts.Has(0x00700001) {
 		t.Fatal("immediate-seeded code must not be classified relocatable")
 	}
-	if rec.Classes[1] == Code {
+	if rec.Code.Has(1) {
 		t.Fatal("weak bytes must not be classified Code")
 	}
 }

@@ -1,45 +1,28 @@
 package disasm
 
 import (
+	"math/bits"
+
 	"zipr/internal/isa"
 )
 
-// InstMap is a dense, offset-indexed instruction store over one text
-// range. It replaces the address-keyed hash maps the disassemblers used
-// to rebuild per pass: a single backing array allocation, O(1) lookups
-// without hashing, and — crucially for the parallel pipeline — iteration
-// in ascending address order, so every consumer is deterministic without
+// InstMap is a set of instruction starts over one shared decode table:
+// one bit per text offset, with the instruction itself read from the
+// table. Every disassembler's view of the same text is one such set, so
+// a view costs an eighth of a byte per text byte instead of a copy of
+// each instruction, lookups are O(1) without hashing, and iteration runs
+// in ascending address order — every consumer is deterministic without
 // collect-and-sort.
-//
-// Presence is encoded by the instruction itself: isa.Inst's zero value
-// has Op == OpInvalid, so a zeroed slot is detectably empty.
 type InstMap struct {
-	base  uint32
-	insts []isa.Inst
+	tab   *isa.DecodeTable
+	set   isa.Bitset
 	count int
 }
 
-// NewInstMap creates an empty map covering n bytes of text starting at
-// virtual address base.
-func NewInstMap(base uint32, n int) *InstMap {
-	return &InstMap{base: base, insts: make([]isa.Inst, n)}
+// newInstMap returns an empty set over tab.
+func newInstMap(tab *isa.DecodeTable) *InstMap {
+	return &InstMap{tab: tab, set: isa.NewBitset(len(tab.Insts))}
 }
-
-// reset repurposes the map for a new text range, reusing the backing
-// array when it is large enough (the sync.Pool path).
-func (m *InstMap) reset(base uint32, n int) {
-	m.base = base
-	m.count = 0
-	if cap(m.insts) < n {
-		m.insts = make([]isa.Inst, n)
-		return
-	}
-	m.insts = m.insts[:n]
-	clear(m.insts)
-}
-
-// Base returns the first address the map covers.
-func (m *InstMap) Base() uint32 { return m.base }
 
 // Len returns the number of instructions recorded.
 func (m *InstMap) Len() int {
@@ -49,29 +32,29 @@ func (m *InstMap) Len() int {
 	return m.count
 }
 
-// Put records an instruction starting at addr, replacing any previous
-// entry there. Addresses outside the covered range are ignored.
-func (m *InstMap) Put(addr uint32, in isa.Inst) {
-	off := addr - m.base
-	if off >= uint32(len(m.insts)) {
-		return
-	}
-	if m.insts[off].Op == isa.OpInvalid && in.Op != isa.OpInvalid {
+// off returns addr's text offset and whether the table decodes there.
+func (m *InstMap) off(addr uint32) (int, bool) {
+	off := addr - m.tab.Base
+	return int(off), off < uint32(len(m.tab.Insts)) && m.tab.Insts[off].Op != isa.OpInvalid
+}
+
+// Put records the table's instruction at addr. Addresses outside the
+// table, or where it holds no decode, are ignored.
+func (m *InstMap) Put(addr uint32) {
+	if off, ok := m.off(addr); ok && !m.set.Has(off) {
+		m.set.Set(off)
 		m.count++
 	}
-	m.insts[off] = in
 }
 
 // Delete removes the instruction starting at addr, if one was
 // recorded. The weighted arbitration pass uses it to drop demoted
 // candidates from the ambiguous set.
 func (m *InstMap) Delete(addr uint32) {
-	off := addr - m.base
-	if off >= uint32(len(m.insts)) || m.insts[off].Op == isa.OpInvalid {
-		return
+	if off, ok := m.off(addr); ok && m.set.Has(off) {
+		m.set.Clear(off)
+		m.count--
 	}
-	m.insts[off] = isa.Inst{}
-	m.count--
 }
 
 // Get returns the instruction starting at addr, if one was recorded.
@@ -79,11 +62,10 @@ func (m *InstMap) Get(addr uint32) (isa.Inst, bool) {
 	if m == nil {
 		return isa.Inst{}, false
 	}
-	off := addr - m.base
-	if off >= uint32(len(m.insts)) || m.insts[off].Op == isa.OpInvalid {
-		return isa.Inst{}, false
+	if off, ok := m.off(addr); ok && m.set.Has(off) {
+		return m.tab.Insts[off], true
 	}
-	return m.insts[off], true
+	return isa.Inst{}, false
 }
 
 // Has reports whether an instruction starts at addr.
@@ -100,12 +82,13 @@ func (m *InstMap) All(yield func(addr uint32, in isa.Inst) bool) {
 	if m == nil {
 		return
 	}
-	for off, in := range m.insts {
-		if in.Op == isa.OpInvalid {
-			continue
-		}
-		if !yield(m.base+uint32(off), in) {
-			return
+	for w, word := range m.set {
+		for word != 0 {
+			off := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if !yield(m.tab.Base+uint32(off), m.tab.Insts[off]) {
+				return
+			}
 		}
 	}
 }

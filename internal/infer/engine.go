@@ -34,7 +34,8 @@ import (
 // the RuleDeadEnd junk belief — the decode cannot be real code because
 // executing it would inevitably reach bytes that do not decode.
 func (r *Result) refuteDeadEnds() {
-	n := len(r.text)
+	ops := r.tab.Insts
+	n := len(ops)
 	// The predecessor relation in CSR form: preds[at[s]:at[s+1]] lists,
 	// in ascending order, the candidates whose viability requires s. A
 	// first pass counts edges per successor (and seeds the outright
@@ -49,22 +50,21 @@ func (r *Result) refuteDeadEnds() {
 	var succs []int
 
 	for off := 0; off < n; off++ {
-		if r.op[off] == isa.OpInvalid {
+		if ops[off].Op == isa.OpInvalid {
 			continue
 		}
-		r.viable[off] = true
 		var ok bool
 		succs, ok = r.flowSuccs(off, succs[:0])
 		if !ok {
-			r.viable[off] = false
 			dead = append(dead, int32(off))
 			continue
 		}
+		r.viable.Set(off)
 		for _, s := range succs {
-			if r.op[s] == isa.OpInvalid {
+			if ops[s].Op == isa.OpInvalid {
 				// Required successor does not decode: refuted outright.
-				if r.viable[off] {
-					r.viable[off] = false
+				if r.viable.Has(off) {
+					r.viable.Clear(off)
 					dead = append(dead, int32(off))
 				}
 				continue
@@ -77,7 +77,7 @@ func (r *Result) refuteDeadEnds() {
 	}
 	preds := make([]int32, at[n])
 	for off := n - 1; off >= 0; off-- {
-		if r.op[off] == isa.OpInvalid {
+		if ops[off].Op == isa.OpInvalid {
 			continue
 		}
 		var ok bool
@@ -85,7 +85,7 @@ func (r *Result) refuteDeadEnds() {
 			continue
 		}
 		for _, s := range succs {
-			if r.op[s] != isa.OpInvalid {
+			if ops[s].Op != isa.OpInvalid {
 				at[s]--
 				preds[at[s]] = int32(off)
 			}
@@ -97,15 +97,15 @@ func (r *Result) refuteDeadEnds() {
 		dead = dead[:len(dead)-1]
 		r.stats.Iterations++
 		for _, p := range preds[at[s]:at[s+1]] {
-			if r.viable[p] {
-				r.viable[p] = false
+			if r.viable.Has(int(p)) {
+				r.viable.Clear(int(p))
 				dead = append(dead, p)
 			}
 		}
 	}
 
 	for off := 0; off < n; off++ {
-		if r.op[off] == isa.OpInvalid || r.viable[off] || r.strong[off] {
+		if ops[off].Op == isa.OpInvalid || r.viable.Has(off) || r.strong.Has(off) {
 			continue
 		}
 		r.stats.Nonviable++
@@ -124,7 +124,7 @@ func (r *Result) refuteDeadEnds() {
 // per edge but never below codeFloor, so any candidate transitively
 // named by real evidence keeps enough belief to block demotion.
 func (r *Result) propagateCode(bin *binfmt.Binary) {
-	n := len(r.text)
+	n := len(r.tgt)
 	type raise struct {
 		off int32
 		w   uint8
@@ -141,7 +141,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 	}
 
 	for off := 0; off < n; off++ {
-		if r.strong[off] {
+		if r.strong.Has(off) {
 			lift(off, WeightStrong, RuleStrongReach)
 		}
 	}
@@ -157,14 +157,14 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 		for o := 0; o+4 <= len(seg.Data); o += 4 {
 			v := binary.LittleEndian.Uint32(seg.Data[o:])
 			if text.Contains(v) {
-				if toff := int(v - r.base); r.viable[toff] {
+				if toff := int(v - r.base); r.viable.Has(toff) {
 					lift(toff, WeightPtrTarget, RulePtrTarget)
 				}
 			}
 		}
 	}
 	for _, toff := range r.ptrTargets {
-		if r.viable[toff] {
+		if r.viable.Has(int(toff)) {
 			lift(int(toff), WeightPtrTarget, RulePtrTarget)
 		}
 	}
@@ -178,7 +178,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 		if cur.w < r.codeW[off] {
 			continue // superseded by a later, higher raise
 		}
-		if r.op[off] == isa.OpInvalid {
+		if r.tab.Insts[off].Op == isa.OpInvalid {
 			continue
 		}
 		next := cur.w - hopDecay
@@ -191,7 +191,7 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 			continue
 		}
 		for _, s := range succs {
-			if r.viable[s] {
+			if r.viable.Has(s) {
 				lift(s, next, RuleCodeFlow)
 			}
 		}

@@ -9,14 +9,15 @@
 // The pipeline is classic bottom-up Datalog, specialized and
 // hand-compiled:
 //
-//  1. Fact extraction walks the binary once and materializes the
-//     ground relations: candidate instruction starts (a decode attempt
-//     at every text offset), fallthrough/branch/call edges between
-//     candidates, data-access targets (loadpc reads), in-text pointer
-//     words, printable-string runs, and overlap conflicts against the
-//     provably-reached instruction set.
-//  2. A semi-naive fixed-point engine evaluates the weighted rule set
-//     (see rules.go): each round propagates only the delta — beliefs
+//  1. Fact extraction reads the shared decode table (isa.DecodeTable,
+//     filled once per disassembly for all three disassemblers) and
+//     materializes the ground relations: candidate instruction starts
+//     (every offset the table decodes), fallthrough/branch/call edges
+//     between candidates, data-access targets (loadpc reads), in-text
+//     pointer words, printable-string runs, and overlap conflicts
+//     against the provably-reached instruction set.
+//  2. A semi-naive fixed-point engine (engine.go) evaluates the
+//     weighted rule set: each round propagates only the delta — beliefs
 //     raised in the previous round — along edges, so work is
 //     proportional to derived facts, not rounds times relations.
 //     Beliefs combine by max and are capped at WeightStrong, so the
@@ -136,17 +137,14 @@ type Stats struct {
 // Result holds per-address beliefs with rule provenance.
 type Result struct {
 	base uint32
-	text []byte
-	arch isa.Arch
+	// tab is the candidate relation: the decode at every offset
+	// (OpInvalid: no candidate) and its length.
+	tab *isa.DecodeTable
 
-	// The candidate relation, one entry per offset: what the decode
-	// there needs downstream, never the whole instruction.
-	op        []isa.Op // candidate's operation (OpInvalid: no candidate)
-	clen      []uint8  // candidate's encoded length
-	tgt       []int32  // candidate's static target: a text offset, tgtNone or tgtWild
-	strongCov []bool   // byte is covered by a provably-reached instruction
-	strong    []bool   // offset is a provably-reached instruction start
-	viable    []bool   // candidate's decode chains avoid dead ends
+	tgt       []int32    // candidate's static target: a text offset, tgtNone or tgtWild
+	strongCov isa.Bitset // byte is covered by a provably-reached instruction
+	strong    isa.Bitset // offset is a provably-reached instruction start
+	viable    isa.Bitset // candidate's decode chains avoid dead ends
 
 	codeW    []uint8 // per-start code belief
 	codeRule []RuleID
@@ -226,12 +224,13 @@ func (r *Result) Verdict(addr uint32, length int) (Verdict, RuleID) {
 }
 
 // Analyze runs fact extraction and the weighted fixed point over bin's
-// text segment under arch (nil means the default ISA). It is a pure
-// function of the binary: no shared state, safe to run concurrently
-// with the other two disassemblers. Fixed-width ISAs restrict the
-// candidate relation to aligned offsets — the decoder rejects everything
-// else — which shrinks the fact base but leaves every rule unchanged.
-func Analyze(bin *binfmt.Binary, arch isa.Arch) *Result {
+// text segment, whose decode at every offset tab holds (see
+// isa.DecodeTable; tab is unused when bin has no text). It only reads
+// bin and tab, so it is safe to run concurrently with the other two
+// disassemblers. On fixed-width ISAs the table holds only aligned
+// decodes — the decoder rejects everything else — which shrinks the
+// fact base but leaves every rule unchanged.
+func Analyze(bin *binfmt.Binary, tab *isa.DecodeTable) *Result {
 	text := bin.Text()
 	if text == nil {
 		return &Result{}
@@ -239,14 +238,11 @@ func Analyze(bin *binfmt.Binary, arch isa.Arch) *Result {
 	n := len(text.Data)
 	r := &Result{
 		base:      text.VAddr,
-		text:      text.Data,
-		arch:      isa.Of(arch),
-		op:        make([]isa.Op, n),
-		clen:      make([]uint8, n),
+		tab:       tab,
 		tgt:       make([]int32, n),
-		strongCov: make([]bool, n),
-		strong:    make([]bool, n),
-		viable:    make([]bool, n),
+		strongCov: isa.NewBitset(n),
+		strong:    isa.NewBitset(n),
+		viable:    isa.NewBitset(n),
 		codeW:     make([]uint8, n),
 		codeRule:  make([]RuleID, n),
 		dataW:     make([]uint8, n),
@@ -265,21 +261,15 @@ func Analyze(bin *binfmt.Binary, arch isa.Arch) *Result {
 // and string runs.
 func (r *Result) extractFacts(bin *binfmt.Binary) {
 	text := bin.Text()
-	n := len(r.text)
+	ops, lens := r.tab.Insts, r.tab.Lens
+	n := len(ops)
 
-	// Candidate instruction starts: a decode attempt at every offset the
-	// ISA can start an instruction at. Fixed-width decoders reject every
-	// misaligned address, so those offsets are not tried at all.
-	arch, base, code := r.arch, r.base, r.text
-	align := arch.Align()
-	for off := int((align - base%align) % align); off < n; off += int(align) {
-		in, err := arch.Decode(code[off:], base+uint32(off))
-		if err != nil {
-			continue
+	// Candidate instruction starts: every offset the table decodes.
+	for off := range ops {
+		if ops[off].Op != isa.OpInvalid {
+			r.tgt[off] = r.target(bin, ops[off], off)
+			r.stats.Candidates++
 		}
-		r.op[off], r.clen[off] = in.Op, uint8(arch.InstLen(in))
-		r.tgt[off] = r.target(bin, in, off)
-		r.stats.Candidates++
 	}
 
 	// Strong reachability: the same seed set the recursive traversal
@@ -311,21 +301,16 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	for len(work) > 0 {
 		addr := work[len(work)-1]
 		work = work[:len(work)-1]
-		off := addr - r.base
-		if r.strong[off] {
+		off := int(addr - r.base)
+		in := ops[off]
+		if r.strong.Has(off) || in.Op == isa.OpInvalid {
 			continue
 		}
-		in := isa.Inst{Op: r.op[off]}
-		if in.Op == isa.OpInvalid {
-			continue
-		}
-		r.strong[off] = true
+		r.strong.Set(off)
 		r.stats.StrongStarts++
-		for i := 0; i < int(r.clen[off]) && int(off)+i < n; i++ {
-			r.strongCov[int(off)+i] = true
-		}
+		r.strongCov.SetRange(off, off+int(lens[off]))
 		if in.HasFallthrough() {
-			seed(addr + uint32(r.clen[off]))
+			seed(addr + uint32(lens[off]))
 		}
 		// A lea/loadpc target is address formation or a data reference,
 		// not a code edge.
@@ -335,7 +320,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	}
 
 	markData := func(b int, w uint8, rule RuleID) {
-		if b < 0 || b >= n || r.strongCov[b] || w <= r.dataW[b] {
+		if b < 0 || b >= n || r.strongCov.Has(b) || w <= r.dataW[b] {
 			return
 		}
 		if r.dataW[b] == 0 {
@@ -351,16 +336,16 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// without being one is a junk decode.
 	for off := 0; off < n; off++ {
 		switch {
-		case r.op[off] == isa.OpInvalid:
-		case r.strong[off]:
-			if t := int(r.tgt[off]); r.op[off] == isa.OpLoadPC && t >= 0 {
+		case ops[off].Op == isa.OpInvalid:
+		case r.strong.Has(off):
+			if t := int(r.tgt[off]); ops[off].Op == isa.OpLoadPC && t >= 0 {
 				for i := 0; i < 4; i++ {
 					markData(t+i, WeightDataAccess, RuleDataAccess)
 				}
 			}
 		default:
-			for i := 0; i < int(r.clen[off]) && off+i < n; i++ {
-				if r.strongCov[off+i] {
+			for i := off; i < off+int(lens[off]); i++ {
+				if r.strongCov.Has(i) {
 					r.junkW[off], r.junkRule[off] = WeightOverlap, RuleOverlap
 					break
 				}
@@ -373,15 +358,15 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// code pointer — its four bytes are data, and its target is a code
 	// entry (consumed as a seed by propagateCode).
 	for off := int((4 - r.base%4) % 4); off+4 <= n; off += 4 {
-		if r.strongCov[off] || r.strongCov[off+1] || r.strongCov[off+2] || r.strongCov[off+3] {
+		if r.strongCov.Has(off) || r.strongCov.Has(off+1) || r.strongCov.Has(off+2) || r.strongCov.Has(off+3) {
 			continue
 		}
-		v := binary.LittleEndian.Uint32(r.text[off:])
+		v := binary.LittleEndian.Uint32(text.Data[off:])
 		if !text.Contains(v) {
 			continue
 		}
 		toff := v - r.base
-		if r.op[toff] == isa.OpInvalid {
+		if ops[toff].Op == isa.OpInvalid {
 			continue
 		}
 		r.ptrTargets = append(r.ptrTargets, int32(toff))
@@ -394,16 +379,16 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// coverage, length >= 5, or >= 4 with a NUL terminator (which joins
 	// the run).
 	for i := 0; i < n; {
-		if r.strongCov[i] || !printable(r.text[i]) {
+		if r.strongCov.Has(i) || !printable(text.Data[i]) {
 			i++
 			continue
 		}
 		j := i
-		for j < n && !r.strongCov[j] && printable(r.text[j]) {
+		for j < n && !r.strongCov.Has(j) && printable(text.Data[j]) {
 			j++
 		}
 		end, runLen := j, j-i
-		if runLen >= 4 && j < n && r.text[j] == 0 && !r.strongCov[j] {
+		if runLen >= 4 && j < n && text.Data[j] == 0 && !r.strongCov.Has(j) {
 			end++
 		}
 		if runLen >= 5 || end > j {
@@ -423,15 +408,15 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// treatment. Code-believed candidates are additionally protected by
 	// the Verdict threshold order (code belief always wins).
 	for i := 0; i < n; {
-		if r.strongCov[i] || r.dataW[i] == 0 {
+		if r.strongCov.Has(i) || r.dataW[i] == 0 {
 			i++
 			continue
 		}
 		j := i + 1 // i is evidenced; find the next evidenced byte in the run
-		for j < n && !r.strongCov[j] && r.dataW[j] == 0 {
+		for j < n && !r.strongCov.Has(j) && r.dataW[j] == 0 {
 			j++
 		}
-		if j < n && !r.strongCov[j] && r.dataW[j] != 0 && j-i-1 <= maxDataGap {
+		if j < n && !r.strongCov.Has(j) && r.dataW[j] != 0 && j-i-1 <= maxDataGap {
 			for b := i + 1; b < j; b++ {
 				markData(b, WeightDataGap, RuleDataGap)
 			}
@@ -458,7 +443,7 @@ const (
 // a wild displacement — strong junk evidence. (One-past-end of a
 // segment is allowed: end pointers are legitimate.)
 func (r *Result) target(bin *binfmt.Binary, in isa.Inst, off int) int32 {
-	t, ok := r.arch.TargetAddr(in, r.base+uint32(off))
+	t, ok := r.tab.Arch.TargetAddr(in, r.base+uint32(off))
 	if !ok {
 		return tgtNone
 	}
@@ -491,10 +476,10 @@ func (r *Result) target(bin *binfmt.Binary, in isa.Inst, off int) int32 {
 // forms a PC-relative address outside every segment) and the candidate
 // is refuted outright.
 func (r *Result) flowSuccs(off int, dst []int) (_ []int, ok bool) {
-	in := isa.Inst{Op: r.op[off]}
+	in := r.tab.Insts[off]
 	if in.HasFallthrough() {
-		ft := off + int(r.clen[off])
-		if ft >= len(r.text) {
+		ft := off + int(r.tab.Lens[off])
+		if ft >= len(r.tgt) {
 			return dst, false // execution would run off the end of text
 		}
 		dst = append(dst, ft)

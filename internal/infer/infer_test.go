@@ -44,7 +44,14 @@ func analyzeSrc(t *testing.T, src string) (*Result, []uint32) {
 	if err != nil {
 		t.Fatalf("fixture does not assemble: %v", err)
 	}
-	return Analyze(bin, nil), leaLabels(t, bin)
+	return analyze(bin), leaLabels(t, bin)
+}
+
+// analyze decodes bin's text under the default ISA and runs inference
+// over the table.
+func analyze(bin *binfmt.Binary) *Result {
+	text := bin.Text()
+	return Analyze(bin, isa.DecodeText(nil, text.Data, text.VAddr))
 }
 
 func TestRules(t *testing.T) {

@@ -486,6 +486,21 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// InRanges reports whether addr lies inside one of rs, which must be
+// sorted and disjoint — MergeRanges' output — by binary search.
+func InRanges(rs []Range, addr uint32) bool {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rs[m].End <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(rs) && rs[lo].Start <= addr
+}
+
 // MergeRanges sorts and coalesces overlapping or adjacent ranges.
 func MergeRanges(rs []Range) []Range {
 	if len(rs) == 0 {

@@ -287,6 +287,36 @@ func TestMergeRanges(t *testing.T) {
 	}
 }
 
+// TestQuickInRanges checks the binary search against a linear scan of
+// the unmerged ranges, at every address around them.
+func TestQuickInRanges(t *testing.T) {
+	f := func(pairs []uint8) bool {
+		var rs []Range
+		for i := 0; i+1 < len(pairs); i += 2 {
+			a, b := uint32(pairs[i]), uint32(pairs[i+1])
+			if a > b {
+				a, b = b, a
+			}
+			rs = append(rs, Range{Start: a, End: b + 1})
+		}
+		merged := MergeRanges(rs)
+		for addr := uint32(0); addr <= 260; addr++ {
+			want := false
+			for _, r := range rs {
+				want = want || r.Contains(addr)
+			}
+			if InRanges(merged, addr) != want {
+				t.Logf("addr %d in %v: got %v", addr, rs, !want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickMergeRangesInvariants(t *testing.T) {
 	f := func(pairs []uint16) bool {
 		var rs []Range

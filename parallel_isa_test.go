@@ -1,21 +1,19 @@
 package zipr
 
 // Fixed-width determinism: the parallel pipeline's byte-identity
-// guarantees (parallel_test.go) restated under ZVM-64, where the dual
-// disassembly decodes 4-byte-aligned words and reassembly takes the
+// guarantees (parallel_test.go) restated under ZVM-64, where the
+// decode table holds only 4-byte-aligned words and reassembly takes the
 // aligned-carve/veneer paths the default ISA never exercises. Both
-// fan-out levels are covered: concurrent dual disassembly against the
+// fan-out levels are covered: concurrent disassembly against the
 // serial run, and the full rewrite repeated across goroutines against a
 // single serial reference.
 
 import (
 	"bytes"
-	"reflect"
 	"sync"
 	"testing"
 
 	"zipr/internal/cgcsim"
-	"zipr/internal/disasm"
 	"zipr/internal/isa"
 	"zipr/internal/synth"
 )
@@ -27,31 +25,7 @@ func TestDisassembleSerialMatchesParallelZVM64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := disasm.DisassembleOpts(bin, disasm.Options{Serial: true, Arch: isa.ZVM64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := disasm.DisassembleOpts(bin, disasm.Options{Arch: isa.ZVM64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sI, sA := dumpAgg(serial)
-		pI, pA := dumpAgg(par)
-		if !reflect.DeepEqual(sI, pI) {
-			t.Fatalf("cb%d: instruction sets differ (serial %d, parallel %d)", idx, len(sI), len(pI))
-		}
-		if !reflect.DeepEqual(sA, pA) {
-			t.Fatalf("cb%d: ambiguous sets differ", idx)
-		}
-		if !reflect.DeepEqual(serial.Fixed, par.Fixed) {
-			t.Fatalf("cb%d: fixed ranges differ: %v vs %v", idx, serial.Fixed, par.Fixed)
-		}
-		if !bytes.Equal(classBytes(serial.Classes), classBytes(par.Classes)) {
-			t.Fatalf("cb%d: byte classifications differ", idx)
-		}
-		if !reflect.DeepEqual(serial.Warnings, par.Warnings) {
-			t.Fatalf("cb%d: warnings differ:\n%v\nvs\n%v", idx, serial.Warnings, par.Warnings)
-		}
+		checkSerialMatchesParallel(t, idx, bin, isa.ZVM64)
 	}
 }
 

@@ -1,7 +1,7 @@
 package zipr
 
 // Determinism tests for the parallel pipeline: every fan-out level —
-// concurrent dual disassembly and the corpus worker pool — must
+// concurrent disassembly and the corpus worker pool — must
 // produce output byte-identical to the serial path, for
 // every layout strategy (including the seeded diversity layout, whose
 // placement is random but derived only from Config.Seed).
@@ -35,9 +35,9 @@ func dumpAgg(agg disasm.Aggregated) (insts, ambig []uint64) {
 	return insts, ambig
 }
 
-// TestDisassembleSerialMatchesParallel checks that the concurrent dual
-// disassembly produces exactly the serial back-to-back result on a
-// spread of binaries (plain, ambiguous-heavy, pathological).
+// TestDisassembleSerialMatchesParallel checks that the concurrent
+// disassembly produces exactly the serial result on a spread of
+// binaries (plain, ambiguous-heavy, pathological).
 func TestDisassembleSerialMatchesParallel(t *testing.T) {
 	for _, idx := range []int{0, 5, 10, synth.PathologicalCB} {
 		seed, profile := synth.CBProfile(idx)
@@ -45,30 +45,45 @@ func TestDisassembleSerialMatchesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := disasm.DisassembleOpts(bin, disasm.Options{Serial: true})
+		checkSerialMatchesParallel(t, idx, bin, nil)
+	}
+}
+
+// checkSerialMatchesParallel disassembles bin under arch serially and
+// concurrently, under both arbitration policies, and fails unless the
+// two Aggregated views agree in every output: instructions, ambiguous
+// set, fixed ranges, byte classes, warnings and arbitration counts.
+func checkSerialMatchesParallel(t *testing.T, idx int, bin *binfmt.Binary, arch isa.Arch) {
+	t.Helper()
+	for _, arb := range []disasm.Arbitration{disasm.ArbTwoWay, disasm.ArbWeighted} {
+		serial, err := disasm.DisassembleOpts(bin, disasm.Options{Serial: true, Arbitration: arb, Arch: arch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := disasm.DisassembleOpts(bin, disasm.Options{})
+		par, err := disasm.DisassembleOpts(bin, disasm.Options{Arbitration: arb, Arch: arch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sI, sA := dumpAgg(serial)
 		pI, pA := dumpAgg(par)
 		if !reflect.DeepEqual(sI, pI) {
-			t.Fatalf("cb%d: instruction sets differ (serial %d, parallel %d)", idx, len(sI), len(pI))
+			t.Fatalf("cb%d arb %d: instruction sets differ (serial %d, parallel %d)", idx, arb, len(sI), len(pI))
 		}
 		if !reflect.DeepEqual(sA, pA) {
-			t.Fatalf("cb%d: ambiguous sets differ", idx)
+			t.Fatalf("cb%d arb %d: ambiguous sets differ", idx, arb)
 		}
 		if !reflect.DeepEqual(serial.Fixed, par.Fixed) {
-			t.Fatalf("cb%d: fixed ranges differ: %v vs %v", idx, serial.Fixed, par.Fixed)
+			t.Fatalf("cb%d arb %d: fixed ranges differ: %v vs %v", idx, arb, serial.Fixed, par.Fixed)
 		}
 		if !bytes.Equal(classBytes(serial.Classes), classBytes(par.Classes)) {
-			t.Fatalf("cb%d: byte classifications differ", idx)
+			t.Fatalf("cb%d arb %d: byte classifications differ", idx, arb)
 		}
 		if !reflect.DeepEqual(serial.Warnings, par.Warnings) {
-			t.Fatalf("cb%d: warnings differ:\n%v\nvs\n%v", idx, serial.Warnings, par.Warnings)
+			t.Fatalf("cb%d arb %d: warnings differ:\n%v\nvs\n%v", idx, arb, serial.Warnings, par.Warnings)
+		}
+		if serial.Demoted != par.Demoted || serial.Disputed != par.Disputed {
+			t.Fatalf("cb%d arb %d: demoted/disputed %d/%d serial, %d/%d parallel",
+				idx, arb, serial.Demoted, serial.Disputed, par.Demoted, par.Disputed)
 		}
 	}
 }

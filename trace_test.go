@@ -59,12 +59,13 @@ func TestTraceJSONLCoversPipelinePhases(t *testing.T) {
 		}
 	}
 
-	// Every pipeline phase the table promises must appear: disassembly
-	// and its two disassemblers, CFG+pin analysis, each transform by
-	// name, and the reassembly sub-phases.
+	// Every pipeline phase the table promises must appear: disassembly,
+	// its shared decode table and its two disassemblers, CFG+pin
+	// analysis, each transform by name, and the reassembly sub-phases.
 	wantPaths := []string{
 		"rewrite",
 		"rewrite/disassemble",
+		"rewrite/disassemble/decode",
 		"rewrite/disassemble/linear-sweep",
 		"rewrite/disassemble/recursive-traversal",
 		"rewrite/disassemble/disambiguate",
@@ -99,6 +100,9 @@ func TestTraceJSONLCoversPipelinePhases(t *testing.T) {
 	}
 	if sp := spans["rewrite/disassemble/linear-sweep"]; sp.Depth != 2 {
 		t.Fatalf("linear-sweep depth = %d, want 2", sp.Depth)
+	}
+	if sp := spans["rewrite/disassemble/decode"]; sp.Depth != 2 || sp.StartNS > spans["rewrite/disassemble/linear-sweep"].StartNS {
+		t.Fatalf("decode span = %+v, want depth 2 and opened before the linear sweep", sp)
 	}
 
 	// Counters must agree with the report the same rewrite returned.

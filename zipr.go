@@ -255,7 +255,8 @@ type Config struct {
 	// pipeline (see DESIGN.md §11). Capture is best-effort — Snapshot
 	// stays nil when the configuration or input is outside the delta-
 	// eligible class (unknown custom transforms, pipeline fault injection
-	// armed) — and, like CaptureIR/EmitMap, never changes the output.
+	// armed), and Report.Warnings then names the reason — and, like
+	// CaptureIR/EmitMap, never changes the output.
 	// Only Rewrite completes the snapshot; RewriteBinary leaves it nil.
 	CaptureSnapshot bool
 	// Trace, when non-nil, records per-phase spans (disassembly, CFG and
@@ -430,10 +431,12 @@ func snapshotSafeTransforms(transforms []Transform) (safe, frameSensitive bool) 
 }
 
 // captureSnapshot builds the placement snapshot of a finished rewrite.
-// Capture is best-effort: an ineligible rewrite gets no snapshot, and
-// bumps one rewrite.snapshot.skipped.<reason> trace counter naming why.
-func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, arch isa.Arch, customPlacer bool, inj *FaultInjector, tr *Trace) *core.Snapshot {
+// Capture is best-effort: an ineligible rewrite gets no snapshot, bumps
+// one rewrite.snapshot.skipped.<reason> trace counter, and returns the
+// report warning that names the reason.
+func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, arch isa.Arch, customPlacer bool, inj *FaultInjector, tr *Trace) (*core.Snapshot, string) {
 	safe, frameSensitive := snapshotSafeTransforms(cfgv.Transforms)
+	var reason, why string
 	switch {
 	case !isa.IsDefault(arch):
 		// Snapshots work under ZVM-64 (TestSnapshotIdentityZVM64), but
@@ -442,24 +445,24 @@ func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, arch isa.A
 		// 0.37-0.38 to 0.12-0.32, and latency_ms_p50 rose 17-63 % and
 		// max_rss_mb 34-90 % (EXPERIMENTS.md, "ZVM-64 delta capture and
 		// the serve-edits tier mix"). It waits for a serve-tier fix.
-		tr.Add("rewrite.snapshot.skipped.isa", 1)
+		reason, why = "isa", "capture is off under "+arch.Name()
 	case customPlacer:
-		tr.Add("rewrite.snapshot.skipped.placer", 1)
+		reason, why = "placer", "a custom placer's choices cannot be replayed"
 	case inj.ArmedPipeline():
-		tr.Add("rewrite.snapshot.skipped.chaos", 1)
+		reason, why = "chaos", "pipeline fault injection is armed"
 	case !safe:
-		tr.Add("rewrite.snapshot.skipped.transforms", 1)
+		reason, why = "transforms", "a transform is not known to keep its choices under constant edits"
 	default:
 		sp := tr.Start("snapshot")
 		snap, err := core.BuildSnapshot(prog, res, frameSensitive, cfgv.Fingerprint())
 		sp.End()
-		if err != nil {
-			tr.Add("rewrite.snapshot.skipped.build-error", 1)
-			return nil
+		if err == nil {
+			return snap, ""
 		}
-		return snap
+		reason, why = "build-error", err.Error()
 	}
-	return nil
+	tr.Add("rewrite.snapshot.skipped."+reason, 1)
+	return nil, fmt.Sprintf("snapshot capture declined (%s): %s", reason, why)
 }
 
 // SizeOverhead returns the relative file growth (e.g. 0.03 = +3%).
@@ -641,8 +644,9 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	}
 	report.Stats = Stats(res.Stats)
 	report.Layout = placer.Name()
+	var declined string
 	if cfgv.CaptureSnapshot {
-		report.Snapshot = captureSnapshot(prog, res, cfgv, arch, newPlacer != nil, inj, tr)
+		report.Snapshot, declined = captureSnapshot(prog, res, cfgv, arch, newPlacer != nil, inj, tr)
 	}
 	if cfgv.EmitMap {
 		report.AddrMap = make(map[uint32]uint32)
@@ -656,6 +660,9 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 		}
 	}
 	report.Warnings = append(report.Warnings, prog.Warnings...)
+	if declined != "" {
+		report.Warnings = append(report.Warnings, declined)
+	}
 	report.InputSize = bin.FileSize()
 	report.OutputSize = res.Binary.FileSize()
 	if tr.Enabled() {
