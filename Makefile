@@ -82,11 +82,15 @@ benchgate:
 # goroutine still pay for themselves. The
 # third line runs every workload of the end-to-end benchmark harness for
 # one second each (about a minute on two cores); the harness checks every
-# output, so a change that breaks a benchmark run fails here first.
+# output, so a change that breaks a benchmark run fails here first. The
+# fourth runs them traced: that run also drives disasm's Options.Serial
+# path and requires the separately composed layers to produce exactly
+# the bytes zipr.Rewrite does.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc|DisassembleLibc|BuildLibc' -benchtime 1x -benchmem . ./internal/cfg/
 	bash bench/run.sh --seconds 1 --seed 0
+	bash bench/run.sh --seconds 1 --seed 0 --trace 1
 
 # Bench module guard: the benchmark harness is a module of its own
 # (bench/go.mod, replacing zipr with ../), so `go build ./...` at the

@@ -8,7 +8,6 @@
 package binfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -173,14 +172,69 @@ func (b *Binary) Validate() error {
 	return nil
 }
 
-// FileSize returns the size in bytes of the serialized binary. This is
-// the "file size" metric of the CGC evaluation.
+// FileSize returns the size in bytes of the serialized binary, or 0
+// where Marshal fails. This is the "file size" metric of the CGC
+// evaluation; it is computed from the lengths, without serializing.
 func (b *Binary) FileSize() int {
-	data, err := b.Marshal()
+	n, err := b.size()
 	if err != nil {
 		return 0
 	}
-	return len(data)
+	return n
+}
+
+// headerSize is the fixed part of a ZELF file: magic, version, type,
+// pad, entry and the four table counts.
+const headerSize = 4 + 2 + 1 + 1 + 4 + 4*2
+
+// size validates the binary as Marshal does, failing exactly where
+// Marshal fails, and returns the size of its serialized form.
+func (b *Binary) size() (int, error) {
+	if err := b.Validate(); err != nil {
+		return 0, err
+	}
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"segments", len(b.Segments)},
+		{"exports", len(b.Exports)},
+		{"imports", len(b.Imports)},
+		{"libs", len(b.Libs)},
+	} {
+		if c.n > 0xFFFF {
+			return 0, fmt.Errorf("binfmt: too many %s (%d)", c.what, c.n)
+		}
+	}
+	n := headerSize
+	for _, s := range b.Segments {
+		n += 12 + len(s.Data)
+	}
+	str := func(s string) error {
+		if len(s) > 0xFFFF {
+			return fmt.Errorf("binfmt: string too long (%d bytes)", len(s))
+		}
+		n += 2 + len(s)
+		return nil
+	}
+	for _, e := range b.Exports {
+		if err := str(e.Name); err != nil {
+			return 0, err
+		}
+		n += 4
+	}
+	for _, im := range b.Imports {
+		if err := str(im.Name); err != nil {
+			return 0, err
+		}
+		n += 4
+	}
+	for _, l := range b.Libs {
+		if err := str(l); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
 }
 
 // Clone returns a deep copy of the binary.
@@ -196,69 +250,45 @@ func (b *Binary) Clone() *Binary {
 	return nb
 }
 
-// Marshal serializes the binary to its on-disk representation.
+// Marshal serializes the binary to its on-disk representation, into a
+// buffer allocated once at its final size.
 func (b *Binary) Marshal() ([]byte, error) {
-	if err := b.Validate(); err != nil {
+	n, err := b.size()
+	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w16 := func(v uint16) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	wstr := func(s string) error {
-		if len(s) > 0xFFFF {
-			return fmt.Errorf("binfmt: string too long (%d bytes)", len(s))
-		}
-		w16(uint16(len(s)))
-		buf.WriteString(s)
-		return nil
-	}
-	w16(Version)
-	buf.WriteByte(byte(b.Type))
-	buf.WriteByte(0)
-	w32(b.Entry)
-	for _, c := range []struct {
-		what string
-		n    int
-	}{
-		{"segments", len(b.Segments)},
-		{"exports", len(b.Exports)},
-		{"imports", len(b.Imports)},
-		{"libs", len(b.Libs)},
-	} {
-		if c.n > 0xFFFF {
-			return nil, fmt.Errorf("binfmt: too many %s (%d)", c.what, c.n)
-		}
-	}
-	w16(uint16(len(b.Segments)))
-	w16(uint16(len(b.Exports)))
-	w16(uint16(len(b.Imports)))
-	w16(uint16(len(b.Libs)))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, n)
+	buf = append(buf, Magic[:]...)
+	buf = le.AppendUint16(buf, Version)
+	buf = append(buf, byte(b.Type), 0)
+	buf = le.AppendUint32(buf, b.Entry)
+	buf = le.AppendUint16(buf, uint16(len(b.Segments)))
+	buf = le.AppendUint16(buf, uint16(len(b.Exports)))
+	buf = le.AppendUint16(buf, uint16(len(b.Imports)))
+	buf = le.AppendUint16(buf, uint16(len(b.Libs)))
 	for _, s := range b.Segments {
-		buf.WriteByte(byte(s.Kind))
-		buf.Write([]byte{0, 0, 0})
-		w32(s.VAddr)
-		w32(uint32(len(s.Data)))
-		buf.Write(s.Data)
+		buf = append(buf, byte(s.Kind), 0, 0, 0)
+		buf = le.AppendUint32(buf, s.VAddr)
+		buf = le.AppendUint32(buf, uint32(len(s.Data)))
+		buf = append(buf, s.Data...)
+	}
+	str := func(s string) {
+		buf = le.AppendUint16(buf, uint16(len(s)))
+		buf = append(buf, s...)
 	}
 	for _, e := range b.Exports {
-		if err := wstr(e.Name); err != nil {
-			return nil, err
-		}
-		w32(e.Addr)
+		str(e.Name)
+		buf = le.AppendUint32(buf, e.Addr)
 	}
 	for _, im := range b.Imports {
-		if err := wstr(im.Name); err != nil {
-			return nil, err
-		}
-		w32(im.GotAddr)
+		str(im.Name)
+		buf = le.AppendUint32(buf, im.GotAddr)
 	}
 	for _, l := range b.Libs {
-		if err := wstr(l); err != nil {
-			return nil, err
-		}
+		str(l)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Unmarshal parses a serialized ZELF image.

@@ -8,13 +8,14 @@ import (
 )
 
 // disasmBytesPerTextByte is the most heap one weighted DisassembleOpts
-// may allocate per text byte. The shared decode table costs 9, the
-// escaping class array 1, inference's beliefs and flow relation most of
-// the rest, and every per-offset set one bit. With a decode per
-// disassembler, an instruction copy per set and byte-wide flags, the
-// same input allocated 46 bytes per text byte with a warm scratch pool
-// and 66 with a cold one.
-const disasmBytesPerTextByte = 40
+// may allocate per text byte: 15.2 now. The decode table stores 9 bytes
+// per candidate (on ZVM-32 about one offset in four), the escaping class
+// array costs 1, inference about 10, and every per-byte or per-candidate
+// set one bit. With the decode table and inference's candidate facts
+// sized per text byte, the same input allocated 34.4 bytes per text
+// byte; with a decode per disassembler, an instruction copy per set and
+// byte-wide flags, 46 with a warm scratch pool and 66 with a cold one.
+const disasmBytesPerTextByte = 18
 
 // TestDisassembleAllocsBounded checks the heap one weighted disassembly
 // of a library-sized program allocates, per byte of its text.

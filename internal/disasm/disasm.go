@@ -17,14 +17,16 @@
 //     there is any disagreement, and emits warnings to aid debugging.
 //
 // All three disassemblers (the inference vote of ArbWeighted included)
-// read one isa.DecodeTable, filled at the start of each run, so every
-// text offset is decoded exactly once; their per-offset sets are bitsets
-// over that table. The fan-out sits where the work is: the table fill
-// splits into two halves, and under weighted arbitration inference runs
-// on its own goroutine beside the two walks (Options.Serial forces one
-// goroutine for comparison). The merged Aggregated view is byte-identical
-// either way, because the table is the same and aggregation starts only
-// after every vote is in.
+// read one isa.DecodeTable, filled at the start of each run: the
+// candidate relation, every offset that decodes with its instruction
+// stored densely by rank, so no disassembler decodes again. Their sets of
+// instruction starts are bitsets over candidate ranks, their byte sets
+// bitsets over text offsets. The fan-out sits where the work is: both
+// passes of the table fill split into two halves, and under weighted
+// arbitration inference runs on its own goroutine beside the two walks
+// (Options.Serial forces one goroutine for comparison). The merged
+// Aggregated view is byte-identical either way, because the table is the
+// same and aggregation starts only after every vote is in.
 package disasm
 
 import (
@@ -68,22 +70,21 @@ type Result struct {
 }
 
 // LinearSweep walks tab from its first byte onward, resynchronizing
-// after undecodable bytes the way objdump -D works: at the next byte on
-// ZVM-32, at the next aligned offset on fixed-width ISAs, whose
-// misaligned starts can never be fetched.
+// after undecodable bytes the way objdump -D works: it steps from the
+// end of each instruction to the next candidate. On fixed-width ISAs the
+// sweep keeps the alignment phase of the text's first byte, so at a
+// misaligned base, where every candidate is out of that phase, it
+// decodes nothing.
 func LinearSweep(tab *isa.DecodeTable) Result {
-	n := len(tab.Insts)
+	n := len(tab.Text)
 	res := Result{Insts: newInstMap(tab), Code: isa.NewBitset(n)}
-	step := int(tab.Arch.Align())
-	for off := 0; off < n; {
-		l := int(tab.Lens[off])
-		if l == 0 {
-			off += step
-			continue
-		}
-		res.Insts.Put(tab.Base + uint32(off))
+	align := int(tab.Arch.Align())
+	for off := tab.Next(0); off < n && off%align == 0; {
+		r, _ := tab.Rank(off)
+		l := int(tab.Lens[r])
+		res.Insts.add(r)
 		res.Code.SetRange(off, off+l)
-		off += l
+		off = tab.Next(off + l)
 	}
 	return res
 }
@@ -108,9 +109,8 @@ func LinearSweep(tab *isa.DecodeTable) Result {
 // phases must handle with the paper's case-3 policy (bytes fixed in
 // place, targets pinned via the ambiguous set).
 func RecursiveTraversal(bin *binfmt.Binary, tab *isa.DecodeTable, inj *fault.Injector) Result {
-	n := len(tab.Insts)
-	res := Result{Insts: newInstMap(tab), Weak: newInstMap(tab), Code: isa.NewBitset(n)}
-	visitedStrong, visitedWeak := isa.NewBitset(n), isa.NewBitset(n)
+	res := Result{Insts: newInstMap(tab), Weak: newInstMap(tab), Code: isa.NewBitset(len(tab.Text))}
+	visitedStrong, visitedWeak := isa.NewBitset(len(tab.Insts)), isa.NewBitset(len(tab.Insts))
 	var strong, weak []uint32
 	text := bin.Text()
 	inText := func(a uint32) bool { return text.Contains(a) }
@@ -149,22 +149,19 @@ func RecursiveTraversal(bin *binfmt.Binary, tab *isa.DecodeTable, inj *fault.Inj
 		}
 	}
 
-	// step takes the decode at one address, recording flow into the
-	// given tier's worklist; weak traversal never overrides strong
-	// coverage.
-	step := func(addr uint32, isStrong bool) {
+	// step takes the decode of the candidate of rank r at addr,
+	// recording flow into the given tier's worklist; weak traversal
+	// never overrides strong coverage.
+	step := func(addr uint32, r int, isStrong bool) {
 		off := int(addr - tab.Base)
-		in, l := tab.Insts[off], int(tab.Lens[off])
-		if l == 0 {
-			return // a supposed entry that does not decode: leave unknown
-		}
+		in, l := tab.Insts[r], int(tab.Lens[r])
 		flow := seedWeak
 		if isStrong {
-			res.Insts.Put(addr)
+			res.Insts.add(r)
 			res.Code.SetRange(off, off+l)
 			flow = seedStrong
 		} else {
-			res.Weak.Put(addr)
+			res.Weak.add(r)
 		}
 		if in.HasFallthrough() {
 			flow(addr + uint32(l))
@@ -184,25 +181,26 @@ func RecursiveTraversal(bin *binfmt.Binary, tab *isa.DecodeTable, inj *fault.Inj
 			seedWeak(uint32(in.Imm))
 		}
 	}
+	// A seed that does not decode is left unknown.
 	for len(strong) > 0 {
 		addr := strong[len(strong)-1]
 		strong = strong[:len(strong)-1]
-		off := int(addr - tab.Base)
-		if visitedStrong.Has(off) {
+		r, ok := tab.Rank(int(addr - tab.Base))
+		if !ok || visitedStrong.Has(r) {
 			continue
 		}
-		visitedStrong.Set(off)
-		step(addr, true)
+		visitedStrong.Set(r)
+		step(addr, r, true)
 	}
 	for len(weak) > 0 {
 		addr := weak[len(weak)-1]
 		weak = weak[:len(weak)-1]
-		off := int(addr - tab.Base)
-		if visitedStrong.Has(off) || visitedWeak.Has(off) {
+		r, ok := tab.Rank(int(addr - tab.Base))
+		if !ok || visitedStrong.Has(r) || visitedWeak.Has(r) {
 			continue
 		}
-		visitedWeak.Set(off)
-		step(addr, false)
+		visitedWeak.Set(r)
+		step(addr, r, false)
 	}
 	return res
 }
@@ -247,7 +245,7 @@ type Aggregated struct {
 // finishAggregate, so an arbitration pass can prune the ambiguous set
 // in between.
 func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
-	n := len(tab.Insts)
+	n := len(tab.Text)
 	agg := Aggregated{
 		Insts:      recursive.Insts,
 		AmbigInsts: newInstMap(tab),
@@ -269,11 +267,11 @@ func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
 	}
 	// Instructions whose linear decode starts inside a non-code byte are
 	// candidates for "both" handling (case 3).
-	linear.Insts.All(func(addr uint32, in isa.Inst) bool {
-		if agg.Classes[addr-tab.Base] == Ambig {
-			agg.AmbigInsts.Put(addr)
-			if in.IsDirectBranch() {
-				agg.warnCands = append(agg.warnCands, addr)
+	tab.Each(linear.Insts.set, func(off, r int) bool {
+		if agg.Classes[off] == Ambig {
+			agg.AmbigInsts.add(r)
+			if tab.Insts[r].IsDirectBranch() {
+				agg.warnCands = append(agg.warnCands, tab.Base+uint32(off))
 			}
 		}
 		return true
@@ -283,13 +281,12 @@ func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
 	// CFG construction should pin their targets, but their bytes stay
 	// fixed in place. They also upgrade their bytes to Ambig so fixed
 	// ranges cover them even where the linear sweep misaligned.
-	recursive.Weak.All(func(addr uint32, _ isa.Inst) bool {
-		off := int(addr - tab.Base)
+	tab.Each(recursive.Weak.set, func(off, r int) bool {
 		if agg.Classes[off] == Code {
 			return true
 		}
-		agg.AmbigInsts.Put(addr)
-		for i := off; i < off+int(tab.Lens[off]); i++ {
+		agg.AmbigInsts.add(r)
+		for i := off; i < off+int(tab.Lens[r]); i++ {
 			if agg.Classes[i] != Code {
 				agg.Classes[i] = Ambig
 			}
@@ -350,12 +347,11 @@ func finishAggregate(agg *Aggregated, base uint32) {
 // candidate's address): the worst case of every veto firing is exactly
 // the two-way baseline.
 func applyArbitration(agg *Aggregated, tab *isa.DecodeTable, res *infer.Result, inj *fault.Injector) {
-	n := len(tab.Insts)
+	n := len(tab.Text)
 	kept, demoted := isa.NewBitset(n), isa.NewBitset(n)
 	var demote []uint32
-	agg.AmbigInsts.All(func(addr uint32, _ isa.Inst) bool {
-		off := int(addr - tab.Base)
-		l := int(tab.Lens[off])
+	tab.Each(agg.AmbigInsts.set, func(off, r int) bool {
+		addr, l := tab.Base+uint32(off), int(tab.Lens[r])
 		verdict, _ := res.Verdict(addr, l)
 		cover := kept
 		if verdict == infer.VerdictData {
@@ -422,6 +418,24 @@ type Options struct {
 	Arch isa.Arch
 }
 
+// halves runs fn over [0, n) in two halves split on a multiple of 64,
+// so that they write disjoint words of a bitset, the second half on its
+// own goroutine; serial runs it in one call.
+func halves(n int, serial bool, fn func(lo, hi int)) {
+	if serial {
+		fn(0, n)
+		return
+	}
+	half := n / 2 &^ 63
+	done := make(chan struct{})
+	go func() {
+		fn(half, n)
+		close(done)
+	}()
+	fn(0, half)
+	<-done
+}
+
 // Disassemble runs both disassemblers on bin and aggregates the result.
 func Disassemble(bin *binfmt.Binary) (Aggregated, error) {
 	return DisassembleOpts(bin, Options{})
@@ -441,22 +455,10 @@ func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 	n := len(text.Data)
 
 	sp := tr.Start("decode")
-	var tab *isa.DecodeTable
-	if opts.Serial {
-		tab = isa.DecodeText(opts.Arch, text.Data, text.VAddr)
-	} else {
-		tab = isa.NewDecodeTable(opts.Arch, text.Data, text.VAddr)
-		// Split on a cache-line boundary so the halves share no line of
-		// the length array.
-		half := n / 2 &^ 63
-		done := make(chan struct{})
-		go func() {
-			tab.Fill(half, n)
-			close(done)
-		}()
-		tab.Fill(0, half)
-		<-done
-	}
+	tab := isa.NewDecodeTable(opts.Arch, text.Data, text.VAddr)
+	halves(n, opts.Serial, tab.Fill)
+	tab.Index()
+	halves(n, opts.Serial, tab.Store)
 	sp.End()
 
 	// The inference disassembler is the third vote under weighted

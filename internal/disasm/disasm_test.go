@@ -45,6 +45,34 @@ func TestLinearSweepResync(t *testing.T) {
 	}
 }
 
+// TestLinearSweepKeepsPhaseZVM64 pins the fixed-width sweep: it starts
+// at the text's first byte and steps in whole words, so at an aligned
+// base it takes every aligned instruction, and at a base two bytes off
+// alignment, where every decodable word is out of its phase, it takes
+// none.
+func TestLinearSweepKeepsPhaseZVM64(t *testing.T) {
+	var words []byte
+	for _, in := range []isa.Inst{{Op: isa.OpNop}, {Op: isa.OpNop}, {Op: isa.OpRet}} {
+		b, err := isa.ZVM64.Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words = append(words, b...)
+	}
+	aligned := LinearSweep(isa.DecodeText(isa.ZVM64, words, 0x100000))
+	if aligned.Insts.Len() != 3 {
+		t.Fatalf("aligned base: %d instructions swept, want 3", aligned.Insts.Len())
+	}
+	text := append([]byte{0xAA, 0xBB}, words...)
+	tab := isa.DecodeText(isa.ZVM64, text, 0x100002)
+	if len(tab.Insts) != 3 {
+		t.Fatalf("misaligned base: %d candidates, want 3", len(tab.Insts))
+	}
+	if n := LinearSweep(tab).Insts.Len(); n != 0 {
+		t.Fatalf("misaligned base: %d instructions swept, want 0", n)
+	}
+}
+
 func TestRecursiveSkipsDataInText(t *testing.T) {
 	src := `
 .text 0x00100000

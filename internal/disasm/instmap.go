@@ -1,18 +1,14 @@
 package disasm
 
-import (
-	"math/bits"
-
-	"zipr/internal/isa"
-)
+import "zipr/internal/isa"
 
 // InstMap is a set of instruction starts over one shared decode table:
-// one bit per text offset, with the instruction itself read from the
-// table. Every disassembler's view of the same text is one such set, so
-// a view costs an eighth of a byte per text byte instead of a copy of
-// each instruction, lookups are O(1) without hashing, and iteration runs
-// in ascending address order — every consumer is deterministic without
-// collect-and-sort.
+// one bit per candidate of the table, by rank, with the instruction
+// itself read from the table. Every disassembler's view of the same text
+// is one such set, so a view costs an eighth of a byte per candidate
+// instead of a copy of each instruction, lookups are O(1) without
+// hashing, and iteration runs in ascending address order — every
+// consumer is deterministic without collect-and-sort.
 type InstMap struct {
 	tab   *isa.DecodeTable
 	set   isa.Bitset
@@ -32,17 +28,16 @@ func (m *InstMap) Len() int {
 	return m.count
 }
 
-// off returns addr's text offset and whether the table decodes there.
-func (m *InstMap) off(addr uint32) (int, bool) {
-	off := addr - m.tab.Base
-	return int(off), off < uint32(len(m.tab.Insts)) && m.tab.Insts[off].Op != isa.OpInvalid
+// rank returns addr's candidate rank and whether the table decodes
+// there.
+func (m *InstMap) rank(addr uint32) (int, bool) {
+	return m.tab.Rank(int(addr - m.tab.Base))
 }
 
-// Put records the table's instruction at addr. Addresses outside the
-// table, or where it holds no decode, are ignored.
-func (m *InstMap) Put(addr uint32) {
-	if off, ok := m.off(addr); ok && !m.set.Has(off) {
-		m.set.Set(off)
+// add records the table's candidate of rank r.
+func (m *InstMap) add(r int) {
+	if !m.set.Has(r) {
+		m.set.Set(r)
 		m.count++
 	}
 }
@@ -51,8 +46,8 @@ func (m *InstMap) Put(addr uint32) {
 // recorded. The weighted arbitration pass uses it to drop demoted
 // candidates from the ambiguous set.
 func (m *InstMap) Delete(addr uint32) {
-	if off, ok := m.off(addr); ok && m.set.Has(off) {
-		m.set.Clear(off)
+	if r, ok := m.rank(addr); ok && m.set.Has(r) {
+		m.set.Clear(r)
 		m.count--
 	}
 }
@@ -62,8 +57,8 @@ func (m *InstMap) Get(addr uint32) (isa.Inst, bool) {
 	if m == nil {
 		return isa.Inst{}, false
 	}
-	if off, ok := m.off(addr); ok && m.set.Has(off) {
-		return m.tab.Insts[off], true
+	if r, ok := m.rank(addr); ok && m.set.Has(r) {
+		return m.tab.Insts[r], true
 	}
 	return isa.Inst{}, false
 }
@@ -82,13 +77,7 @@ func (m *InstMap) All(yield func(addr uint32, in isa.Inst) bool) {
 	if m == nil {
 		return
 	}
-	for w, word := range m.set {
-		for word != 0 {
-			off := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if !yield(m.tab.Base+uint32(off), m.tab.Insts[off]) {
-				return
-			}
-		}
-	}
+	m.tab.Each(m.set, func(off, r int) bool {
+		return yield(m.tab.Base+uint32(off), m.tab.Insts[r])
+	})
 }

@@ -1,12 +1,5 @@
 package infer
 
-import (
-	"encoding/binary"
-
-	"zipr/internal/binfmt"
-	"zipr/internal/isa"
-)
-
 // This file is the fixed-point engine: two semi-naive evaluations over
 // the flow-edge relation. Both are worklist-driven — each round
 // processes only the delta derived in the previous round — and both
@@ -34,60 +27,57 @@ import (
 // the RuleDeadEnd junk belief — the decode cannot be real code because
 // executing it would inevitably reach bytes that do not decode.
 func (r *Result) refuteDeadEnds() {
-	ops := r.tab.Insts
-	n := len(ops)
-	// The predecessor relation in CSR form: preds[at[s]:at[s+1]] lists,
-	// in ascending order, the candidates whose viability requires s. A
-	// first pass counts edges per successor (and seeds the outright
-	// refutations), a prefix sum turns the counts into bucket ends, and a
-	// descending second pass fills each bucket back to front. That is a
-	// constant number of allocations however large the text, with the
-	// worklist retracting in a fixed order: ascending within a bucket.
-	at := make([]int32, n+1)
+	tab := r.tab
+	n, k := len(r.dataW), len(tab.Insts)
+	// The predecessor relation in CSR form, by rank: preds[at[s]:at[s+1]]
+	// lists, in ascending order, the candidates whose viability requires
+	// candidate s. A first pass counts edges per successor into at[s+2]
+	// (and seeds the outright refutations), a prefix sum turns the counts
+	// into bucket ends, and a second ascending pass fills bucket s
+	// through its cursor at[s+1], which it leaves at the bucket's end.
+	// That is a constant number of allocations however large the text,
+	// with the worklist retracting in a fixed order: ascending within a
+	// bucket.
+	at := make([]int32, k+2)
 	// The retraction worklist (the semi-naive delta). A candidate enters
 	// it at most once, when its viability flips.
-	dead := make([]int32, 0, r.stats.Candidates)
+	dead := make([]int32, 0, k)
 	var succs []int
 
-	for off := 0; off < n; off++ {
-		if ops[off].Op == isa.OpInvalid {
-			continue
-		}
+	for off, p := tab.Next(0), 0; off < n; off, p = tab.Next(off+1), p+1 {
 		var ok bool
-		succs, ok = r.flowSuccs(off, succs[:0])
+		succs, ok = r.flowSuccs(off, p, succs[:0])
 		if !ok {
-			dead = append(dead, int32(off))
+			dead = append(dead, int32(p))
 			continue
 		}
-		r.viable.Set(off)
+		r.viable.Set(p)
 		for _, s := range succs {
-			if ops[s].Op == isa.OpInvalid {
+			sk, ok := tab.Rank(s)
+			if !ok {
 				// Required successor does not decode: refuted outright.
-				if r.viable.Has(off) {
-					r.viable.Clear(off)
-					dead = append(dead, int32(off))
+				if r.viable.Has(p) {
+					r.viable.Clear(p)
+					dead = append(dead, int32(p))
 				}
 				continue
 			}
-			at[s]++
+			at[sk+2]++
 		}
 	}
-	for s := 1; s <= n; s++ {
+	for s := 2; s < len(at); s++ {
 		at[s] += at[s-1]
 	}
-	preds := make([]int32, at[n])
-	for off := n - 1; off >= 0; off-- {
-		if ops[off].Op == isa.OpInvalid {
-			continue
-		}
+	preds := make([]int32, at[k+1])
+	for off, p := tab.Next(0), 0; off < n; off, p = tab.Next(off+1), p+1 {
 		var ok bool
-		if succs, ok = r.flowSuccs(off, succs[:0]); !ok {
+		if succs, ok = r.flowSuccs(off, p, succs[:0]); !ok {
 			continue
 		}
 		for _, s := range succs {
-			if ops[s].Op != isa.OpInvalid {
-				at[s]--
-				preds[at[s]] = int32(off)
+			if sk, ok := tab.Rank(s); ok {
+				preds[at[sk+1]] = int32(p)
+				at[sk+1]++
 			}
 		}
 	}
@@ -104,69 +94,56 @@ func (r *Result) refuteDeadEnds() {
 		}
 	}
 
-	for off := 0; off < n; off++ {
-		if ops[off].Op == isa.OpInvalid || r.viable.Has(off) || r.strong.Has(off) {
+	for p := 0; p < k; p++ {
+		if r.viable.Has(p) || r.strong.Has(p) {
 			continue
 		}
 		r.stats.Nonviable++
-		if WeightDeadEnd > r.junkW[off] {
-			r.junkW[off], r.junkRule[off] = WeightDeadEnd, RuleDeadEnd
+		if WeightDeadEnd > r.junkW[p] {
+			r.junkW[p], r.junkRule[p] = WeightDeadEnd, RuleDeadEnd
 		}
 	}
 }
 
 // propagateCode computes code beliefs as a least fixed point. Seeds:
 // provably-reached starts at WeightStrong (the axiom), and viable
-// targets of stored pointer words at WeightPtrTarget — an address
+// targets of in-text table slots at WeightPtrTarget — an address
 // something in the binary *names* is plausibly an entry even when no
 // direct flow reaches it (the jump-table case). Belief then flows
 // along fallthrough and direct branch/call edges, decaying hopDecay
 // per edge but never below codeFloor, so any candidate transitively
 // named by real evidence keeps enough belief to block demotion.
-func (r *Result) propagateCode(bin *binfmt.Binary) {
-	n := len(r.tgt)
+func (r *Result) propagateCode() {
+	tab := r.tab
 	type raise struct {
 		off int32
 		w   uint8
 	}
-	work := make([]raise, 0, r.stats.StrongStarts) // every strong start is lifted
+	// Every strong start is lifted, and every table-slot target may be.
+	work := make([]raise, 0, r.stats.StrongStarts+len(r.ptrTargets))
 
-	lift := func(off int, w uint8, rule RuleID) {
-		if w <= r.codeW[off] {
+	lift := func(off, k int, w uint8, rule RuleID) {
+		if w <= r.codeW[k] {
 			return
 		}
-		r.codeW[off], r.codeRule[off] = w, rule
+		r.codeW[k], r.codeRule[k] = w, rule
 		r.stats.Raised++
 		work = append(work, raise{int32(off), w})
 	}
+	// liftViable lifts the candidate at text offset off, if it is one
+	// and viable.
+	liftViable := func(off int, w uint8, rule RuleID) {
+		if k, ok := tab.Rank(off); ok && r.viable.Has(k) {
+			lift(off, k, w, rule)
+		}
+	}
 
-	for off := 0; off < n; off++ {
-		if r.strong.Has(off) {
-			lift(off, WeightStrong, RuleStrongReach)
-		}
-	}
-	// Pointer-word targets: both the data-segment scan and the in-text
-	// table slots found by extractFacts. The in-text slots were recorded
-	// as RuleTableSlot data bytes; recover their targets here.
-	text := bin.Text()
-	for si := range bin.Segments {
-		seg := &bin.Segments[si]
-		if seg.Kind != binfmt.Data {
-			continue
-		}
-		for o := 0; o+4 <= len(seg.Data); o += 4 {
-			v := binary.LittleEndian.Uint32(seg.Data[o:])
-			if text.Contains(v) {
-				if toff := int(v - r.base); r.viable.Has(toff) {
-					lift(toff, WeightPtrTarget, RulePtrTarget)
-				}
-			}
-		}
-	}
+	tab.Each(r.strong, func(off, k int) bool {
+		lift(off, k, WeightStrong, RuleStrongReach)
+		return true
+	})
 	for _, toff := range r.ptrTargets {
-		if r.viable.Has(int(toff)) {
-			lift(int(toff), WeightPtrTarget, RulePtrTarget)
-		}
+		liftViable(int(toff), WeightPtrTarget, RulePtrTarget)
 	}
 
 	var succs []int
@@ -175,25 +152,21 @@ func (r *Result) propagateCode(bin *binfmt.Binary) {
 		work = work[:len(work)-1]
 		r.stats.Iterations++
 		off := int(cur.off)
-		if cur.w < r.codeW[off] {
+		k, _ := tab.Rank(off)
+		if cur.w < r.codeW[k] {
 			continue // superseded by a later, higher raise
-		}
-		if r.tab.Insts[off].Op == isa.OpInvalid {
-			continue
 		}
 		next := cur.w - hopDecay
 		if next < codeFloor {
 			next = codeFloor
 		}
 		var ok bool
-		succs, ok = r.flowSuccs(off, succs[:0])
+		succs, ok = r.flowSuccs(off, k, succs[:0])
 		if !ok {
 			continue
 		}
 		for _, s := range succs {
-			if r.viable.Has(s) {
-				lift(s, next, RuleCodeFlow)
-			}
+			liftViable(s, next, RuleCodeFlow)
 		}
 	}
 }

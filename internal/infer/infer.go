@@ -10,12 +10,14 @@
 // hand-compiled:
 //
 //  1. Fact extraction reads the shared decode table (isa.DecodeTable,
-//     filled once per disassembly for all three disassemblers) and
-//     materializes the ground relations: candidate instruction starts
-//     (every offset the table decodes), fallthrough/branch/call edges
-//     between candidates, data-access targets (loadpc reads), in-text
-//     pointer words, printable-string runs, and overlap conflicts
-//     against the provably-reached instruction set.
+//     filled once per disassembly for all three disassemblers), whose
+//     candidate relation — the offsets that decode, each with a dense
+//     rank — is the fact base's key: every per-candidate relation is an
+//     array indexed by rank, and only facts about bytes are per byte.
+//     It materializes the ground relations: fallthrough/branch/call
+//     edges between candidates, data-access targets (loadpc reads),
+//     in-text pointer words, printable-string runs, and overlap
+//     conflicts against the provably-reached instruction set.
 //  2. A semi-naive fixed-point engine (engine.go) evaluates the
 //     weighted rule set: each round propagates only the delta — beliefs
 //     raised in the previous round — along edges, so work is
@@ -134,27 +136,32 @@ type Stats struct {
 	Iterations   int // worklist pops across both fixed points
 }
 
-// Result holds per-address beliefs with rule provenance.
+// Result holds per-address beliefs with rule provenance. Candidate
+// facts are indexed by the candidate's rank in tab; byte facts by text
+// offset.
 type Result struct {
 	base uint32
-	// tab is the candidate relation: the decode at every offset
-	// (OpInvalid: no candidate) and its length.
+	// tab is the candidate relation: the offsets that decode, each
+	// candidate's rank, decode and length.
 	tab *isa.DecodeTable
 
-	tgt       []int32    // candidate's static target: a text offset, tgtNone or tgtWild
-	strongCov isa.Bitset // byte is covered by a provably-reached instruction
-	strong    isa.Bitset // offset is a provably-reached instruction start
-	viable    isa.Bitset // candidate's decode chains avoid dead ends
+	tgt       []int32    // by rank: static target, a text offset, tgtNone or tgtWild
+	strongCov isa.Bitset // by byte: covered by a provably-reached instruction
+	strong    isa.Bitset // by rank: a provably-reached instruction start
+	viable    isa.Bitset // by rank: the decode chains avoid dead ends
 
-	codeW    []uint8 // per-start code belief
+	codeW    []uint8 // by rank: code belief
 	codeRule []RuleID
-	dataW    []uint8 // per-byte data belief
+	dataW    []uint8 // by byte: data belief
 	dataRule []RuleID
-	junkW    []uint8 // per-start data belief (the decode itself is junk)
+	junkW    []uint8 // by rank: data belief (the decode itself is junk)
 	junkRule []RuleID
 
 	// ptrTargets are in-text offsets named by stored pointer words
-	// (table slots); propagateCode seeds them at WeightPtrTarget.
+	// (table slots); propagateCode seeds them at WeightPtrTarget. The
+	// targets of data-segment words need no such seed: they are strong
+	// reachability seeds, so every candidate among them is already a
+	// strong start at WeightStrong.
 	ptrTargets []int32
 
 	stats Stats
@@ -163,14 +170,23 @@ type Result struct {
 // Stats returns the run's fact and fixed-point counters.
 func (r *Result) Stats() Stats { return r.stats }
 
+// rank returns the candidate rank of addr and whether a candidate
+// starts there.
+func (r *Result) rank(addr uint32) (int, bool) {
+	if r.tab == nil {
+		return 0, false
+	}
+	return r.tab.Rank(int(addr - r.base))
+}
+
 // CodeBelief returns the code belief and provenance for a candidate
-// starting at addr (0, RuleNone outside the text segment).
+// starting at addr (0, RuleNone where no candidate starts).
 func (r *Result) CodeBelief(addr uint32) (uint8, RuleID) {
-	off := addr - r.base
-	if off >= uint32(len(r.codeW)) {
+	k, ok := r.rank(addr)
+	if !ok {
 		return 0, RuleNone
 	}
-	return r.codeW[off], r.codeRule[off]
+	return r.codeW[k], r.codeRule[k]
 }
 
 // ByteBelief returns the per-byte data belief and provenance for the
@@ -194,7 +210,10 @@ func (r *Result) DataBelief(addr uint32, length int) (uint8, RuleID) {
 	if off < 0 || off >= len(r.dataW) || length <= 0 {
 		return 0, RuleNone
 	}
-	w, rule := r.junkW[off], r.junkRule[off]
+	w, rule := uint8(0), RuleNone
+	if k, ok := r.rank(addr); ok {
+		w, rule = r.junkW[k], r.junkRule[k]
+	}
 	end := off + length
 	if end > len(r.dataW) {
 		end = len(r.dataW)
@@ -224,35 +243,36 @@ func (r *Result) Verdict(addr uint32, length int) (Verdict, RuleID) {
 }
 
 // Analyze runs fact extraction and the weighted fixed point over bin's
-// text segment, whose decode at every offset tab holds (see
+// text segment, whose candidate relation tab holds (see
 // isa.DecodeTable; tab is unused when bin has no text). It only reads
 // bin and tab, so it is safe to run concurrently with the other two
-// disassemblers. On fixed-width ISAs the table holds only aligned
-// decodes — the decoder rejects everything else — which shrinks the
-// fact base but leaves every rule unchanged.
+// disassemblers. On fixed-width ISAs only aligned offsets decode, so
+// the fact base holds at most one candidate per alignment unit, with
+// every rule unchanged.
 func Analyze(bin *binfmt.Binary, tab *isa.DecodeTable) *Result {
 	text := bin.Text()
 	if text == nil {
 		return &Result{}
 	}
-	n := len(text.Data)
+	n, k := len(text.Data), len(tab.Insts)
 	r := &Result{
 		base:      text.VAddr,
 		tab:       tab,
-		tgt:       make([]int32, n),
+		tgt:       make([]int32, k),
 		strongCov: isa.NewBitset(n),
-		strong:    isa.NewBitset(n),
-		viable:    isa.NewBitset(n),
-		codeW:     make([]uint8, n),
-		codeRule:  make([]RuleID, n),
+		strong:    isa.NewBitset(k),
+		viable:    isa.NewBitset(k),
+		codeW:     make([]uint8, k),
+		codeRule:  make([]RuleID, k),
 		dataW:     make([]uint8, n),
 		dataRule:  make([]RuleID, n),
-		junkW:     make([]uint8, n),
-		junkRule:  make([]RuleID, n),
+		junkW:     make([]uint8, k),
+		junkRule:  make([]RuleID, k),
+		stats:     Stats{Candidates: k},
 	}
 	r.extractFacts(bin)
 	r.refuteDeadEnds()
-	r.propagateCode(bin)
+	r.propagateCode()
 	return r
 }
 
@@ -261,15 +281,12 @@ func Analyze(bin *binfmt.Binary, tab *isa.DecodeTable) *Result {
 // and string runs.
 func (r *Result) extractFacts(bin *binfmt.Binary) {
 	text := bin.Text()
-	ops, lens := r.tab.Insts, r.tab.Lens
-	n := len(ops)
+	tab, ops, lens := r.tab, r.tab.Insts, r.tab.Lens
+	n := len(r.dataW)
 
 	// Candidate instruction starts: every offset the table decodes.
-	for off := range ops {
-		if ops[off].Op != isa.OpInvalid {
-			r.tgt[off] = r.target(bin, ops[off], off)
-			r.stats.Candidates++
-		}
+	for off, k := tab.Next(0), 0; off < n; off, k = tab.Next(off+1), k+1 {
+		r.tgt[k] = r.target(bin, ops[k], off)
 	}
 
 	// Strong reachability: the same seed set the recursive traversal
@@ -302,19 +319,20 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 		addr := work[len(work)-1]
 		work = work[:len(work)-1]
 		off := int(addr - r.base)
-		in := ops[off]
-		if r.strong.Has(off) || in.Op == isa.OpInvalid {
+		k, ok := tab.Rank(off)
+		if !ok || r.strong.Has(k) {
 			continue
 		}
-		r.strong.Set(off)
+		in := ops[k]
+		r.strong.Set(k)
 		r.stats.StrongStarts++
-		r.strongCov.SetRange(off, off+int(lens[off]))
+		r.strongCov.SetRange(off, off+int(lens[k]))
 		if in.HasFallthrough() {
-			seed(addr + uint32(lens[off]))
+			seed(addr + uint32(lens[k]))
 		}
 		// A lea/loadpc target is address formation or a data reference,
 		// not a code edge.
-		if t := r.tgt[off]; t >= 0 && !in.IsPCRelData() {
+		if t := r.tgt[k]; t >= 0 && !in.IsPCRelData() {
 			seed(r.base + uint32(t))
 		}
 	}
@@ -334,21 +352,19 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// that the program reads as data. Overlap conflicts: a candidate
 	// whose span straddles bytes of a provably-reached instruction
 	// without being one is a junk decode.
-	for off := 0; off < n; off++ {
-		switch {
-		case ops[off].Op == isa.OpInvalid:
-		case r.strong.Has(off):
-			if t := int(r.tgt[off]); ops[off].Op == isa.OpLoadPC && t >= 0 {
+	for off, k := tab.Next(0), 0; off < n; off, k = tab.Next(off+1), k+1 {
+		if r.strong.Has(k) {
+			if t := int(r.tgt[k]); ops[k].Op == isa.OpLoadPC && t >= 0 {
 				for i := 0; i < 4; i++ {
 					markData(t+i, WeightDataAccess, RuleDataAccess)
 				}
 			}
-		default:
-			for i := off; i < off+int(lens[off]); i++ {
-				if r.strongCov.Has(i) {
-					r.junkW[off], r.junkRule[off] = WeightOverlap, RuleOverlap
-					break
-				}
+			continue
+		}
+		for i := off; i < off+int(lens[k]); i++ {
+			if r.strongCov.Has(i) {
+				r.junkW[k], r.junkRule[k] = WeightOverlap, RuleOverlap
+				break
 			}
 		}
 	}
@@ -366,7 +382,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 			continue
 		}
 		toff := v - r.base
-		if ops[toff].Op == isa.OpInvalid {
+		if _, ok := tab.Rank(int(toff)); !ok {
 			continue
 		}
 		r.ptrTargets = append(r.ptrTargets, int32(toff))
@@ -469,22 +485,22 @@ func (r *Result) target(bin *binfmt.Binary, in isa.Inst, off int) int32 {
 	return int32(t - r.base)
 }
 
-// flowSuccs appends the offsets the candidate at off requires to be
-// viable code for itself to be viable: its fallthrough and its direct
-// branch/call target. ok=false means a successor is structurally
+// flowSuccs appends the offsets the candidate of rank k at off requires
+// to be viable code for itself to be viable: its fallthrough and its
+// direct branch/call target. ok=false means a successor is structurally
 // impossible (falls off the end of text, branches outside text, or
 // forms a PC-relative address outside every segment) and the candidate
 // is refuted outright.
-func (r *Result) flowSuccs(off int, dst []int) (_ []int, ok bool) {
-	in := r.tab.Insts[off]
+func (r *Result) flowSuccs(off, k int, dst []int) (_ []int, ok bool) {
+	in := r.tab.Insts[k]
 	if in.HasFallthrough() {
-		ft := off + int(r.tab.Lens[off])
-		if ft >= len(r.tgt) {
+		ft := off + int(r.tab.Lens[k])
+		if ft >= len(r.dataW) {
 			return dst, false // execution would run off the end of text
 		}
 		dst = append(dst, ft)
 	}
-	switch t := r.tgt[off]; {
+	switch t := r.tgt[k]; {
 	case t == tgtWild:
 		return dst, false
 	case t >= 0 && !in.IsPCRelData():

@@ -27,6 +27,13 @@ func TestDisassembleSerialMatchesParallelZVM64(t *testing.T) {
 		}
 		checkSerialMatchesParallel(t, idx, bin, isa.ZVM64)
 	}
+	// The veneer-stress program of the ZVM-64 benchmark corpus, the one
+	// corpus input whose text the generator does not lay out.
+	vcb, err := cgcsim.VeneerCB(isa.ZVM64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSerialMatchesParallel(t, -2, vcb.Bin, isa.ZVM64)
 }
 
 // TestRewriteConcurrentDeterministicZVM64 rewrites the same fixed-width

@@ -37,7 +37,8 @@ func dumpAgg(agg disasm.Aggregated) (insts, ambig []uint64) {
 
 // TestDisassembleSerialMatchesParallel checks that the concurrent
 // disassembly produces exactly the serial result on a spread of
-// binaries (plain, ambiguous-heavy, pathological).
+// binaries (plain, ambiguous-heavy, pathological) and on the libc-scale
+// library, whose text spans thousands of candidate-set words.
 func TestDisassembleSerialMatchesParallel(t *testing.T) {
 	for _, idx := range []int{0, 5, 10, synth.PathologicalCB} {
 		seed, profile := synth.CBProfile(idx)
@@ -47,12 +48,19 @@ func TestDisassembleSerialMatchesParallel(t *testing.T) {
 		}
 		checkSerialMatchesParallel(t, idx, bin, nil)
 	}
+	lib, err := synth.Build(11, synth.LibcProfile(1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSerialMatchesParallel(t, -1, lib, nil)
 }
 
-// checkSerialMatchesParallel disassembles bin under arch serially and
-// concurrently, under both arbitration policies, and fails unless the
-// two Aggregated views agree in every output: instructions, ambiguous
-// set, fixed ranges, byte classes, warnings and arbitration counts.
+// checkSerialMatchesParallel disassembles bin under arch serially and in
+// three concurrent-mode runs at once, under both arbitration policies,
+// and fails unless every concurrent Aggregated view agrees with the
+// serial one in every output: instructions, ambiguous set, fixed
+// ranges, byte classes, warnings and arbitration counts. idx names the
+// binary in failures (-1: the library, -2: the veneer program).
 func checkSerialMatchesParallel(t *testing.T, idx int, bin *binfmt.Binary, arch isa.Arch) {
 	t.Helper()
 	for _, arb := range []disasm.Arbitration{disasm.ArbTwoWay, disasm.ArbWeighted} {
@@ -60,31 +68,50 @@ func checkSerialMatchesParallel(t *testing.T, idx int, bin *binfmt.Binary, arch 
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := disasm.DisassembleOpts(bin, disasm.Options{Arbitration: arb, Arch: arch})
-		if err != nil {
-			t.Fatal(err)
+		var pars [3]disasm.Aggregated
+		var errs [3]error
+		var wg sync.WaitGroup
+		for i := range pars {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pars[i], errs[i] = disasm.DisassembleOpts(bin, disasm.Options{Arbitration: arb, Arch: arch})
+			}(i)
 		}
-		sI, sA := dumpAgg(serial)
-		pI, pA := dumpAgg(par)
-		if !reflect.DeepEqual(sI, pI) {
-			t.Fatalf("cb%d arb %d: instruction sets differ (serial %d, parallel %d)", idx, arb, len(sI), len(pI))
+		wg.Wait()
+		for i, par := range pars {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			checkAggEqual(t, idx, arb, serial, par)
 		}
-		if !reflect.DeepEqual(sA, pA) {
-			t.Fatalf("cb%d arb %d: ambiguous sets differ", idx, arb)
-		}
-		if !reflect.DeepEqual(serial.Fixed, par.Fixed) {
-			t.Fatalf("cb%d arb %d: fixed ranges differ: %v vs %v", idx, arb, serial.Fixed, par.Fixed)
-		}
-		if !bytes.Equal(classBytes(serial.Classes), classBytes(par.Classes)) {
-			t.Fatalf("cb%d arb %d: byte classifications differ", idx, arb)
-		}
-		if !reflect.DeepEqual(serial.Warnings, par.Warnings) {
-			t.Fatalf("cb%d arb %d: warnings differ:\n%v\nvs\n%v", idx, arb, serial.Warnings, par.Warnings)
-		}
-		if serial.Demoted != par.Demoted || serial.Disputed != par.Disputed {
-			t.Fatalf("cb%d arb %d: demoted/disputed %d/%d serial, %d/%d parallel",
-				idx, arb, serial.Demoted, serial.Disputed, par.Demoted, par.Disputed)
-		}
+	}
+}
+
+// checkAggEqual fails unless two Aggregated views of one binary agree
+// in every output.
+func checkAggEqual(t *testing.T, idx int, arb disasm.Arbitration, serial, par disasm.Aggregated) {
+	t.Helper()
+	sI, sA := dumpAgg(serial)
+	pI, pA := dumpAgg(par)
+	if !reflect.DeepEqual(sI, pI) {
+		t.Fatalf("cb%d arb %d: instruction sets differ (serial %d, parallel %d)", idx, arb, len(sI), len(pI))
+	}
+	if !reflect.DeepEqual(sA, pA) {
+		t.Fatalf("cb%d arb %d: ambiguous sets differ", idx, arb)
+	}
+	if !reflect.DeepEqual(serial.Fixed, par.Fixed) {
+		t.Fatalf("cb%d arb %d: fixed ranges differ: %v vs %v", idx, arb, serial.Fixed, par.Fixed)
+	}
+	if !bytes.Equal(classBytes(serial.Classes), classBytes(par.Classes)) {
+		t.Fatalf("cb%d arb %d: byte classifications differ", idx, arb)
+	}
+	if !reflect.DeepEqual(serial.Warnings, par.Warnings) {
+		t.Fatalf("cb%d arb %d: warnings differ:\n%v\nvs\n%v", idx, arb, serial.Warnings, par.Warnings)
+	}
+	if serial.Demoted != par.Demoted || serial.Disputed != par.Disputed {
+		t.Fatalf("cb%d arb %d: demoted/disputed %d/%d serial, %d/%d parallel",
+			idx, arb, serial.Demoted, serial.Disputed, par.Demoted, par.Disputed)
 	}
 }
 
