@@ -79,7 +79,9 @@ benchgate:
 # slab-allocated decoded nodes and the text-offset index), and for the
 # whole disassembly stage on the library, whose speedup-x over
 # Options.Serial shows whether the split decode and the inference
-# goroutine still pay for themselves. The
+# goroutine still pay for themselves, and for the assembler that builds
+# every benchmark input, whose allocs/op must stay far below its source
+# line count (BenchmarkAssemble). The
 # third line runs every workload of the end-to-end benchmark harness for
 # one second each (about a minute on two cores); the harness checks every
 # output, so a change that breaks a benchmark run fails here first. The
@@ -88,7 +90,7 @@ benchgate:
 # the bytes zipr.Rewrite does.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc|DisassembleLibc|BuildLibc' -benchtime 1x -benchmem . ./internal/cfg/
+	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit|InferLibc|DisassembleLibc|BuildLibc|^BenchmarkAssemble$$' -benchtime 1x -benchmem . ./internal/cfg/
 	bash bench/run.sh --seconds 1 --seed 0
 	bash bench/run.sh --seconds 1 --seed 0 --trace 1
 
@@ -102,8 +104,10 @@ benchbuild:
 
 # Fuzz smoke: replay the committed seed corpora, then fuzz each target
 # for a bounded interval — long enough to catch shallow regressions in
-# the allocator's differential contract and the whole-pipeline
-# transcript-equivalence property, short enough for CI. Crashers are
+# the allocator's differential contract, the whole-pipeline
+# transcript-equivalence property and the assembler's contract (no
+# panic, a typed error with an in-source line, deterministic output),
+# short enough for CI. Crashers are
 # written under testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
 fuzzsmoke:
@@ -112,6 +116,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaEquivalence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzInferEquivalence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzZVMEquivalence$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm/
 
 # Per-ISA sweep: the golden matrices, the veneer program's fail-closed
 # contract, and the chaos schedule sweeps for every supported

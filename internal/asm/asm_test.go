@@ -28,8 +28,7 @@ func run(t *testing.T, src string, stdin string, libs map[string]*binfmt.Binary)
 	return res
 }
 
-func TestHelloWorld(t *testing.T) {
-	src := `
+const helloSrc = `
 .text 0x00100000
 main:
     lea r2, msg
@@ -42,7 +41,9 @@ main:
     syscall
 msg: .asciz "hello"
 `
-	res := run(t, src, "", nil)
+
+func TestHelloWorld(t *testing.T) {
+	res := run(t, helloSrc, "", nil)
 	if string(res.Output) != "hello\x00" {
 		t.Fatalf("output = %q", res.Output)
 	}
@@ -51,9 +52,8 @@ msg: .asciz "hello"
 	}
 }
 
-func TestLoopsBranchesAndData(t *testing.T) {
-	// Sum the .word array using a counted loop; exit(sum).
-	src := `
+// loopSrc sums the .word array using a counted loop; exit(sum).
+const loopSrc = `
 .text 0x00100000
 .entry start
 start:
@@ -79,14 +79,15 @@ done:
 arr: .word 10, 20, 30, 40
 arr_ptr: .word arr
 `
-	res := run(t, src, "", nil)
+
+func TestLoopsBranchesAndData(t *testing.T) {
+	res := run(t, loopSrc, "", nil)
 	if res.ExitCode != 100 {
 		t.Fatalf("exit = %d, want 100", res.ExitCode)
 	}
 }
 
-func TestShortBranchAndLabelArith(t *testing.T) {
-	src := `
+const shortBranchSrc = `
 .text 0x00100000
 main:
     movi r2, 3
@@ -99,14 +100,15 @@ l:  dec r2
 .align 4
 tbl: .word 7, 9
 `
-	res := run(t, src, "", nil)
+
+func TestShortBranchAndLabelArith(t *testing.T) {
+	res := run(t, shortBranchSrc, "", nil)
 	if res.ExitCode != 9 {
 		t.Fatalf("exit = %d, want 9", res.ExitCode)
 	}
 }
 
-func TestCallAndStack(t *testing.T) {
-	src := `
+const callSrc = `
 .text 0x00100000
 main:
     movi r1, 5
@@ -118,14 +120,15 @@ double:
     add r1, r1
     ret
 `
-	res := run(t, src, "", nil)
+
+func TestCallAndStack(t *testing.T) {
+	res := run(t, callSrc, "", nil)
 	if res.ExitCode != 20 {
 		t.Fatalf("exit = %d, want 20", res.ExitCode)
 	}
 }
 
-func TestJumpTableViaData(t *testing.T) {
-	src := `
+const jumpTableSrc = `
 .text 0x00100000
 main:
     movi r2, 2           ; select case 2
@@ -146,14 +149,15 @@ out:
 .data 0x00200000
 jumptab: .word case0, case1, case2
 `
-	res := run(t, src, "", nil)
+
+func TestJumpTableViaData(t *testing.T) {
+	res := run(t, jumpTableSrc, "", nil)
 	if res.ExitCode != 102 {
 		t.Fatalf("exit = %d, want 102", res.ExitCode)
 	}
 }
 
-func TestEcho(t *testing.T) {
-	src := `
+const echoSrc = `
 .text 0x00100000
 main:
     movi r0, 3       ; receive
@@ -172,14 +176,15 @@ main:
 .data 0x00200000
 buf: .space 16
 `
-	res := run(t, src, "abcdefgh", nil)
+
+func TestEcho(t *testing.T) {
+	res := run(t, echoSrc, "abcdefgh", nil)
 	if string(res.Output) != "abcdefgh" {
 		t.Fatalf("output = %q", res.Output)
 	}
 }
 
-func TestImportExportAcrossLibrary(t *testing.T) {
-	libSrc := `
+const mathLibSrc = `
 .type lib
 .text 0x00700000
 triple:
@@ -189,11 +194,8 @@ triple:
     ret
 .export lib_triple = triple
 `
-	lib, err := Assemble(libSrc)
-	if err != nil {
-		t.Fatalf("assemble lib: %v", err)
-	}
-	exeSrc := `
+
+const mathExeSrc = `
 .type exec
 .lib "mathlib"
 .import lib_triple, got_triple
@@ -208,14 +210,19 @@ main:
 .data 0x00200000
 got_triple: .word 0
 `
-	res := run(t, exeSrc, "", map[string]*binfmt.Binary{"mathlib": lib})
+
+func TestImportExportAcrossLibrary(t *testing.T) {
+	lib, err := Assemble(mathLibSrc)
+	if err != nil {
+		t.Fatalf("assemble lib: %v", err)
+	}
+	res := run(t, mathExeSrc, "", map[string]*binfmt.Binary{"mathlib": lib})
 	if res.ExitCode != 21 {
 		t.Fatalf("exit = %d, want 21", res.ExitCode)
 	}
 }
 
-func TestDirectivesByteSpaceAlign(t *testing.T) {
-	bin, err := Assemble(`
+const directivesSrc = `
 .text 0x00100000
 main: ret
 .data 0x00200000
@@ -223,7 +230,10 @@ a: .byte 1, 2, 0xff
    .align 8
 b: .space 3
 c: .asciz "x\n\t\"\\\0"
-`)
+`
+
+func TestDirectivesByteSpaceAlign(t *testing.T) {
+	bin, err := Assemble(directivesSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,34 +254,38 @@ c: .asciz "x\n\t\"\\\0"
 	}
 }
 
+// errorCases are sources the assembler must reject, each with its
+// exact error text.
+var errorCases = []struct {
+	name, src, msg string
+}{
+	{"unknown mnemonic", ".text\nmain: frob r1", "asm: line 2: unknown mnemonic \"frob\""},
+	{"undefined label", ".text\nmain: jmp nowhere", "asm: line 2: undefined label \"nowhere\""},
+	{"duplicate label", ".text\nx: nop\nx: nop\nmain: ret", "asm: line 3: duplicate label \"x\""},
+	{"bad register", ".text\nmain: push r99", "asm: line 2: bad register \"r99\""},
+	{"short out of range", ".text\nmain: jmp.s far\n.space 600\nfar: ret", "asm: line 2: short branch to \"far\" out of range (disp 600)"},
+	{"no text", ".data\nx: .byte 1", "asm: empty text section"},
+	{"no entry", ".text\nstart: ret", "asm: entry symbol \"main\" undefined"},
+	{"bad directive", ".text\n.bogus 4\nmain: ret", "asm: line 2: unknown directive .bogus"},
+	{"arity", ".text\nmain: add r1", "asm: line 2: expected 2 operand(s), got 1"},
+	{"label outside section", "x: nop", "asm: line 1: label \"x\" outside any section"},
+	{"unaligned base", ".text 0x100001\nmain: ret", "asm: line 1: section base 0x100001 not page-aligned"},
+	{"bad string", ".text\nmain: ret\n.data\ns: .asciz nope", "asm: line 4: bad string literal nope"},
+	{"bad escape", ".text\nmain: ret\n.data\ns: .asciz \"\\q\"", "asm: line 4: unknown escape \\q"},
+	{"byte range", ".text\nmain: ret\n.data\nb: .byte 300", "asm: line 4: .byte operand 300 out of range"},
+	{"import arity", ".import onlyname\n.text\nmain: ret", "asm: line 1: bad .import \"onlyname\" (want name, gotlabel)"},
+	{"register trailing garbage", ".text\nmain: push r1x", "asm: line 2: bad register \"r1x\""},
+}
+
 func TestErrors(t *testing.T) {
-	tests := []struct {
-		name, src, substr string
-	}{
-		{"unknown mnemonic", ".text\nmain: frob r1", "unknown mnemonic"},
-		{"undefined label", ".text\nmain: jmp nowhere", "undefined label"},
-		{"duplicate label", ".text\nx: nop\nx: nop\nmain: ret", "duplicate"},
-		{"bad register", ".text\nmain: push r99", "bad register"},
-		{"short out of range", ".text\nmain: jmp.s far\n.space 600\nfar: ret", "out of range"},
-		{"no text", ".data\nx: .byte 1", "empty text"},
-		{"no entry", ".text\nstart: ret", "entry symbol"},
-		{"bad directive", ".text\n.bogus 4\nmain: ret", "unknown directive"},
-		{"arity", ".text\nmain: add r1", "expected 2 operand"},
-		{"label outside section", "x: nop", "outside any section"},
-		{"unaligned base", ".text 0x100001\nmain: ret", "page-aligned"},
-		{"bad string", ".text\nmain: ret\n.data\ns: .asciz nope", "bad string"},
-		{"bad escape", ".text\nmain: ret\n.data\ns: .asciz \"\\q\"", "unknown escape"},
-		{"byte range", ".text\nmain: ret\n.data\nb: .byte 300", "out of range"},
-		{"import arity", ".import onlyname\n.text\nmain: ret", "bad .import"},
-	}
-	for _, tt := range tests {
+	for _, tt := range errorCases {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := Assemble(tt.src)
 			if err == nil {
 				t.Fatal("Assemble succeeded, want error")
 			}
-			if !strings.Contains(err.Error(), tt.substr) {
-				t.Fatalf("error %q does not contain %q", err, tt.substr)
+			if err.Error() != tt.msg {
+				t.Fatalf("error %q, want %q", err, tt.msg)
 			}
 		})
 	}
@@ -288,23 +302,22 @@ func TestErrorLineNumbers(t *testing.T) {
 	}
 }
 
-func TestCommentsDoNotBreakStrings(t *testing.T) {
-	bin := MustAssemble(`
+const commentsSrc = `
 .text 0x00100000
 main: ret             ; trailing comment
 .data 0x00200000
 s: .asciz "a;b#c"     ; comment after string
-`)
+`
+
+func TestCommentsDoNotBreakStrings(t *testing.T) {
+	bin := MustAssemble(commentsSrc)
 	d := bin.DataSeg().Data
 	if string(d[:6]) != "a;b#c\x00" {
 		t.Fatalf("string data = %q", d[:6])
 	}
 }
 
-func TestPass1Pass2SizesAgree(t *testing.T) {
-	// Every mnemonic once; pass 1 reserved sizes must equal pass 2
-	// encodings, or labels after the code would shift.
-	src := `
+const allMnemonicsSrc = `
 .text 0x00100000
 main:
     nop
@@ -342,7 +355,11 @@ end:
     syscall
 w: .word 5
 `
-	bin, err := Assemble(src)
+
+func TestPass1Pass2SizesAgree(t *testing.T) {
+	// Every mnemonic once; pass 1 reserved sizes must equal pass 2
+	// encodings, or labels after the code would shift.
+	bin, err := Assemble(allMnemonicsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,14 @@ const (
 	shStore                       // store [r1+4], r2
 )
 
+// arity is each shape's operand count.
+var arity = [...]int{
+	shNone: 0, shReg: 1, shImm8: 1, shImm32: 1, shRel: 1,
+	shRegReg: 2, shRegI8: 2, shRegI32: 2, shPCRel: 2, shLoad: 2, shStore: 2,
+}
+
 type mnemonic struct {
+	name  string
 	op    isa.Op
 	cc    isa.Cc
 	shape instShape
@@ -34,7 +41,7 @@ type mnemonic struct {
 // their condition; ".s" variants use the short (rel8) encodings.
 var mnemonics = buildMnemonics()
 
-func buildMnemonics() map[string]mnemonic {
+func buildMnemonics() map[string]*mnemonic {
 	m := map[string]mnemonic{
 		"nop":     {op: isa.OpNop, shape: shNone},
 		"hlt":     {op: isa.OpHlt, shape: shNone},
@@ -88,25 +95,40 @@ func buildMnemonics() map[string]mnemonic {
 		m[name] = mnemonic{op: isa.OpJcc32, cc: cc, shape: shRel}
 		m[name+".s"] = mnemonic{op: isa.OpJcc8, cc: cc, shape: shRel}
 	}
-	return m
+	out := make(map[string]*mnemonic, len(m))
+	for name, mn := range m {
+		mn.name = name
+		out[name] = &mn
+	}
+	return out
 }
 
+// parseReg parses "sp" or "r" followed by decimal digits naming a
+// register, in either case and with surrounding space.
 func parseReg(s string) (uint8, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	if s == "sp" {
+	s = strings.TrimSpace(s)
+	if len(s) == 2 && s[0]|0x20 == 's' && s[1]|0x20 == 'p' {
 		return isa.SP, nil
 	}
-	if len(s) >= 2 && s[0] == 'r' {
-		var n int
-		if _, err := fmt.Sscanf(s[1:], "%d", &n); err == nil && n >= 0 && n < isa.NumRegs {
+	if len(s) >= 2 && s[0]|0x20 == 'r' {
+		n := 0
+		for i := 1; i < len(s) && n < isa.NumRegs; i++ {
+			c := s[i]
+			if c < '0' || c > '9' {
+				n = isa.NumRegs
+				break
+			}
+			n = n*10 + int(c-'0')
+		}
+		if n < isa.NumRegs {
 			return uint8(n), nil
 		}
 	}
-	return 0, fmt.Errorf("bad register %q", s)
+	return 0, fmt.Errorf("bad register %q", strings.ToLower(s))
 }
 
 // parseMem parses "[reg]", "[reg+disp]" or "[reg-disp]".
-func (a *assembler) parseMem(s string) (uint8, int32, error) {
+func parseMem(s string) (uint8, int32, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 3 || s[0] != '[' || s[len(s)-1] != ']' {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
@@ -114,7 +136,7 @@ func (a *assembler) parseMem(s string) (uint8, int32, error) {
 	body := s[1 : len(s)-1]
 	regPart, disp := body, int64(0)
 	if i := strings.IndexAny(body, "+-"); i > 0 {
-		n, err := a.number(body[i:])
+		n, err := number(body[i:])
 		if err != nil {
 			return 0, 0, fmt.Errorf("bad displacement in %q: %v", s, err)
 		}
@@ -127,169 +149,102 @@ func (a *assembler) parseMem(s string) (uint8, int32, error) {
 	return r, int32(disp), nil
 }
 
-// instruction assembles one instruction statement. On pass 1 it only
-// reserves space (every mnemonic has a fixed size); on pass 2 it encodes
-// with resolved labels.
-func (a *assembler) instruction(s string, pass int) error {
-	fields := strings.Fields(s)
-	name := strings.ToLower(fields[0])
+// instruction is pass 1 of an instruction statement: it checks the
+// mnemonic, ISA support, alignment and arity, reserves the encoding's
+// bytes (every mnemonic has a fixed size) and records the slot that
+// pass 2 encodes once labels resolve.
+func (a *assembler) instruction(s string, line int) error {
+	name, rest := cutField(s)
+	name = strings.ToLower(name)
 	mn, ok := mnemonics[name]
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", name)
 	}
-	rest := strings.TrimSpace(s[len(fields[0]):])
+	ilen := a.arch.InstLen(isa.Inst{Op: mn.op, Cc: mn.cc})
+	if ilen == 0 {
+		return fmt.Errorf("mnemonic %q unsupported on %s", name, a.arch.Name())
+	}
+	if al := a.arch.Align(); al > 1 && a.pc()%al != 0 {
+		return fmt.Errorf("instruction at %#x misaligned for %s (use .align %d)",
+			a.pc(), a.arch.Name(), al)
+	}
+	op1, op2, n := splitOperands(rest)
+	if want := arity[mn.shape]; n != want {
+		return fmt.Errorf("expected %d operand(s), got %d", want, n)
+	}
+	off, err := a.reserve(ilen)
+	if err != nil {
+		return err
+	}
+	a.slots = append(a.slots, slot{line: int32(line), sec: a.sec, off: off, mn: mn, op1: op1, op2: op2})
+	return nil
+}
+
+// encode is pass 2 of an instruction: it resolves the slot's operands
+// and writes the encoding over the bytes pass 1 reserved.
+func (a *assembler) encode(sl *slot) error {
+	mn := sl.mn
 	in := isa.Inst{Op: mn.op, Cc: mn.cc}
-	ilen := a.arch.InstLen(in)
-
-	if pass == 1 {
-		// Reserve exact space; operands may reference undefined labels.
-		if ilen == 0 {
-			return fmt.Errorf("mnemonic %q unsupported on %s", name, a.arch.Name())
-		}
-		if al := a.arch.Align(); al > 1 && a.pc()%al != 0 {
-			return fmt.Errorf("instruction at %#x misaligned for %s (use .align %d)",
-				a.pc(), a.arch.Name(), al)
-		}
-		if err := a.checkArity(mn.shape, rest); err != nil {
-			return err
-		}
-		buf, err := a.cur()
-		if err != nil {
-			return err
-		}
-		*buf = append(*buf, make([]byte, ilen)...)
-		return nil
-	}
-
-	ops := splitOperands(rest)
-	wantOps := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s expects %d operand(s), got %d", name, n, len(ops))
-		}
-		return nil
-	}
+	// The address just past the instruction, for PC-relative operands.
+	next := int64(a.base[sl.sec]) + int64(sl.off) + int64(a.arch.InstLen(in))
+	var err error
 	switch mn.shape {
-	case shNone:
-		if err := wantOps(0); err != nil && rest != "" {
-			return err
-		}
 	case shReg:
-		if err := wantOps(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		in.Rd = r
+		in.Rd, err = parseReg(sl.op1)
 	case shImm8, shImm32:
-		if err := wantOps(1); err != nil {
-			return err
-		}
-		v, err := a.value(ops[0])
-		if err != nil {
-			return err
-		}
+		var v int64
+		v, err = a.value(sl.op1)
 		in.Imm = int32(v)
 	case shRel:
-		if err := wantOps(1); err != nil {
-			return err
+		var target int64
+		if target, err = a.value(sl.op1); err != nil {
+			break
 		}
-		target, err := a.value(ops[0])
-		if err != nil {
-			return err
-		}
-		disp := target - int64(a.pc()) - int64(ilen)
+		disp := target - next
 		if in.Op == isa.OpJmp8 || in.Op == isa.OpJcc8 {
 			if disp < -128 || disp > 127 {
-				return fmt.Errorf("short branch to %q out of range (disp %d)", ops[0], disp)
+				return fmt.Errorf("short branch to %q out of range (disp %d)", sl.op1, disp)
 			}
 		}
 		in.Imm = int32(disp)
 	case shRegReg:
-		if err := wantOps(2); err != nil {
-			return err
+		if in.Rd, err = parseReg(sl.op1); err != nil {
+			break
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rd, in.Rs = rd, rs
+		in.Rs, err = parseReg(sl.op2)
 	case shRegI8, shRegI32:
-		if err := wantOps(2); err != nil {
-			return err
+		if in.Rd, err = parseReg(sl.op1); err != nil {
+			break
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.value(ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rd, in.Imm = rd, int32(v)
+		var v int64
+		v, err = a.value(sl.op2)
+		in.Imm = int32(v)
 	case shPCRel:
-		if err := wantOps(2); err != nil {
-			return err
+		if in.Rd, err = parseReg(sl.op1); err != nil {
+			break
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		target, err := a.value(ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rd = rd
-		in.Imm = int32(target - int64(a.pc()) - int64(ilen))
+		var target int64
+		target, err = a.value(sl.op2)
+		in.Imm = int32(target - next)
 	case shLoad:
-		if err := wantOps(2); err != nil {
-			return err
+		if in.Rd, err = parseReg(sl.op1); err != nil {
+			break
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, disp, err := a.parseMem(ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rd, in.Rs, in.Imm = rd, rs, disp
+		in.Rs, in.Imm, err = parseMem(sl.op2)
 	case shStore:
-		if err := wantOps(2); err != nil {
-			return err
+		if in.Rd, in.Imm, err = parseMem(sl.op1); err != nil {
+			break
 		}
-		rd, disp, err := a.parseMem(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		in.Rd, in.Rs, in.Imm = rd, rs, disp
+		in.Rs, err = parseReg(sl.op2)
 	}
-	enc, err := a.arch.Encode(in)
 	if err != nil {
-		return fmt.Errorf("%s: %v", name, err)
+		return err
 	}
-	return a.emit(enc...)
-}
-
-// checkArity performs pass-1 operand-count validation so errors carry the
-// right line numbers even before labels resolve.
-func (a *assembler) checkArity(shape instShape, rest string) error {
-	n := len(splitOperands(rest))
-	want := map[instShape]int{
-		shNone: 0, shReg: 1, shImm8: 1, shImm32: 1, shRel: 1,
-		shRegReg: 2, shRegI8: 2, shRegI32: 2, shPCRel: 2, shLoad: 2, shStore: 2,
-	}[shape]
-	if n != want {
-		return fmt.Errorf("expected %d operand(s), got %d", want, n)
+	// InstLen depends only on the op, so the encoding fills exactly the
+	// bytes pass 1 reserved.
+	buf := a.buf[sl.sec]
+	if _, err := a.arch.AppendEncode(buf[sl.off:sl.off], in); err != nil {
+		return fmt.Errorf("%s: %v", mn.name, err)
 	}
 	return nil
 }

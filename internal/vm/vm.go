@@ -78,6 +78,16 @@ type Machine struct {
 	zf, lt, bf bool
 	arch       isa.Arch
 
+	// Pages are never unmapped and their permissions never change after
+	// Map, so the page touched last and the page fetched from last can
+	// be remembered: touch skips the map write for the former and fetch
+	// the map lookup for the latter.
+	lastTouched uint32 // valid when anyTouched
+	anyTouched  bool
+	fetchKey    uint32 // page number of fetchPage
+	fetchPage   *page  // executable; nil until the first in-page fetch
+	fetchBuf    [isa.ZVM64MaxLen]byte
+
 	stdin    io.Reader
 	stdout   []byte
 	rngState uint64
@@ -239,7 +249,12 @@ func (m *Machine) Run() (Result, error) {
 
 // touch records residency of the page containing addr.
 func (m *Machine) touch(addr uint32) {
-	m.touched[addr/PageSize] = struct{}{}
+	key := addr / PageSize
+	if m.anyTouched && key == m.lastTouched {
+		return
+	}
+	m.touched[key] = struct{}{}
+	m.lastTouched, m.anyTouched = key, true
 }
 
 func (m *Machine) fault(format string, args ...any) error {
@@ -321,28 +336,44 @@ func (m *Machine) pop() (uint32, error) {
 // fetch decodes the instruction at PC, checking execute permission on
 // every byte consumed.
 func (m *Machine) fetch() (isa.Inst, error) {
-	// Sized for the longest encoding of any registered ISA.
-	var buf [isa.ZVM64MaxLen]byte
 	maxLen := m.arch.MaxLen()
-	n := 0
-	for ; n < maxLen; n++ {
-		a := m.pc + uint32(n)
-		pg, ok := m.pages[a/PageSize]
-		if !ok || pg.perm&PermX == 0 {
-			break
+	var code []byte
+	if off := int(m.pc % PageSize); off+maxLen <= PageSize {
+		// The longest encoding fits in PC's page: one executable page
+		// supplies every byte.
+		key := m.pc / PageSize
+		if m.fetchPage == nil || key != m.fetchKey {
+			if pg := m.pages[key]; pg != nil && pg.perm&PermX != 0 {
+				m.fetchKey, m.fetchPage = key, pg
+			}
 		}
-		buf[n] = pg.data[a%PageSize]
+		if m.fetchPage != nil && key == m.fetchKey {
+			code = m.fetchPage.data[off : off+maxLen]
+		}
 	}
-	if n == 0 {
-		return isa.Inst{}, m.fault("execute from non-executable address %#x", m.pc)
+	if code == nil {
+		n := 0
+		for ; n < maxLen; n++ {
+			a := m.pc + uint32(n)
+			pg, ok := m.pages[a/PageSize]
+			if !ok || pg.perm&PermX == 0 {
+				break
+			}
+			m.fetchBuf[n] = pg.data[a%PageSize]
+		}
+		if n == 0 {
+			return isa.Inst{}, m.fault("execute from non-executable address %#x", m.pc)
+		}
+		code = m.fetchBuf[:n]
 	}
-	in, err := m.arch.Decode(buf[:n], m.pc)
+	in, err := m.arch.Decode(code, m.pc)
 	if err != nil {
-		return isa.Inst{}, m.fault("decode: %v (bytes % x)", err, buf[:n])
+		return isa.Inst{}, m.fault("decode: %v (bytes % x)", err, code)
 	}
-	for i := 0; i < m.arch.InstLen(in); i++ {
-		m.touch(m.pc + uint32(i))
-	}
+	// An instruction is shorter than a page, so its first and last
+	// bytes lie on every page it spans.
+	m.touch(m.pc)
+	m.touch(m.pc + uint32(m.arch.InstLen(in)) - 1)
 	return in, nil
 }
 

@@ -61,6 +61,53 @@ func TestTerminateExitCode(t *testing.T) {
 	}
 }
 
+// TestFetchAcrossPageBoundary runs a jump whose last bytes lie on a page
+// nothing else touches: the fetch reads across the boundary, and both
+// pages count as touched. With the second page not executable, the
+// fetch stops at the boundary and the truncated decode faults.
+func TestFetchAcrossPageBoundary(t *testing.T) {
+	jmpAt := textBase + PageSize - 2
+	jmp := isa.Inst{Op: isa.OpJmp32, Imm: int32(textBase) - int32(jmpAt+5)}
+	code := make([]byte, PageSize-2)
+	copy(code, prog(t, exit(5)...))
+	code = append(code, prog(t, jmp)...)
+	for _, tc := range []struct {
+		name  string
+		perm2 Perm
+	}{{"executable", PermR | PermX}, {"not executable", PermR}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			if err := m.Map(textBase, PageSize, PermR|PermX); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Map(textBase+PageSize, PageSize, tc.perm2); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteMem(textBase, code); err != nil {
+				t.Fatal(err)
+			}
+			m.SetPC(jmpAt)
+			res, err := m.Run()
+			if tc.perm2&PermX == 0 {
+				var f *Fault
+				if !errors.As(err, &f) || !strings.Contains(f.Reason, "decode") {
+					t.Fatalf("Run: %v, want a decode fault", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.ExitCode != 5 || res.Steps != 4 {
+				t.Fatalf("exit %d after %d steps, want 5 after 4", res.ExitCode, res.Steps)
+			}
+			if res.PagesTouched != 2 {
+				t.Fatalf("pages touched = %d, want 2", res.PagesTouched)
+			}
+		})
+	}
+}
+
 func TestArithmeticAndFlags(t *testing.T) {
 	// r2 = 7*6; r3 = r2 % 10; if r3 == 2 exit(1) else exit(0)
 	insts := []isa.Inst{
