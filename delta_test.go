@@ -231,18 +231,20 @@ type opaqueTransform struct{}
 func (opaqueTransform) Name() string                   { return "opaque" }
 func (opaqueTransform) Apply(*transform.Context) error { return nil }
 
-// TestSnapshotDeclineWarns: a requested capture that is declined — on
-// ZVM-64, or under a transform the eligibility check cannot reason
-// about — names its reason in a report warning, and a run that did not
-// request capture gets no such warning. The output bytes are the same
-// either way.
+// TestSnapshotDeclineWarns: a requested capture that is declined —
+// under a transform the eligibility check cannot reason about, on
+// either ISA — names its reason in a report warning, and a run that did
+// not request capture gets no such warning. A ZVM-64 rewrite with a
+// built-in stack captures its snapshot and warns nothing. The output
+// bytes are the same either way.
 func TestSnapshotDeclineWarns(t *testing.T) {
 	for _, tc := range []struct {
-		name, reason string
+		name, reason string // reason "" = the snapshot is captured
 		cfg          Config
 		arch         isa.Arch
 	}{
-		{"zvm64-null", "isa", Config{ISA: "zvm64", Transforms: []Transform{Null()}}, isa.ZVM64},
+		{"zvm64-null", "", Config{ISA: "zvm64", Transforms: []Transform{Null()}}, isa.ZVM64},
+		{"zvm64-custom-transform", "transforms", Config{ISA: "zvm64", Transforms: []Transform{opaqueTransform{}}}, isa.ZVM64},
 		{"custom-transform", "transforms", Config{Transforms: []Transform{opaqueTransform{}}}, isa.DefaultArch()},
 	} {
 		cb, err := cgcsim.CBArch(0, tc.arch)
@@ -271,8 +273,13 @@ func TestSnapshotDeclineWarns(t *testing.T) {
 					}
 				}
 			}
-			if want := map[bool]int{false: 0, true: 1}[capture]; declined != want || rep.Snapshot != nil {
-				t.Errorf("%s capture=%v: %d decline warnings (want %d), snapshot %v", tc.name, capture, declined, want, rep.Snapshot != nil)
+			want, captured := 0, capture && tc.reason == ""
+			if capture && tc.reason != "" {
+				want = 1
+			}
+			if declined != want || (rep.Snapshot != nil) != captured {
+				t.Errorf("%s capture=%v: %d decline warnings (want %d), snapshot %v (want %v)",
+					tc.name, capture, declined, want, rep.Snapshot != nil, captured)
 			}
 		}
 		if !bytes.Equal(outs[false], outs[true]) {
@@ -283,8 +290,9 @@ func TestSnapshotDeclineWarns(t *testing.T) {
 
 // TestSnapshotSkipReasonsCounted: an ineligible CaptureSnapshot rewrite
 // leaves Report.Snapshot nil and names why through exactly one
-// rewrite.snapshot.skipped.<reason> trace counter; an eligible rewrite
-// captures a snapshot and counts no reason.
+// rewrite.snapshot.skipped.<reason> trace counter; an eligible rewrite,
+// on either ISA, captures a snapshot and counts no reason (nor the
+// retired "isa" reason).
 func TestSnapshotSkipReasonsCounted(t *testing.T) {
 	cb32, err := cgcsim.CBArch(0, isa.DefaultArch())
 	if err != nil {
@@ -303,8 +311,9 @@ func TestSnapshotSkipReasonsCounted(t *testing.T) {
 		want   string // skip reason; "" = snapshot captured
 	}{
 		{"zvm32-null", cb32.Bin, Config{Transforms: []Transform{Null()}}, nil, ""},
-		{"zvm64-null", cb64.Bin, Config{ISA: "zvm64", Transforms: []Transform{Null()}}, nil, "isa"},
+		{"zvm64-null", cb64.Bin, Config{ISA: "zvm64", Transforms: []Transform{Null()}}, nil, ""},
 		{"placer-hook", cb32.Bin, Config{}, optimized, "placer"},
+		{"zvm64-placer-hook", cb64.Bin, Config{ISA: "zvm64"}, optimized, "placer"},
 		{"custom-transform", cb32.Bin, Config{Transforms: []Transform{opaqueTransform{}}}, nil, "transforms"},
 	}
 	for _, tc := range cases {

@@ -5,7 +5,9 @@ package zipr
 // placement snapshot of the base must either apply to the edited input
 // byte-for-byte identically to a from-scratch rewrite, or refuse with a
 // typed error while the full pipeline still succeeds — never a silently
-// divergent binary. `make fuzzsmoke` runs this for a bounded time;
+// divergent binary. isaSel's low bit picks the ISA the program is built
+// and rewritten for (0 ZVM-32, 1 ZVM-64). `make fuzzsmoke` runs this for
+// a bounded time;
 // `go test -fuzz FuzzDeltaEquivalence .` explores open-endedly.
 
 import (
@@ -15,14 +17,22 @@ import (
 	"testing"
 
 	"zipr/internal/asm"
+	"zipr/internal/isa"
 	"zipr/internal/synth"
 )
 
 func FuzzDeltaEquivalence(f *testing.F) {
-	f.Add(int64(1), byte(0x00), byte(0), int64(11), byte(1))
-	f.Add(int64(7), byte(0x10), byte(1), int64(23), byte(2))
-	f.Add(int64(42), byte(0x1f), byte(2), int64(37), byte(4))
-	f.Fuzz(func(t *testing.T, seed int64, stackBits, layoutSel byte, mutSeed int64, editSel byte) {
+	f.Add(int64(1), byte(0x00), byte(0), int64(11), byte(1), byte(0))
+	f.Add(int64(7), byte(0x10), byte(1), int64(23), byte(2), byte(0))
+	f.Add(int64(42), byte(0x1f), byte(2), int64(37), byte(4), byte(0))
+	f.Add(int64(1), byte(0x00), byte(0), int64(11), byte(1), byte(1))
+	f.Add(int64(3), byte(0x10), byte(1), int64(23), byte(1), byte(1))
+	f.Add(int64(3), byte(0x0c), byte(2), int64(37), byte(2), byte(1))
+	f.Fuzz(func(t *testing.T, seed int64, stackBits, layoutSel byte, mutSeed int64, editSel, isaSel byte) {
+		arch, isaName := isa.DefaultArch(), ""
+		if isaSel&1 != 0 {
+			arch, isaName = isa.ZVM64, "zvm64"
+		}
 		r := rand.New(rand.NewSource(seed))
 		profile := synth.Profile{
 			Name:             "fuzzdelta",
@@ -35,7 +45,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			InputLen:         4 + r.Intn(12),
 			LoopIters:        2 + r.Intn(8),
 		}
-		src := synth.Generate(seed, profile)
+		src := synth.GenerateArch(seed, profile, arch)
 		// editSel picks how many functions the constant edit touches:
 		// 0 (degenerate identical input), 1, 2, or every function.
 		count := int(editSel) % 4
@@ -45,7 +55,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		msrc, _ := synth.MutateConsts(src, mutSeed, count)
 		images := make([][]byte, 2)
 		for i, s := range []string{src, msrc} {
-			bin, err := asm.Assemble(s)
+			bin, err := asm.AssembleArch(s, arch)
 			if err != nil {
 				t.Fatalf("assemble: %v", err)
 			}
@@ -81,14 +91,15 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			Transforms:      tfs,
 			Layout:          layouts[int(layoutSel)%len(layouts)],
 			Seed:            seed,
+			ISA:             isaName,
 			CaptureSnapshot: true,
 		}
 		_, rep, err := Rewrite(base, cfg)
 		if err != nil {
-			t.Fatalf("base rewrite (bits=%#x, %s): %v", stackBits, cfg.Layout, err)
+			t.Fatalf("base rewrite (%s, bits=%#x, %s): %v", arch.Name(), stackBits, cfg.Layout, err)
 		}
 		if rep.Snapshot == nil {
-			t.Fatalf("built-in stack captured no snapshot (bits=%#x, %s)", stackBits, cfg.Layout)
+			t.Fatalf("built-in stack captured no snapshot (%s, bits=%#x, %s)", arch.Name(), stackBits, cfg.Layout)
 		}
 		got, _, err := rep.Snapshot.Apply(edited)
 		want, _, werr := Rewrite(edited, cfg)
@@ -105,8 +116,8 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			return
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("delta output diverges from from-scratch rewrite (bits=%#x, %s, edits=%d)",
-				stackBits, cfg.Layout, count)
+			t.Fatalf("delta output diverges from from-scratch rewrite (%s, bits=%#x, %s, edits=%d)",
+				arch.Name(), stackBits, cfg.Layout, count)
 		}
 	})
 }

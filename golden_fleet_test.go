@@ -24,6 +24,7 @@ import (
 	"zipr/internal/asm"
 	"zipr/internal/cgcsim"
 	"zipr/internal/fleet"
+	"zipr/internal/isa"
 	"zipr/internal/obs"
 	"zipr/internal/serve"
 	"zipr/internal/synth"
@@ -63,7 +64,7 @@ func fleetWorker(t testing.TB, s *serve.Server) *httptest.Server {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		cfg := zipr.Config{Transforms: tfs, Layout: zipr.LayoutKind(q.Get("layout"))}
+		cfg := zipr.Config{Transforms: tfs, Layout: zipr.LayoutKind(q.Get("layout")), ISA: q.Get("isa")}
 		fmt.Sscanf(q.Get("seed"), "%d", &cfg.Seed)
 		out, _, err := s.Rewrite(r.Context(), input, cfg)
 		if err != nil {
@@ -85,6 +86,12 @@ func newGoldenFleet(t testing.TB) (http.Handler, *fleet.Gateway) {
 	t.Cleanup(sa.Close)
 	sb := serve.New(serve.Options{Workers: 2})
 	t.Cleanup(sb.Close)
+	return goldenFleetOver(t, sa, sb)
+}
+
+// goldenFleetOver builds a gateway over two workers serving sa and sb.
+func goldenFleetOver(t testing.TB, sa, sb *serve.Server) (http.Handler, *fleet.Gateway) {
+	t.Helper()
 	wa, wb := fleetWorker(t, sa), fleetWorker(t, sb)
 	reg := obs.NewRegistry()
 	g := fleet.New(fleet.Config{
@@ -183,42 +190,61 @@ func TestGoldenThroughFleet(t *testing.T) {
 // TestGoldenFleetDelta: an edited input answered through the fleet —
 // whichever worker it shards to, and whether or not that worker holds
 // the base's placement snapshot — matches a from-scratch rewrite
-// byte for byte.
+// byte for byte, on each ISA. Both workers together answer at least one
+// of the edits from a snapshot.
 func TestGoldenFleetDelta(t *testing.T) {
 	seed := int64(0xDE17A)
 	prof := synth.Profile{
 		Name: "fvd", NumFuncs: 12, OpsMin: 4, OpsMax: 10,
 		DataWords: 32, InputLen: 4, LoopIters: 3,
 	}
-	src := synth.Generate(seed, prof)
-	build := func(s string) []byte {
-		bin, err := asm.Assemble(s)
-		if err != nil {
-			t.Fatalf("assemble: %v", err)
-		}
-		img, err := bin.Marshal()
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return img
-	}
-	base := build(src)
-	msrc, n := synth.MutateConsts(src, 0x70AD, 1)
-	if n != 1 {
-		t.Fatalf("mutated %d functions, want 1", n)
-	}
-	edited := build(msrc)
+	for _, arch := range []isa.Arch{isa.ZVM32, isa.ZVM64} {
+		t.Run(arch.Name(), func(t *testing.T) {
+			src := synth.GenerateArch(seed, prof, arch)
+			build := func(s string) []byte {
+				bin, err := asm.AssembleArch(s, arch)
+				if err != nil {
+					t.Fatalf("assemble: %v", err)
+				}
+				img, err := bin.Marshal()
+				if err != nil {
+					t.Fatalf("marshal: %v", err)
+				}
+				return img
+			}
+			base := build(src)
+			cfg := zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}}
+			query := "transforms=cfi"
+			if arch == isa.ZVM64 {
+				cfg.ISA = "zvm64"
+				query += "&isa=zvm64"
+			}
 
-	h, _ := newGoldenFleet(t)
-	query := "transforms=cfi"
-	fleetRewrite(t, h, base, query) // seed whichever worker owns the base
-	got := fleetRewrite(t, h, edited, query)
-
-	want, _, err := zipr.Rewrite(edited, zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("fleet answer for the edited input diverged from a from-scratch rewrite")
+			sa, sb := serve.New(serve.Options{Workers: 2}), serve.New(serve.Options{Workers: 2})
+			t.Cleanup(sa.Close)
+			t.Cleanup(sb.Close)
+			h, _ := goldenFleetOver(t, sa, sb)
+			// Seed whichever worker owns the base, then send edits until
+			// both workers' ancestry has been exercised.
+			fleetRewrite(t, h, base, query)
+			for ms := int64(0); ms < 4; ms++ {
+				msrc, n := synth.MutateConsts(src, 0x70AD+ms, 1)
+				if n != 1 {
+					t.Fatalf("mutated %d functions, want 1", n)
+				}
+				edited := build(msrc)
+				got := fleetRewrite(t, h, edited, query)
+				want, _, err := zipr.Rewrite(edited, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("edit %d: fleet answer diverged from a from-scratch rewrite", ms)
+				}
+			}
+			if d := sa.Stats().DeltaHits + sb.Stats().DeltaHits; d == 0 {
+				t.Fatal("no edit was answered from a placement snapshot")
+			}
+		})
 	}
 }

@@ -412,8 +412,10 @@ func (a *assembler) directive(s string, line int) error {
 		return err
 	case ".align":
 		n, err := number(rest)
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			return fmt.Errorf("bad .align %q (want power of two)", rest)
+		// Capped like .space: padding to a larger power of two would
+		// ask for up to 2 GiB of zeros from a one-line directive.
+		if err != nil || n <= 0 || n&(n-1) != 0 || n > 1<<26 {
+			return fmt.Errorf("bad .align %q (want power of two up to 1<<26)", rest)
 		}
 		_, err = a.reserve(int((uint32(n) - a.pc()%uint32(n)) % uint32(n)))
 		return err

@@ -275,6 +275,8 @@ var errorCases = []struct {
 	{"byte range", ".text\nmain: ret\n.data\nb: .byte 300", "asm: line 4: .byte operand 300 out of range"},
 	{"import arity", ".import onlyname\n.text\nmain: ret", "asm: line 1: bad .import \"onlyname\" (want name, gotlabel)"},
 	{"register trailing garbage", ".text\nmain: push r1x", "asm: line 2: bad register \"r1x\""},
+	{"align too large", ".text\nmain: ret\n.align 0x80000000", "asm: line 3: bad .align \"0x80000000\" (want power of two up to 1<<26)"},
+	{"align not power of two", ".text\nmain: ret\n.align 3", "asm: line 3: bad .align \"3\" (want power of two up to 1<<26)"},
 }
 
 func TestErrors(t *testing.T) {
@@ -286,6 +288,9 @@ func TestErrors(t *testing.T) {
 			}
 			if err.Error() != tt.msg {
 				t.Fatalf("error %q, want %q", err, tt.msg)
+			}
+			if _, ok := err.(*SyntaxError); !ok {
+				t.Fatalf("error type %T, want *SyntaxError", err)
 			}
 		})
 	}

@@ -34,6 +34,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -447,13 +448,15 @@ func (s *Snapshot) outSliceOf(out []byte, va, n uint32) []byte {
 // placement and flags (the layout is identical by construction), new
 // ancestor images, unit digests refreshed for the changed units. The
 // per-instruction records are shared with the ancestor snapshot — they
-// are immutable after build.
+// are immutable after build. input is copied; output is not: the new
+// snapshot takes ownership of it (Apply's fresh result is meant to be
+// passed here), so the caller must not modify it afterwards.
 func (s *Snapshot) Rebase(input, output []byte, info *DeltaInfo) (*Snapshot, error) {
 	ns := &Snapshot{
 		Arch:        s.Arch,
 		Fingerprint: s.Fingerprint,
 		Input:       append([]byte(nil), input...),
-		Output:      append([]byte(nil), output...),
+		Output:      output,
 		InTextVA:    s.InTextVA,
 		InTextEnd:   s.InTextEnd,
 		InTextOff:   s.InTextOff,
@@ -475,6 +478,19 @@ func (s *Snapshot) Rebase(input, output []byte, info *DeltaInfo) (*Snapshot, err
 	return ns, nil
 }
 
+// Clone returns a deep copy of the snapshot that shares no memory with
+// it, for handing a stored snapshot to a caller who may modify it.
+func (s *Snapshot) Clone() *Snapshot {
+	c := *s
+	c.Input = append([]byte(nil), s.Input...)
+	c.Output = append([]byte(nil), s.Output...)
+	c.Units = append([]SnapUnit(nil), s.Units...)
+	for i := range c.Units {
+		c.Units[i].Insts = append([]SnapInst(nil), c.Units[i].Insts...)
+	}
+	return &c
+}
+
 // SizeBytes estimates the snapshot's resident size for byte-budget
 // accounting: the two images plus the per-instruction records.
 func (s *Snapshot) SizeBytes() int64 {
@@ -488,26 +504,65 @@ func (s *Snapshot) SizeBytes() int64 {
 const snapMagic = "ZSNP"
 const snapVersion = 3
 
-// Marshal serializes the snapshot (for the disk tier's snapshot spill).
-// The format is versioned and length-checked, and names the snapshot's
-// ISA; Unmarshal rejects anything malformed. The encoder sizes its
-// buffer exactly and appends every field, so one Marshal is one
-// allocation.
-func (s *Snapshot) Marshal() []byte {
-	const (
-		header = len(snapMagic) + 4 + 4 + 4 // magic, version, ISA name and fingerprint lengths
-		geom   = 6 * 4                      // text geometry
-		unit   = 4 + 4 + sha256.Size + 4
-		inst   = 4 + 4 + 1 + 1
-	)
-	name := isa.Of(s.Arch).Name()
-	size := header + len(name) + len(s.Fingerprint) + geom + 2*sha256.Size +
-		4 + len(s.Input) + 4 + len(s.Output) + 4
+// Wire-form field sizes.
+const (
+	snapHeaderLen = len(snapMagic) + 4 + 4 + 4 // magic, version, ISA name and fingerprint lengths
+	snapGeomLen   = 6 * 4                      // text geometry
+	snapUnitLen   = 4 + 4 + sha256.Size + 4
+	snapInstLen   = 4 + 4 + 1 + 1
+)
+
+// MarshalSize is the exact length of the serialized snapshot.
+func (s *Snapshot) MarshalSize() int {
+	size := snapHeaderLen + len(isa.Of(s.Arch).Name()) + len(s.Fingerprint) + snapGeomLen +
+		2*sha256.Size + 4 + len(s.Input) + 4 + len(s.Output) + 4
 	for i := range s.Units {
-		size += unit + len(s.Units[i].Insts)*inst
+		size += snapUnitLen + len(s.Units[i].Insts)*snapInstLen
 	}
+	return size
+}
+
+// Marshal serializes the snapshot. The format is versioned and
+// length-checked, and names the snapshot's ISA; Unmarshal rejects
+// anything malformed. The buffer is sized exactly (MarshalSize), so
+// one Marshal is one allocation.
+func (s *Snapshot) Marshal() []byte {
+	return s.encode(make([]byte, 0, s.MarshalSize()), nil)
+}
+
+// Stream writes the bytes Marshal returns to w without building the
+// whole blob (the disk tier's snapshot spill), then flushes w; the
+// small fields pass through a scratch buffer of a few KiB.
+func (s *Snapshot) Stream(w *bufio.Writer) error {
+	s.encode(make([]byte, 0, 4<<10), w)
+	return w.Flush()
+}
+
+// encode is the one snapshot encoder: it appends the wire form to b
+// and returns it. When w is non-nil it hands w what b holds before each
+// image and whenever the next record would outgrow b's capacity, so b
+// stays small; the images go to w as they are, and the returned slice
+// is empty. Write errors stick in w and surface at its Flush.
+func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 0, size)
+	// room hands w what b holds when n more bytes would not fit.
+	room := func(n int) {
+		if w != nil && len(b)+n > cap(b) {
+			w.Write(b)
+			b = b[:0]
+		}
+	}
+	image := func(img []byte) {
+		b = le.AppendUint32(b, uint32(len(img)))
+		if w == nil {
+			b = append(b, img...)
+			return
+		}
+		w.Write(b)
+		w.Write(img)
+		b = b[:0]
+	}
+	name := isa.Of(s.Arch).Name()
 	b = append(b, snapMagic...)
 	b = le.AppendUint32(b, snapVersion)
 	b = le.AppendUint32(b, uint32(len(name)))
@@ -519,22 +574,26 @@ func (s *Snapshot) Marshal() []byte {
 	}
 	b = append(b, s.InDigest[:]...)
 	b = append(b, s.OutDigest[:]...)
-	b = le.AppendUint32(b, uint32(len(s.Input)))
-	b = append(b, s.Input...)
-	b = le.AppendUint32(b, uint32(len(s.Output)))
-	b = append(b, s.Output...)
+	image(s.Input)
+	image(s.Output)
 	b = le.AppendUint32(b, uint32(len(s.Units)))
 	for i := range s.Units {
 		u := &s.Units[i]
+		room(snapUnitLen)
 		b = le.AppendUint32(b, u.Range.Start)
 		b = le.AppendUint32(b, u.Range.End)
 		b = append(b, u.Digest[:]...)
 		b = le.AppendUint32(b, uint32(len(u.Insts)))
 		for _, rec := range u.Insts {
+			room(snapInstLen)
 			b = le.AppendUint32(b, rec.Off)
 			b = le.AppendUint32(b, rec.Placed)
 			b = append(b, rec.Len, rec.Flags)
 		}
+	}
+	if w != nil {
+		w.Write(b)
+		b = b[:0]
 	}
 	return b
 }

@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"zipr"
 	"zipr/internal/fault"
 	"zipr/internal/obs"
+	"zipr/internal/serve"
 )
 
 // TestRingDistribution: virtual nodes spread the keyspace within a
@@ -348,5 +350,27 @@ func TestChaosWorkerDownTwoOutcomes(t *testing.T) {
 	}
 	if g1.unavail.Value() != 1 {
 		t.Fatal("typed unavailability left no trace in fleet.unavailable")
+	}
+}
+
+// TestRouteKeyMatchesWorkerKey: the gateway's routing key is the
+// content address the worker's serving layer computes for the same
+// query, the ISA included.
+func TestRouteKeyMatchesWorkerKey(t *testing.T) {
+	input := []byte("route-input")
+	for _, q := range []map[string]string{
+		{},
+		{"transforms": "cfi", "layout": "diversity", "seed": "7"},
+		{"transforms": "cfi", "isa": "zvm64"},
+	} {
+		tfs, err := serve.ParseTransforms(q["transforms"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := zipr.Config{Transforms: tfs, Layout: zipr.LayoutKind(q["layout"]), ISA: q["isa"]}
+		fmt.Sscanf(q["seed"], "%d", &cfg.Seed)
+		if routeKey(input, q) != serve.CacheKey(input, cfg) {
+			t.Errorf("query %v: gateway key differs from the worker's", q)
+		}
 	}
 }

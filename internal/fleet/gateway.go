@@ -134,6 +134,7 @@ func routeKey(input []byte, q map[string]string) serve.Key {
 	cfg := zipr.Config{
 		Layout:      zipr.LayoutKind(q["layout"]),
 		Arbitration: zipr.ArbitrationKind(q["arbitration"]),
+		ISA:         q["isa"],
 	}
 	if tfs, err := serve.ParseTransforms(q["transforms"]); err == nil {
 		cfg.Transforms = tfs
@@ -164,6 +165,7 @@ func (g *Gateway) rewrite(w http.ResponseWriter, r *http.Request) {
 		"transforms":  q.Get("transforms"),
 		"layout":      q.Get("layout"),
 		"arbitration": q.Get("arbitration"),
+		"isa":         q.Get("isa"),
 		"seed":        q.Get("seed"),
 	})
 	site := binary.LittleEndian.Uint32(key[:4])

@@ -141,18 +141,18 @@ func (st *snapStore) unindex(n *snapNode) {
 
 // loadSnapshots pulls an ancestor's spilled snapshot from the disk
 // tier's per-ancestor slot when the in-memory store has none (a
-// restarted daemon keeps its ancestry this way). An unparseable blob is
-// deleted.
+// restarted daemon keeps its ancestry this way). A spill still pending
+// answers with its snapshot itself; an unparseable blob, or a snapshot
+// without a fingerprint, is deleted.
 func (s *Server) loadSnapshots(anc ancKey) []*snapNode {
 	if s.disk == nil {
 		return nil
 	}
-	blob, layout, ok := s.disk.getSnap(anc.slotKey(), s.inj)
+	snap, layout, ok := s.disk.getSnap(anc.slotKey(), s.inj)
 	if !ok {
 		return nil
 	}
-	snap, err := core.UnmarshalSnapshot(blob)
-	if err != nil || snap.Fingerprint == "" {
+	if snap.Fingerprint == "" {
 		s.disk.delSnap(anc.slotKey())
 		return nil
 	}
@@ -184,11 +184,9 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	if evicted > 0 {
 		s.tr.Add("serve.snapshot.evict", evicted)
 	}
-	// putSnapAsync is nil-safe, but its argument is not free: serialize
-	// only when a disk tier will take the blob.
-	if s.disk != nil {
-		s.disk.putSnapAsync(anc.slotKey(), snap.Marshal(), rep.Layout)
-	}
+	// The disk tier's writer serializes the snapshot; the stored one is
+	// immutable, so the spill shares it.
+	s.disk.putSnapAsync(anc.slotKey(), snap, rep.Layout)
 }
 
 // tryDelta attempts to answer the request from a delta ancestor.
@@ -242,6 +240,8 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 		rep := e.val.report(len(input), len(res))
 		// The answered request becomes a new ancestor: rebase the
 		// snapshot onto its images so edit chains keep delta latency.
+		// Rebase takes res as the new snapshot's output, so from here
+		// on res is shared and immutable like every stored image.
 		ns, err := e.val.snap.Rebase(input, res, info)
 		if err == nil {
 			s.storeSnapshot(key, anc, ns, rep)

@@ -16,6 +16,7 @@ import (
 	"zipr"
 	"zipr/internal/asm"
 	"zipr/internal/fault"
+	"zipr/internal/isa"
 	"zipr/internal/obs"
 	"zipr/internal/synth"
 )
@@ -30,13 +31,21 @@ func deltaProfile() (int64, synth.Profile) {
 }
 
 // deltaImages returns the base image and edited variants (1-function
-// constant edits under distinct mutation seeds).
+// constant edits under distinct mutation seeds) of deltaProfile.
 func deltaImages(t *testing.T, edits int) (base []byte, edited [][]byte) {
+	_, prof := deltaProfile()
+	return familyImages(t, isa.ZVM32, prof.NumFuncs, edits)
+}
+
+// familyImages is deltaImages for deltaProfile resized to numFuncs
+// functions and built for arch.
+func familyImages(t *testing.T, arch isa.Arch, numFuncs, edits int) (base []byte, edited [][]byte) {
 	t.Helper()
 	seed, prof := deltaProfile()
-	src := synth.Generate(seed, prof)
+	prof.NumFuncs = numFuncs
+	src := synth.GenerateArch(seed, prof, arch)
 	build := func(s string) []byte {
-		bin, err := asm.Assemble(s)
+		bin, err := asm.AssembleArch(s, arch)
 		if err != nil {
 			t.Fatalf("assemble: %v", err)
 		}

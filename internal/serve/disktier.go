@@ -17,17 +17,22 @@ package serve
 //   - The hot path never blocks on disk writes: spills go through a
 //     bounded write-behind queue drained by one background goroutine;
 //     a full queue drops the spill (counted), never the request.
+//   - Spills are not copied. A spill holds the server's own output
+//     image or placement snapshot, which the server never modifies
+//     (DESIGN.md §11, the ownership rule). The writer serializes a
+//     snapshot itself, streaming it into the tmp file and hashing it in
+//     the same pass, so the request path never marshals one.
 //   - Reads see queued writes. A spill is indexed only once its object
 //     is synced and renamed into place; until then a read of its key is
-//     answered from the pending job's in-memory bytes (counted as
-//     PendingHits, apart from the digest-verified Hits), so a repeat
+//     answered from the pending job's image or snapshot itself (counted
+//     as PendingHits, apart from the digest-verified Hits), so a repeat
 //     that arrives before the writer catches up still skips the
 //     pipeline.
 //   - Spills coalesce. A spill to a key whose job the writer has not
-//     started replaces that job's bytes instead of queueing another, so
+//     started replaces that job's value instead of queueing another, so
 //     a burst of snapshot spills to one ancestor slot costs one write,
-//     of the newest blob. Deleting a snapshot slot discards its pending
-//     job too.
+//     of the newest snapshot; the ones replaced are never serialized.
+//     Deleting a snapshot slot discards its pending job too.
 //   - Every read is digest-verified against the SHA-256 recorded at
 //     write time. A mismatch quarantines the file and drops the index
 //     entry: the tier degrades to a miss, it never serves wrong bytes.
@@ -42,23 +47,26 @@ package serve
 //     resets to insertion order across a restart).
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"zipr/internal/core"
 	"zipr/internal/fault"
 )
 
 // diskKind discriminates what a disk entry holds.
 const (
 	diskKindOut  = "out"  // a rewrite output image
-	diskKindSnap = "snap" // a marshaled placement snapshot
+	diskKindSnap = "snap" // a placement snapshot, marshaled by the writer
 )
 
 // diskQueueDepth bounds the write-behind queue; spills beyond it are
@@ -99,15 +107,19 @@ type diskRecord struct {
 	Layout string `json:"layout,omitempty"`
 }
 
-// diskJob is one queued write-behind spill. While it is pending — from
-// putAsync until the writer has indexed or abandoned it — reads of its
-// key are answered from data; until the writer takes it, a later spill
-// to the same key replaces kind, data and layout. After taken is set
-// those fields no longer change, so the writer reads them unlocked.
+// diskJob is one queued write-behind spill: an output image (data) or
+// a placement snapshot (snap) the writer serializes. Both are immutable
+// and shared with the server, never copied. While the job is pending —
+// from the spill until the writer has indexed or abandoned it — reads
+// of its key are answered from data or snap; until the writer takes it,
+// a later spill to the same key replaces kind, data, snap and layout.
+// After taken is set those fields no longer change, so the writer reads
+// them unlocked.
 type diskJob struct {
 	key    Key
 	kind   string
 	data   []byte
+	snap   *core.Snapshot
 	layout string
 
 	taken   bool // the writer has started on it (guarded by DiskTier.mu)
@@ -132,6 +144,7 @@ type DiskTier struct {
 
 	wq chan *diskJob
 	wg sync.WaitGroup
+	bw *bufio.Writer // the writer goroutine's snapshot stream buffer
 }
 
 // OpenDiskTier opens (creating or recovering) the disk tier rooted at
@@ -385,30 +398,34 @@ func (t *DiskTier) syncGaugesLocked() {
 	t.tel.diskEntries.Set(int64(t.idx.len()))
 }
 
-// putAsync enqueues one spill on the write-behind queue, or folds it
-// into the key's queued job when the writer has not started on that
-// one. The data is copied, so callers may keep mutating their buffer. A
-// full queue or a closed tier drops the spill. Nil-safe.
+// putAsync spills an output image. The tier keeps data itself, not a
+// copy: the caller must never modify it again. Nil-safe.
 func (t *DiskTier) putAsync(key Key, kind string, data []byte, layout string) {
 	if t == nil {
 		return
 	}
+	t.spill(&diskJob{key: key, kind: kind, data: data, layout: layout})
+}
+
+// spill enqueues next on the write-behind queue, or folds it into its
+// key's queued job when the writer has not started on that one (the
+// job's value is replaced, never written into). A full queue or a
+// closed tier drops the spill.
+func (t *DiskTier) spill(next *diskJob) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
 	}
-	if job := t.pending[key]; job != nil && !job.taken {
-		job.kind, job.layout = kind, layout
-		job.data = append(job.data[:0], data...)
+	if job := t.pending[next.key]; job != nil && !job.taken {
+		job.kind, job.data, job.snap, job.layout = next.kind, next.data, next.snap, next.layout
 		return
 	}
-	job := &diskJob{key: key, kind: kind, data: append([]byte(nil), data...), layout: layout}
 	// Holding t.mu across the send is safe: the writer never takes t.mu
 	// while receiving, and the send is non-blocking.
 	select {
-	case t.wq <- job:
-		t.pending[key] = job
+	case t.wq <- next:
+		t.pending[next.key] = next
 	default:
 		t.stats.WriteDropped++
 	}
@@ -424,55 +441,73 @@ func (t *DiskTier) writer() {
 		dropped := job.dropped
 		t.mu.Unlock()
 		var e *diskEntry
+		var size int64
 		if !dropped {
-			e = t.store(job)
+			e, size = t.store(job)
 		}
-		t.commit(job, e)
+		t.commit(job, e, size)
 	}
 }
 
-// store writes a taken job's object: content to tmp, sync, rename. It
-// returns the entry to index, or nil when the object is not in place.
-func (t *DiskTier) store(job *diskJob) *diskEntry {
-	if int64(len(job.data)) > t.idx.budget {
-		return nil
+// store writes a taken job's object: content to tmp, sync, rename. A
+// snapshot is serialized here, streamed through t.bw; the content is
+// hashed in the same pass. It returns the entry to index and the
+// object's size, or nil when the object is not in place.
+func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
+	size := int64(len(job.data))
+	if job.snap != nil {
+		size = int64(job.snap.MarshalSize())
+	}
+	if size > t.idx.budget {
+		return nil, 0
 	}
 	h := job.key.String()
 	tmp := filepath.Join(t.dir, "tmp", h+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return nil
+		return nil, 0
 	}
-	if _, err := f.Write(job.data); err != nil {
+	sum := sha256.New()
+	w := io.MultiWriter(f, sum)
+	if job.snap != nil {
+		if t.bw == nil {
+			t.bw = bufio.NewWriterSize(w, 64<<10)
+		} else {
+			t.bw.Reset(w)
+		}
+		err = job.snap.Stream(t.bw)
+		t.bw.Reset(nil) // keep no reference to the file
+	} else {
+		_, err = w.Write(job.data)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil
+		return nil, 0
 	}
 	if f.Sync() != nil || f.Close() != nil {
 		os.Remove(tmp)
-		return nil
+		return nil, 0
 	}
 	dst := t.objectPath(job.key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		os.Remove(tmp)
-		return nil
+		return nil, 0
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		os.Remove(tmp)
-		return nil
+		return nil, 0
 	}
-	return &diskEntry{
-		kind:   job.kind,
-		sum:    sha256.Sum256(job.data),
-		layout: job.layout,
-	}
+	e := &diskEntry{kind: job.kind, layout: job.layout}
+	sum.Sum(e.sum[:0])
+	return e, size
 }
 
 // commit retires a finished job from pending and indexes its stored
-// object (e, nil when nothing was stored): journal, then eviction. A
-// job delSnap discarded while it was being written leaves no entry and
-// no object behind.
-func (t *DiskTier) commit(job *diskJob, e *diskEntry) {
+// object (e of the given size, nil when nothing was stored): journal,
+// then eviction. A job delSnap discarded while it was being written
+// leaves no entry and no object behind.
+func (t *DiskTier) commit(job *diskJob, e *diskEntry, size int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pending[job.key] == job {
@@ -485,28 +520,65 @@ func (t *DiskTier) commit(job *diskJob, e *diskEntry) {
 		os.Remove(t.objectPath(job.key))
 		return
 	}
-	n := t.idx.put(job.key, *e, int64(len(job.data)))
+	n := t.idx.put(job.key, *e, size)
 	t.appendJournalLocked(putRecord(n))
 	t.evictLocked(n)
 	t.syncGaugesLocked()
 }
 
-// get returns the bytes for key, or ok=false: a copy of a pending
-// spill's bytes when one is queued or being written, else the
-// digest-verified object. A failed digest check quarantines the object
-// and drops the entry. inj may arm fault.DiskTierCorrupt, which flips
-// one byte of a disk read before verification — the check must turn it
-// into a quarantined miss. Nil-safe.
+// get returns the bytes of the output image spilled under key, or
+// ok=false. Bytes from a pending spill are the server's immutable image
+// itself, not a copy; bytes read from disk are fresh. Nil-safe.
 func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string, ok bool) {
 	if t == nil {
 		return nil, "", false
 	}
+	data, _, layout, ok = t.fetch(key, inj)
+	return data, layout, ok
+}
+
+// getSnap / putSnapAsync store one most-recent placement snapshot per
+// ancestor index key, content-addressed under a derived key. getSnap
+// answers a pending spill with the spilled snapshot itself, and
+// otherwise parses the digest-verified object; an unparseable object is
+// deleted.
+func (t *DiskTier) getSnap(anc string, inj *fault.Injector) (*core.Snapshot, string, bool) {
+	if t == nil {
+		return nil, "", false
+	}
+	data, snap, layout, ok := t.fetch(snapDiskKey(anc), inj)
+	if !ok || snap != nil {
+		return snap, layout, ok
+	}
+	snap, err := core.UnmarshalSnapshot(data)
+	if err != nil {
+		t.delSnap(anc)
+		return nil, "", false
+	}
+	return snap, layout, true
+}
+
+// putSnapAsync spills snap, which the tier keeps and serializes on its
+// writer goroutine; the caller must never modify it again. Nil-safe.
+func (t *DiskTier) putSnapAsync(anc string, snap *core.Snapshot, layout string) {
+	if t == nil {
+		return
+	}
+	t.spill(&diskJob{key: snapDiskKey(anc), kind: diskKindSnap, snap: snap, layout: layout})
+}
+
+// fetch answers a read of key: the pending spill's value when one is
+// queued or being written, else the digest-verified object bytes. A
+// failed digest check quarantines the object and drops the entry. inj
+// may arm fault.DiskTierCorrupt, which flips one byte of a disk read
+// before verification — the check must turn it into a quarantined miss.
+func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, snap *core.Snapshot, layout string, ok bool) {
 	t.mu.Lock()
 	if job := t.pending[key]; job != nil {
-		data, layout = append([]byte(nil), job.data...), job.layout
+		data, snap, layout = job.data, job.snap, job.layout
 		t.stats.PendingHits++
 		t.mu.Unlock()
-		return data, layout, true
+		return data, snap, layout, true
 	}
 	// A read promotes the entry before it is verified; a failed check
 	// removes it anyway.
@@ -514,7 +586,7 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 	if e == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
-		return nil, "", false
+		return nil, nil, "", false
 	}
 	sum, lay := e.val.sum, e.val.layout
 	t.mu.Unlock()
@@ -525,28 +597,12 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 	}
 	if err != nil || sha256.Sum256(data) != sum {
 		t.quarantine(e, err == nil)
-		return nil, "", false
+		return nil, nil, "", false
 	}
 	t.mu.Lock()
 	t.stats.Hits++
 	t.mu.Unlock()
-	return data, lay, true
-}
-
-// getSnap / putSnapAsync store one most-recent placement snapshot per
-// ancestor index key, content-addressed under a derived key.
-func (t *DiskTier) getSnap(anc string, inj *fault.Injector) ([]byte, string, bool) {
-	if t == nil {
-		return nil, "", false
-	}
-	return t.get(snapDiskKey(anc), inj)
-}
-
-func (t *DiskTier) putSnapAsync(anc string, blob []byte, layout string) {
-	if t == nil {
-		return
-	}
-	t.putAsync(snapDiskKey(anc), diskKindSnap, blob, layout)
+	return data, nil, lay, true
 }
 
 func (t *DiskTier) delSnap(anc string) {

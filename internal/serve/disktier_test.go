@@ -10,6 +10,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"zipr"
+	"zipr/internal/core"
 	"zipr/internal/fault"
 	"zipr/internal/obs"
 )
@@ -353,14 +355,26 @@ func TestDiskTierPendingRead(t *testing.T) {
 	}
 }
 
+// testSnap is a minimal well-formed snapshot whose n-byte images are
+// filled with fill.
+func testSnap(fill byte, n int) *core.Snapshot {
+	s := &core.Snapshot{
+		Fingerprint: "test",
+		Input:       bytes.Repeat([]byte{fill}, n),
+		Output:      bytes.Repeat([]byte{fill ^ 0xFF}, n),
+	}
+	s.InDigest, s.OutDigest = sha256.Sum256(s.Input), sha256.Sum256(s.Output)
+	return s
+}
+
 // TestDiskTierSnapshotSpillsCoalesce: snapshot spills to one ancestor
 // slot that arrive before the writer drains are one write, of the
-// newest blob, which a restart reads back; deleting a slot discards its
-// pending spill.
+// newest snapshot, which a restart reads back; deleting a slot discards
+// its pending spill.
 func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
 	dir := t.TempDir()
 	tier, start := openPausedTier(t, dir)
-	older, newer := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 80)
+	older, newer := testSnap(1, 100), testSnap(2, 80)
 	tier.putSnapAsync("slot", older, "optimized")
 	tier.putSnapAsync("slot", newer, "diversity")
 	tier.putSnapAsync("gone", older, "optimized")
@@ -368,8 +382,8 @@ func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
 	if n := len(tier.wq); n != 2 {
 		t.Fatalf("queued jobs = %d, want 2 (one per slot)", n)
 	}
-	if data, layout, ok := tier.getSnap("slot", nil); !ok || !bytes.Equal(data, newer) || layout != "diversity" {
-		t.Fatalf("pending read ok=%v layout=%q, want the newest blob", ok, layout)
+	if snap, layout, ok := tier.getSnap("slot", nil); !ok || snap != newer || layout != "diversity" {
+		t.Fatalf("pending read ok=%v layout=%q, want the newest snapshot itself", ok, layout)
 	}
 	if _, _, ok := tier.getSnap("gone", nil); ok {
 		t.Fatal("deleted slot still answers from its pending spill")
@@ -385,8 +399,8 @@ func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
 		t.Fatalf("journal holds %d puts, want 1", puts)
 	}
 	tier2 := openTier(t, dir, 0)
-	if data, layout, ok := tier2.getSnap("slot", nil); !ok || !bytes.Equal(data, newer) || layout != "diversity" {
-		t.Fatalf("after restart ok=%v layout=%q, want the newest blob", ok, layout)
+	if snap, layout, ok := tier2.getSnap("slot", nil); !ok || !bytes.Equal(snap.Marshal(), newer.Marshal()) || layout != "diversity" {
+		t.Fatalf("after restart ok=%v layout=%q, want the newest snapshot", ok, layout)
 	}
 	if _, _, ok := tier2.getSnap("gone", nil); ok {
 		t.Fatal("deleted slot's spill was written")

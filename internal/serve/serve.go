@@ -18,6 +18,14 @@
 //     saturated queue or an expired deadline rejects with the typed
 //     zerr.ErrBusy class instead of queueing unboundedly.
 //
+// One ownership rule keeps the copies down: bytes the server holds —
+// RAM-cache entries, snapshot images and pending disk spills — are
+// immutable once stored, so the stores share them instead of copying
+// (a delta answer's image is at once the new snapshot's output, the
+// cache entry and the disk spill). Every slice handed to a caller is a
+// fresh copy, made once on the way out; a snapshot handed out under
+// Config.CaptureSnapshot is a deep copy.
+//
 // Observability lands on two sinks. Options.Trace carries the unlabeled
 // per-run view: serve.cache.{hit,miss,evict,corrupt} counters,
 // queue-depth and cache-size gauges, and one detached span per request.
@@ -290,15 +298,18 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	if cacheable && s.cache != nil {
 		if n := s.cache.get(key); n != nil {
 			e := &n.val
-			if s.inj.Fires(fault.CacheCorrupt, key.site()) && len(e.out) > 0 {
-				// Corrupt the stored entry itself: the digest check below
-				// must catch it, evict it, and fall back to a fresh run.
-				e.out[s.inj.Pick(fault.CacheCorrupt, key.site(), len(e.out))] ^= 0xFF
-			}
-			out := append([]byte(nil), e.out...)
-			sum := e.sum
-			rep := e.report(len(input), len(e.out))
+			stored, sum := e.out, e.sum
+			rep := e.report(len(input), len(stored))
 			s.mu.Unlock()
+			// The one copy: the caller's answer, verified after copying.
+			out := append([]byte(nil), stored...)
+			if s.inj.Fires(fault.CacheCorrupt, key.site()) && len(out) > 0 {
+				// Corrupt the answer, a private clone, never the stored
+				// bytes, which a snapshot or a pending disk spill may
+				// share: the digest check below must catch it, evict the
+				// entry, and fall back to a fresh run.
+				out[s.inj.Pick(fault.CacheCorrupt, key.site(), len(out))] ^= 0xFF
+			}
 			if sha256.Sum256(out) == sum {
 				s.count("serve.cache.hit", &s.stats.Hits)
 				s.span("serve.hit")
@@ -323,6 +334,8 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	if cacheable && s.disk != nil {
 		s.mu.Unlock()
 		if data, layout, ok := s.disk.get(key, s.inj); ok {
+			// data is a pending spill's image or a fresh read; either
+			// way the cache may keep it, and the caller gets a copy.
 			rep := &zipr.Report{Layout: layout, InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
 				s.cachePut(key, data, rep)
@@ -336,7 +349,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			s.tel.diskHits.Add(1)
 			s.span("serve.disk-hit")
 			meta.Outcome, meta.Tier = OutcomeHit, TierDisk
-			return data, rep, meta, nil
+			return append([]byte(nil), data...), rep, meta, nil
 		}
 		s.mu.Lock()
 	}
@@ -350,6 +363,9 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 				return nil, nil, meta, c.err
 			}
 			rep := *c.rep
+			if rep.Snapshot != nil {
+				rep.Snapshot = rep.Snapshot.Clone()
+			}
 			meta.Outcome = OutcomeShared
 			return append([]byte(nil), c.out...), &rep, meta, nil
 		case <-ctx.Done():
@@ -384,11 +400,10 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 				s.cachePut(key, out, rep)
 			}
 			s.disk.putAsync(key, diskKindOut, out, rep.Layout)
-			if !cfg.CaptureSnapshot {
-				snap = nil
-			}
 			repOut := *rep
-			repOut.Snapshot = snap
+			if cfg.CaptureSnapshot && snap != nil {
+				repOut.Snapshot = snap.Clone()
+			}
 			finish(out, rep, nil)
 			meta.Outcome = OutcomeDelta
 			return append([]byte(nil), out...), &repOut, meta, nil
@@ -424,7 +439,9 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	}
 	if deltaOK && rep.Snapshot != nil {
 		s.storeSnapshot(key, ancKeyOf(cfg, len(input)), rep.Snapshot, rep)
-		if !cfg.CaptureSnapshot {
+		if cfg.CaptureSnapshot {
+			rep.Snapshot = rep.Snapshot.Clone()
+		} else {
 			rep.Snapshot = nil
 		}
 	}
@@ -490,10 +507,11 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 }
 
 // cachePut stores a completed rewrite's output in the content-addressed
-// cache, counting evictions the insert forced.
+// cache, counting evictions the insert forced. The cache keeps out
+// itself, not a copy: out must be the server's own immutable image.
 func (s *Server) cachePut(key Key, out []byte, rep *zipr.Report) {
 	e := entry{
-		out:          append([]byte(nil), out...),
+		out:          out,
 		sum:          sha256.Sum256(out),
 		cachedReport: keepReport(rep),
 	}

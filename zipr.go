@@ -430,22 +430,17 @@ func snapshotSafeTransforms(transforms []Transform) (safe, frameSensitive bool) 
 	return true, frameSensitive
 }
 
-// captureSnapshot builds the placement snapshot of a finished rewrite.
-// Capture is best-effort: an ineligible rewrite gets no snapshot, bumps
+// captureSnapshot builds the placement snapshot of a finished rewrite,
+// on every ISA: the snapshot records the program's Arch, and Apply and
+// Rebase decode under it. Capture is best-effort: an ineligible rewrite
+// (a custom placer, armed pipeline chaos, a transform the eligibility
+// check cannot reason about, or a failed build) gets no snapshot, bumps
 // one rewrite.snapshot.skipped.<reason> trace counter, and returns the
 // report warning that names the reason.
-func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, arch isa.Arch, customPlacer bool, inj *FaultInjector, tr *Trace) (*core.Snapshot, string) {
+func captureSnapshot(prog *ir.Program, res *core.Result, cfgv Config, customPlacer bool, inj *FaultInjector, tr *Trace) (*core.Snapshot, string) {
 	safe, frameSensitive := snapshotSafeTransforms(cfgv.Transforms)
 	var reason, why string
 	switch {
-	case !isa.IsDefault(arch):
-		// Snapshots work under ZVM-64 (TestSnapshotIdentityZVM64), but
-		// capture stays off: with it on, serve-edits' delta share rose
-		// from 0.19-0.21 to 0.29-0.49 while its disk share fell from
-		// 0.37-0.38 to 0.12-0.32, and latency_ms_p50 rose 17-63 % and
-		// max_rss_mb 34-90 % (EXPERIMENTS.md, "ZVM-64 delta capture and
-		// the serve-edits tier mix"). It waits for a serve-tier fix.
-		reason, why = "isa", "capture is off under "+arch.Name()
 	case customPlacer:
 		reason, why = "placer", "a custom placer's choices cannot be replayed"
 	case inj.ArmedPipeline():
@@ -646,7 +641,7 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	report.Layout = placer.Name()
 	var declined string
 	if cfgv.CaptureSnapshot {
-		report.Snapshot, declined = captureSnapshot(prog, res, cfgv, arch, newPlacer != nil, inj, tr)
+		report.Snapshot, declined = captureSnapshot(prog, res, cfgv, newPlacer != nil, inj, tr)
 	}
 	if cfgv.EmitMap {
 		report.AddrMap = make(map[uint32]uint32)
