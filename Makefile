@@ -141,10 +141,12 @@ examples:
 	@set -e; for d in examples/*/; do echo "run $$d"; $(GO) run ./$$d >/dev/null; done
 
 # Metrics gate: the naming lint (lowercase dotted family names, bounded
-# label cardinality, unique exposition names) plus the Prometheus
+# label cardinality, unique exposition names), the Prometheus
 # exposition self-check (HELP/TYPE pairing, label escaping, monotone
-# cumulative buckets, _sum/_count consistency).
+# cumulative buckets, _sum/_count consistency), the pinned counter and
+# gauge lines of the serving layer after a fixed request script, and
+# ziprd's /metrics read against its /stats after a disk-tier restart.
 metricslint:
-	$(GO) test -run 'TestMetricsNamingLint|TestPromExposition|TestPromName' ./internal/serve/ ./internal/obs/
+	$(GO) test -run 'TestMetricsNamingLint|TestMetricsPinned|TestMetricsMatchStats|TestPromExposition|TestPromName' ./internal/serve/ ./internal/obs/ ./cmd/ziprd/
 
 ci: fmt build vet race cover bench benchgate benchsmoke benchbuild fuzzsmoke isasweep fleet-smoke examples metricslint

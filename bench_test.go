@@ -460,7 +460,7 @@ func BenchmarkDisassemble(b *testing.B) {
 	b.SetBytes(int64(len(bin.Text().Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := disasm.Disassemble(bin); err != nil {
+		if _, err := disasm.DisassembleOpts(bin, disasm.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -573,7 +573,7 @@ func BenchmarkPlaceLargeSynth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -128,7 +128,6 @@ func run() error {
 		QueueDepth:    *queue,
 		CacheBytes:    *cacheBytes,
 		SnapshotBytes: *snapBytes,
-		Trace:         obs.New(),
 		Registry:      reg,
 	}
 	if !*delta {

@@ -38,7 +38,7 @@ func buildImage(t *testing.T) []byte {
 func newTestDaemon(t *testing.T) *daemon {
 	t.Helper()
 	reg := obs.NewRegistry()
-	s := serve.New(serve.Options{Workers: 2, Trace: obs.New(), Registry: reg})
+	s := serve.New(serve.Options{Workers: 2, Registry: reg})
 	t.Cleanup(s.Close)
 	return newDaemon(s, reg, 10*time.Second)
 }
@@ -83,11 +83,10 @@ func TestHTTPRewriteHitAndMiss(t *testing.T) {
 	}
 }
 
-// TestHTTPDeltaOutcome: an edited input sharing an ancestor with a
-// prior request is answered from its placement snapshot — X-Zipr-Cache
-// says "delta", the JSONL response sets delta, and the bytes match what
-// a daemon that never saw the base produces from scratch.
-func TestHTTPDeltaOutcome(t *testing.T) {
+// deltaPair builds a program and an edit of it that changes the
+// constants of one function: the edit is delta-eligible.
+func deltaPair(t *testing.T) (base, edited []byte) {
+	t.Helper()
 	src := synth.Generate(0xD43E, synth.Profile{
 		Name: "ziprdelta", NumFuncs: 10, OpsMin: 4, OpsMax: 10,
 		DataWords: 32, InputLen: 4, LoopIters: 3,
@@ -107,7 +106,15 @@ func TestHTTPDeltaOutcome(t *testing.T) {
 		}
 		return img
 	}
-	base, edited := build(src), build(msrc)
+	return build(src), build(msrc)
+}
+
+// TestHTTPDeltaOutcome: an edited input sharing an ancestor with a
+// prior request is answered from its placement snapshot — X-Zipr-Cache
+// says "delta", the JSONL response sets delta, and the bytes match what
+// a daemon that never saw the base produces from scratch.
+func TestHTTPDeltaOutcome(t *testing.T) {
+	base, edited := deltaPair(t)
 
 	d := newTestDaemon(t)
 	ts := httptest.NewServer(newHandler(d))
@@ -535,6 +542,103 @@ func TestMetricsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(phases), "rewrite") {
 		t.Fatalf("/debug/phases missing aggregated rewrite span:\n%s", phases)
+	}
+}
+
+// TestMetricsMatchStatsAfterRestart: a daemon restarted on a disk tier
+// answers an edit from the ancestor snapshot the tier kept, and a repeat
+// of the base from the tier's output. Then every /metrics family that
+// repeats a /stats field reads that field; serve.disk.hits counts the
+// snapshot read as well as the output read.
+func TestMetricsMatchStatsAfterRestart(t *testing.T) {
+	base, edited := deltaPair(t)
+	dir := t.TempDir()
+	post := func(url string, img []byte, want string) {
+		t.Helper()
+		resp, err := http.Post(url+"/rewrite", "application/octet-stream", bytes.NewReader(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Zipr-Cache"); resp.StatusCode != http.StatusOK || got != want {
+			t.Fatalf("POST: %d, X-Zipr-Cache = %q, want %q", resp.StatusCode, got, want)
+		}
+	}
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	serveOn := func(tier *serve.DiskTier) (*serve.Server, *httptest.Server) {
+		reg := obs.NewRegistry()
+		s := serve.New(serve.Options{Workers: 1, Disk: tier, Registry: reg})
+		return s, httptest.NewServer(newHandler(newDaemon(s, reg, 10*time.Second)))
+	}
+
+	tier, err := serve.OpenDiskTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := serveOn(tier)
+	post(ts.URL, base, "miss")
+	ts.Close()
+	s.Close()
+	tier.Close() // drains the spills
+
+	tier, err = serve.OpenDiskTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts = serveOn(tier)
+	defer ts.Close()
+	defer s.Close()
+	post(ts.URL, edited, "delta")
+	post(ts.URL, base, "hit")
+	tier.Close() // drains this server's spills, so the two scrapes agree
+
+	var st serve.Stats
+	if err := json.Unmarshal(get(ts.URL+"/stats"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.DiskHits != 2 || st.DiskPromotes != 1 || st.PipelineRuns != 0 {
+		t.Fatalf("disk hits/promotes/pipeline runs = %d/%d/%d, want 2/1/0", st.DiskHits, st.DiskPromotes, st.PipelineRuns)
+	}
+	metrics := map[string]int64{}
+	for _, line := range strings.Split(string(get(ts.URL+"/metrics")), "\n") {
+		var name string
+		var v int64
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
+			metrics[name] = v
+		}
+	}
+	for name, want := range map[string]int64{
+		"zipr_serve_queue_depth":      int64(st.QueueDepth),
+		"zipr_serve_cache_bytes":      st.CacheBytes,
+		"zipr_serve_cache_entries":    int64(st.CacheEntries),
+		"zipr_serve_cache_evictions":  st.Evictions,
+		"zipr_serve_cache_corrupt":    st.Corrupt,
+		"zipr_serve_pipeline_runs":    st.PipelineRuns,
+		"zipr_serve_delta_stale":      st.DeltaStale,
+		"zipr_serve_snapshot_bytes":   st.SnapBytes,
+		"zipr_serve_snapshot_entries": int64(st.SnapEntries),
+		"zipr_serve_disk_hits":        st.DiskHits + st.DiskPendingHits,
+		"zipr_serve_disk_promotes":    st.DiskPromotes,
+		"zipr_serve_disk_corrupt":     st.DiskCorrupt,
+		"zipr_serve_disk_bytes":       st.DiskBytes,
+		"zipr_serve_disk_entries":     int64(st.DiskEntries),
+	} {
+		if got, ok := metrics[name]; !ok || got != want {
+			t.Errorf("/metrics %s = %d (present %v), /stats says %d", name, got, ok, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package zipr
 import (
 	"bytes"
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -134,6 +135,24 @@ func TestDeltaZeroUnitsRefusesEverything(t *testing.T) {
 	}
 }
 
+// shortJumpRe matches a generated short-form conditional branch.
+var shortJumpRe = regexp.MustCompile(`^(    )(jz|jnz)\.s (\S+)$`)
+
+// widenShortBranch returns src with the first short-form conditional
+// branch (`jz.s`/`jnz.s`) rewritten to its rel32 form — a structural
+// edit that changes the encoded instruction length. Returns ok=false
+// when the program has no short branch to widen.
+func widenShortBranch(src string) (out string, ok bool) {
+	lines := strings.Split(src, "\n")
+	for i, line := range lines {
+		if m := shortJumpRe.FindStringSubmatch(line); m != nil {
+			lines[i] = m[1] + m[2] + " " + m[3]
+			return strings.Join(lines, "\n"), true
+		}
+	}
+	return src, false
+}
+
 // TestDeltaWideningRefused covers the rel8→rel32 structural edit: the
 // edited function's instruction boundaries change, so the delta path
 // must refuse (typed) and the full pipeline must handle the widened
@@ -141,7 +160,7 @@ func TestDeltaZeroUnitsRefusesEverything(t *testing.T) {
 func TestDeltaWideningRefused(t *testing.T) {
 	seed, prof := synth.CBProfile(2)
 	src := synth.Generate(seed, prof)
-	wsrc, ok := synth.MutateWiden(src)
+	wsrc, ok := widenShortBranch(src)
 	if !ok {
 		t.Fatal("no short branch to widen in the generated program")
 	}

@@ -23,7 +23,7 @@ func TestBuildAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func BenchmarkBuildLibc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func build(t *testing.T, src string) *ir.Program {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatalf("disassemble: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestLoadPCFromCodeForcesFixedRange(t *testing.T) {
 			{Kind: binfmt.Text, VAddr: 0x00100000, Data: code},
 		},
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestAmbiguousRegionBranchTargetsPinned(t *testing.T) {
 			{Kind: binfmt.Text, VAddr: 0x00100000, Data: code},
 		},
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestEntryNotDecodedError(t *testing.T) {
 			{Kind: binfmt.Text, VAddr: 0x00100000, Data: []byte{0x00, 0x00}},
 		},
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -584,11 +584,6 @@ func (a *Alloc) Carve(r ir.Range) error {
 	return nil
 }
 
-// CarveAt is Carve for an (address, size) request.
-func (a *Alloc) CarveAt(addr uint32, size int) error {
-	return a.Carve(ir.Range{Start: addr, End: addr + fitLen(size)})
-}
-
 // Release returns r to the free pool, merging with at most the two
 // adjacent blocks found by tree search — no re-sort. Releasing bytes
 // that are already free violates the allocator's invariant (a double

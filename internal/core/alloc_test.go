@@ -71,7 +71,7 @@ func TestAllocCarveAndRelease(t *testing.T) {
 func TestAllocCarveEdges(t *testing.T) {
 	a := NewAlloc(ir.Range{Start: 0, End: 100}, nil)
 	// Prefix, suffix, exact and middle carves exercise all four cases.
-	if err := a.CarveAt(0, 10); err != nil { // prefix trim
+	if err := a.Carve(ir.Range{Start: 0, End: 10}); err != nil { // prefix trim
 		t.Fatal(err)
 	}
 	mustInvariants(t, a)

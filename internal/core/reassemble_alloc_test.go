@@ -24,7 +24,7 @@ func TestReassembleAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := disasm.Disassemble(bin)
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

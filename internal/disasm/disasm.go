@@ -436,11 +436,6 @@ func halves(n int, serial bool, fn func(lo, hi int)) {
 	<-done
 }
 
-// Disassemble runs both disassemblers on bin and aggregates the result.
-func Disassemble(bin *binfmt.Binary) (Aggregated, error) {
-	return DisassembleOpts(bin, Options{})
-}
-
 // DisassembleOpts decodes bin's text into one table, runs the
 // disassemblers over it and aggregates their views. The concurrent
 // default and opts.Serial produce the same Aggregated value: the table

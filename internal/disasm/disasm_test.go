@@ -198,7 +198,7 @@ after:
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Disassemble(bin)
+	agg, err := DisassembleOpts(bin, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAggregateWarnsOnAmbiguousBranches(t *testing.T) {
 			{Kind: binfmt.Text, VAddr: 0x00100000, Data: text},
 		},
 	}
-	agg, err := Disassemble(bin)
+	agg, err := DisassembleOpts(bin, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestAggregateWarnsOnAmbiguousBranches(t *testing.T) {
 
 func TestDisassembleNoText(t *testing.T) {
 	bin := &binfmt.Binary{Type: binfmt.Exec}
-	if _, err := Disassemble(bin); err == nil {
+	if _, err := DisassembleOpts(bin, Options{}); err == nil {
 		t.Fatal("expected error for missing text segment")
 	}
 }
@@ -278,7 +278,7 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Disassemble(bin)
+	agg, err := DisassembleOpts(bin, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

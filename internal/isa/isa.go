@@ -317,16 +317,6 @@ func (in Inst) IsDirectBranch() bool {
 	return false
 }
 
-// IsIndirectBranch reports whether the target is computed at run time.
-// RET is included: its target comes from the stack.
-func (in Inst) IsIndirectBranch() bool {
-	switch in.Op {
-	case OpJmpR, OpCallR, OpRet:
-		return true
-	}
-	return false
-}
-
 // IsCall reports whether the instruction is a direct or indirect call.
 func (in Inst) IsCall() bool { return in.Op == OpCall || in.Op == OpCallR }
 

@@ -154,20 +154,20 @@ func TestEncodeErrors(t *testing.T) {
 
 func TestBranchPredicates(t *testing.T) {
 	tests := []struct {
-		in                                   Inst
-		branch, direct, indirect, call, fall bool
+		in                         Inst
+		branch, direct, call, fall bool
 	}{
-		{Inst{Op: OpNop}, false, false, false, false, true},
-		{Inst{Op: OpJmp8}, true, true, false, false, false},
-		{Inst{Op: OpJmp32}, true, true, false, false, false},
-		{Inst{Op: OpJcc8, Cc: CcZ}, true, true, false, false, true},
-		{Inst{Op: OpJcc32, Cc: CcZ}, true, true, false, false, true},
-		{Inst{Op: OpCall}, true, true, false, true, true},
-		{Inst{Op: OpCallR}, true, false, true, true, true},
-		{Inst{Op: OpJmpR}, true, false, true, false, false},
-		{Inst{Op: OpRet}, true, false, true, false, false},
-		{Inst{Op: OpHlt}, false, false, false, false, false},
-		{Inst{Op: OpAdd}, false, false, false, false, true},
+		{Inst{Op: OpNop}, false, false, false, true},
+		{Inst{Op: OpJmp8}, true, true, false, false},
+		{Inst{Op: OpJmp32}, true, true, false, false},
+		{Inst{Op: OpJcc8, Cc: CcZ}, true, true, false, true},
+		{Inst{Op: OpJcc32, Cc: CcZ}, true, true, false, true},
+		{Inst{Op: OpCall}, true, true, true, true},
+		{Inst{Op: OpCallR}, true, false, true, true},
+		{Inst{Op: OpJmpR}, true, false, false, false},
+		{Inst{Op: OpRet}, true, false, false, false},
+		{Inst{Op: OpHlt}, false, false, false, false},
+		{Inst{Op: OpAdd}, false, false, false, true},
 	}
 	for _, tt := range tests {
 		in := tt.in
@@ -176,9 +176,6 @@ func TestBranchPredicates(t *testing.T) {
 		}
 		if got := in.IsDirectBranch(); got != tt.direct {
 			t.Errorf("%s: IsDirectBranch = %v, want %v", in.Op.Name(), got, tt.direct)
-		}
-		if got := in.IsIndirectBranch(); got != tt.indirect {
-			t.Errorf("%s: IsIndirectBranch = %v, want %v", in.Op.Name(), got, tt.indirect)
 		}
 		if got := in.IsCall(); got != tt.call {
 			t.Errorf("%s: IsCall = %v, want %v", in.Op.Name(), got, tt.call)

@@ -34,8 +34,8 @@ import (
 // out to worker goroutines, the coordinator creates one detached span
 // per worker with StartDetached (in a deterministic order, attached
 // under the currently open phase but never pushed on the stack), hands
-// each to its worker, and the worker calls End — and, for nested
-// sub-phases, Span.StartChild — without ever touching the shared stack.
+// each to its worker, and the worker calls End without ever touching
+// the shared stack.
 // Workers must End every detached span before the phase's own End.
 // Concurrent pipelines (whole-binary fan-out) should instead use one
 // Trace each and merge with an Agg, which is also safe to share.
@@ -130,22 +130,6 @@ func (t *Trace) StartDetached(name string) *Span {
 	s.Start = s.started.Sub(t.begun)
 	t.attachLocked(s)
 	return s
-}
-
-// StartChild opens a detached span nested under s, for sub-phases
-// measured inside a worker goroutine that owns s. The child must be
-// ended (by any goroutine) before s's own End. Safe on a nil receiver.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	t := s.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := &Span{Name: name, Depth: s.Depth + 1, Count: 1, t: t, started: time.Now(), m0: readMem(), detached: true}
-	c.Start = c.started.Sub(t.begun)
-	s.Children = append(s.Children, c)
-	return c
 }
 
 // attachLocked links s under the innermost open span.

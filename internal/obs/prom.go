@@ -131,6 +131,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 }
 
 func (f *family) writeProm(w *bufio.Writer, now time.Time) error {
+	fv := f.read()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	name := PromName(f.name)
@@ -142,6 +143,9 @@ func (f *family) writeProm(w *bufio.Writer, now time.Time) error {
 			s.mu.Lock()
 			v := s.val
 			s.mu.Unlock()
+			if f.fn != nil {
+				v = fv
+			}
 			fmt.Fprintf(w, "%s%s %d\n", name, promLabels(f.labels, s.labels, "", ""), v)
 		}
 	case kindHist:

@@ -265,6 +265,8 @@ func TestPromExpositionSelfCheck(t *testing.T) {
 	total.With("miss").Add(3)
 	total.With(`quo"te\back` + "\nnewline").Add(1) // escaping
 	r.Gauge("serve.queue.depth", "requests waiting").With().Set(2)
+	r.CounterFunc("serve.pipeline.runs", "pipeline executions", func() int64 { return 9 })
+	r.GaugeFunc("serve.cache.bytes", "cached output bytes", func() int64 { return 4096 })
 	h := r.Histogram("serve.input.bytes", "input sizes", "kind")
 	for _, v := range []int64{0, 1, 2, 7, 8, 4096} {
 		h.With("zelf").Observe(v)
@@ -320,6 +322,14 @@ func TestPromExpositionSelfCheck(t *testing.T) {
 		t.Fatalf("quantiles p50=%d p99=%d implausible for 1..100", p50, p99)
 	}
 
+	for name, want := range map[string]string{"zipr_serve_pipeline_runs": "counter", "zipr_serve_cache_bytes": "gauge"} {
+		if f := fams[name]; f == nil || f.typ != want || !f.hasHelp || len(f.samples) != 1 {
+			t.Fatalf("function family %s = %+v, want one %s sample with HELP", name, f, want)
+		}
+	}
+	if !strings.Contains(body, "zipr_serve_pipeline_runs 9\n") || !strings.Contains(body, "zipr_serve_cache_bytes 4096\n") {
+		t.Fatalf("function family samples missing:\n%s", body)
+	}
 	if !strings.Contains(body, `zipr_serve_request_total{outcome="hit"} 12`) {
 		t.Fatalf("missing plain counter sample:\n%s", body)
 	}

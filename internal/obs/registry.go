@@ -84,6 +84,7 @@ type family struct {
 	labels []string
 	window time.Duration // window kind only
 	now    func() time.Time
+	fn     func() int64 // function family only: its one series' value
 
 	mu      sync.Mutex
 	series  map[string]*series
@@ -103,16 +104,17 @@ type series struct {
 }
 
 // register returns the family for name, creating it on first use. A
-// re-registration must agree on kind and label names: a mismatch is a
-// wiring bug and panics.
-func (r *Registry) register(name, help string, kind familyKind, window time.Duration, labels []string) *family {
+// re-registration must agree on kind and label names, and a function
+// family (fn != nil) cannot be registered twice: either is a wiring bug
+// and panics.
+func (r *Registry) register(name, help string, kind familyKind, window time.Duration, labels []string, fn func() int64) *family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.families[name]; f != nil {
-		if f.kind != kind || !equalStrings(f.labels, labels) {
+		if f.kind != kind || !equalStrings(f.labels, labels) || f.fn != nil || fn != nil {
 			panic(fmt.Sprintf("obs: metric family %q re-registered as %s%v, was %s%v",
 				name, kind, labels, f.kind, f.labels))
 		}
@@ -125,6 +127,7 @@ func (r *Registry) register(name, help string, kind familyKind, window time.Dura
 		labels: append([]string(nil), labels...),
 		window: window,
 		now:    r.now,
+		fn:     fn,
 		series: make(map[string]*series),
 	}
 	r.families[name] = f
@@ -207,7 +210,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.register(name, help, kindCounter, 0, labels)}
+	return &CounterVec{f: r.register(name, help, kindCounter, 0, labels, nil)}
 }
 
 // With resolves the series for the given label values; resolve once at
@@ -254,7 +257,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, 0, labels)}
+	return &GaugeVec{f: r.register(name, help, kindGauge, 0, labels, nil)}
 }
 
 // With resolves the series for the given label values. Nil-safe.
@@ -292,6 +295,20 @@ func (g *Gauge) Value() int64 {
 	return g.s.val
 }
 
+// CounterFunc registers the unlabeled counter family called name whose
+// value is fn's result, read at every Snapshot and WriteProm: for a
+// count some other record already keeps, so the registry holds no copy
+// of it. fn must not call back into the registry. Registering the name
+// a second time panics. Nil-safe.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.register(name, help, kindCounter, 0, nil, fn).with(nil)
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
+	r.register(name, help, kindGauge, 0, nil, fn).with(nil)
+}
+
 // HistogramVec is a family of cumulative power-of-two-bucket
 // histograms (the same bucket rule as Hist.Observe).
 type HistogramVec struct{ f *family }
@@ -301,7 +318,7 @@ func (r *Registry) Histogram(name, help string, labels ...string) *HistogramVec 
 	if r == nil {
 		return nil
 	}
-	return &HistogramVec{f: r.register(name, help, kindHist, 0, labels)}
+	return &HistogramVec{f: r.register(name, help, kindHist, 0, labels, nil)}
 }
 
 // With resolves the series for the given label values. Nil-safe.
@@ -354,7 +371,7 @@ func (r *Registry) Window(name, help string, window time.Duration, labels ...str
 	if window <= 0 {
 		window = 5 * time.Minute
 	}
-	return &WindowVec{f: r.register(name, help, kindWindow, window, labels)}
+	return &WindowVec{f: r.register(name, help, kindWindow, window, labels, nil)}
 }
 
 // With resolves the series for the given label values. Nil-safe.
@@ -400,6 +417,16 @@ func (w *WindowSeries) Quantile(q float64) int64 {
 }
 
 // ---------------------------------------------------------------- snapshot
+
+// read returns a function family's value (0 for any other family). It
+// runs before the family's locks are taken, since fn may take its
+// owner's.
+func (f *family) read() int64 {
+	if f.fn == nil {
+		return 0
+	}
+	return f.fn()
+}
 
 // FamilySnap is the JSON-friendly snapshot of one metric family, the
 // shape embedded in ziprd's /stats.
@@ -448,6 +475,7 @@ func (r *Registry) Snapshot() []FamilySnap {
 }
 
 func (f *family) snapshot(now time.Time) FamilySnap {
+	fv := f.read()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	fs := FamilySnap{
@@ -465,6 +493,9 @@ func (f *family) snapshot(now time.Time) FamilySnap {
 		switch f.kind {
 		case kindCounter, kindGauge:
 			ss.Value = s.val
+			if f.fn != nil {
+				ss.Value = fv
+			}
 		case kindHist:
 			ss.Count, ss.Sum = s.hist.Count, s.hist.Sum
 			ss.P50 = s.hist.Quantile(0.50)

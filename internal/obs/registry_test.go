@@ -71,6 +71,36 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("a.b", "", "l")
 }
 
+// TestRegistryFuncFamilies: a function family reads its value from fn
+// at every snapshot, in registration order beside ordinary families,
+// and cannot be registered twice.
+func TestRegistryFuncFamilies(t *testing.T) {
+	r := NewRegistry()
+	var runs, depth int64
+	r.CounterFunc("serve.pipeline.runs", "pipeline executions", func() int64 { return runs })
+	r.Counter("serve.request.total", "", "outcome").With("hit").Add(1)
+	r.GaugeFunc("serve.queue.depth", "waiting requests", func() int64 { return depth })
+	runs, depth = 3, 2
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[0].Kind != "counter" || snap[2].Kind != "gauge" {
+		t.Fatalf("families = %+v", snap)
+	}
+	if len(snap[0].Series) != 1 || snap[0].Series[0].Value != 3 || snap[0].Help != "pipeline executions" {
+		t.Fatalf("counter func family = %+v, want one series of 3", snap[0])
+	}
+	runs, depth = 5, 0
+	snap = r.Snapshot()
+	if snap[0].Series[0].Value != 5 || snap[2].Series[0].Value != 0 {
+		t.Fatalf("values after change = %d/%d, want 5/0", snap[0].Series[0].Value, snap[2].Series[0].Value)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-registering a function family did not panic")
+		}
+	}()
+	r.CounterFunc("serve.pipeline.runs", "", func() int64 { return 0 })
+}
+
 func TestRegistryLabelMismatchReturnsNil(t *testing.T) {
 	r := NewRegistry()
 	v := r.Counter("a.b", "", "outcome")
@@ -113,6 +143,8 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 	gv := r.Gauge("x.z", "")
 	hv := r.Histogram("x.h", "", "k")
 	wv := r.Window("x.w", "", time.Minute, "k")
+	r.CounterFunc("x.f", "", func() int64 { return 1 })
+	r.GaugeFunc("x.g", "", func() int64 { return 1 })
 	c := cv.With("hit")
 	g := gv.With()
 	h := hv.With("a")

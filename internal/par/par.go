@@ -51,28 +51,31 @@ func Each(workers, n int, fn func(i int) error) error {
 		return nil
 	}
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
+		next atomic.Int64
+		// stop is the lowest failed index so far (n while none): a
+		// claimed index at or past it is skipped, one below it still
+		// runs, since it may be the error a serial loop reports.
+		stop atomic.Int64
+		wg   sync.WaitGroup
 
 		mu       sync.Mutex
-		firstIdx = n
 		firstErr error
 	)
+	stop.Store(int64(n))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || failed.Load() {
+				i := next.Add(1) - 1
+				if i >= stop.Load() {
 					return
 				}
-				if err := fn(i); err != nil {
-					failed.Store(true)
+				if err := fn(int(i)); err != nil {
 					mu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
+					if i < stop.Load() {
+						stop.Store(i)
+						firstErr = err
 					}
 					mu.Unlock()
 				}

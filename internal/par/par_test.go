@@ -75,7 +75,7 @@ func TestEachStopsClaimingAfterFailure(t *testing.T) {
 		t.Fatalf("err = %v, want boom-0 (index 0 is always claimed first)", err)
 	}
 	// Each worker can have at most one task claimed-but-unchecked when
-	// the failure flag is raised.
+	// the first failure is recorded.
 	if n := ran.Load(); n > 2*workers {
 		t.Errorf("early stop failed: %d tasks ran, want <= %d", n, 2*workers)
 	}

@@ -178,12 +178,8 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	}
 	size := snap.SizeBytes()
 	s.mu.Lock()
-	evicted := s.snaps.put(key, e, size)
-	s.syncSnapGaugesLocked()
+	s.stats.SnapEvictions += s.snaps.put(key, e, size)
 	s.mu.Unlock()
-	if evicted > 0 {
-		s.tr.Add("serve.snapshot.evict", evicted)
-	}
 	// The disk tier's writer serializes the snapshot; the stored one is
 	// immutable, so the spill shares it.
 	s.disk.putSnapAsync(anc.slotKey(), snap, rep.Layout)
@@ -227,10 +223,7 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 				s.mu.Lock()
 				s.snaps.remove(e)
 				s.stats.DeltaStale++
-				s.syncSnapGaugesLocked()
 				s.mu.Unlock()
-				s.tr.Add("serve.delta.stale", 1)
-				s.tel.deltaStale.Add(1)
 				if e.val.disk {
 					s.disk.delSnap(anc.slotKey())
 				}
@@ -248,21 +241,8 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 		} else {
 			ns = nil
 		}
-		s.tr.Add("serve.delta.hit", 1)
-		s.mu.Lock()
-		s.stats.DeltaHits++
-		s.mu.Unlock()
-		s.span("serve.delta")
+		s.count(&s.stats.DeltaHits)
 		return res, rep, ns, true
 	}
 	return nil, nil, nil, false
-}
-
-// syncSnapGaugesLocked publishes snapshot-store occupancy gauges;
-// caller holds s.mu.
-func (s *Server) syncSnapGaugesLocked() {
-	s.tr.SetGauge("serve.snapshot.bytes", s.snaps.lru.bytes)
-	s.tr.SetGauge("serve.snapshot.entries", int64(s.snaps.lru.len()))
-	s.tel.snapBytes.Set(s.snaps.lru.bytes)
-	s.tel.snapCount.Set(int64(s.snaps.lru.len()))
 }

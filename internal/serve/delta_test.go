@@ -123,8 +123,7 @@ func TestDeltaChainOfEdits(t *testing.T) {
 	seed, prof := deltaProfile()
 	src := synth.Generate(seed, prof)
 	cfg := nullCfg()
-	tr := obs.New()
-	s := New(Options{Workers: 2, Trace: tr})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -155,12 +154,13 @@ func TestDeltaChainOfEdits(t *testing.T) {
 		}
 		cur = next
 	}
-	if st := s.Stats(); st.SnapEntries > snapCandidates || st.SnapAncestors != 1 {
+	st := s.Stats()
+	if st.SnapEntries > snapCandidates || st.SnapAncestors != 1 {
 		t.Fatalf("snapshot store holds %d snapshots under %d ancestors, want at most %d under 1",
 			st.SnapEntries, st.SnapAncestors, snapCandidates)
 	}
-	if got := tr.Counter("serve.snapshot.evict"); got != 2 {
-		t.Fatalf("serve.snapshot.evict = %d, want 2 (%d snapshots stored, %d kept)", got, snapCandidates+2, snapCandidates)
+	if st.SnapEvictions != 2 {
+		t.Fatalf("SnapEvictions = %d, want 2 (%d snapshots stored, %d kept)", st.SnapEvictions, snapCandidates+2, snapCandidates)
 	}
 }
 

@@ -140,8 +140,6 @@ type DiskTier struct {
 	closed  bool
 	pending map[Key]*diskJob // spills queued or being written, by key
 
-	tel *telemetry // bound by the owning Server; nil-safe
-
 	wq chan *diskJob
 	wg sync.WaitGroup
 	bw *bufio.Writer // the writer goroutine's snapshot stream buffer
@@ -378,26 +376,6 @@ func (t *DiskTier) Stats() DiskStats {
 	return st
 }
 
-// bindTelemetry attaches the owning server's labeled-metric handles so
-// tier events land on /metrics. Nil-safe on both sides.
-func (t *DiskTier) bindTelemetry(tel *telemetry) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.tel = tel
-	t.syncGaugesLocked()
-	t.mu.Unlock()
-}
-
-func (t *DiskTier) syncGaugesLocked() {
-	if t.tel == nil {
-		return
-	}
-	t.tel.diskBytes.Set(t.idx.bytes)
-	t.tel.diskEntries.Set(int64(t.idx.len()))
-}
-
 // putAsync spills an output image. The tier keeps data itself, not a
 // copy: the caller must never modify it again. Nil-safe.
 func (t *DiskTier) putAsync(key Key, kind string, data []byte, layout string) {
@@ -523,7 +501,6 @@ func (t *DiskTier) commit(job *diskJob, e *diskEntry, size int64) {
 	n := t.idx.put(job.key, *e, size)
 	t.appendJournalLocked(putRecord(n))
 	t.evictLocked(n)
-	t.syncGaugesLocked()
 }
 
 // get returns the bytes of the output image spilled under key, or
@@ -617,7 +594,6 @@ func (t *DiskTier) delSnap(anc string) {
 	}
 	if e := t.idx.peek(key); e != nil {
 		t.removeLocked(e)
-		t.syncGaugesLocked()
 	}
 	t.mu.Unlock()
 }
@@ -642,10 +618,6 @@ func (t *DiskTier) quarantine(e *diskNode, fileOK bool) {
 	t.mu.Lock()
 	t.removeLocked(e)
 	t.stats.Corrupt++
-	if t.tel != nil {
-		t.tel.diskCorrupt.Add(1)
-	}
-	t.syncGaugesLocked()
 	t.mu.Unlock()
 	if fileOK {
 		os.Rename(t.objectPath(e.key), filepath.Join(t.dir, "quarantine", e.key.String()))

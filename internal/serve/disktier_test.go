@@ -20,7 +20,6 @@ import (
 	"zipr"
 	"zipr/internal/core"
 	"zipr/internal/fault"
-	"zipr/internal/obs"
 )
 
 // openTier opens a disk tier rooted in dir, failing the test on error
@@ -57,7 +56,7 @@ func TestDiskTierRestartHit(t *testing.T) {
 	if st := tier2.Stats(); st.Entries != 1 {
 		t.Fatalf("reopened tier holds %d entries, want 1", st.Entries)
 	}
-	b := New(Options{Workers: 1, SnapshotBytes: -1, Disk: tier2, Trace: obs.New()})
+	b := New(Options{Workers: 1, SnapshotBytes: -1, Disk: tier2})
 	defer b.Close()
 	out, rep, meta, err := b.RewriteMeta(context.Background(), in, cfg)
 	if err != nil {

@@ -26,14 +26,15 @@
 // fresh copy, made once on the way out; a snapshot handed out under
 // Config.CaptureSnapshot is a deep copy.
 //
-// Observability lands on two sinks. Options.Trace carries the unlabeled
-// per-run view: serve.cache.{hit,miss,evict,corrupt} counters,
-// queue-depth and cache-size gauges, and one detached span per request.
-// Options.Registry carries the service-lifetime labeled view scraped by
-// ziprd's /metrics: serve.request.total and rolling latency quantiles
-// keyed by outcome (hit|miss|shared|busy|error), queue wait, and cache
-// occupancy — see RewriteMeta, which classifies every request into one
-// of those outcomes. Fault injection (Options.Chaos) arms the
+// Stats is the one record of the server's counts and occupancy: each
+// serving event is counted once, there or in the DiskStats behind it.
+// Options.Registry, scraped by ziprd's /metrics, adds only what Stats
+// cannot hold: serve.request.total and rolling latency quantiles keyed
+// by outcome (hit|miss|shared|delta|busy|error) and by answering tier,
+// and queue wait — see RewriteMeta, which classifies every request into
+// one of those outcomes. Its families that repeat a Stats field (cache,
+// snapshot and disk occupancy, pipeline runs, queue depth, ...) read
+// that field when scraped. Fault injection (Options.Chaos) arms the
 // serve-specific kinds fault.CacheCorrupt (hit-path corruption, which
 // the digest check must turn into a verified fallback rewrite) and
 // fault.QueueDrop (spurious admission rejection, which must surface as
@@ -81,15 +82,12 @@ type Options struct {
 	// lifecycle (OpenDiskTier / Close); a tier may not be shared by two
 	// live Servers.
 	Disk *DiskTier
-	// Trace receives the serving layer's counters, gauges and
-	// per-request spans; nil disables instrumentation.
-	Trace *obs.Trace
-	// Registry receives service-lifetime labeled metrics: request
-	// totals and rolling latency quantiles by outcome
-	// (serve.request.*{outcome=hit|miss|shared|busy|error}), queue
-	// wait/depth, and cache occupancy. Unlike Trace — per-run,
-	// unlabeled, dumped on Close — the registry is built for
-	// continuous scraping (ziprd's /metrics). Nil disables it.
+	// Registry receives service-lifetime metrics for continuous
+	// scraping (ziprd's /metrics): request totals and rolling latency
+	// quantiles by outcome
+	// (serve.request.*{outcome=hit|miss|shared|delta|busy|error}) and
+	// by tier, queue wait, and families that read the Stats counts and
+	// occupancy when scraped. Nil disables it.
 	Registry *obs.Registry
 	// Chaos arms deterministic fault injection for the serving layer
 	// (fault.CacheCorrupt, fault.QueueDrop) and is threaded into each
@@ -130,6 +128,10 @@ type Stats struct {
 	// DiskPendingHits counts disk-tier reads answered from a spill the
 	// writer had not yet indexed (not counted in DiskHits).
 	DiskPendingHits int64
+	// SnapEvictions counts placement snapshots that left the store to
+	// make room: pushed off their ancestor's candidate list or evicted
+	// for the byte budget.
+	SnapEvictions int64
 
 	// Metrics is the labeled-registry snapshot (request totals and
 	// rolling latency quantiles by outcome); nil when the server was
@@ -142,7 +144,6 @@ type Stats struct {
 // New; all methods are safe for concurrent use.
 type Server struct {
 	opts Options
-	tr   *obs.Trace
 	reg  *obs.Registry
 	tel  telemetry
 	inj  *fault.Injector
@@ -183,19 +184,15 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		tr:       opts.Trace,
 		reg:      opts.Registry,
-		tel:      newTelemetry(opts.Registry),
-		inj:      opts.Chaos.WithTrace(opts.Trace),
+		inj:      opts.Chaos,
 		sem:      make(chan struct{}, opts.Workers),
+		disk:     opts.Disk,
 		inflight: make(map[Key]*call),
 	}
+	s.tel = newTelemetry(opts.Registry, s.counts)
 	if opts.CacheBytes > 0 {
 		s.cache = newLRU[entry](opts.CacheBytes)
-	}
-	if opts.Disk != nil {
-		s.disk = opts.Disk
-		s.disk.bindTelemetry(&s.tel)
 	}
 	if opts.SnapshotBytes > 0 {
 		s.snaps = newSnapStore(opts.SnapshotBytes)
@@ -203,8 +200,18 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Stats returns a snapshot of the server's counters and occupancy.
+// Stats returns a snapshot of the server's counters and occupancy, with
+// the registry's snapshot in Metrics.
 func (s *Server) Stats() Stats {
+	st := s.counts()
+	// After s.mu is released: the registry's Stats-backed families call
+	// counts themselves.
+	st.Metrics = s.reg.Snapshot()
+	return st
+}
+
+// counts is Stats without Metrics.
+func (s *Server) counts() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
@@ -229,7 +236,6 @@ func (s *Server) Stats() Stats {
 		st.DiskBytes = ds.Bytes
 		st.DiskPendingHits = ds.PendingHits
 	}
-	st.Metrics = s.reg.Snapshot()
 	return st
 }
 
@@ -274,7 +280,6 @@ func (s *Server) RewriteMeta(ctx context.Context, input []byte, cfg zipr.Config)
 	out, rep, meta, err := s.rewrite(ctx, input, cfg)
 	meta.Wall = time.Since(start)
 	s.tel.observe(meta)
-	s.tr.Observe("serve.request.wall-us", meta.Wall.Microseconds())
 	return out, rep, meta, err
 }
 
@@ -311,20 +316,14 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 				out[s.inj.Pick(fault.CacheCorrupt, key.site(), len(out))] ^= 0xFF
 			}
 			if sha256.Sum256(out) == sum {
-				s.count("serve.cache.hit", &s.stats.Hits)
-				s.span("serve.hit")
+				s.count(&s.stats.Hits)
 				meta.Outcome, meta.Tier = OutcomeHit, TierRAM
 				return out, rep, meta, nil
 			}
 			// Verified fallback: drop the poisoned entry and rewrite.
 			s.mu.Lock()
-			if s.cache.remove(n) {
-				s.syncCacheGaugesLocked()
-			}
-			s.mu.Unlock()
-			s.count("serve.cache.corrupt", &s.stats.Corrupt)
-			s.tel.corrupt.Add(1)
-			s.mu.Lock()
+			s.cache.remove(n)
+			s.stats.Corrupt++
 		}
 	}
 	// Disk tier: a RAM miss consults the on-disk store before anything
@@ -339,15 +338,8 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			rep := &zipr.Report{Layout: layout, InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
 				s.cachePut(key, data, rep)
-				s.mu.Lock()
-				s.stats.DiskPromotes++
-				s.mu.Unlock()
-				s.tr.Add("serve.disk.promote", 1)
-				s.tel.diskPromotes.Add(1)
+				s.count(&s.stats.DiskPromotes)
 			}
-			s.tr.Add("serve.disk.hit", 1)
-			s.tel.diskHits.Add(1)
-			s.span("serve.disk-hit")
 			meta.Outcome, meta.Tier = OutcomeHit, TierDisk
 			return append([]byte(nil), data...), rep, meta, nil
 		}
@@ -355,7 +347,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	}
 	if c, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		s.count("serve.singleflight.shared", &s.stats.Shared)
+		s.count(&s.stats.Shared)
 		select {
 		case <-c.done:
 			if c.err != nil {
@@ -369,7 +361,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			meta.Outcome = OutcomeShared
 			return append([]byte(nil), c.out...), &rep, meta, nil
 		case <-ctx.Done():
-			s.count("serve.deadline.expired", &s.stats.Expired)
+			s.count(&s.stats.Expired)
 			meta.Outcome = OutcomeBusy
 			return nil, nil, meta, fmt.Errorf("serve: %w: %v while awaiting shared run", zerr.ErrBusy, ctx.Err())
 		}
@@ -417,10 +409,10 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		meta.Outcome = OutcomeBusy
 		return nil, nil, meta, err
 	}
-	sp := s.tr.StartDetached("serve.miss")
-	s.count("serve.cache.miss", &s.stats.Misses)
-	s.count("serve.pipeline.runs", &s.stats.PipelineRuns)
-	s.tel.runs.Add(1)
+	s.mu.Lock()
+	s.stats.Misses++
+	s.stats.PipelineRuns++
+	s.mu.Unlock()
 	rcfg := cfg
 	if deltaOK {
 		// Capture this run's placement snapshot so the *next* edited
@@ -431,7 +423,6 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	}
 	out, rep, err := zipr.Rewrite(input, rcfg)
 	<-s.sem
-	sp.End()
 	if err != nil {
 		finish(nil, nil, err)
 		meta.Outcome = outcomeOfError(err)
@@ -471,7 +462,7 @@ func outcomeOfError(err error) string {
 // reports how long the request waited queued (0 on the fast path).
 func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) {
 	if s.inj.Fires(fault.QueueDrop, site) {
-		s.count("serve.admit.rejected", &s.stats.Rejected)
+		s.count(&s.stats.Rejected)
 		return 0, fmt.Errorf("serve: %w: admission dropped (%w)", zerr.ErrBusy, zerr.ErrInjected)
 	}
 	select {
@@ -481,27 +472,23 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 	}
 	s.mu.Lock()
 	if s.stats.QueueDepth >= s.opts.QueueDepth {
+		s.stats.Rejected++
 		s.mu.Unlock()
-		s.count("serve.admit.rejected", &s.stats.Rejected)
 		return 0, fmt.Errorf("serve: %w: queue full (%d waiting)", zerr.ErrBusy, s.opts.QueueDepth)
 	}
 	s.stats.QueueDepth++
-	s.tr.SetGauge("serve.queue.depth", int64(s.stats.QueueDepth))
-	s.tel.queueDepth.Set(int64(s.stats.QueueDepth))
 	s.mu.Unlock()
 	queued := time.Now()
 	defer func() {
 		s.mu.Lock()
 		s.stats.QueueDepth--
-		s.tr.SetGauge("serve.queue.depth", int64(s.stats.QueueDepth))
-		s.tel.queueDepth.Set(int64(s.stats.QueueDepth))
 		s.mu.Unlock()
 	}()
 	select {
 	case s.sem <- struct{}{}:
 		return time.Since(queued), nil
 	case <-ctx.Done():
-		s.count("serve.deadline.expired", &s.stats.Expired)
+		s.count(&s.stats.Expired)
 		return time.Since(queued), fmt.Errorf("serve: %w: %v while queued", zerr.ErrBusy, ctx.Err())
 	}
 }
@@ -515,39 +502,16 @@ func (s *Server) cachePut(key Key, out []byte, rep *zipr.Report) {
 		sum:          sha256.Sum256(out),
 		cachedReport: keepReport(rep),
 	}
-	var evicted int64
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if n := s.cache.put(key, e, int64(len(e.out))); n != nil {
-		s.cache.evict(n, func(*lruNode[entry]) { evicted++ })
-	}
-	s.stats.Evictions += evicted
-	s.syncCacheGaugesLocked()
-	s.mu.Unlock()
-	if evicted > 0 {
-		s.tr.Add("serve.cache.evict", evicted)
-		s.tel.evictions.Add(evicted)
+		s.cache.evict(n, func(*lruNode[entry]) { s.stats.Evictions++ })
 	}
 }
 
-// count bumps a trace counter and the matching Stats field.
-func (s *Server) count(name string, field *int64) {
-	s.tr.Add(name, 1)
+// count bumps one Stats counter.
+func (s *Server) count(field *int64) {
 	s.mu.Lock()
 	*field++
 	s.mu.Unlock()
-}
-
-// span records an instantaneous per-request span (hits have no
-// meaningful duration worth sampling memory stats for).
-func (s *Server) span(name string) {
-	s.tr.Record(name, 0, 1)
-}
-
-// syncCacheGaugesLocked publishes cache occupancy gauges; caller holds
-// s.mu.
-func (s *Server) syncCacheGaugesLocked() {
-	s.tr.SetGauge("serve.cache.bytes", s.cache.bytes)
-	s.tr.SetGauge("serve.cache.entries", int64(s.cache.len()))
-	s.tel.cacheBytes.Set(s.cache.bytes)
-	s.tel.cacheCount.Set(int64(s.cache.len()))
 }

@@ -99,8 +99,7 @@ func TestCacheKeyCanonical(t *testing.T) {
 // pipeline bumps rewrite.count and phase counters on every real run).
 func TestHitIdenticalAndZeroPipelineWork(t *testing.T) {
 	in := testImages(t)[0]
-	tr := obs.New()
-	s := New(Options{Workers: 2, Trace: tr})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 
 	coldTr := obs.New()
@@ -129,9 +128,6 @@ func TestHitIdenticalAndZeroPipelineWork(t *testing.T) {
 	}
 	if hotRep.Stats != coldRep.Stats || hotRep.Layout != coldRep.Layout {
 		t.Fatalf("hit report differs: %+v vs %+v", hotRep, coldRep)
-	}
-	if hits, misses := tr.Counter("serve.cache.hit"), tr.Counter("serve.cache.miss"); hits != 1 || misses != 1 {
-		t.Fatalf("hit/miss counters = %d/%d, want 1/1", hits, misses)
 	}
 	st := s.Stats()
 	if st.PipelineRuns != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -292,7 +288,6 @@ func TestLRUEviction(t *testing.T) {
 // sized for roughly one rewritten image.
 func TestServerEviction(t *testing.T) {
 	images := testImages(t)
-	tr := obs.New()
 	// First, learn the output sizes to pick a budget that holds any one
 	// output but never two.
 	probe := New(Options{Workers: 1})
@@ -309,7 +304,7 @@ func TestServerEviction(t *testing.T) {
 	probe.Close()
 
 	budget := int64(largest + 16)
-	s := New(Options{Workers: 1, CacheBytes: budget, Trace: tr})
+	s := New(Options{Workers: 1, CacheBytes: budget})
 	defer s.Close()
 	for _, img := range images {
 		if _, _, err := s.Rewrite(context.Background(), img, nullCfg()); err != nil {
@@ -322,9 +317,6 @@ func TestServerEviction(t *testing.T) {
 	}
 	if st.CacheBytes > budget {
 		t.Fatalf("cache bytes %d exceed budget %d", st.CacheBytes, budget)
-	}
-	if tr.Counter("serve.cache.evict") != st.Evictions {
-		t.Fatalf("evict counter %d != stats %d", tr.Counter("serve.cache.evict"), st.Evictions)
 	}
 }
 
@@ -353,8 +345,7 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 // before a worker frees up must fail with ErrBusy, and the queue-depth
 // gauge must return to zero.
 func TestAdmissionDeadlineExpires(t *testing.T) {
-	tr := obs.New()
-	s := New(Options{Workers: 1, QueueDepth: 4, Trace: tr})
+	s := New(Options{Workers: 1, QueueDepth: 4})
 	defer s.Close()
 	s.sem <- struct{}{} // worker never frees
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -365,9 +356,6 @@ func TestAdmissionDeadlineExpires(t *testing.T) {
 	}
 	if st := s.Stats(); st.Expired != 1 || st.QueueDepth != 0 {
 		t.Fatalf("stats = %+v, want 1 expiry and empty queue", st)
-	}
-	if tr.Gauge("serve.queue.depth") != 0 {
-		t.Fatalf("queue gauge = %d, want 0", tr.Gauge("serve.queue.depth"))
 	}
 }
 
@@ -393,8 +381,7 @@ func TestChaosCacheCorruptFallsBack(t *testing.T) {
 	if inj == nil {
 		t.Fatal("no firing seed found in 1000 tries")
 	}
-	tr := obs.New()
-	s := New(Options{Workers: 1, Trace: tr, Chaos: inj})
+	s := New(Options{Workers: 1, Chaos: inj})
 	defer s.Close()
 	cold, _, err := s.Rewrite(context.Background(), in, cfg)
 	if err != nil {
@@ -413,9 +400,6 @@ func TestChaosCacheCorruptFallsBack(t *testing.T) {
 	}
 	if st.PipelineRuns != 2 {
 		t.Fatalf("pipeline runs = %d, want 2 (cold + verified fallback)", st.PipelineRuns)
-	}
-	if tr.Counter("serve.cache.corrupt") != st.Corrupt {
-		t.Fatal("corrupt counter not mirrored to trace")
 	}
 }
 

@@ -74,37 +74,35 @@ type RequestMeta struct {
 	Wall time.Duration
 }
 
-// telemetry holds the serving layer's pre-resolved labeled metric
-// handles. Every handle is nil-safe, so a server without a Registry
-// carries a zero telemetry struct and pays only nil checks.
+// telemetry holds the serving layer's pre-resolved per-request metric
+// handles: the request populations Stats cannot express. Every handle
+// is nil-safe, so a server without a Registry carries a zero telemetry
+// struct and pays only nil checks. The families that repeat a Stats
+// field hold no value of their own: they read it from Stats when
+// scraped (see newTelemetry).
 type telemetry struct {
-	total      map[string]*obs.Counter      // serve.request.total{outcome}
-	latency    map[string]*obs.WindowSeries // serve.request.latency{outcome}, µs
-	queueWait  *obs.WindowSeries            // serve.queue.wait, µs
-	queueDepth *obs.Gauge                   // serve.queue.depth
-	cacheBytes *obs.Gauge                   // serve.cache.bytes
-	cacheCount *obs.Gauge                   // serve.cache.entries
-	evictions  *obs.Counter                 // serve.cache.evictions
-	corrupt    *obs.Counter                 // serve.cache.corrupt
-	runs       *obs.Counter                 // serve.pipeline.runs
-	deltaStale *obs.Counter                 // serve.delta.stale
-	snapBytes  *obs.Gauge                   // serve.snapshot.bytes
-	snapCount  *obs.Gauge                   // serve.snapshot.entries
-
-	tier         map[string]*obs.WindowSeries // serve.tier.latency{tier}, µs
-	diskHits     *obs.Counter                 // serve.disk.hits
-	diskPromotes *obs.Counter                 // serve.disk.promotes
-	diskCorrupt  *obs.Counter                 // serve.disk.corrupt
-	diskBytes    *obs.Gauge                   // serve.disk.bytes
-	diskEntries  *obs.Gauge                   // serve.disk.entries
+	total     map[string]*obs.Counter      // serve.request.total{outcome}
+	latency   map[string]*obs.WindowSeries // serve.request.latency{outcome}, µs
+	queueWait *obs.WindowSeries            // serve.queue.wait, µs
+	tier      map[string]*obs.WindowSeries // serve.tier.latency{tier}, µs
 }
 
 // newTelemetry registers the serving layer's metric families on reg
-// (nil reg: every handle is a nil no-op).
-func newTelemetry(reg *obs.Registry) telemetry {
+// (nil reg: every handle is a nil no-op). counts reads the server's
+// Stats; it must not hold a lock a registry scrape waits on.
+func newTelemetry(reg *obs.Registry, counts func() Stats) telemetry {
 	t := telemetry{
 		total:   make(map[string]*obs.Counter, len(outcomes)),
 		latency: make(map[string]*obs.WindowSeries, len(outcomes)),
+		tier:    make(map[string]*obs.WindowSeries, len(tiers)),
+	}
+	// stat registers a family (reg.CounterFunc or reg.GaugeFunc) that
+	// reads one Stats value when scraped.
+	stat := func(register func(name, help string, fn func() int64), name, help string, field func(*Stats) int64) {
+		register(name, help, func() int64 {
+			st := counts()
+			return field(&st)
+		})
 	}
 	totalVec := reg.Counter("serve.request.total", "requests by outcome", "outcome")
 	latencyVec := reg.Window("serve.request.latency", "request wall time in microseconds by outcome", 5*time.Minute, "outcome")
@@ -113,25 +111,24 @@ func newTelemetry(reg *obs.Registry) telemetry {
 		t.latency[o] = latencyVec.With(o)
 	}
 	t.queueWait = reg.Window("serve.queue.wait", "admission queue wait in microseconds", 5*time.Minute).With()
-	t.queueDepth = reg.Gauge("serve.queue.depth", "requests waiting for a worker").With()
-	t.cacheBytes = reg.Gauge("serve.cache.bytes", "cached output bytes").With()
-	t.cacheCount = reg.Gauge("serve.cache.entries", "cached rewrite entries").With()
-	t.evictions = reg.Counter("serve.cache.evictions", "cache entries evicted for the byte budget").With()
-	t.corrupt = reg.Counter("serve.cache.corrupt", "cache hits that failed the digest check").With()
-	t.runs = reg.Counter("serve.pipeline.runs", "pipeline executions").With()
-	t.deltaStale = reg.Counter("serve.delta.stale", "placement snapshots dropped for failed integrity checks").With()
-	t.snapBytes = reg.Gauge("serve.snapshot.bytes", "placement-snapshot store bytes").With()
-	t.snapCount = reg.Gauge("serve.snapshot.entries", "stored placement snapshots").With()
-	t.tier = make(map[string]*obs.WindowSeries, len(tiers))
+	stat(reg.GaugeFunc, "serve.queue.depth", "requests waiting for a worker", func(st *Stats) int64 { return int64(st.QueueDepth) })
+	stat(reg.GaugeFunc, "serve.cache.bytes", "cached output bytes", func(st *Stats) int64 { return st.CacheBytes })
+	stat(reg.GaugeFunc, "serve.cache.entries", "cached rewrite entries", func(st *Stats) int64 { return int64(st.CacheEntries) })
+	stat(reg.CounterFunc, "serve.cache.evictions", "cache entries evicted for the byte budget", func(st *Stats) int64 { return st.Evictions })
+	stat(reg.CounterFunc, "serve.cache.corrupt", "cache hits that failed the digest check", func(st *Stats) int64 { return st.Corrupt })
+	stat(reg.CounterFunc, "serve.pipeline.runs", "pipeline executions", func(st *Stats) int64 { return st.PipelineRuns })
+	stat(reg.CounterFunc, "serve.delta.stale", "placement snapshots dropped for failed integrity checks", func(st *Stats) int64 { return st.DeltaStale })
+	stat(reg.GaugeFunc, "serve.snapshot.bytes", "placement-snapshot store bytes", func(st *Stats) int64 { return st.SnapBytes })
+	stat(reg.GaugeFunc, "serve.snapshot.entries", "stored placement snapshots", func(st *Stats) int64 { return int64(st.SnapEntries) })
 	tierVec := reg.Window("serve.tier.latency", "request wall time in microseconds by answering tier", 5*time.Minute, "tier")
 	for _, tr := range tiers {
 		t.tier[tr] = tierVec.With(tr)
 	}
-	t.diskHits = reg.Counter("serve.disk.hits", "disk-tier reads served, digest-verified or from a spill not yet written").With()
-	t.diskPromotes = reg.Counter("serve.disk.promotes", "disk-tier hits promoted into the in-memory cache").With()
-	t.diskCorrupt = reg.Counter("serve.disk.corrupt", "disk-tier reads quarantined for a failed digest check").With()
-	t.diskBytes = reg.Gauge("serve.disk.bytes", "disk-tier stored bytes").With()
-	t.diskEntries = reg.Gauge("serve.disk.entries", "disk-tier index entries").With()
+	stat(reg.CounterFunc, "serve.disk.hits", "disk-tier reads served, digest-verified or from a spill not yet written", func(st *Stats) int64 { return st.DiskHits + st.DiskPendingHits })
+	stat(reg.CounterFunc, "serve.disk.promotes", "disk-tier hits promoted into the in-memory cache", func(st *Stats) int64 { return st.DiskPromotes })
+	stat(reg.CounterFunc, "serve.disk.corrupt", "disk-tier reads quarantined for a failed digest check", func(st *Stats) int64 { return st.DiskCorrupt })
+	stat(reg.GaugeFunc, "serve.disk.bytes", "disk-tier stored bytes", func(st *Stats) int64 { return st.DiskBytes })
+	stat(reg.GaugeFunc, "serve.disk.entries", "disk-tier index entries", func(st *Stats) int64 { return int64(st.DiskEntries) })
 	return t
 }
 

@@ -1,9 +1,7 @@
-// Source-level mutators for delta-rewrite testing: derive an edited
+// Source-level mutator for delta-rewrite testing: derive an edited
 // variant of a generated program that differs from the original in a
 // controlled, function-local way. MutateConsts models the delta-eligible
-// edit class (free immediates change, instruction structure does not);
-// MutateWiden models a structural edit (a rel8 branch widens to rel32)
-// that the delta path must detect and refuse.
+// edit class (free immediates change, instruction structure does not).
 package synth
 
 import (
@@ -16,7 +14,6 @@ import (
 var (
 	funcLabelRe = regexp.MustCompile(`^\w+_f\d+:$`)
 	moviConstRe = regexp.MustCompile(`^(    movi r2, )(\d+)$`)
-	shortJumpRe = regexp.MustCompile(`^(    )(jz|jnz)\.s (\S+)$`)
 )
 
 // MutateConsts returns src with the numeric `movi r2, N` constants of
@@ -62,19 +59,4 @@ func MutateConsts(src string, seed int64, count int) (string, int) {
 		}
 	}
 	return strings.Join(lines, "\n"), count
-}
-
-// MutateWiden returns src with the first short-form conditional branch
-// (`jz.s`/`jnz.s`) rewritten to its rel32 form — a structural edit that
-// changes the encoded instruction length. Returns ok=false when the
-// program has no short branch to widen.
-func MutateWiden(src string) (out string, ok bool) {
-	lines := strings.Split(src, "\n")
-	for i, line := range lines {
-		if m := shortJumpRe.FindStringSubmatch(line); m != nil {
-			lines[i] = m[1] + m[2] + " " + m[3]
-			return strings.Join(lines, "\n"), true
-		}
-	}
-	return src, false
 }

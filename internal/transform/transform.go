@@ -42,15 +42,6 @@ type Context struct {
 // Functions returns the program's function partition.
 func (c *Context) Functions() []*ir.Function { return c.Prog.Functions }
 
-// Instructions calls fn for every instruction present when iteration
-// starts; instructions added during iteration are not visited.
-func (c *Context) Instructions(fn func(*ir.Instruction)) {
-	snapshot := append([]*ir.Instruction(nil), c.Prog.Insts...)
-	for _, n := range snapshot {
-		fn(n)
-	}
-}
-
 // Apply runs the mandatory transformations followed by the given user
 // transforms, in order.
 func Apply(p *ir.Program, transforms ...Transform) error {
