@@ -2,10 +2,10 @@
 //
 // A Snapshot captures everything needed to answer a rewrite of a
 // *slightly edited* input without running the pipeline: the ancestor
-// input and output images, per-unit content digests (ir.UnitDigest), and
-// for every original instruction of every delta-eligible unit its placed
-// address in the output plus editability flags. Apply admits an edited
-// input when every changed byte belongs to a "freely editable"
+// input and output images with their SHA-256 digests, the delta-eligible
+// function units, and for every original instruction of every unit its
+// placed address in the output plus editability flags. Apply admits an
+// edited input when every changed byte belongs to a "freely editable"
 // instruction — same opcode, condition and registers, only the immediate
 // differs, and the immediate is inert for the conservative analyses
 // (address-shaped movi/pushi immediates and stack-pointer adjustments
@@ -72,28 +72,32 @@ type SnapInst struct {
 }
 
 // SnapUnit is one delta-eligible function unit: an original-address
-// interval (ir.PartitionUnits), its canonical content digest, and its
-// instruction records in address order, exactly tiling the interval.
+// interval (ir.PartitionUnits) and its instruction records in address
+// order, exactly tiling the interval.
 type SnapUnit struct {
-	Range  ir.Range
-	Digest [sha256.Size]byte
-	Insts  []SnapInst
+	Range ir.Range
+	Insts []SnapInst
 }
 
 // Snapshot is a placement snapshot of one completed rewrite. Build one
 // with BuildSnapshot + Finish (zipr.Rewrite does this under
 // Config.CaptureSnapshot); answer edited inputs with Apply.
+//
+// The image digests are checked when a snapshot enters a store, not on
+// every Apply: Finish and Rebase compute them from the bytes they keep,
+// UnmarshalSnapshot verifies them, and a stored snapshot is never
+// written again. Call Verify on a snapshot whose images may have changed
+// since.
 type Snapshot struct {
 	// Arch is the ISA the ancestor images are encoded in: Apply decodes
-	// edits and Rebase re-digests units under it. nil means ZVM-32, as
-	// for ir.Program.Arch.
+	// edits under it. nil means ZVM-32, as for ir.Program.Arch.
 	Arch isa.Arch
 	// Fingerprint is the Config.Fingerprint the rewrite ran under; delta
 	// is only valid between identical fingerprints.
 	Fingerprint string
-	// Input and Output are the ancestor images, with integrity digests
-	// verified on every Apply so a rotted snapshot degrades instead of
-	// patching garbage.
+	// Input and Output are the ancestor images with their SHA-256
+	// digests, which Verify checks (UnmarshalSnapshot calls it, so a
+	// rotted blob degrades instead of patching garbage).
 	Input, Output       []byte
 	InDigest, OutDigest [sha256.Size]byte
 	// Text geometry: virtual bounds of the input text segment (immediate
@@ -109,9 +113,8 @@ type Snapshot struct {
 
 // DeltaInfo reports what an Apply did.
 type DeltaInfo struct {
-	UnitsChanged int   // units whose bytes differed
-	InstsChanged int   // instructions re-encoded
-	Changed      []int // indices into Units of the changed units
+	UnitsChanged int // units whose bytes differed
+	InstsChanged int // instructions re-encoded
 }
 
 // opEditable reports whether an opcode's immediate may be edited without
@@ -147,9 +150,9 @@ func segDataOffset(b *binfmt.Binary, seg *binfmt.Segment) int {
 }
 
 // BuildSnapshot constructs the structural part of a snapshot from a
-// completed reassembly: unit partition, digests, per-instruction placed
-// addresses and flags. The serialized input/output images are attached
-// afterwards with Finish. frameSensitive marks configurations whose
+// completed reassembly: unit partition, per-instruction placed addresses
+// and flags. The serialized input/output images are attached afterwards
+// with Finish. frameSensitive marks configurations whose
 // transforms read stack-pointer adjustment immediates (StackPad,
 // Canary); sp adjustments are then not editable.
 func BuildSnapshot(p *ir.Program, res *Result, frameSensitive bool, fingerprint string) (*Snapshot, error) {
@@ -189,17 +192,13 @@ func BuildSnapshot(p *ir.Program, res *Result, frameSensitive bool, fingerprint 
 units:
 	for _, u := range ir.PartitionUnits(p) {
 		// Units overlapping fixed ranges (embedded data, jump tables,
-		// ambiguous decodes) or with imperfect decode tiling are simply
-		// not recorded: edits there fall outside every unit and Apply
-		// rejects them, degrading to a full rewrite.
-		if overlapsFixed(u) {
+		// ambiguous decodes), empty or outside text, or with imperfect
+		// decode tiling are simply not recorded: edits there fall outside
+		// every unit and Apply rejects them, degrading to a full rewrite.
+		if overlapsFixed(u) || u.Start >= u.End || u.Start < text.VAddr || u.End > text.End() {
 			continue
 		}
-		digest, err := ir.UnitDigest(arch, text.Data, text.VAddr, u)
-		if err != nil {
-			continue
-		}
-		su := SnapUnit{Range: u, Digest: digest}
+		su := SnapUnit{Range: u}
 		for addr := u.Start; addr < u.End; {
 			orig, err := arch.Decode(text.Data[addr-text.VAddr:], addr)
 			if err != nil {
@@ -213,6 +212,9 @@ units:
 				continue units
 			}
 			ln := uint32(arch.InstLen(orig))
+			if addr+ln > u.End {
+				continue units // crosses the unit end
+			}
 			rec := SnapInst{Off: addr - u.Start, Len: uint8(ln)}
 			switch orig.Op {
 			case isa.OpMovI, isa.OpPushI32:
@@ -309,11 +311,20 @@ func (s *Snapshot) newInSlice(input []byte, va, n uint32) []byte {
 // Verify checks the snapshot's internal integrity: image digests intact
 // and geometry coherent. Returns ErrSnapshotStale on any mismatch.
 func (s *Snapshot) Verify() error {
-	if len(s.Input) == 0 || len(s.Output) == 0 {
-		return fmt.Errorf("%w: images missing", ErrSnapshotStale)
+	if err := s.checkGeometry(); err != nil {
+		return err
 	}
 	if sha256.Sum256(s.Input) != s.InDigest || sha256.Sum256(s.Output) != s.OutDigest {
 		return fmt.Errorf("%w: image digest mismatch", ErrSnapshotStale)
+	}
+	return nil
+}
+
+// checkGeometry is Verify without the image digests: both images present
+// and the text extents inside them.
+func (s *Snapshot) checkGeometry() error {
+	if len(s.Input) == 0 || len(s.Output) == 0 {
+		return fmt.Errorf("%w: images missing", ErrSnapshotStale)
 	}
 	inLen := s.InTextEnd - s.InTextVA
 	if s.InTextVA > s.InTextEnd ||
@@ -330,9 +341,12 @@ func (s *Snapshot) Verify() error {
 // the edited instructions re-encoded at their placed addresses — byte
 // for byte what a from-scratch rewrite of input produces. Otherwise it
 // returns ErrDeltaInapplicable (unsupported edit; run the pipeline) or
-// ErrSnapshotStale (snapshot failed verification; evict it).
+// ErrSnapshotStale (snapshot failed verification; evict it). Apply checks
+// the geometry, the unit tiling and the output bytes it patches over,
+// but does not rehash the images: the snapshot's digests were checked
+// when it entered its store (see Snapshot).
 func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
-	if err := s.Verify(); err != nil {
+	if err := s.checkGeometry(); err != nil {
 		return nil, nil, err
 	}
 	if len(input) != len(s.Input) {
@@ -369,10 +383,9 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 		if bytes.Equal(oldU, newU) {
 			continue
 		}
-		// Digest-set diff: the unit's content digest moved; admit the
-		// edit only instruction by instruction.
+		// The unit's bytes moved; admit the edit only instruction by
+		// instruction.
 		info.UnitsChanged++
-		info.Changed = append(info.Changed, ui)
 		covered := uint32(0)
 		for _, rec := range u.Insts {
 			if rec.Off != covered {
@@ -444,38 +457,30 @@ func (s *Snapshot) outSliceOf(out []byte, va, n uint32) []byte {
 	return out[off : off+n]
 }
 
-// Rebase derives the snapshot of a delta-answered rewrite: same
+// Rebase derives the snapshot of a delta-answered rewrite: same units,
 // placement and flags (the layout is identical by construction), new
-// ancestor images, unit digests refreshed for the changed units. The
-// per-instruction records are shared with the ancestor snapshot — they
-// are immutable after build. input is copied; output is not: the new
-// snapshot takes ownership of it (Apply's fresh result is meant to be
-// passed here), so the caller must not modify it afterwards.
-func (s *Snapshot) Rebase(input, output []byte, info *DeltaInfo) (*Snapshot, error) {
-	ns := &Snapshot{
+// ancestor images. The units are shared with the ancestor snapshot —
+// they are immutable after build. input is copied, and inDigest must be
+// its SHA-256 (the caller has it from keying the request); output is
+// not copied: the new snapshot takes ownership of it (Apply's fresh
+// result is meant to be passed here), so the caller must not modify it
+// afterwards. OutDigest is computed from output.
+func (s *Snapshot) Rebase(input []byte, inDigest [sha256.Size]byte, output []byte) *Snapshot {
+	return &Snapshot{
 		Arch:        s.Arch,
 		Fingerprint: s.Fingerprint,
 		Input:       append([]byte(nil), input...),
 		Output:      output,
+		InDigest:    inDigest,
+		OutDigest:   sha256.Sum256(output),
 		InTextVA:    s.InTextVA,
 		InTextEnd:   s.InTextEnd,
 		InTextOff:   s.InTextOff,
 		OutTextVA:   s.OutTextVA,
 		OutTextOff:  s.OutTextOff,
 		OutTextLen:  s.OutTextLen,
-		Units:       append([]SnapUnit(nil), s.Units...),
+		Units:       s.Units,
 	}
-	ns.InDigest = sha256.Sum256(ns.Input)
-	ns.OutDigest = sha256.Sum256(ns.Output)
-	text := ns.Input[ns.InTextOff : ns.InTextOff+(ns.InTextEnd-ns.InTextVA)]
-	for _, ui := range info.Changed {
-		d, err := ir.UnitDigest(isa.Of(ns.Arch), text, ns.InTextVA, ns.Units[ui].Range)
-		if err != nil {
-			return nil, fmt.Errorf("core: rebase digest: %w", err)
-		}
-		ns.Units[ui].Digest = d
-	}
-	return ns, nil
 }
 
 // Clone returns a deep copy of the snapshot that shares no memory with
@@ -502,13 +507,13 @@ func (s *Snapshot) SizeBytes() int64 {
 }
 
 const snapMagic = "ZSNP"
-const snapVersion = 3
+const snapVersion = 4
 
 // Wire-form field sizes.
 const (
 	snapHeaderLen = len(snapMagic) + 4 + 4 + 4 // magic, version, ISA name and fingerprint lengths
 	snapGeomLen   = 6 * 4                      // text geometry
-	snapUnitLen   = 4 + 4 + sha256.Size + 4
+	snapUnitLen   = 4 + 4 + 4
 	snapInstLen   = 4 + 4 + 1 + 1
 )
 
@@ -582,7 +587,6 @@ func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 		room(snapUnitLen)
 		b = le.AppendUint32(b, u.Range.Start)
 		b = le.AppendUint32(b, u.Range.End)
-		b = append(b, u.Digest[:]...)
 		b = le.AppendUint32(b, uint32(len(u.Insts)))
 		for _, rec := range u.Insts {
 			room(snapInstLen)
@@ -598,8 +602,11 @@ func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 	return b
 }
 
-// UnmarshalSnapshot parses a Marshal-ed snapshot. Blobs of an older
-// format version or naming an unknown ISA fail with ErrSnapshotStale.
+// UnmarshalSnapshot parses a Marshal-ed snapshot and verifies it
+// (Verify), so a snapshot read back enters a store checked. Blobs of an
+// older format version (v3 still carried a digest per unit), naming an
+// unknown ISA, or whose images fail their digests fail with
+// ErrSnapshotStale.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	r := snapReader{b: data}
 	if string(r.take(4)) != snapMagic {
@@ -633,7 +640,6 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		var u SnapUnit
 		u.Range.Start = r.u32()
 		u.Range.End = r.u32()
-		copy(u.Digest[:], r.take(sha256.Size))
 		nInsts := int(r.u32())
 		if r.bad || nInsts > 1<<26 {
 			return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotStale)

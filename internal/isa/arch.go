@@ -9,7 +9,7 @@ import "fmt"
 // pin/reference regime reassembly must use (x86-style chains and 0x68
 // push-sleds on ZVM-32; fixed-width range islands/veneers on ZVM-64).
 // Inst itself is ISA-neutral, so every layer that turns bytes into
-// instructions or back — disassembly, the IR's unit digests, snapshots,
+// instructions or back — disassembly, the IR's units, snapshots,
 // reassembly, the VM — holds an Arch value and cannot decode one ISA's
 // bytes with the other's codec by accident. Everything above the codec
 // (the transforms, the placers) talks only to this interface.

@@ -24,14 +24,23 @@ func (k Key) site() uint32 { return binary.LittleEndian.Uint32(k[:4]) }
 
 // CacheKey computes the content address of one rewrite request.
 func CacheKey(input []byte, cfg zipr.Config) Key {
-	inSum := sha256.Sum256(input)
-	fpSum := sha256.Sum256([]byte(cfg.Fingerprint()))
-	h := sha256.New()
-	h.Write(inSum[:])
-	h.Write(fpSum[:])
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return keyOf(sha256.Sum256(input), fingerprintSum(cfg))
+}
+
+// fingerprintSum is the SHA-256 of cfg's canonical fingerprint.
+func fingerprintSum(cfg zipr.Config) [sha256.Size]byte {
+	return sha256.Sum256([]byte(cfg.Fingerprint()))
+}
+
+// keyOf folds an input digest and a fingerprint digest into the content
+// address. The server hashes each request's input and fingerprint once
+// and hands the digests on: the input digest becomes a rebased
+// snapshot's InDigest, the fingerprint digest its ancestor index key.
+func keyOf(inSum, fpSum [sha256.Size]byte) Key {
+	var both [2 * sha256.Size]byte
+	copy(both[:], inSum[:])
+	copy(both[sha256.Size:], fpSum[:])
+	return sha256.Sum256(both[:])
 }
 
 // cachedReport is the part of a rewrite's report that survives caching,
@@ -67,8 +76,9 @@ func (r *cachedReport) report(inSize, outSize int) *zipr.Report {
 
 // entry is one cached rewrite: the output image plus its report. sum
 // pins the output bytes so corruption of a cached entry is detected on
-// hit instead of being served. The output cache is an lru[entry] over
-// output bytes; the Server serializes access under its mutex.
+// hit instead of being served; cachePut's caller supplies it from where
+// the image was made or verified. The output cache is an lru[entry]
+// over output bytes; the Server serializes access under its mutex.
 type entry struct {
 	out []byte
 	sum [sha256.Size]byte

@@ -41,10 +41,6 @@ type ancKey struct {
 	inLen int
 }
 
-func ancKeyOf(cfg zipr.Config, inLen int) ancKey {
-	return ancKey{fp: sha256.Sum256([]byte(cfg.Fingerprint())), inLen: inLen}
-}
-
 // slotKey renders the ancestor index key as the name of the disk tier's
 // per-ancestor snapshot slot.
 func (a ancKey) slotKey() string {
@@ -185,14 +181,15 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	s.disk.putSnapAsync(anc.slotKey(), snap, rep.Layout)
 }
 
-// tryDelta attempts to answer the request from a delta ancestor.
-// Returns ok=false when no ancestor applies — the caller then runs the
-// full pipeline. Every candidate failure is contained: a stale snapshot
-// is dropped (memory and disk tier), an inapplicable edit just moves
-// to the next candidate, and the two-outcome contract holds because a
-// successful Apply is byte-identical to the pipeline by construction.
-func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, rep *zipr.Report, snap *core.Snapshot, ok bool) {
-	anc := ancKeyOf(cfg, len(input))
+// tryDelta attempts to answer the request from a delta ancestor; inSum
+// is the input's SHA-256. It returns the stored rebased snapshot, whose
+// Output is the answer and OutDigest its digest, or ok=false when no
+// ancestor applies — the caller then runs the full pipeline. Every
+// candidate failure is contained: a stale snapshot is dropped (memory
+// and disk tier), an inapplicable edit just moves to the next
+// candidate, and the two-outcome contract holds because a successful
+// Apply is byte-identical to the pipeline by construction.
+func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []byte) (ns *core.Snapshot, rep *zipr.Report, ok bool) {
 	s.mu.Lock()
 	cands := s.snaps.candidates(anc)
 	s.mu.Unlock()
@@ -206,18 +203,24 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 			continue
 		}
 		snap := e.val.snap
+		var err error
 		if s.inj.Fires(fault.DeltaStaleSnapshot, key.site()^e.key.site()) && len(snap.Output) > 0 {
 			// Serve a snapshot whose digests mismatch: flip a byte in a
 			// clone (stored entries are shared across concurrent requests)
-			// and let Apply's integrity verification catch it — the stale
-			// path below then drops the ancestor and the request degrades
-			// to a full rewrite.
+			// and verify the clone — a stored snapshot was verified when
+			// it entered the store, so only a rotted copy needs it. The
+			// stale path below then drops the ancestor and the request
+			// degrades to a full rewrite.
 			clone := *snap
 			clone.Output = append([]byte(nil), snap.Output...)
 			clone.Output[s.inj.Pick(fault.DeltaStaleSnapshot, key.site(), len(clone.Output))] ^= 0xFF
 			snap = &clone
+			err = snap.Verify()
 		}
-		res, info, err := snap.Apply(input)
+		var res []byte
+		if err == nil {
+			res, _, err = snap.Apply(input)
+		}
 		if err != nil {
 			if errors.Is(err, core.ErrSnapshotStale) {
 				s.mu.Lock()
@@ -235,14 +238,10 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 		// snapshot onto its images so edit chains keep delta latency.
 		// Rebase takes res as the new snapshot's output, so from here
 		// on res is shared and immutable like every stored image.
-		ns, err := e.val.snap.Rebase(input, res, info)
-		if err == nil {
-			s.storeSnapshot(key, anc, ns, rep)
-		} else {
-			ns = nil
-		}
+		ns := e.val.snap.Rebase(input, inSum, res)
+		s.storeSnapshot(key, anc, ns, rep)
 		s.count(&s.stats.DeltaHits)
-		return res, rep, ns, true
+		return ns, rep, true
 	}
-	return nil, nil, nil, false
+	return nil, nil, false
 }

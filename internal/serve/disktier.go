@@ -17,11 +17,13 @@ package serve
 //   - The hot path never blocks on disk writes: spills go through a
 //     bounded write-behind queue drained by one background goroutine;
 //     a full queue drops the spill (counted), never the request.
-//   - Spills are not copied. A spill holds the server's own output
-//     image or placement snapshot, which the server never modifies
-//     (DESIGN.md §11, the ownership rule). The writer serializes a
-//     snapshot itself, streaming it into the tmp file and hashing it in
-//     the same pass, so the request path never marshals one.
+//   - Spills are not copied or rehashed. A spill holds the server's own
+//     output image, with the digest the server already holds for it, or
+//     a placement snapshot; the server modifies neither (DESIGN.md §11,
+//     the ownership rule). The writer serializes a snapshot itself,
+//     streaming it into the tmp file and hashing it in the same pass, so
+//     the request path never marshals one; an output image is written
+//     as it is and indexed under its carried digest.
 //   - Reads see queued writes. A spill is indexed only once its object
 //     is synced and renamed into place; until then a read of its key is
 //     answered from the pending job's image or snapshot itself (counted
@@ -107,18 +109,19 @@ type diskRecord struct {
 	Layout string `json:"layout,omitempty"`
 }
 
-// diskJob is one queued write-behind spill: an output image (data) or
-// a placement snapshot (snap) the writer serializes. Both are immutable
-// and shared with the server, never copied. While the job is pending —
-// from the spill until the writer has indexed or abandoned it — reads
-// of its key are answered from data or snap; until the writer takes it,
-// a later spill to the same key replaces kind, data, snap and layout.
-// After taken is set those fields no longer change, so the writer reads
-// them unlocked.
+// diskJob is one queued write-behind spill: an output image (data,
+// with its SHA-256 in sum) or a placement snapshot (snap) the writer
+// serializes. Both are immutable and shared with the server, never
+// copied. While the job is pending — from the spill until the writer has
+// indexed or abandoned it — reads of its key are answered from data or
+// snap; until the writer takes it, a later spill to the same key
+// replaces kind, data, sum, snap and layout. After taken is set those
+// fields no longer change, so the writer reads them unlocked.
 type diskJob struct {
 	key    Key
 	kind   string
 	data   []byte
+	sum    [sha256.Size]byte
 	snap   *core.Snapshot
 	layout string
 
@@ -376,13 +379,14 @@ func (t *DiskTier) Stats() DiskStats {
 	return st
 }
 
-// putAsync spills an output image. The tier keeps data itself, not a
-// copy: the caller must never modify it again. Nil-safe.
-func (t *DiskTier) putAsync(key Key, kind string, data []byte, layout string) {
+// putAsync spills an output image whose SHA-256 is sum. The tier keeps
+// data itself, not a copy: the caller must never modify it again.
+// Nil-safe.
+func (t *DiskTier) putAsync(key Key, data []byte, sum [sha256.Size]byte, layout string) {
 	if t == nil {
 		return
 	}
-	t.spill(&diskJob{key: key, kind: kind, data: data, layout: layout})
+	t.spill(&diskJob{key: key, kind: diskKindOut, data: data, sum: sum, layout: layout})
 }
 
 // spill enqueues next on the write-behind queue, or folds it into its
@@ -396,7 +400,7 @@ func (t *DiskTier) spill(next *diskJob) {
 		return
 	}
 	if job := t.pending[next.key]; job != nil && !job.taken {
-		job.kind, job.data, job.snap, job.layout = next.kind, next.data, next.snap, next.layout
+		job.kind, job.data, job.sum, job.snap, job.layout = next.kind, next.data, next.sum, next.snap, next.layout
 		return
 	}
 	// Holding t.mu across the send is safe: the writer never takes t.mu
@@ -428,9 +432,10 @@ func (t *DiskTier) writer() {
 }
 
 // store writes a taken job's object: content to tmp, sync, rename. A
-// snapshot is serialized here, streamed through t.bw; the content is
-// hashed in the same pass. It returns the entry to index and the
-// object's size, or nil when the object is not in place.
+// snapshot is serialized here, streamed through t.bw and hashed in the
+// same pass; an output image is indexed under the digest its job
+// carries. It returns the entry to index and the object's size, or nil
+// when the object is not in place.
 func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
 	size := int64(len(job.data))
 	if job.snap != nil {
@@ -445,9 +450,10 @@ func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
 	if err != nil {
 		return nil, 0
 	}
-	sum := sha256.New()
-	w := io.MultiWriter(f, sum)
+	e := &diskEntry{kind: job.kind, sum: job.sum, layout: job.layout}
 	if job.snap != nil {
+		h := sha256.New()
+		w := io.MultiWriter(f, h)
 		if t.bw == nil {
 			t.bw = bufio.NewWriterSize(w, 64<<10)
 		} else {
@@ -455,8 +461,9 @@ func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
 		}
 		err = job.snap.Stream(t.bw)
 		t.bw.Reset(nil) // keep no reference to the file
+		h.Sum(e.sum[:0])
 	} else {
-		_, err = w.Write(job.data)
+		_, err = f.Write(job.data)
 	}
 	if err != nil {
 		f.Close()
@@ -476,8 +483,6 @@ func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
 		os.Remove(tmp)
 		return nil, 0
 	}
-	e := &diskEntry{kind: job.kind, layout: job.layout}
-	sum.Sum(e.sum[:0])
 	return e, size
 }
 
@@ -503,15 +508,17 @@ func (t *DiskTier) commit(job *diskJob, e *diskEntry, size int64) {
 	t.evictLocked(n)
 }
 
-// get returns the bytes of the output image spilled under key, or
-// ok=false. Bytes from a pending spill are the server's immutable image
-// itself, not a copy; bytes read from disk are fresh. Nil-safe.
-func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string, ok bool) {
+// get returns the bytes of the output image spilled under key with
+// their SHA-256, or ok=false. Bytes from a pending spill are the
+// server's immutable image itself, not a copy, and sum the digest the
+// spill carries; bytes read from disk are fresh, and sum the digest they
+// were just verified against. Nil-safe.
+func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, layout string, ok bool) {
 	if t == nil {
-		return nil, "", false
+		return nil, sum, "", false
 	}
-	data, _, layout, ok = t.fetch(key, inj)
-	return data, layout, ok
+	data, sum, _, layout, ok = t.fetch(key, inj)
+	return data, sum, layout, ok
 }
 
 // getSnap / putSnapAsync store one most-recent placement snapshot per
@@ -523,7 +530,7 @@ func (t *DiskTier) getSnap(anc string, inj *fault.Injector) (*core.Snapshot, str
 	if t == nil {
 		return nil, "", false
 	}
-	data, snap, layout, ok := t.fetch(snapDiskKey(anc), inj)
+	data, _, snap, layout, ok := t.fetch(snapDiskKey(anc), inj)
 	if !ok || snap != nil {
 		return snap, layout, ok
 	}
@@ -544,18 +551,19 @@ func (t *DiskTier) putSnapAsync(anc string, snap *core.Snapshot, layout string) 
 	t.spill(&diskJob{key: snapDiskKey(anc), kind: diskKindSnap, snap: snap, layout: layout})
 }
 
-// fetch answers a read of key: the pending spill's value when one is
-// queued or being written, else the digest-verified object bytes. A
-// failed digest check quarantines the object and drops the entry. inj
-// may arm fault.DiskTierCorrupt, which flips one byte of a disk read
-// before verification — the check must turn it into a quarantined miss.
-func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, snap *core.Snapshot, layout string, ok bool) {
+// fetch answers a read of key: the pending spill's value (and an output
+// spill's carried digest) when one is queued or being written, else the
+// digest-verified object bytes and that digest. A failed digest check
+// quarantines the object and drops the entry. inj may arm
+// fault.DiskTierCorrupt, which flips one byte of a disk read before
+// verification — the check must turn it into a quarantined miss.
+func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, snap *core.Snapshot, layout string, ok bool) {
 	t.mu.Lock()
 	if job := t.pending[key]; job != nil {
-		data, snap, layout = job.data, job.snap, job.layout
+		data, sum, snap, layout = job.data, job.sum, job.snap, job.layout
 		t.stats.PendingHits++
 		t.mu.Unlock()
-		return data, snap, layout, true
+		return data, sum, snap, layout, true
 	}
 	// A read promotes the entry before it is verified; a failed check
 	// removes it anyway.
@@ -563,7 +571,7 @@ func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, snap *core.
 	if e == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
-		return nil, nil, "", false
+		return nil, sum, nil, "", false
 	}
 	sum, lay := e.val.sum, e.val.layout
 	t.mu.Unlock()
@@ -574,12 +582,12 @@ func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, snap *core.
 	}
 	if err != nil || sha256.Sum256(data) != sum {
 		t.quarantine(e, err == nil)
-		return nil, nil, "", false
+		return nil, [sha256.Size]byte{}, nil, "", false
 	}
 	t.mu.Lock()
 	t.stats.Hits++
 	t.mu.Unlock()
-	return data, nil, lay, true
+	return data, sum, nil, lay, true
 }
 
 func (t *DiskTier) delSnap(anc string) {

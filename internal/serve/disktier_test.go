@@ -34,6 +34,11 @@ func openTier(t *testing.T, dir string, budget int64) *DiskTier {
 	return tier
 }
 
+// spillOut spills data as an optimized-layout output image under key.
+func spillOut(tier *DiskTier, key Key, data []byte) {
+	tier.putAsync(key, data, sha256.Sum256(data), "optimized")
+}
+
 // TestDiskTierRestartHit is the durability contract: a rewrite spilled
 // by one server is answered by a restarted, empty-RAM server from disk
 // — digest-verified, no pipeline run — and promoted so the next repeat
@@ -147,11 +152,11 @@ func TestDiskTierCrashRecovery(t *testing.T) {
 		t.Fatalf("reopened tier holds %d entries, want %d", st.Entries, len(images)-1)
 	}
 	// The damaged entry is gone (miss), the intact ones still verify.
-	if _, _, ok := tier2.get(victimKey, nil); ok {
+	if _, _, _, ok := tier2.get(victimKey, nil); ok {
 		t.Fatal("truncated entry survived recovery")
 	}
 	for i := 1; i < len(images); i++ {
-		data, _, ok := tier2.get(CacheKey(images[i], cfg), nil)
+		data, _, _, ok := tier2.get(CacheKey(images[i], cfg), nil)
 		if !ok || !bytes.Equal(data, want[i]) {
 			t.Fatalf("image %d: surviving entry unreadable or wrong after recovery", i)
 		}
@@ -168,7 +173,7 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		k := CacheKey([]byte{byte(i)}, nullCfg())
 		keys = append(keys, k)
-		tier.putAsync(k, diskKindOut, blob(byte(i)), "optimized")
+		spillOut(tier, k, blob(byte(i)))
 	}
 	tier.Close()
 
@@ -179,7 +184,7 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 	}
 	// The survivors are the most recent puts; evicted keys miss.
 	for i, k := range keys {
-		_, _, ok := tier2.get(k, nil)
+		_, _, _, ok := tier2.get(k, nil)
 		if want := i >= 2; ok != want {
 			t.Fatalf("key %d present=%v, want %v", i, ok, want)
 		}
@@ -200,8 +205,8 @@ func TestDiskTierReopenDropsOversized(t *testing.T) {
 	dir := t.TempDir()
 	tier := openTier(t, dir, 0)
 	small, big := CacheKey([]byte{1}, nullCfg()), CacheKey([]byte{2}, nullCfg())
-	tier.putAsync(small, diskKindOut, bytes.Repeat([]byte{1}, 1000), "optimized")
-	tier.putAsync(big, diskKindOut, bytes.Repeat([]byte{2}, 3000), "optimized")
+	spillOut(tier, small, bytes.Repeat([]byte{1}, 1000))
+	spillOut(tier, big, bytes.Repeat([]byte{2}, 3000))
 	tier.Close()
 
 	tier2 := openTier(t, dir, 2500)
@@ -211,7 +216,7 @@ func TestDiskTierReopenDropsOversized(t *testing.T) {
 	if _, err := os.Stat(tier2.objectPath(big)); !os.IsNotExist(err) {
 		t.Fatalf("oversized object left on disk: %v", err)
 	}
-	if _, _, ok := tier2.get(small, nil); !ok {
+	if _, _, _, ok := tier2.get(small, nil); !ok {
 		t.Fatal("the entry within budget did not survive the reopen")
 	}
 	tier2.Close()
@@ -286,7 +291,7 @@ func TestChaosDiskTierCorruptQuarantines(t *testing.T) {
 	}
 	tier2.Close()
 	tier3 := openTier(t, dir, 0)
-	data, _, ok := tier3.get(key, nil)
+	data, _, _, ok := tier3.get(key, nil)
 	if !ok || !bytes.Equal(data, want) {
 		t.Fatalf("after restart the key reads back ok=%v, equal=%v; want the clean bytes", ok, bytes.Equal(data, want))
 	}
@@ -348,7 +353,7 @@ func TestDiskTierPendingRead(t *testing.T) {
 	start()
 	tier.Close()
 	tier2 := openTier(t, dir, 0)
-	data, _, ok := tier2.get(CacheKey(in, cfg), nil)
+	data, _, _, ok := tier2.get(CacheKey(in, cfg), nil)
 	if !ok || !bytes.Equal(data, cold) {
 		t.Fatal("the spill answered while pending did not land on disk intact")
 	}
@@ -463,9 +468,9 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % keys
-				tier.putAsync(key(i), diskKindOut, blob(i), "optimized")
+				spillOut(tier, key(i), blob(i))
 				j := (w*3 + r) % keys
-				if data, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
+				if data, _, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
 					t.Errorf("key %d answered with another key's bytes", j)
 				}
 			}
@@ -478,7 +483,7 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 	}
 	tier2 := openTier(t, dir, 0)
 	for i := 0; i < keys; i++ {
-		if data, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
+		if data, _, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
 			t.Fatalf("key %d missing or wrong after restart", i)
 		}
 	}

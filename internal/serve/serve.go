@@ -21,10 +21,21 @@
 // One ownership rule keeps the copies down: bytes the server holds —
 // RAM-cache entries, snapshot images and pending disk spills — are
 // immutable once stored, so the stores share them instead of copying
-// (a delta answer's image is at once the new snapshot's output, the
-// cache entry and the disk spill). Every slice handed to a caller is a
-// fresh copy, made once on the way out; a snapshot handed out under
+// (a delta answer's image, and a miss's captured snapshot output, is at
+// once the snapshot's output, the cache entry and the disk spill).
+// Every slice handed to a caller is a fresh copy, made once on the way
+// out, except a miss leader's answer, which is the pipeline's own
+// output when the snapshot kept a copy; a snapshot handed out under
 // Config.CaptureSnapshot is a deep copy.
+//
+// The same rule lets each image be hashed once, where it is made: a
+// request's input and fingerprint digests key it and then serve as a
+// rebased snapshot's InDigest and the ancestor index key, and an
+// output's digest (a snapshot's OutDigest, the disk tier's verified sum,
+// or one hash of an uncaptured miss) travels with the image into the
+// cache entry and the disk spill. A snapshot's digests are checked when
+// it enters the store, not on every Apply; the RAM-hit check stays,
+// because it is what catches fault.CacheCorrupt.
 //
 // Stats is the one record of the server's counts and occupancy: each
 // serving event is counted once, there or in the DiskStats behind it.
@@ -287,7 +298,11 @@ func (s *Server) RewriteMeta(ctx context.Context, input []byte, cfg zipr.Config)
 // timing and metric observation.
 func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]byte, *zipr.Report, RequestMeta, error) {
 	cfg = s.effective(cfg)
-	key := CacheKey(input, cfg)
+	// Each digest of the request is taken once and handed on: the input
+	// digest to a rebased snapshot, the fingerprint digest to the
+	// ancestor index.
+	inSum, fpSum := sha256.Sum256(input), fingerprintSum(cfg)
+	key := keyOf(inSum, fpSum)
 	meta := RequestMeta{Key: key}
 	// Debug captures (IRDB, address maps) reference per-run pipeline
 	// state a cache entry cannot reproduce; such requests bypass the
@@ -332,12 +347,13 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	// so the next repeat stays at RAM latency.
 	if cacheable && s.disk != nil {
 		s.mu.Unlock()
-		if data, layout, ok := s.disk.get(key, s.inj); ok {
-			// data is a pending spill's image or a fresh read; either
+		if data, sum, layout, ok := s.disk.get(key, s.inj); ok {
+			// data is a pending spill's image or a fresh read, and sum
+			// its digest, carried by the spill or just verified; either
 			// way the cache may keep it, and the caller gets a copy.
 			rep := &zipr.Report{Layout: layout, InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
-				s.cachePut(key, data, rep)
+				s.cachePut(key, data, sum, rep)
 				s.count(&s.stats.DiskPromotes)
 			}
 			meta.Outcome, meta.Tier = OutcomeHit, TierDisk
@@ -386,14 +402,16 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	// argument the snapshot identity rests on (the serve-level kinds —
 	// CacheCorrupt, QueueDrop, DeltaStaleSnapshot — don't).
 	deltaOK := cacheable && s.snaps != nil && !cfg.Chaos.ArmedPipeline()
+	anc := ancKey{fp: fpSum, inLen: len(input)}
 	if deltaOK {
-		if out, rep, snap, ok := s.tryDelta(key, input, cfg); ok {
+		if snap, rep, ok := s.tryDelta(key, anc, inSum, input); ok {
+			out := snap.Output
 			if s.cache != nil {
-				s.cachePut(key, out, rep)
+				s.cachePut(key, out, snap.OutDigest, rep)
 			}
-			s.disk.putAsync(key, diskKindOut, out, rep.Layout)
+			s.disk.putAsync(key, out, snap.OutDigest, rep.Layout)
 			repOut := *rep
-			if cfg.CaptureSnapshot && snap != nil {
+			if cfg.CaptureSnapshot {
 				repOut.Snapshot = snap.Clone()
 			}
 			finish(out, rep, nil)
@@ -428,24 +446,38 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		meta.Outcome = outcomeOfError(err)
 		return nil, nil, meta, err
 	}
+	// img is the image the server keeps, and answer the caller's.
+	img, answer := out, out
+	var sum [sha256.Size]byte
 	if deltaOK && rep.Snapshot != nil {
-		s.storeSnapshot(key, ancKeyOf(cfg, len(input)), rep.Snapshot, rep)
+		// One copy of the output: the stored snapshot's image is at
+		// once the cache entry, the disk spill and the followers'
+		// source, with the digest Finish took; the pipeline's own
+		// bytes go to the leader uncopied.
+		snap := rep.Snapshot
+		img, sum = snap.Output, snap.OutDigest
+		s.storeSnapshot(key, anc, snap, rep)
 		if cfg.CaptureSnapshot {
-			rep.Snapshot = rep.Snapshot.Clone()
+			rep.Snapshot = snap.Clone()
 		} else {
 			rep.Snapshot = nil
 		}
+	} else {
+		answer = append([]byte(nil), out...)
+		if cacheable {
+			sum = sha256.Sum256(out)
+		}
 	}
 	if cacheable && s.cache != nil {
-		s.cachePut(key, out, rep)
+		s.cachePut(key, img, sum, rep)
 	}
 	if cacheable {
-		s.disk.putAsync(key, diskKindOut, out, rep.Layout)
+		s.disk.putAsync(key, img, sum, rep.Layout)
 	}
-	finish(out, rep, err)
+	finish(img, rep, err)
 	repCopy := *rep
 	meta.Outcome = OutcomeMiss
-	return append([]byte(nil), out...), &repCopy, meta, nil
+	return answer, &repCopy, meta, nil
 }
 
 // outcomeOfError classifies a failed request: saturation (the typed
@@ -495,11 +527,12 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 
 // cachePut stores a completed rewrite's output in the content-addressed
 // cache, counting evictions the insert forced. The cache keeps out
-// itself, not a copy: out must be the server's own immutable image.
-func (s *Server) cachePut(key Key, out []byte, rep *zipr.Report) {
+// itself, not a copy: out must be the server's own immutable image, and
+// sum its SHA-256.
+func (s *Server) cachePut(key Key, out []byte, sum [sha256.Size]byte, rep *zipr.Report) {
 	e := entry{
 		out:          out,
-		sum:          sha256.Sum256(out),
+		sum:          sum,
 		cachedReport: keepReport(rep),
 	}
 	s.mu.Lock()

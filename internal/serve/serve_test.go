@@ -251,7 +251,10 @@ func TestLRUEviction(t *testing.T) {
 	s := New(Options{CacheBytes: 100})
 	defer s.Close()
 	c := s.cache
-	put := func(id byte, n int) { s.cachePut(Key{id}, bytes.Repeat([]byte{id}, n), &zipr.Report{}) }
+	put := func(id byte, n int) {
+		out := bytes.Repeat([]byte{id}, n)
+		s.cachePut(Key{id}, out, sha256.Sum256(out), &zipr.Report{})
+	}
 	put(1, 40)
 	put(2, 40)
 	k1 := Key{1}

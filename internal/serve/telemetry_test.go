@@ -358,7 +358,7 @@ zipr_serve_disk_promotes 1
 zipr_serve_disk_corrupt 0
 # HELP zipr_serve_disk_bytes disk-tier stored bytes
 # TYPE zipr_serve_disk_bytes gauge
-zipr_serve_disk_bytes 47225
+zipr_serve_disk_bytes 46041
 # HELP zipr_serve_disk_entries disk-tier index entries
 # TYPE zipr_serve_disk_entries gauge
 zipr_serve_disk_entries 6

@@ -2,6 +2,7 @@ package zipr
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // binary.Write per field into a growing buffer. It stays here as the
 // byte-for-byte reference for core.Snapshot.Marshal's append encoder.
 // Format version 3 adds the ISA name after the version; version 2 blobs
-// have none.
+// have none. Version 4 drops the per-unit content digest that versions
+// 2 and 3 wrote after each unit's range; the oracle writes it as zeros.
 func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("ZSNP")
@@ -45,7 +47,9 @@ func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 		u := &s.Units[i]
 		w32(u.Range.Start)
 		w32(u.Range.End)
-		buf.Write(u.Digest[:])
+		if version < 4 {
+			buf.Write(make([]byte, sha256.Size))
+		}
 		w32(uint32(len(u.Insts)))
 		for _, rec := range u.Insts {
 			w32(rec.Off)
@@ -64,7 +68,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	check := func(name string, snap *Snapshot) {
 		t.Helper()
 		got := snap.Marshal()
-		if want := marshalSnapshotOracle(snap, 3); !bytes.Equal(got, want) {
+		if want := marshalSnapshotOracle(snap, 4); !bytes.Equal(got, want) {
 			t.Fatalf("%s: Marshal differs from the reference encoder (%d vs %d bytes)", name, len(got), len(want))
 		}
 		if cap(got) != len(got) {
@@ -78,7 +82,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: Marshal/UnmarshalSnapshot does not round-trip", name)
 		}
 	}
-	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty, 3)) {
+	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty, 4)) {
 		t.Fatal("empty snapshot: Marshal differs from the reference encoder")
 	}
 
@@ -100,15 +104,11 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 			name := prof.Name + "/" + deltaConfigName(cfg)
 			check(name, rep.Snapshot)
 			units += len(rep.Snapshot.Units)
-			out, info, err := rep.Snapshot.Apply(edited)
+			out, _, err := rep.Snapshot.Apply(edited)
 			if err != nil {
 				continue // refused edits are covered by the delta suite
 			}
-			rebased, err := rep.Snapshot.Rebase(edited, out, info)
-			if err != nil {
-				t.Fatalf("%s: Rebase: %v", name, err)
-			}
-			check(name+"/rebased", rebased)
+			check(name+"/rebased", rep.Snapshot.Rebase(edited, sha256.Sum256(edited), out))
 		}
 	}
 	if units == 0 {
@@ -116,10 +116,47 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatV3 checks that a marshaled snapshot carries its ISA
-// on both ISAs, and that blobs of the previous format or naming an
-// unknown ISA are refused as stale (the disk tier then deletes them).
-func TestSnapshotFormatV3(t *testing.T) {
+// TestSnapshotShapePinned pins how many units and instruction records
+// the corpus snapshots hold on each ISA (every fourth CB, null and
+// cfi-diversity), so a change to how capture checks a unit cannot drop
+// or add units unnoticed.
+func TestSnapshotShapePinned(t *testing.T) {
+	want := map[string][2]int{"zvm32": {5044, 486390}, "zvm64": {5008, 484322}}
+	for _, arch := range []isa.Arch{isa.ZVM32, isa.ZVM64} {
+		units, insts := 0, 0
+		for i := 0; i < synth.CorpusSize; i += 4 {
+			seed, prof := synth.CBProfile(i)
+			img := mustImageArch(t, synth.GenerateArch(seed, prof, arch), arch)
+			for _, cfg := range []Config{{}, {Transforms: []Transform{CFI()}, Layout: LayoutDiversity, Seed: 0x60D5}} {
+				cfg.CaptureSnapshot = true
+				if !isa.IsDefault(arch) {
+					cfg.ISA = arch.Name()
+				}
+				_, rep, err := Rewrite(img, cfg)
+				if err != nil {
+					t.Fatalf("%s/cb%02d/%s: %v", arch.Name(), i, deltaConfigName(cfg), err)
+				}
+				if rep.Snapshot == nil {
+					t.Fatalf("%s/cb%02d/%s: no snapshot captured", arch.Name(), i, deltaConfigName(cfg))
+				}
+				units += len(rep.Snapshot.Units)
+				for _, u := range rep.Snapshot.Units {
+					insts += len(u.Insts)
+				}
+			}
+		}
+		if got := [2]int{units, insts}; got != want[arch.Name()] {
+			t.Errorf("%s: corpus snapshots hold %d units and %d instruction records, want %d and %d",
+				arch.Name(), units, insts, want[arch.Name()][0], want[arch.Name()][1])
+		}
+	}
+}
+
+// TestSnapshotFormatV4 checks that a marshaled snapshot carries its ISA
+// on both ISAs, and that blobs of the previous formats, naming an
+// unknown ISA, or whose images fail their digests are refused as stale
+// (the disk tier then deletes them).
+func TestSnapshotFormatV4(t *testing.T) {
 	seed, prof := synth.CBProfile(3)
 	src := synth.Generate(seed, prof)
 	_, rep, err := Rewrite(mustImage(t, src), Config{CaptureSnapshot: true})
@@ -152,8 +189,15 @@ func TestSnapshotFormatV3(t *testing.T) {
 		if _, err := core.UnmarshalSnapshot(unknown); !errors.Is(err, ErrSnapshotStale) {
 			t.Fatalf("%s: unknown ISA name: err = %v, want ErrSnapshotStale", name, err)
 		}
-		if _, err := core.UnmarshalSnapshot(marshalSnapshotOracle(snap, 2)); !errors.Is(err, ErrSnapshotStale) {
-			t.Fatalf("%s: version 2 blob: err = %v, want ErrSnapshotStale", name, err)
+		for _, v := range []uint32{2, 3} {
+			if _, err := core.UnmarshalSnapshot(marshalSnapshotOracle(snap, v)); !errors.Is(err, ErrSnapshotStale) {
+				t.Fatalf("%s: version %d blob: err = %v, want ErrSnapshotStale", name, v, err)
+			}
+		}
+		rotted := bytes.Clone(blob)
+		rotted[bytes.Index(blob, snap.Output)] ^= 0xFF
+		if _, err := core.UnmarshalSnapshot(rotted); !errors.Is(err, ErrSnapshotStale) {
+			t.Fatalf("%s: blob with a flipped output byte: err = %v, want ErrSnapshotStale", name, err)
 		}
 	}
 }

@@ -249,10 +249,10 @@ type Config struct {
 	// equivalent, useful for symbolization and debugging).
 	EmitMap bool
 	// CaptureSnapshot exports a placement snapshot of the rewrite into
-	// Report.Snapshot: function-granular content digests plus per-
-	// instruction placed addresses, enough for Snapshot.Apply to answer a
-	// future rewrite of a locally edited input without running the
-	// pipeline (see DESIGN.md §11). Capture is best-effort — Snapshot
+	// Report.Snapshot: the function units plus per-instruction placed
+	// addresses, enough for Snapshot.Apply to answer a future rewrite of
+	// a locally edited input without running the pipeline (see
+	// DESIGN.md §11). Capture is best-effort — Snapshot
 	// stays nil when the configuration or input is outside the delta-
 	// eligible class (unknown custom transforms, pipeline fault injection
 	// armed), and Report.Warnings then names the reason — and, like
@@ -389,12 +389,16 @@ type Report struct {
 }
 
 // Snapshot is a placement snapshot for incremental (delta) rewriting:
-// it records the ancestor input/output images, per-function-unit content
-// digests, and the placed address of every delta-eligible instruction.
-// Snapshot.Apply answers a rewrite of a locally edited input byte-for-
-// byte identically to a from-scratch rewrite — or refuses with
-// ErrDeltaInapplicable/ErrSnapshotStale, in which case the caller runs
-// the full pipeline (degradation costs latency, never correctness).
+// it records the ancestor input/output images with their SHA-256
+// digests, the function units, and the placed address of every
+// delta-eligible instruction. Snapshot.Apply answers a rewrite of a
+// locally edited input byte-for-byte identically to a from-scratch
+// rewrite — or refuses with ErrDeltaInapplicable/ErrSnapshotStale, in
+// which case the caller runs the full pipeline (degradation costs
+// latency, never correctness). The digests are checked when a snapshot
+// is made (Rewrite), rebased or read back (UnmarshalSnapshot), not on
+// every Apply: a caller that keeps a snapshot whose images may have
+// changed since calls Verify before applying it.
 type Snapshot = core.Snapshot
 
 // DeltaInfo reports what a Snapshot.Apply changed.
