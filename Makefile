@@ -37,12 +37,15 @@ cover:
 # to catch regressions in the nil-trace zero-overhead contract (compare
 # NoTrace vs Traced allocs/op) and in the parallel pipeline's allocation
 # diet (compare DisassembleSerial vs DisassembleParallel, EvalJ1 vs
-# EvalJN) and in inference's allocation count (InferLibc). The run is
-# converted to BENCH_pipeline.json (ns/op, allocs/op and the speedup-x
-# metrics, machine-readable) via cmd/benchjson.
-BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|EvalJ1|EvalJN|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins|InferLibc
+# EvalJN), in inference's allocation count (InferLibc) and in the
+# library's disassembly and IR construction (DisassembleLibc, and
+# BuildLibc from internal/cfg), whose B/op and allocs/op repeat exactly
+# from run to run. The run is converted to BENCH_pipeline.json (ns/op,
+# B/op, allocs/op and the speedup-x metrics, machine-readable) via
+# cmd/benchjson.
+BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|DisassembleLibc|EvalJ1|EvalJN|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins|InferLibc|BuildLibc
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchtime 1x -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson -merge BENCH_pipeline.json -o BENCH_pipeline.json
+	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchtime 1x -benchmem . ./internal/cfg/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -merge BENCH_pipeline.json -o BENCH_pipeline.json
 
 # Perf gates, read from the trajectory `bench` just merged (run after
 # it):
@@ -76,7 +79,8 @@ benchgate:
 # without the full bench run's cost. The second line does the same for
 # the delta path, for inference and for IR construction, whose allocs/op
 # must stay a small constant (bitset fact base, CSR flow relation,
-# slab-allocated decoded nodes and the text-offset index), and for the
+# slab-allocated decoded nodes and the per-instruction address index),
+# and for the
 # whole disassembly stage on the library, whose speedup-x over
 # Options.Serial shows whether the split decode and the inference
 # goroutine still pay for themselves, and for the assembler that builds

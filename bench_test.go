@@ -553,13 +553,23 @@ func BenchmarkInferLibc(b *testing.B) {
 		b.Fatal(err)
 	}
 	text := bin.Text()
-	tab := isa.DecodeText(nil, text.Data, text.VAddr)
+	tab := decodeText(nil, text.Data, text.VAddr)
 	b.SetBytes(int64(len(text.Data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inferSink = infer.Analyze(bin, tab)
 	}
+}
+
+// decodeText returns the filled decode table for text at base under
+// arch, as disassembly builds it on one goroutine.
+func decodeText(arch isa.Arch, text []byte, base uint32) *isa.DecodeTable {
+	tab := isa.NewDecodeTable(arch, text, base)
+	tab.Fill(0, len(text))
+	tab.Index()
+	tab.Store(0, len(text))
+	return tab
 }
 
 // BenchmarkPlaceLargeSynth measures the reassembly stage alone on the

@@ -206,7 +206,8 @@ func parseRun(in io.Reader) (*Report, error) {
 			rep.Env.Goos = strings.TrimPrefix(line, "goos: ")
 		case strings.HasPrefix(line, "goarch: "):
 			rep.Env.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
+		case strings.HasPrefix(line, "pkg: ") && rep.Env.Pkg == "":
+			// A run over several packages keeps the first one's name.
 			rep.Env.Pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			rep.Env.CPU = strings.TrimPrefix(line, "cpu: ")

@@ -50,6 +50,22 @@ func TestParseRun(t *testing.T) {
 	}
 }
 
+// TestParseRunSeveralPackages checks that a run over two packages keeps
+// every benchmark of both and the first package's name.
+func TestParseRunSeveralPackages(t *testing.T) {
+	second := "pkg: zipr/internal/cfg\nBenchmarkBuildLibc-2   5   40000000 ns/op   14545572 B/op   4728 allocs/op\nPASS\n"
+	rep, err := parseRun(strings.NewReader(sampleRun + second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Env.Pkg != "zipr" || len(rep.Benchmarks) != 3 {
+		t.Fatalf("pkg %q, %d benchmarks", rep.Env.Pkg, len(rep.Benchmarks))
+	}
+	if b := rep.Benchmarks[2]; b.Name != "BenchmarkBuildLibc" || b.Metrics["B/op"] != 14545572 || b.Metrics["allocs/op"] != 4728 {
+		t.Fatalf("second package's benchmark = %+v", b)
+	}
+}
+
 func TestMergeAccumulatesTrajectory(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	// First run: no existing file starts a one-run trajectory.

@@ -52,12 +52,9 @@ func run() error {
 	}
 
 	if *classes {
-		counts := map[disasm.Class]int{}
-		for _, c := range agg.Classes {
-			counts[c]++
-		}
+		code, ambig := agg.Code.Count(), agg.Ambig.Count()
 		fmt.Printf("code %d bytes, data %d bytes, ambiguous %d bytes, fixed ranges %d\n",
-			counts[disasm.Code], counts[disasm.Data], counts[disasm.Ambig], len(agg.Fixed))
+			code, len(bin.Text().Data)-code-ambig, ambig, len(agg.Fixed))
 		for _, w := range agg.Warnings {
 			fmt.Println("warning:", w)
 		}

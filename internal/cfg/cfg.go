@@ -65,29 +65,6 @@ func collectTextPtrs(data []byte, stride int, text *binfmt.Segment) []uint32 {
 	return out
 }
 
-// immCand is one candidate pin collected from instruction operands.
-type immCand struct {
-	addr uint32
-	lea  bool // "lea target" provenance instead of "immediate"
-}
-
-// collectImmCands walks the instruction list for address-shaped
-// absolute immediates and lea instructions that kept absolute targets.
-func collectImmCands(insts []*ir.Instruction) []immCand {
-	var out []immCand
-	for _, node := range insts {
-		switch node.Inst.Op {
-		case isa.OpMovI, isa.OpPushI32:
-			out = append(out, immCand{addr: uint32(node.Inst.Imm)})
-		case isa.OpLea:
-			if node.AbsTarget != 0 {
-				out = append(out, immCand{addr: node.AbsTarget, lea: true})
-			}
-		}
-	}
-	return out
-}
-
 // BuildOpts is Build with full options.
 func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Program, error) {
 	tr := opts.Trace
@@ -249,11 +226,14 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 	// works both as a number and as an indirect target. Lea instructions
 	// that kept an absolute target (possible data, left in place) are
 	// likewise potential indirect-branch targets.
-	for _, c := range collectImmCands(p.Insts) {
-		if c.lea {
-			pinNode(c.addr, "lea target")
-		} else {
-			pinNode(c.addr, "immediate")
+	for _, node := range p.Insts {
+		switch node.Inst.Op {
+		case isa.OpMovI, isa.OpPushI32:
+			pinNode(uint32(node.Inst.Imm), "immediate")
+		case isa.OpLea:
+			if node.AbsTarget != 0 {
+				pinNode(node.AbsTarget, "lea target")
+			}
 		}
 	}
 	// Direct branch targets of instructions decoded in ambiguous ranges,
@@ -340,11 +320,11 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 func buildFunctions(p *ir.Program) {
 	// Entry marks by instruction ID; only the entry and exports carry a
 	// name of their own, the rest are named sub_<addr> when carved.
-	isEntry := make([]bool, p.MaxID()+1)
+	isEntry := isa.NewBitset(int(p.MaxID()) + 1)
 	var entries []*ir.Instruction
 	addEntry := func(n *ir.Instruction) {
-		if !isEntry[n.ID] {
-			isEntry[n.ID] = true
+		if !isEntry.Has(int(n.ID)) {
+			isEntry.Set(int(n.ID))
 			entries = append(entries, n)
 		}
 	}
@@ -370,7 +350,7 @@ func buildFunctions(p *ir.Program) {
 	// Deterministic order: by original address.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].OrigAddr < entries[j].OrigAddr })
 
-	owned := make([]bool, p.MaxID()+1)
+	owned := isa.NewBitset(int(p.MaxID()) + 1)
 	body := make([]*ir.Instruction, 0, len(p.Insts))
 	fns := make([]ir.Function, 0, len(entries))
 	p.Functions = make([]*ir.Function, 0, len(entries))
@@ -381,13 +361,13 @@ func buildFunctions(p *ir.Program) {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if n == nil || owned[n.ID] {
+			if n == nil || owned.Has(int(n.ID)) {
 				continue
 			}
-			if n != entry && isEntry[n.ID] {
+			if n != entry && isEntry.Has(int(n.ID)) {
 				continue // belongs to its own function
 			}
-			owned[n.ID] = true
+			owned.Set(int(n.ID))
 			body = append(body, n)
 			stack = append(stack, n.Fallthrough)
 			if n.Inst.Op != isa.OpCall && n.Target != nil {

@@ -21,10 +21,12 @@
 // candidate relation, every offset that decodes with its instruction
 // stored densely by rank, so no disassembler decodes again. Their sets of
 // instruction starts are bitsets over candidate ranks, their byte sets
-// bitsets over text offsets. The fan-out sits where the work is: both
-// passes of the table fill split into two halves, and under weighted
-// arbitration inference runs on its own goroutine beside the two walks
-// (Options.Serial forces one goroutine for comparison). The merged
+// bitsets over text offsets, and so is the merged view: a byte is code
+// in Aggregated.Code, ambiguous in Aggregated.Ambig and data in neither,
+// and the fixed ranges are the runs outside Code. The fan-out sits where
+// the work is: both passes of the table fill split into two halves, and
+// under weighted arbitration inference runs on its own goroutine beside
+// the two walks (Options.Serial forces one goroutine for comparison). The merged
 // Aggregated view is byte-identical either way, because the table is the
 // same and aggregation starts only after every vote is in.
 package disasm
@@ -40,17 +42,6 @@ import (
 	"zipr/internal/ir"
 	"zipr/internal/isa"
 	"zipr/internal/obs"
-)
-
-// Class classifies one byte of the text segment.
-type Class uint8
-
-// Byte classifications.
-const (
-	Unknown Class = iota // not reached / not decoded
-	Code                 // part of a provably reached instruction
-	Data                 // conclusively data (does not decode)
-	Ambig                // decodes, but not provably reached: code AND data
 )
 
 // Result is the output of a single disassembler.
@@ -79,12 +70,12 @@ func LinearSweep(tab *isa.DecodeTable) Result {
 	n := len(tab.Text)
 	res := Result{Insts: newInstMap(tab), Code: isa.NewBitset(n)}
 	align := int(tab.Arch.Align())
-	for off := tab.Next(0); off < n && off%align == 0; {
-		r, _ := tab.Rank(off)
+	off, r := tab.Next(0)
+	for off < n && off%align == 0 {
 		l := int(tab.Lens[r])
 		res.Insts.add(r)
 		res.Code.SetRange(off, off+l)
-		off = tab.Next(off + l)
+		off, r = tab.Next(off + l)
 	}
 	return res
 }
@@ -217,8 +208,13 @@ type Aggregated struct {
 	// Fixed lists text ranges whose bytes must stay at their original
 	// addresses (conclusive data plus ambiguous ranges).
 	Fixed []ir.Range
-	// Classes is the final per-byte classification.
-	Classes []Class
+	// Code marks the relocatable bytes by text offset: the recursive
+	// traversal's coverage.
+	Code isa.Bitset
+	// Ambig marks the bytes outside Code that decode but are not
+	// provably reached (paper case 3: code AND data). Every byte in
+	// neither set is conclusive data.
+	Ambig isa.Bitset
 	// Warnings lists conservative-fallback diagnostics (the paper's
 	// case-4 warnings), in ascending address order.
 	Warnings []string
@@ -239,36 +235,30 @@ type Aggregated struct {
 }
 
 // aggregateCore merges the two disassemblers' views per the four-case
-// policy into the per-byte classification and the ambiguous instruction
-// set. The instruction sets iterate in address order, so both come out
-// deterministic. Fixed ranges and warnings are derived afterwards by
-// finishAggregate, so an arbitration pass can prune the ambiguous set
-// in between.
+// policy into the Code and Ambig byte sets and the ambiguous instruction
+// set. It takes over both coverage bitsets: the recursive one becomes
+// Code, the linear one Ambig. The instruction sets iterate in address
+// order, so the ambiguous set comes out deterministic. Fixed ranges and
+// warnings are derived afterwards by finishAggregate, so an arbitration
+// pass can prune the ambiguous set in between.
 func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
-	n := len(tab.Text)
 	agg := Aggregated{
 		Insts:      recursive.Insts,
 		AmbigInsts: newInstMap(tab),
-		Classes:    make([]Class, n),
+		Code:       recursive.Code,
+		Ambig:      linear.Code,
 		Arch:       tab.Arch,
 	}
 	// Case 1: recursive coverage is authoritative code. Remaining
 	// bytes: ambiguous if the linear sweep decoded them, conclusive data
 	// otherwise.
-	for i := range agg.Classes {
-		switch {
-		case recursive.Code.Has(i):
-			agg.Classes[i] = Code
-		case linear.Code.Has(i):
-			agg.Classes[i] = Ambig
-		default:
-			agg.Classes[i] = Data
-		}
+	for w, code := range agg.Code {
+		agg.Ambig[w] &^= code
 	}
 	// Instructions whose linear decode starts inside a non-code byte are
 	// candidates for "both" handling (case 3).
 	tab.Each(linear.Insts.set, func(off, r int) bool {
-		if agg.Classes[off] == Ambig {
+		if agg.Ambig.Has(off) {
 			agg.AmbigInsts.add(r)
 			if tab.Insts[r].IsDirectBranch() {
 				agg.warnCands = append(agg.warnCands, tab.Base+uint32(off))
@@ -279,16 +269,16 @@ func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
 	// Weak recursive decodes (lea targets and address immediates) join
 	// the ambiguous set: they are plausible entry-aligned decodes, so
 	// CFG construction should pin their targets, but their bytes stay
-	// fixed in place. They also upgrade their bytes to Ambig so fixed
+	// fixed in place. They also make their bytes ambiguous so fixed
 	// ranges cover them even where the linear sweep misaligned.
 	tab.Each(recursive.Weak.set, func(off, r int) bool {
-		if agg.Classes[off] == Code {
+		if agg.Code.Has(off) {
 			return true
 		}
 		agg.AmbigInsts.add(r)
 		for i := off; i < off+int(tab.Lens[r]); i++ {
-			if agg.Classes[i] != Code {
-				agg.Classes[i] = Ambig
+			if !agg.Code.Has(i) {
+				agg.Ambig.Set(i)
 			}
 		}
 		return true
@@ -298,10 +288,9 @@ func aggregateCore(tab *isa.DecodeTable, linear, recursive Result) Aggregated {
 
 // finishAggregate derives the outputs that depend on the final
 // ambiguous set: the case-4 warnings (ascending order, survivors of
-// any arbitration pruning) and the fixed ranges (maximal runs of
-// Data/Ambig bytes).
-func finishAggregate(agg *Aggregated, base uint32) {
-	n := len(agg.Classes)
+// any arbitration pruning) and the fixed ranges, the maximal runs of
+// the n text bytes outside Code, found a word at a time.
+func finishAggregate(agg *Aggregated, base uint32, n int) {
 	for _, addr := range agg.warnCands {
 		in, ok := agg.AmbigInsts.Get(addr)
 		if !ok {
@@ -311,24 +300,11 @@ func finishAggregate(agg *Aggregated, base uint32) {
 			"disasm: ambiguous bytes at %#x decode to %s; treating as code and data",
 			addr, in.String()))
 	}
-	var fixed []ir.Range
-	i := 0
-	for i < n {
-		if agg.Classes[i] == Code {
-			i++
-			continue
-		}
-		j := i
-		for j < n && agg.Classes[j] != Code {
-			j++
-		}
-		fixed = append(fixed, ir.Range{
-			Start: base + uint32(i),
-			End:   base + uint32(j),
-		})
-		i = j
+	for i := agg.Code.NextClear(0, n); i < n; {
+		j := agg.Code.NextSet(i, n)
+		agg.Fixed = append(agg.Fixed, ir.Range{Start: base + uint32(i), End: base + uint32(j)})
+		i = agg.Code.NextClear(j, n)
 	}
-	agg.Fixed = ir.MergeRanges(fixed)
 }
 
 // applyArbitration is the weighted three-way vote. The linear sweep
@@ -371,10 +347,8 @@ func applyArbitration(agg *Aggregated, tab *isa.DecodeTable, res *infer.Result, 
 		agg.AmbigInsts.Delete(addr)
 	}
 	agg.Demoted = len(demote)
-	for i, c := range agg.Classes {
-		if c == Ambig && demoted.Has(i) && !kept.Has(i) {
-			agg.Classes[i] = Data
-		}
+	for w := range agg.Ambig {
+		agg.Ambig[w] &^= demoted[w] &^ kept[w]
 	}
 }
 
@@ -504,7 +478,7 @@ func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 	if inf != nil {
 		applyArbitration(&agg, tab, inf, opts.Inject)
 	}
-	finishAggregate(&agg, text.VAddr)
+	finishAggregate(&agg, text.VAddr, n)
 	sp.End()
 	if tr.Enabled() && inf != nil {
 		st := inf.Stats()
@@ -518,20 +492,10 @@ func DisassembleOpts(bin *binfmt.Binary, opts Options) (Aggregated, error) {
 		tr.Add("disasm.arb.disputed", int64(agg.Disputed))
 	}
 	if tr.Enabled() {
-		var code, data, ambig int64
-		for _, c := range agg.Classes {
-			switch c {
-			case Code:
-				code++
-			case Data:
-				data++
-			case Ambig:
-				ambig++
-			}
-		}
-		tr.SetGauge("disasm.bytes.code", code)
-		tr.SetGauge("disasm.bytes.data", data)
-		tr.SetGauge("disasm.bytes.ambiguous", ambig)
+		code, ambig := agg.Code.Count(), agg.Ambig.Count()
+		tr.SetGauge("disasm.bytes.code", int64(code))
+		tr.SetGauge("disasm.bytes.data", int64(n-code-ambig))
+		tr.SetGauge("disasm.bytes.ambiguous", int64(ambig))
 		tr.Add("disasm.insts", int64(agg.Insts.Len()))
 		tr.Add("disasm.ambig-insts", int64(agg.AmbigInsts.Len()))
 		tr.Add("disasm.fixed-ranges", int64(len(agg.Fixed)))

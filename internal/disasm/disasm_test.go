@@ -20,21 +20,48 @@ func encode32(t *testing.T, in isa.Inst) []byte {
 	return b
 }
 
+// decodeText returns the filled decode table for text at base under
+// arch, as DisassembleOpts builds it with Options.Serial.
+func decodeText(arch isa.Arch, text []byte, base uint32) *isa.DecodeTable {
+	tab := isa.NewDecodeTable(arch, text, base)
+	tab.Fill(0, len(text))
+	tab.Index()
+	tab.Store(0, len(text))
+	return tab
+}
+
 // decode returns the default-ISA decode table of bin's text.
 func decode(bin *binfmt.Binary) *isa.DecodeTable {
 	text := bin.Text()
-	return isa.DecodeText(nil, text.Data, text.VAddr)
+	return decodeText(nil, text.Data, text.VAddr)
 }
 
-func classAt(t *testing.T, agg Aggregated, bin *binfmt.Binary, addr uint32) Class {
-	t.Helper()
-	return agg.Classes[addr-bin.Text().VAddr]
+// Class is a byte's classification in an Aggregated view.
+type Class uint8
+
+// Byte classifications: relocatable code, conclusive data, and
+// ambiguous (code AND data).
+const (
+	Code Class = iota + 1
+	Data
+	Ambig
+)
+
+// classAt returns the classification of the byte at addr.
+func classAt(agg Aggregated, bin *binfmt.Binary, addr uint32) Class {
+	switch off := int(addr - bin.Text().VAddr); {
+	case agg.Code.Has(off):
+		return Code
+	case agg.Ambig.Has(off):
+		return Ambig
+	}
+	return Data
 }
 
 func TestLinearSweepResync(t *testing.T) {
 	// nop, then an undecodable byte, then ret.
 	text := []byte{0x90, 0x00, 0xC3}
-	res := LinearSweep(isa.DecodeText(nil, text, 0x1000))
+	res := LinearSweep(decodeText(nil, text, 0x1000))
 	if !res.Code.Has(0) || res.Code.Has(1) || !res.Code.Has(2) {
 		t.Fatalf("code coverage = %b", res.Code)
 	}
@@ -59,12 +86,12 @@ func TestLinearSweepKeepsPhaseZVM64(t *testing.T) {
 		}
 		words = append(words, b...)
 	}
-	aligned := LinearSweep(isa.DecodeText(isa.ZVM64, words, 0x100000))
+	aligned := LinearSweep(decodeText(isa.ZVM64, words, 0x100000))
 	if aligned.Insts.Len() != 3 {
 		t.Fatalf("aligned base: %d instructions swept, want 3", aligned.Insts.Len())
 	}
 	text := append([]byte{0xAA, 0xBB}, words...)
-	tab := isa.DecodeText(isa.ZVM64, text, 0x100002)
+	tab := decodeText(isa.ZVM64, text, 0x100002)
 	if len(tab.Insts) != 3 {
 		t.Fatalf("misaligned base: %d candidates, want 3", len(tab.Insts))
 	}
@@ -203,17 +230,17 @@ after:
 		t.Fatal(err)
 	}
 	// Case 1: reached code.
-	if classAt(t, agg, bin, bin.Entry) != Code {
+	if classAt(agg, bin, bin.Entry) != Code {
 		t.Fatal("entry not classified Code")
 	}
 	// Case 2: the 0x00 bytes are conclusive data.
 	blobAddr := bin.Text().VAddr + 5
-	if classAt(t, agg, bin, blobAddr) != Data {
-		t.Fatalf("undecodable byte class = %v, want Data", classAt(t, agg, bin, blobAddr))
+	if classAt(agg, bin, blobAddr) != Data {
+		t.Fatalf("undecodable byte class = %v, want Data", classAt(agg, bin, blobAddr))
 	}
 	// Case 3: the decodable-but-unreached bytes are ambiguous.
-	if classAt(t, agg, bin, blobAddr+2) != Ambig {
-		t.Fatalf("ambiguous byte class = %v, want Ambig", classAt(t, agg, bin, blobAddr+2))
+	if classAt(agg, bin, blobAddr+2) != Ambig {
+		t.Fatalf("ambiguous byte class = %v, want Ambig", classAt(agg, bin, blobAddr+2))
 	}
 	if agg.AmbigInsts.Len() == 0 {
 		t.Fatal("expected ambiguous instructions")
@@ -282,9 +309,10 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range agg.Classes {
-		if c != Code {
-			t.Fatalf("byte %d classified %v, want Code", i, c)
+	text := bin.Text()
+	for a := text.VAddr; a < text.End(); a++ {
+		if c := classAt(agg, bin, a); c != Code {
+			t.Fatalf("byte %#x classified %v, want Code", a, c)
 		}
 	}
 	if len(agg.Fixed) != 0 {
@@ -335,10 +363,10 @@ func TestWeightedArbitrationDemotes(t *testing.T) {
 	// them: the blob stays inside a fixed range either way.
 	msgAddr := bin.Text().VAddr + 5
 	for i := uint32(0); i < 13; i++ {
-		if c := classAt(t, aggW, bin, msgAddr+i); c == Ambig {
+		if c := classAt(aggW, bin, msgAddr+i); c == Ambig {
 			t.Fatalf("msg byte %d still Ambig after demotion", i)
 		}
-		if c := classAt(t, aggW, bin, msgAddr+i); c == Code {
+		if c := classAt(aggW, bin, msgAddr+i); c == Code {
 			t.Fatalf("demotion promoted msg byte %d to Code", i)
 		}
 	}
@@ -354,7 +382,7 @@ func TestWeightedArbitrationDemotes(t *testing.T) {
 		}
 	}
 	// Reached code is untouched.
-	if classAt(t, aggW, bin, bin.Entry) != Code {
+	if classAt(aggW, bin, bin.Entry) != Code {
 		t.Fatal("entry no longer Code under weighted arbitration")
 	}
 	if len(aggW.Warnings) > len(agg2.Warnings) {

@@ -37,7 +37,7 @@ func TestAnalyzeAllocsBounded(t *testing.T) {
 				t.Fatalf("%s scale %v: %v", arch.Name(), scale, err)
 			}
 			text := bin.Text()
-			tab := isa.DecodeText(arch, text.Data, text.VAddr)
+			tab := decodeText(arch, text.Data, text.VAddr)
 			var res *Result
 			allocs := testing.AllocsPerRun(1, func() { res = Analyze(bin, tab) })
 			if res.Stats().Candidates == 0 {

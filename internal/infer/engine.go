@@ -44,7 +44,7 @@ func (r *Result) refuteDeadEnds() {
 	dead := make([]int32, 0, k)
 	var succs []int
 
-	for off, p := tab.Next(0), 0; off < n; off, p = tab.Next(off+1), p+1 {
+	for off, p := tab.Next(0); off < n; off, p = tab.Next(off + 1) {
 		var ok bool
 		succs, ok = r.flowSuccs(off, p, succs[:0])
 		if !ok {
@@ -69,7 +69,7 @@ func (r *Result) refuteDeadEnds() {
 		at[s] += at[s-1]
 	}
 	preds := make([]int32, at[k+1])
-	for off, p := tab.Next(0), 0; off < n; off, p = tab.Next(off+1), p+1 {
+	for off, p := tab.Next(0); off < n; off, p = tab.Next(off + 1) {
 		var ok bool
 		if succs, ok = r.flowSuccs(off, p, succs[:0]); !ok {
 			continue

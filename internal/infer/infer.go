@@ -285,7 +285,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	n := len(r.dataW)
 
 	// Candidate instruction starts: every offset the table decodes.
-	for off, k := tab.Next(0), 0; off < n; off, k = tab.Next(off+1), k+1 {
+	for off, k := tab.Next(0); off < n; off, k = tab.Next(off + 1) {
 		r.tgt[k] = r.target(bin, ops[k], off)
 	}
 
@@ -352,7 +352,7 @@ func (r *Result) extractFacts(bin *binfmt.Binary) {
 	// that the program reads as data. Overlap conflicts: a candidate
 	// whose span straddles bytes of a provably-reached instruction
 	// without being one is a junk decode.
-	for off, k := tab.Next(0), 0; off < n; off, k = tab.Next(off+1), k+1 {
+	for off, k := tab.Next(0); off < n; off, k = tab.Next(off + 1) {
 		if r.strong.Has(k) {
 			if t := int(r.tgt[k]); ops[k].Op == isa.OpLoadPC && t >= 0 {
 				for i := 0; i < 4; i++ {

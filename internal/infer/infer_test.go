@@ -51,7 +51,17 @@ func analyzeSrc(t *testing.T, src string) (*Result, []uint32) {
 // over the table.
 func analyze(bin *binfmt.Binary) *Result {
 	text := bin.Text()
-	return Analyze(bin, isa.DecodeText(nil, text.Data, text.VAddr))
+	return Analyze(bin, decodeText(nil, text.Data, text.VAddr))
+}
+
+// decodeText returns the filled decode table for text at base under
+// arch, as disassembly builds it on one goroutine.
+func decodeText(arch isa.Arch, text []byte, base uint32) *isa.DecodeTable {
+	tab := isa.NewDecodeTable(arch, text, base)
+	tab.Fill(0, len(text))
+	tab.Index()
+	tab.Store(0, len(text))
+	return tab
 }
 
 func TestRules(t *testing.T) {

@@ -7,6 +7,12 @@
 // may be reached indirectly at run time and therefore must keep meaning
 // in the rewritten binary) and fixed ranges (bytes — usually data
 // embedded in text — that must not move).
+//
+// Program.At maps an original address back to its node. The index is per
+// instruction, not per text byte: a rank set over the starts of the
+// decoded nodes, which the lifter adds in address order from one slab,
+// so a start's rank is its node's slab position; every other address
+// goes to a small override that At reads only when it is non-empty.
 package ir
 
 import (
@@ -145,24 +151,25 @@ type Program struct {
 	Warnings []string
 
 	nextID int64
-	// byOff indexes original addresses for At, one entry per Align()
-	// bytes of text from textBase: 0 when no node starts there, k for
-	// slab[k-1], and heapRef|i for heap[i], a node outside the slab. It
-	// holds no pointers, so the collector never scans it.
-	byOff     []uint32
+	// starts indexes the decoded nodes for At by slot, one slot per
+	// Align() bytes of text from textBase: it holds the slot of every
+	// slab node that AddOrig registered in ascending address order, so a
+	// start's rank is its node's slab index. It holds no pointers, so the
+	// collector never scans it.
+	starts    isa.RankSet
 	textBase  uint32
 	text      Range
 	slotShift uint8
-	heap      []*Instruction
+	// moved indexes every other address: nodes outside the slab or
+	// registered out of order, and the addresses Normalize re-points. It
+	// shadows starts and is consulted only when non-empty.
+	moved map[uint32]*Instruction
 	// slab holds the nodes Reserve preallocated; slab[i] has ID
 	// slabBase+i. NewInst takes from it until it is full and never
 	// appends past its capacity, so nodes never move.
 	slab     []Instruction
 	slabBase int64
 }
-
-// heapRef marks a byOff entry that indexes heap instead of slab.
-const heapRef = 1 << 31
 
 // ISA returns the program's architecture, defaulting to ZVM-32.
 func (p *Program) ISA() isa.Arch { return isa.Of(p.Arch) }
@@ -218,26 +225,27 @@ func (p *Program) AddOrig(addr uint32, in isa.Inst) *Instruction {
 // Normalize, the address of a deleted pinned instruction reaches the
 // node that took over its pin.
 func (p *Program) At(addr uint32) *Instruction {
+	if len(p.moved) != 0 {
+		if n, ok := p.moved[addr]; ok {
+			return n
+		}
+	}
 	off := addr - p.textBase
 	i := off >> p.slotShift
-	if i >= uint32(len(p.byOff)) || i<<p.slotShift != off {
+	if i<<p.slotShift != off {
 		return nil
 	}
-	switch k := p.byOff[i]; {
-	case k == 0:
-		return nil
-	case k&heapRef != 0:
-		return p.heap[k&^heapRef]
-	default:
-		return &p.slab[k-1]
+	if r, ok := p.starts.Rank(int(i)); ok {
+		return &p.slab[r]
 	}
+	return nil
 }
 
 // setAt makes At(addr) return node. Addresses outside text, or not
 // aligned to an instruction boundary of the ISA, are not indexed. The
-// table is allocated on first use, with one slot per Align() bytes.
+// index is allocated on first use, with one slot per Align() bytes.
 func (p *Program) setAt(addr uint32, node *Instruction) {
-	if p.byOff == nil {
+	if p.moved == nil {
 		t := p.Bin.Text()
 		if t == nil {
 			return
@@ -246,23 +254,22 @@ func (p *Program) setAt(addr uint32, node *Instruction) {
 		p.slotShift = uint8(bits.TrailingZeros32(align))
 		p.text = Range{Start: t.VAddr, End: t.End()}
 		p.textBase = t.VAddr &^ (align - 1)
-		p.byOff = make([]uint32, (p.text.End-p.textBase+align-1)>>p.slotShift)
+		p.starts = isa.NewRankSet(int((p.text.End - p.textBase + align - 1) >> p.slotShift))
+		p.moved = map[uint32]*Instruction{}
 	}
 	off := addr - p.textBase
 	if !p.text.Contains(addr) || off&(1<<p.slotShift-1) != 0 {
 		return
 	}
-	i := off >> p.slotShift
-	if s := node.ID - p.slabBase; s >= 0 && s < int64(len(p.slab)) && &p.slab[s] == node {
-		p.byOff[i] = uint32(s) + 1
-		return
+	if s := node.ID - p.slabBase; s == int64(p.starts.Len()) && s < int64(len(p.slab)) && &p.slab[s] == node {
+		if p.starts.Append(int(off >> p.slotShift)) {
+			if len(p.moved) != 0 {
+				delete(p.moved, addr)
+			}
+			return
+		}
 	}
-	if k := p.byOff[i]; k&heapRef != 0 {
-		p.heap[k&^heapRef] = node
-		return
-	}
-	p.byOff[i] = heapRef | uint32(len(p.heap))
-	p.heap = append(p.heap, node)
+	p.moved[addr] = node
 }
 
 // Warnf records a non-fatal diagnostic.

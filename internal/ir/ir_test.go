@@ -158,23 +158,32 @@ func TestAtWithoutTextSegment(t *testing.T) {
 func TestAtFixedWidthSlots(t *testing.T) {
 	// A ZVM-64 program's index has one slot per 4 bytes: aligned
 	// addresses are indexed, unaligned ones are never instruction starts.
-	p := NewProgram(testBin())
-	p.Arch = isa.ZVM64
-	a := p.AddOrig(0x1004, isa.Inst{Op: isa.OpNop})
-	last := p.AddOrig(0x103c, isa.Inst{Op: isa.OpRet})
-	if p.At(0x1004) != a || p.At(0x103c) != last {
-		t.Fatal("aligned nodes must be indexed")
-	}
-	if n := p.AddOrig(0x1006, isa.Inst{Op: isa.OpNop}); n == nil || p.At(0x1006) != nil {
-		t.Fatal("an unaligned node must be created but not indexed")
-	}
-	for _, addr := range []uint32{0x1000, 0x1005, 0x1007, 0x1008, 0x1040, 0x0ffc} {
-		if n := p.At(addr); n != nil {
-			t.Errorf("At(%#x) = %s, want nil", addr, n)
+	// With a reservation the aligned nodes are slab nodes in ascending
+	// order, so they go to the rank index and nothing to the override;
+	// without one, they are heap nodes and go to the override.
+	for _, reserve := range []bool{true, false} {
+		p := NewProgram(testBin())
+		p.Arch = isa.ZVM64
+		if reserve {
+			p.Reserve(3)
 		}
-	}
-	if len(p.byOff) != 16 {
-		t.Fatalf("index has %d slots for 64 bytes of 4-byte slots, want 16", len(p.byOff))
+		a := p.AddOrig(0x1004, isa.Inst{Op: isa.OpNop})
+		last := p.AddOrig(0x103c, isa.Inst{Op: isa.OpRet})
+		if p.At(0x1004) != a || p.At(0x103c) != last {
+			t.Fatal("aligned nodes must be indexed")
+		}
+		if n := p.AddOrig(0x1006, isa.Inst{Op: isa.OpNop}); n == nil || p.At(0x1006) != nil {
+			t.Fatal("an unaligned node must be created but not indexed")
+		}
+		for _, addr := range []uint32{0x1000, 0x1005, 0x1007, 0x1008, 0x1040, 0x0ffc} {
+			if n := p.At(addr); n != nil {
+				t.Errorf("At(%#x) = %s, want nil", addr, n)
+			}
+		}
+		if want := map[bool]int{true: 2, false: 0}[reserve]; p.starts.Len() != want || len(p.moved) != 2-want {
+			t.Fatalf("reserve %v: %d ranked starts and %d overrides, want %d and %d",
+				reserve, p.starts.Len(), len(p.moved), want, 2-want)
+		}
 	}
 }
 
@@ -217,6 +226,35 @@ func TestReserveSlab(t *testing.T) {
 		}
 	}()
 	p.Reserve(1)
+}
+
+// TestAtSlabOutOfOrder pins the rank index's precondition: a slab
+// node's rank among the indexed starts must be its slab position. Slab
+// nodes taken before any AddOrig, nodes added below an earlier start and
+// a second node at one address all go to the override, and At still
+// names the node each address was last bound to.
+func TestAtSlabOutOfOrder(t *testing.T) {
+	p := NewProgram(testBin())
+	p.Reserve(5)
+	syn := p.NewInst(isa.Inst{Op: isa.OpHlt}) // slab[0], no address
+	a := p.AddOrig(0x1004, isa.Inst{Op: isa.OpNop})
+	b := p.AddOrig(0x1008, isa.Inst{Op: isa.OpNop})
+	low := p.AddOrig(0x1002, isa.Inst{Op: isa.OpNop})
+	dup := p.AddOrig(0x1008, isa.Inst{Op: isa.OpRet})
+	if &p.slab[0] != syn || &p.slab[4] != dup {
+		t.Fatal("every node must come from the slab")
+	}
+	for _, c := range []struct {
+		addr uint32
+		want *Instruction
+	}{{0x1002, low}, {0x1004, a}, {0x1008, dup}, {0x1000, nil}, {0x1006, nil}} {
+		if got := p.At(c.addr); got != c.want {
+			t.Errorf("At(%#x) = %v, want %v", c.addr, got, c.want)
+		}
+	}
+	if b.OrigAddr != 0x1008 || p.At(0x1008) == b {
+		t.Fatal("the later node at an address must shadow the earlier one")
+	}
 }
 
 func TestValidate(t *testing.T) {

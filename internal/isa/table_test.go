@@ -3,6 +3,7 @@ package isa
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -39,11 +40,14 @@ func checkTable(t *testing.T, arch Arch, text []byte, base uint32, tab *DecodeTa
 		}
 	}
 	var walked []int
-	for off, r := tab.Next(0), 0; off < len(text); off, r = tab.Next(off+1), r+1 {
-		if got, _ := tab.Rank(off); got != r {
-			t.Fatalf("%s: Next walk reaches rank %d at offset %d, Rank says %d", arch.Name(), r, off, got)
+	for off, r := tab.Next(0); off < len(text); off, r = tab.Next(off + 1) {
+		if got, _ := tab.Rank(off); got != r || r != len(walked) {
+			t.Fatalf("%s: Next walk reaches offset %d at rank %d, step %d; Rank says %d", arch.Name(), off, r, len(walked), got)
 		}
 		walked = append(walked, off)
+	}
+	if off, r := tab.Next(len(text)); off != len(text) || r != len(offs) {
+		t.Fatalf("%s: Next past the text = %d, %d, want %d, %d", arch.Name(), off, r, len(text), len(offs))
 	}
 	if !reflect.DeepEqual(walked, offs) {
 		t.Fatalf("%s: Next walks %v, want %v", arch.Name(), walked, offs)
@@ -63,6 +67,15 @@ func checkTable(t *testing.T, arch Arch, text []byte, base uint32, tab *DecodeTa
 		t.Fatalf("%s: Each yields %v, want %v", arch.Name(), got, want)
 	}
 	return len(offs)
+}
+
+// decodeText returns the filled table for text at base under arch.
+func decodeText(arch Arch, text []byte, base uint32) *DecodeTable {
+	t := NewDecodeTable(arch, text, base)
+	t.Fill(0, len(text))
+	t.Index()
+	t.Store(0, len(text))
+	return t
 }
 
 // mixedText returns n bytes of encoded random instructions interleaved
@@ -106,7 +119,7 @@ func TestDecodeTableMatchesDecode(t *testing.T) {
 		decoded := 0
 		for _, text := range texts {
 			for _, base := range []uint32{0x100000, 0x100001, 0x100002, 0x100003} {
-				serial := DecodeText(arch, text, base)
+				serial := decodeText(arch, text, base)
 				decoded += checkTable(t, arch, text, base, serial)
 				cuts := make([]int, 0, len(text)+1)
 				if len(text) <= 130 {
@@ -171,7 +184,7 @@ func TestDecodeTableMisalignedZVM64(t *testing.T) {
 			text = append(text, b...)
 		}
 	}
-	tab := DecodeText(ZVM64, text, 0x100002)
+	tab := decodeText(ZVM64, text, 0x100002)
 	if _, ok := tab.Rank(2); !ok {
 		t.Fatal("the aligned stream start does not decode")
 	}
@@ -182,5 +195,132 @@ func TestDecodeTableMisalignedZVM64(t *testing.T) {
 	}
 	if max := (len(text) + 3) / 4; len(tab.Insts) > max {
 		t.Fatalf("%d dense slots for %d bytes, want at most %d", len(tab.Insts), len(text), max)
+	}
+}
+
+// TestRankSetAppendMatchesIndex checks the two ways of building a
+// RankSet against a reference count: after every ascending Append, Rank
+// is exact at every offset, above the highest member too, and Next and
+// Each walk the members so far; the finished set equals the one Add and
+// Index build from the same members. Append refuses an offset outside
+// the set's range or not above every member and leaves the set as it
+// was.
+func TestRankSetAppendMatchesIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	for _, n := range []int{0, 1, 63, 64, 65, 200, 1000} {
+		for _, density := range []int{1, 3, 40} {
+			var members []int
+			for i := 0; i < n; i++ {
+				if r.Intn(density) == 0 {
+					members = append(members, i)
+				}
+			}
+			app, bulk := NewRankSet(n), NewRankSet(n)
+			check := func(set *RankSet, ms []int) {
+				t.Helper()
+				below := 0
+				for i := -1; i <= n+64; i++ {
+					isMember := below < len(ms) && ms[below] == i
+					if got, ok := set.Rank(i); ok != isMember || i >= 0 && got != below {
+						t.Fatalf("n %d, %d members: Rank(%d) = %d, %v, want %d, %v", n, len(ms), i, got, ok, below, isMember)
+					}
+					if isMember {
+						below++
+					}
+				}
+				var walked []int
+				for i, k := set.Next(0); i < n; i, k = set.Next(i + 1) {
+					if k != len(walked) {
+						t.Fatalf("n %d: Next reaches %d at rank %d, want %d", n, i, k, len(walked))
+					}
+					walked = append(walked, i)
+				}
+				if !slices.Equal(walked, ms) {
+					t.Fatalf("n %d: Next walks %v, want %v", n, walked, ms)
+				}
+				all := NewBitset(len(ms))
+				all.SetRange(0, len(ms))
+				walked = walked[:0]
+				set.Each(all, func(i, k int) bool {
+					walked = append(walked, i)
+					return true
+				})
+				if !slices.Equal(walked, ms) || set.Len() != len(ms) {
+					t.Fatalf("n %d: Each walks %v (Len %d), want %v", n, walked, set.Len(), ms)
+				}
+			}
+			check(&app, nil)
+			for k, i := range members {
+				if !app.Append(i) {
+					t.Fatalf("n %d: Append(%d) refused", n, i)
+				}
+				if r, ok := app.Rank(i); !ok || r != k {
+					t.Fatalf("n %d: Append(%d) ranks it %d, %v, want %d, true", n, i, r, ok, k)
+				}
+				for _, bad := range []int{i, i - 1, -1, n} {
+					if app.Append(bad) {
+						t.Fatalf("n %d: Append(%d) after %d accepted", n, bad, i)
+					}
+				}
+				if k%7 == 0 || k == len(members)-1 {
+					check(&app, members[:k+1])
+				}
+				bulk.Add(i)
+			}
+			bulk.Index()
+			check(&bulk, members)
+			if len(members) > 0 && !reflect.DeepEqual(app.bits, bulk.bits) {
+				t.Fatalf("n %d: appended and indexed sets differ", n)
+			}
+		}
+	}
+	var zero RankSet
+	if r, ok := zero.Rank(5); r != 0 || ok || zero.Len() != 0 {
+		t.Fatal("the zero RankSet is not empty")
+	}
+	if i, k := zero.Next(0); i != 0 || k != 0 {
+		t.Fatalf("zero RankSet: Next(0) = %d, %d", i, k)
+	}
+}
+
+// TestBitsetNextSetClear checks the word-at-a-time scans against a
+// bit-at-a-time reference, from every start, on sets whose length is
+// and is not a multiple of 64.
+func TestBitsetNextSetClear(t *testing.T) {
+	r := rand.New(rand.NewSource(64))
+	for _, n := range []int{0, 1, 63, 64, 65, 190, 256} {
+		for _, density := range []int{1, 2, 30} {
+			s := NewBitset(n)
+			for i := 0; i < n; i++ {
+				if r.Intn(density) != 0 {
+					s.Set(i)
+				}
+			}
+			ref := func(i int, want bool) int {
+				for ; i < n; i++ {
+					if s.Has(i) == want {
+						return i
+					}
+				}
+				return n
+			}
+			for i := 0; i <= n+1; i++ {
+				if got, want := s.NextSet(i, n), ref(i, true); got != want {
+					t.Fatalf("n %d: NextSet(%d) = %d, want %d", n, i, got, want)
+				}
+				if got, want := s.NextClear(i, n), ref(i, false); got != want {
+					t.Fatalf("n %d: NextClear(%d) = %d, want %d", n, i, got, want)
+				}
+			}
+			c := 0
+			for i := 0; i < n; i++ {
+				if s.Has(i) {
+					c++
+				}
+			}
+			if s.Count() != c {
+				t.Fatalf("n %d: Count = %d, want %d", n, s.Count(), c)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ package zipr
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -103,7 +104,7 @@ func checkAggEqual(t *testing.T, idx int, arb disasm.Arbitration, serial, par di
 	if !reflect.DeepEqual(serial.Fixed, par.Fixed) {
 		t.Fatalf("cb%d arb %d: fixed ranges differ: %v vs %v", idx, arb, serial.Fixed, par.Fixed)
 	}
-	if !bytes.Equal(classBytes(serial.Classes), classBytes(par.Classes)) {
+	if !slices.Equal(serial.Code, par.Code) || !slices.Equal(serial.Ambig, par.Ambig) {
 		t.Fatalf("cb%d arb %d: byte classifications differ", idx, arb)
 	}
 	if !reflect.DeepEqual(serial.Warnings, par.Warnings) {
@@ -113,14 +114,6 @@ func checkAggEqual(t *testing.T, idx int, arb disasm.Arbitration, serial, par di
 		t.Fatalf("cb%d arb %d: demoted/disputed %d/%d serial, %d/%d parallel",
 			idx, arb, serial.Demoted, serial.Disputed, par.Demoted, par.Disputed)
 	}
-}
-
-func classBytes(cs []disasm.Class) []byte {
-	out := make([]byte, len(cs))
-	for i, c := range cs {
-		out[i] = byte(c)
-	}
-	return out
 }
 
 // evalCapture runs one corpus evaluation at the given worker count,

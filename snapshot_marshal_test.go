@@ -166,8 +166,7 @@ func TestSnapshotFormatV4(t *testing.T) {
 	if rep.Snapshot == nil {
 		t.Fatal("zvm32: no snapshot captured")
 	}
-	_, snap64, err := stagedRewrite(mustImageArch(t, synth.GenerateArch(seed, prof, isa.ZVM64), isa.ZVM64),
-		isa.ZVM64, stagedCells()[0])
+	_, snap64, err := rewriteZVM64(mustImageArch(t, synth.GenerateArch(seed, prof, isa.ZVM64), isa.ZVM64), Config{})
 	if err != nil {
 		t.Fatalf("zvm64 capture: %v", err)
 	}
