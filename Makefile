@@ -109,9 +109,10 @@ benchbuild:
 # Fuzz smoke: replay the committed seed corpora, then fuzz each target
 # for a bounded interval — long enough to catch shallow regressions in
 # the allocator's differential contract, the whole-pipeline
-# transcript-equivalence property and the assembler's contract (no
-# panic, a typed error with an in-source line, deterministic output),
-# short enough for CI. Crashers are
+# transcript-equivalence property, the assembler's contract (no
+# panic, a typed error with an in-source line, deterministic output)
+# and the disk tier's open over arbitrary files (no panic, never bytes
+# that differ from their digest), short enough for CI. Crashers are
 # written under testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
 fuzzsmoke:
@@ -121,6 +122,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInferEquivalence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzZVMEquivalence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskTierOpen$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # Per-ISA sweep: the golden matrices, the veneer program's fail-closed
 # contract, and the chaos schedule sweeps for every supported

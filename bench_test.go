@@ -587,11 +587,11 @@ func BenchmarkPlaceLargeSynth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := cfg.Build(bin, agg)
+	prog, err := cfg.BuildOpts(bin, agg, cfg.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := transform.Apply(prog, transform.Null{}); err != nil {
+	if err := transform.ApplyTraced(prog, nil, transform.Null{}); err != nil {
 		b.Fatal(err)
 	}
 	if len(prog.Insts) < 100_000 {

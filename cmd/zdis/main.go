@@ -61,7 +61,7 @@ func run() error {
 		return nil
 	}
 	if *pins {
-		prog, err := cfg.Build(bin, agg)
+		prog, err := cfg.BuildOpts(bin, agg, cfg.Options{})
 		if err != nil {
 			return err
 		}

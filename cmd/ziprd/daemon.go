@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -167,7 +168,12 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 		InputSHA: shortDigest(req.Input),
 	}
 
+	// Requests that name no known transform, arbitration, layout or ISA
+	// are usage errors, refused before they reach the server.
 	tfs, err := serve.ParseTransforms(req.Transforms)
+	if err == nil {
+		err = checkChoices(req)
+	}
 	if err != nil {
 		rec.Outcome, rec.Error, rec.Class = serve.OutcomeError, err.Error(), "usage"
 		d.logRecord(rec)
@@ -175,26 +181,6 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 			d.ring.add(rec)
 		}
 		return response{ID: req.ID, Trace: traceID, Error: err.Error(), Class: "usage"}
-	}
-	switch req.Arbitration {
-	case "", string(zipr.ArbitrationTwoWay), string(zipr.ArbitrationWeighted):
-	default:
-		msg := "unknown arbitration " + strconv.Quote(req.Arbitration)
-		rec.Outcome, rec.Error, rec.Class = serve.OutcomeError, msg, "usage"
-		d.logRecord(rec)
-		if sampled {
-			d.ring.add(rec)
-		}
-		return response{ID: req.ID, Trace: traceID, Error: msg, Class: "usage"}
-	}
-	if _, err := isa.ByName(req.ISA); err != nil {
-		msg := err.Error()
-		rec.Outcome, rec.Error, rec.Class = serve.OutcomeError, msg, "usage"
-		d.logRecord(rec)
-		if sampled {
-			d.ring.add(rec)
-		}
-		return response{ID: req.ID, Trace: traceID, Error: msg, Class: "usage"}
 	}
 	tr := obs.New()
 	cfg := zipr.Config{
@@ -239,6 +225,22 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 		Cached:     meta.Outcome == serve.OutcomeHit || meta.Outcome == serve.OutcomeShared,
 		Delta:      meta.Outcome == serve.OutcomeDelta,
 	}
+}
+
+// checkChoices refuses an unknown arbitration, layout or ISA by name.
+func checkChoices(req request) error {
+	switch zipr.ArbitrationKind(req.Arbitration) {
+	case "", zipr.ArbitrationTwoWay, zipr.ArbitrationWeighted:
+	default:
+		return fmt.Errorf("unknown arbitration %q", req.Arbitration)
+	}
+	switch zipr.LayoutKind(req.Layout) {
+	case "", zipr.LayoutOptimized, zipr.LayoutDiversity, zipr.LayoutProfileGuided:
+	default:
+		return fmt.Errorf("unknown layout %q", req.Layout)
+	}
+	_, err := isa.ByName(req.ISA)
+	return err
 }
 
 // reqRing is a bounded, concurrency-safe ring of recent request

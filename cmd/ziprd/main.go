@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ziprd [-j N | -workers N] [-queue N] [-cache-bytes N] [-snapshot-bytes N]
-//	      [-delta] [-disk-cache DIR] [-disk-bytes N] [-deadline D]
+//	      [-disk-cache DIR] [-disk-bytes N] [-deadline D]
 //	      [-chaos-seed N] [-listen ADDR] [-stats] [-access-log FILE]
 //	      [-trace-sample N]
 //	ziprd -listen ADDR -gateway WORKER,WORKER,... [-rate R] [-chaos-seed N]
@@ -23,9 +23,9 @@
 // -disk-cache DIR adds a disk-backed second cache tier behind the
 // in-memory LRU: rewritten outputs and placement snapshots spill to a
 // content-addressed store (crash-safe temp+rename writes, -disk-bytes
-// budget with LRU eviction, digest verification on read) so a
-// restarted daemon answers previously-seen inputs without a pipeline
-// run.
+// budget with LRU eviction, a digest trailer on every object verified
+// on read) so a restarted daemon answers previously-seen inputs
+// without a pipeline run.
 //
 // With -listen, ziprd serves HTTP:
 //
@@ -33,7 +33,7 @@
 //	    request body: the ZELF input image; response body: the
 //	    rewritten image. X-Zipr-Cache reports hit, miss, or delta
 //	    (answered by patching a placement-snapshot ancestor of an
-//	    edited input — see -delta). Saturation
+//	    edited input; -snapshot-bytes -1 turns this off). Saturation
 //	    rejects with 503, malformed inputs with 400. A caller-supplied
 //	    X-Zipr-Trace ID (1-64 chars of [A-Za-z0-9._-]) is echoed back
 //	    and stamped on the access log; absent or invalid IDs are
@@ -92,7 +92,6 @@ func run() error {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = default)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "rewrite cache byte budget (0 = default 64 MiB, negative disables)")
 	snapBytes := flag.Int64("snapshot-bytes", 0, "placement-snapshot byte budget for delta rewriting (0 = default 32 MiB, negative disables)")
-	delta := flag.Bool("delta", true, "answer edited inputs by delta-patching placement-snapshot ancestors")
 	diskCache := flag.String("disk-cache", "", "directory for the disk-backed second cache tier (empty: RAM only)")
 	diskBytes := flag.Int64("disk-bytes", 0, "disk-tier byte budget (0 = default 256 MiB)")
 	gateway := flag.String("gateway", "", "run as a fleet gateway over these comma-separated worker addresses")
@@ -129,9 +128,6 @@ func run() error {
 		CacheBytes:    *cacheBytes,
 		SnapshotBytes: *snapBytes,
 		Registry:      reg,
-	}
-	if !*delta {
-		opts.SnapshotBytes = -1
 	}
 	if *chaosSeed != 0 {
 		opts.Chaos = zipr.NewFaultInjector(*chaosSeed)

@@ -208,6 +208,21 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown arbitration: %d, want 400", resp.StatusCode)
 	}
+	// An unknown layout is a usage error too, refused before it takes a
+	// worker slot.
+	runs := d.s.Stats().PipelineRuns
+	resp, err = http.Post(ts.URL+"/rewrite?layout=bogus", "application/octet-stream", bytes.NewReader(buildImage(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown layout "bogus"`) {
+		t.Fatalf("unknown layout: %d %q, want 400 naming the layout", resp.StatusCode, body)
+	}
+	if got := d.s.Stats().PipelineRuns; got != runs {
+		t.Fatalf("unknown layout ran the pipeline (%d runs, was %d)", got, runs)
+	}
 	resp, err = http.Get(ts.URL + "/rewrite")
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestAtMatchesInstsCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := Build(bin, agg)
+			p, err := BuildOpts(bin, agg, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

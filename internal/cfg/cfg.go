@@ -37,12 +37,6 @@ import (
 	"zipr/internal/zerr"
 )
 
-// Build lifts the aggregated disassembly of bin into a logical IR
-// program with pinned addresses.
-func Build(bin *binfmt.Binary, agg disasm.Aggregated) (*ir.Program, error) {
-	return BuildOpts(bin, agg, Options{})
-}
-
 // Options configures IR construction.
 type Options struct {
 	// Trace receives per-stage spans and pin-provenance counters; nil

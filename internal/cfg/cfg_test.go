@@ -31,7 +31,7 @@ func build(t *testing.T, src string) *ir.Program {
 	if err != nil {
 		t.Fatalf("disassemble: %v", err)
 	}
-	p, err := Build(bin, agg)
+	p, err := BuildOpts(bin, agg, Options{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestLoadPCFromCodeForcesFixedRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(bin, agg)
+	p, err := BuildOpts(bin, agg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestAmbiguousRegionBranchTargetsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(bin, agg)
+	p, err := BuildOpts(bin, agg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestEntryNotDecodedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(bin, agg); err == nil {
+	if _, err := BuildOpts(bin, agg, Options{}); err == nil {
 		t.Fatal("expected error for undecodable entry")
 	}
 }

@@ -28,11 +28,11 @@ func TestReassembleAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cfg.Build(bin, agg)
+	p, err := cfg.BuildOpts(bin, agg, cfg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := transform.Apply(p, transform.Null{}); err != nil {
+	if err := transform.ApplyTraced(p, nil, transform.Null{}); err != nil {
 		t.Fatal(err)
 	}
 	var res *Result

@@ -18,13 +18,12 @@ import (
 //
 //	counter  -> TYPE counter, one sample per series
 //	gauge    -> TYPE gauge, one sample per series
-//	histogram-> TYPE histogram: cumulative _bucket{le="..."} samples on
-//	            the pow2 bucket upper bounds (le="0", "1", "3", "7",
-//	            ..., "+Inf"), plus _sum and _count
 //	window   -> the lifetime totals render as a TYPE histogram (proper
-//	            cumulative semantics for rate()-style queries), and the
-//	            rolling-window quantiles render as three extra gauge
-//	            families suffixed _p50/_p95/_p99
+//	            cumulative semantics for rate()-style queries):
+//	            cumulative _bucket{le="..."} samples on the pow2 bucket
+//	            upper bounds (le="0", "1", "3", "7", ..., "+Inf"), plus
+//	            _sum and _count; the rolling-window quantiles render as
+//	            three extra gauge families suffixed _p50/_p95/_p99
 //
 // PromContentType is the Content-Type to serve the rendering under.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -147,15 +146,6 @@ func (f *family) writeProm(w *bufio.Writer, now time.Time) error {
 				v = fv
 			}
 			fmt.Fprintf(w, "%s%s %d\n", name, promLabels(f.labels, s.labels, "", ""), v)
-		}
-	case kindHist:
-		writeHeader(w, name, f.help, "histogram")
-		for _, key := range f.order {
-			s := f.series[key]
-			s.mu.Lock()
-			h := s.hist
-			s.mu.Unlock()
-			writePromHist(w, name, f.labels, s.labels, &h)
 		}
 	case kindWindow:
 		writeHeader(w, name, f.help, "histogram")

@@ -267,7 +267,7 @@ func TestPromExpositionSelfCheck(t *testing.T) {
 	r.Gauge("serve.queue.depth", "requests waiting").With().Set(2)
 	r.CounterFunc("serve.pipeline.runs", "pipeline executions", func() int64 { return 9 })
 	r.GaugeFunc("serve.cache.bytes", "cached output bytes", func() int64 { return 4096 })
-	h := r.Histogram("serve.input.bytes", "input sizes", "kind")
+	h := r.Window("serve.input.bytes", "input sizes", time.Minute, "kind")
 	for _, v := range []int64{0, 1, 2, 7, 8, 4096} {
 		h.With("zelf").Observe(v)
 	}

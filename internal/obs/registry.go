@@ -52,13 +52,12 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family), now: time.Now}
 }
 
-// familyKind discriminates the four metric shapes.
+// familyKind discriminates the three metric shapes.
 type familyKind uint8
 
 const (
 	kindCounter familyKind = iota
 	kindGauge
-	kindHist
 	kindWindow
 )
 
@@ -68,8 +67,6 @@ func (k familyKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHist:
-		return "histogram"
 	default:
 		return "window"
 	}
@@ -92,15 +89,14 @@ type family struct {
 	dropped int64
 }
 
-// series is one labeled member of a family. One struct backs all four
+// series is one labeled member of a family. One struct backs all three
 // kinds; the typed handles expose only the meaningful operations.
 type series struct {
 	labels []string
 
-	mu   sync.Mutex
-	val  int64   // counter, gauge
-	hist Hist    // histogram
-	win  winHist // window
+	mu  sync.Mutex
+	val int64   // counter, gauge
+	win winHist // window
 }
 
 // register returns the family for name, creating it on first use. A
@@ -309,54 +305,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.register(name, help, kindGauge, 0, nil, fn).with(nil)
 }
 
-// HistogramVec is a family of cumulative power-of-two-bucket
-// histograms (the same bucket rule as Hist.Observe).
-type HistogramVec struct{ f *family }
-
-// Histogram registers (or returns) the histogram family called name.
-func (r *Registry) Histogram(name, help string, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.register(name, help, kindHist, 0, labels, nil)}
-}
-
-// With resolves the series for the given label values. Nil-safe.
-func (v *HistogramVec) With(values ...string) *HistSeries {
-	if v == nil {
-		return nil
-	}
-	s := v.f.with(values)
-	if s == nil {
-		return nil
-	}
-	return &HistSeries{s: s}
-}
-
-// HistSeries is one labeled histogram series.
-type HistSeries struct{ s *series }
-
-// Observe adds one value (see Hist.Observe for the bucket-edge rule).
-// Nil-safe.
-func (h *HistSeries) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.s.mu.Lock()
-	h.s.hist.Observe(v)
-	h.s.mu.Unlock()
-}
-
-// Quantile estimates the q-quantile over all observations. Nil-safe.
-func (h *HistSeries) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.hist.Quantile(q)
-}
-
 // WindowVec is a family of time-windowed rolling histograms: lifetime
 // totals for exposition plus p50/p95/p99 over the last window.
 type WindowVec struct{ f *family }
@@ -440,9 +388,8 @@ type FamilySnap struct {
 }
 
 // SeriesSnap is one series' snapshot. Value is set for counters and
-// gauges; Count/Sum plus the quantile estimates for histograms (over
-// all observations) and windows (quantiles over the rolling window,
-// Count/Sum lifetime).
+// gauges; Count/Sum (lifetime) plus the quantile estimates (over the
+// rolling window) for windows.
 type SeriesSnap struct {
 	Labels []string `json:"labels,omitempty"`
 	Value  int64    `json:"value,omitempty"`
@@ -496,11 +443,6 @@ func (f *family) snapshot(now time.Time) FamilySnap {
 			if f.fn != nil {
 				ss.Value = fv
 			}
-		case kindHist:
-			ss.Count, ss.Sum = s.hist.Count, s.hist.Sum
-			ss.P50 = s.hist.Quantile(0.50)
-			ss.P95 = s.hist.Quantile(0.95)
-			ss.P99 = s.hist.Quantile(0.99)
 		case kindWindow:
 			ss.Count, ss.Sum = s.win.life.Count, s.win.life.Sum
 			merged := s.win.merged(now)

@@ -33,12 +33,12 @@ func TestRegistryFamiliesAndSeries(t *testing.T) {
 		t.Fatalf("gauge = %d, want 4", g.Value())
 	}
 
-	h := r.Histogram("serve.input.bytes", "input sizes", "kind").With("zelf")
+	h := r.Window("serve.input.bytes", "input sizes", time.Minute, "kind").With("zelf")
 	for _, v := range []int64{1, 2, 4, 8, 1024} {
 		h.Observe(v)
 	}
 	if q := h.Quantile(0.5); q < 2 || q > 4 {
-		t.Fatalf("hist p50 = %d, want in [2,4]", q)
+		t.Fatalf("window p50 = %d, want in [2,4]", q)
 	}
 
 	snap := r.Snapshot()
@@ -56,7 +56,7 @@ func TestRegistryFamiliesAndSeries(t *testing.T) {
 		t.Fatalf("hit series snap = %+v", snap[0].Series[0])
 	}
 	if snap[2].Series[0].Count != 5 || snap[2].Series[0].Sum != 1039 {
-		t.Fatalf("hist series snap = %+v", snap[2].Series[0])
+		t.Fatalf("window series snap = %+v", snap[2].Series[0])
 	}
 }
 
@@ -141,18 +141,15 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 	var r *Registry
 	cv := r.Counter("x.y", "", "outcome")
 	gv := r.Gauge("x.z", "")
-	hv := r.Histogram("x.h", "", "k")
 	wv := r.Window("x.w", "", time.Minute, "k")
 	r.CounterFunc("x.f", "", func() int64 { return 1 })
 	r.GaugeFunc("x.g", "", func() int64 { return 1 })
 	c := cv.With("hit")
 	g := gv.With()
-	h := hv.With("a")
 	w := wv.With("a")
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(1)
 		g.Set(2)
-		h.Observe(3)
 		w.Observe(4)
 		cv.With("miss").Add(1)
 		if r.Snapshot() != nil {

@@ -139,12 +139,13 @@ func (st *snapStore) unindex(n *snapNode) {
 // tier's per-ancestor slot when the in-memory store has none (a
 // restarted daemon keeps its ancestry this way). A spill still pending
 // answers with its snapshot itself; an unparseable blob, or a snapshot
-// without a fingerprint, is deleted.
-func (s *Server) loadSnapshots(anc ancKey) []*snapNode {
+// without a fingerprint, is deleted. layout names the request's placer,
+// which made the snapshot too: the fingerprint in the slot key pins it.
+func (s *Server) loadSnapshots(anc ancKey, layout string) []*snapNode {
 	if s.disk == nil {
 		return nil
 	}
-	snap, layout, ok := s.disk.getSnap(anc.slotKey(), s.inj)
+	snap, ok := s.disk.getSnap(anc.slotKey(), s.inj)
 	if !ok {
 		return nil
 	}
@@ -178,7 +179,7 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	s.mu.Unlock()
 	// The disk tier's writer serializes the snapshot; the stored one is
 	// immutable, so the spill shares it.
-	s.disk.putSnapAsync(anc.slotKey(), snap, rep.Layout)
+	s.disk.putSnapAsync(anc.slotKey(), snap)
 }
 
 // tryDelta attempts to answer the request from a delta ancestor; inSum
@@ -188,13 +189,14 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 // candidate failure is contained: a stale snapshot is dropped (memory
 // and disk tier), an inapplicable edit just moves to the next
 // candidate, and the two-outcome contract holds because a successful
-// Apply is byte-identical to the pipeline by construction.
-func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []byte) (ns *core.Snapshot, rep *zipr.Report, ok bool) {
+// Apply is byte-identical to the pipeline by construction. layout is
+// the request's layout name (see layoutName).
+func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []byte, layout string) (ns *core.Snapshot, rep *zipr.Report, ok bool) {
 	s.mu.Lock()
 	cands := s.snaps.candidates(anc)
 	s.mu.Unlock()
 	if len(cands) == 0 {
-		cands = s.loadSnapshots(anc)
+		cands = s.loadSnapshots(anc, layout)
 	}
 	for _, e := range cands {
 		if e.key == key {

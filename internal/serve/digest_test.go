@@ -33,7 +33,7 @@ func dropRAM(t *testing.T, s *Server, in []byte, cfg zipr.Config) {
 
 // checkCarriedDigests recomputes every digest s holds: each RAM entry's
 // sum against its bytes, each stored snapshot with Verify, and each
-// disk index sum against its object file. It also requires that no
+// disk object's trailer against its payload. It also requires that no
 // integrity check fired, and that each store holds something.
 func checkCarriedDigests(t *testing.T, s *Server) {
 	t.Helper()
@@ -53,9 +53,13 @@ func checkCarriedDigests(t *testing.T, s *Server) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.idx.each(func(n *diskNode) {
-		data, err := os.ReadFile(d.objectPath(n.key))
-		if err != nil || sha256.Sum256(data) != n.val.sum {
-			t.Errorf("disk %s entry %s: index sum is not the digest of its object (err %v)", n.val.kind, n.key, err)
+		raw, err := os.ReadFile(d.objectPath(n.key))
+		if err != nil || int64(len(raw)) != n.size+trailerSize {
+			t.Errorf("disk entry %s: object of %d bytes, want %d payload bytes and the trailer (err %v)", n.key, len(raw), n.size, err)
+			return
+		}
+		if payload := raw[:n.size]; sha256.Sum256(payload) != [sha256.Size]byte(raw[n.size:]) {
+			t.Errorf("disk entry %s: trailer is not the digest of its payload", n.key)
 		}
 	})
 	if s.cache.len() == 0 || s.snaps.lru.len() == 0 || d.idx.len() == 0 {

@@ -7,10 +7,13 @@ package serve
 //
 // Layout under the tier directory:
 //
-//	objects/<hh>/<keyhex>   one file per entry, written tmp+rename
+//	objects/<hh>/<keyhex>   one file per entry: the payload, then a
+//	                        32-byte trailer holding its SHA-256
 //	tmp/                    in-flight writes (leftovers = crash debris)
 //	quarantine/<keyhex>     entries that failed the digest check on read
-//	journal                 append-only JSONL index (put/del records)
+//
+// Each object describes itself, so the directory is the index: there is
+// no journal to keep in step with it.
 //
 // Invariants:
 //
@@ -23,7 +26,7 @@ package serve
 //     the ownership rule). The writer serializes a snapshot itself,
 //     streaming it into the tmp file and hashing it in the same pass, so
 //     the request path never marshals one; an output image is written
-//     as it is and indexed under its carried digest.
+//     as it is, and its carried digest becomes its trailer.
 //   - Reads see queued writes. A spill is indexed only once its object
 //     is synced and renamed into place; until then a read of its key is
 //     answered from the pending job's image or snapshot itself (counted
@@ -35,45 +38,46 @@ package serve
 //     a burst of snapshot spills to one ancestor slot costs one write,
 //     of the newest snapshot; the ones replaced are never serialized.
 //     Deleting a snapshot slot discards its pending job too.
-//   - Every read is digest-verified against the SHA-256 recorded at
-//     write time. A mismatch quarantines the file and drops the index
-//     entry: the tier degrades to a miss, it never serves wrong bytes.
-//   - Writes are crash-safe: content goes to tmp/, is synced, then
-//     renamed into objects/ before the journal line is appended. On
-//     reopen, tmp debris is discarded, a torn journal tail is dropped,
-//     journal entries whose object file is missing or mis-sized are
-//     dropped, and orphaned object files (renamed but never journaled)
-//     are removed — each counted as recovered.
-//   - A byte budget is enforced by LRU eviction over the journal-order
-//     recency list (reads refresh recency in memory only; recency
-//     resets to insertion order across a restart).
+//   - Every read verifies the payload against its trailer. A short file
+//     or a mismatch quarantines the file and drops the index entry: the
+//     tier degrades to a miss, it never serves wrong bytes.
+//   - Writes are crash-safe: payload and trailer go to tmp/, are
+//     synced, then renamed into objects/, so an object is in the store
+//     exactly when its file is. On reopen, tmp debris, names that are
+//     not keys and files too short to hold a trailer are removed, each
+//     counted as recovered; the rest are indexed from their directory
+//     entries alone and verified when read.
+//   - A directory in the older journaled format (a journal file beside
+//     trailer-less objects) is purged at open: each object is removed
+//     and counted as recovered, then the journal.
+//   - A byte budget over payload bytes is enforced by LRU eviction.
+//     Reads refresh recency in memory only; across a restart recency is
+//     write order, read back from the modification times the writer
+//     stamps, oldest first, ties broken by name.
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"zipr/internal/core"
 	"zipr/internal/fault"
 )
 
-// diskKind discriminates what a disk entry holds.
-const (
-	diskKindOut  = "out"  // a rewrite output image
-	diskKindSnap = "snap" // a placement snapshot, marshaled by the writer
-)
-
 // diskQueueDepth bounds the write-behind queue; spills beyond it are
 // dropped (and counted) so the request path never blocks on disk.
 const diskQueueDepth = 256
+
+// trailerSize is the length of an object's trailer, the SHA-256 of the
+// payload before it.
+const trailerSize = sha256.Size
 
 // DiskStats is a point-in-time snapshot of the tier's behavior,
 // surfaced through serve.Stats and ziprd's /stats.
@@ -84,30 +88,14 @@ type DiskStats struct {
 	Corrupt      int64 // reads that failed the digest check (quarantined)
 	Evicted      int64 // entries dropped for the byte budget
 	WriteDropped int64 // spills dropped on a full write-behind queue
-	Recovered    int64 // partial/orphaned artifacts discarded at open
+	Recovered    int64 // debris and non-objects removed at open
 	Entries      int   // current index entries (outputs + snapshots)
-	Bytes        int64 // current stored bytes
+	Bytes        int64 // current stored payload bytes
 }
 
-// diskEntry is one indexed object; the index is an lru[diskEntry] over
-// object bytes, whose nodes carry the key and size.
-type diskEntry struct {
-	kind   string
-	sum    [sha256.Size]byte
-	layout string
-}
-
-type diskNode = lruNode[diskEntry]
-
-// diskRecord is the journal line shape.
-type diskRecord struct {
-	Op     string `json:"op"` // "put" or "del"
-	Kind   string `json:"kind,omitempty"`
-	Key    string `json:"key"`
-	Size   int64  `json:"size,omitempty"`
-	Sum    string `json:"sum,omitempty"`
-	Layout string `json:"layout,omitempty"`
-}
+// diskNode is one indexed object; the index is an lru over payload
+// bytes whose nodes carry only the key and the payload size.
+type diskNode = lruNode[struct{}]
 
 // diskJob is one queued write-behind spill: an output image (data,
 // with its SHA-256 in sum) or a placement snapshot (snap) the writer
@@ -115,15 +103,13 @@ type diskRecord struct {
 // copied. While the job is pending — from the spill until the writer has
 // indexed or abandoned it — reads of its key are answered from data or
 // snap; until the writer takes it, a later spill to the same key
-// replaces kind, data, sum, snap and layout. After taken is set those
-// fields no longer change, so the writer reads them unlocked.
+// replaces data, sum and snap. After taken is set those fields no
+// longer change, so the writer reads them unlocked.
 type diskJob struct {
-	key    Key
-	kind   string
-	data   []byte
-	sum    [sha256.Size]byte
-	snap   *core.Snapshot
-	layout string
+	key  Key
+	data []byte
+	sum  [sha256.Size]byte
+	snap *core.Snapshot
 
 	taken   bool // the writer has started on it (guarded by DiskTier.mu)
 	dropped bool // delSnap discarded it (guarded by DiskTier.mu)
@@ -136,22 +122,21 @@ type DiskTier struct {
 	dir string
 
 	mu      sync.Mutex
-	idx     *lru[diskEntry]
-	journal *os.File
-	ops     int64 // journal lines written since open/compaction
+	idx     *lru[struct{}]
 	stats   DiskStats
 	closed  bool
 	pending map[Key]*diskJob // spills queued or being written, by key
 
-	wq chan *diskJob
-	wg sync.WaitGroup
-	bw *bufio.Writer // the writer goroutine's snapshot stream buffer
+	wq    chan *diskJob
+	wg    sync.WaitGroup
+	bw    *bufio.Writer // the writer goroutine's snapshot stream buffer
+	stamp time.Time     // the writer goroutine's last object mtime
 }
 
 // OpenDiskTier opens (creating or recovering) the disk tier rooted at
 // dir with the given byte budget. Recovery drops crash debris — tmp
-// files, a torn journal tail, index entries without a matching object,
-// orphaned objects — and reports the count via Stats().Recovered.
+// files, names that are not keys, objects too short to carry a digest —
+// and reports the count via Stats().Recovered.
 func OpenDiskTier(dir string, budget int64) (*DiskTier, error) {
 	t, err := openDiskTier(dir, budget)
 	if err != nil {
@@ -169,7 +154,7 @@ func openDiskTier(dir string, budget int64) (*DiskTier, error) {
 	}
 	t := &DiskTier{
 		dir:     dir,
-		idx:     newLRU[diskEntry](budget),
+		idx:     newLRU[struct{}](budget),
 		pending: make(map[Key]*diskJob),
 		wq:      make(chan *diskJob, diskQueueDepth),
 	}
@@ -178,14 +163,7 @@ func openDiskTier(dir string, budget int64) (*DiskTier, error) {
 			return nil, fmt.Errorf("disk tier: %w", err)
 		}
 	}
-	if err := t.recover(); err != nil {
-		return nil, err
-	}
-	jf, err := os.OpenFile(t.journalPath(), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("disk tier: journal: %w", err)
-	}
-	t.journal = jf
+	t.recover()
 	return t, nil
 }
 
@@ -195,158 +173,91 @@ func (t *DiskTier) startWriter() {
 	go t.writer()
 }
 
-func (t *DiskTier) journalPath() string { return filepath.Join(t.dir, "journal") }
-
 func (t *DiskTier) objectPath(key Key) string {
 	h := key.String()
 	return filepath.Join(t.dir, "objects", h[:2], h)
 }
 
-// recover rebuilds the index from the journal, discarding every
-// artifact a crash could have left half-written.
-func (t *DiskTier) recover() error {
-	// Crash debris: writes that never reached their rename.
-	if tmps, err := os.ReadDir(filepath.Join(t.dir, "tmp")); err == nil {
-		for _, de := range tmps {
-			os.Remove(filepath.Join(t.dir, "tmp", de.Name()))
+// objectKey returns the key whose object path is objects/<sub>/<name>,
+// or false when no key's is.
+func objectKey(sub, name string) (Key, bool) {
+	var key Key
+	b, err := hex.DecodeString(name)
+	if err != nil || len(b) != len(key) {
+		return key, false
+	}
+	copy(key[:], b)
+	h := key.String()
+	return key, h == name && h[:2] == sub
+}
+
+// recover indexes the objects on disk, oldest first by modification
+// time, and removes what cannot be an object: tmp debris, entries whose
+// path is not a key's, and files too short to hold a trailer. Objects
+// are not read here; a read verifies each one. A directory in the
+// journaled format has no trailers, so all its objects are removed, and
+// its journal last, so a crash mid-purge leaves a directory that is
+// purged again.
+func (t *DiskTier) recover() {
+	tmp := filepath.Join(t.dir, "tmp")
+	if des, err := os.ReadDir(tmp); err == nil {
+		for _, de := range des {
+			os.RemoveAll(filepath.Join(tmp, de.Name()))
 			t.stats.Recovered++
 		}
 	}
-	type rec struct {
-		r   diskRecord
-		seq int
+	journal := filepath.Join(t.dir, "journal")
+	_, err := os.Lstat(journal)
+	legacy := err == nil
+	type object struct {
+		key   Key
+		size  int64
+		mtime time.Time
 	}
-	live := make(map[string]rec)
-	seq := 0
-	if raw, err := os.ReadFile(t.journalPath()); err == nil {
-		lines := 0
-		for len(raw) > 0 {
-			var line []byte
-			line, raw, _ = bytes.Cut(raw, []byte{'\n'})
-			if len(line) == 0 {
+	var objs []object
+	root := filepath.Join(t.dir, "objects")
+	subs, _ := os.ReadDir(root)
+	for _, sd := range subs {
+		sub := filepath.Join(root, sd.Name())
+		if !sd.IsDir() {
+			os.RemoveAll(sub)
+			t.stats.Recovered++
+			continue
+		}
+		des, _ := os.ReadDir(sub)
+		for _, de := range des {
+			key, ok := objectKey(sd.Name(), de.Name())
+			fi, err := de.Info()
+			if ok && !legacy && err == nil && fi.Mode().IsRegular() && fi.Size() >= trailerSize {
+				objs = append(objs, object{key, fi.Size() - trailerSize, fi.ModTime()})
 				continue
 			}
-			var r diskRecord
-			if err := json.Unmarshal(line, &r); err != nil || r.Key == "" {
-				// A torn tail (partial last line from a crash mid-append)
-				// ends the replay; everything after it is untrusted.
-				t.stats.Recovered++
-				break
-			}
-			lines++
-			switch r.Op {
-			case "put":
-				seq++
-				live[r.Key] = rec{r: r, seq: seq}
-			case "del":
-				delete(live, r.Key)
-			}
-		}
-		t.ops = int64(lines)
-	}
-	// Verify every surviving record against its object file, oldest
-	// first so the LRU list ends up in journal (recency) order.
-	ordered := make([]rec, 0, len(live))
-	for _, r := range live {
-		ordered = append(ordered, r)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	indexed := make(map[string]bool, len(ordered))
-	for _, rc := range ordered {
-		r := rc.r
-		var key Key
-		kb, err := hex.DecodeString(r.Key)
-		if err != nil || len(kb) != len(key) {
+			os.RemoveAll(filepath.Join(sub, de.Name()))
 			t.stats.Recovered++
-			continue
 		}
-		copy(key[:], kb)
-		fi, err := os.Stat(t.objectPath(key))
-		if err != nil || fi.Size() != r.Size {
-			// The journal promised an object the filesystem does not
-			// hold (crash between journal append and a later truncation,
-			// or manual damage): drop the entry.
-			t.stats.Recovered++
-			continue
+	}
+	if legacy {
+		os.RemoveAll(journal)
+	}
+	sort.Slice(objs, func(i, j int) bool {
+		if !objs[i].mtime.Equal(objs[j].mtime) {
+			return objs[i].mtime.Before(objs[j].mtime)
 		}
-		e := diskEntry{kind: r.Kind, layout: r.Layout}
-		if sb, err := hex.DecodeString(r.Sum); err == nil && len(sb) == len(e.sum) {
-			copy(e.sum[:], sb)
-		}
-		if t.idx.put(key, e, r.Size) == nil {
+		return string(objs[i].key[:]) < string(objs[j].key[:])
+	})
+	for _, o := range objs {
+		if t.idx.put(o.key, struct{}{}, o.size) == nil {
 			// Larger than the whole budget: evicted, as the final pass
 			// would have.
 			t.stats.Evicted++
-			os.Remove(t.objectPath(key))
-		}
-		indexed[r.Key] = true
-	}
-	// Orphans: object files renamed into place whose journal line was
-	// lost. Without a recorded digest they are unverifiable — remove.
-	if subdirs, err := os.ReadDir(filepath.Join(t.dir, "objects")); err == nil {
-		for _, sd := range subdirs {
-			if !sd.IsDir() {
-				continue
-			}
-			files, err := os.ReadDir(filepath.Join(t.dir, "objects", sd.Name()))
-			if err != nil {
-				continue
-			}
-			for _, f := range files {
-				if !indexed[f.Name()] {
-					os.Remove(filepath.Join(t.dir, "objects", sd.Name(), f.Name()))
-					t.stats.Recovered++
-				}
-			}
+			os.Remove(t.objectPath(o.key))
 		}
 	}
 	t.evictLocked(nil)
-	// Compact a journal that has grown far past the live set (or whose
-	// deletions could not be journaled because recovery eviction runs
-	// before the journal reopens), so reopen cost tracks occupancy
-	// rather than history.
-	if t.ops > 2*int64(t.idx.len())+16 || t.stats.Evicted > 0 {
-		t.compact()
-	}
-	return nil
 }
 
-// compact rewrites the journal to one put line per live entry
-// (tmp+rename, so a crash mid-compaction keeps the old journal).
-func (t *DiskTier) compact() {
-	tmp := filepath.Join(t.dir, "tmp", "journal.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return
-	}
-	enc := json.NewEncoder(f)
-	n := int64(0)
-	t.idx.each(func(e *diskNode) {
-		enc.Encode(putRecord(e))
-		n++
-	})
-	if f.Sync() != nil || f.Close() != nil {
-		os.Remove(tmp)
-		return
-	}
-	if os.Rename(tmp, t.journalPath()) == nil {
-		t.ops = n
-	}
-}
-
-func putRecord(e *diskNode) diskRecord {
-	return diskRecord{
-		Op:     "put",
-		Kind:   e.val.kind,
-		Key:    e.key.String(),
-		Size:   e.size,
-		Sum:    hex.EncodeToString(e.val.sum[:]),
-		Layout: e.val.layout,
-	}
-}
-
-// Close drains the write-behind queue and closes the journal.
-// Idempotent; concurrent spills after Close are dropped.
+// Close drains the write-behind queue. Idempotent; concurrent spills
+// after Close are dropped.
 func (t *DiskTier) Close() {
 	if t == nil {
 		return
@@ -360,9 +271,6 @@ func (t *DiskTier) Close() {
 	t.mu.Unlock()
 	close(t.wq)
 	t.wg.Wait()
-	t.mu.Lock()
-	t.journal.Close()
-	t.mu.Unlock()
 }
 
 // Stats returns a snapshot of the tier's counters and occupancy.
@@ -382,11 +290,11 @@ func (t *DiskTier) Stats() DiskStats {
 // putAsync spills an output image whose SHA-256 is sum. The tier keeps
 // data itself, not a copy: the caller must never modify it again.
 // Nil-safe.
-func (t *DiskTier) putAsync(key Key, data []byte, sum [sha256.Size]byte, layout string) {
+func (t *DiskTier) putAsync(key Key, data []byte, sum [sha256.Size]byte) {
 	if t == nil {
 		return
 	}
-	t.spill(&diskJob{key: key, kind: diskKindOut, data: data, sum: sum, layout: layout})
+	t.spill(&diskJob{key: key, data: data, sum: sum})
 }
 
 // spill enqueues next on the write-behind queue, or folds it into its
@@ -400,7 +308,7 @@ func (t *DiskTier) spill(next *diskJob) {
 		return
 	}
 	if job := t.pending[next.key]; job != nil && !job.taken {
-		job.kind, job.data, job.sum, job.snap, job.layout = next.kind, next.data, next.sum, next.snap, next.layout
+		job.data, job.sum, job.snap = next.data, next.sum, next.snap
 		return
 	}
 	// Holding t.mu across the send is safe: the writer never takes t.mu
@@ -422,35 +330,33 @@ func (t *DiskTier) writer() {
 		job.taken = true
 		dropped := job.dropped
 		t.mu.Unlock()
-		var e *diskEntry
-		var size int64
+		size := int64(-1)
 		if !dropped {
-			e, size = t.store(job)
+			size = t.store(job)
 		}
-		t.commit(job, e, size)
+		t.commit(job, size)
 	}
 }
 
-// store writes a taken job's object: content to tmp, sync, rename. A
-// snapshot is serialized here, streamed through t.bw and hashed in the
-// same pass; an output image is indexed under the digest its job
-// carries. It returns the entry to index and the object's size, or nil
-// when the object is not in place.
-func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
+// store writes a taken job's object: payload and trailer to tmp, the
+// write time as its mtime, sync, rename. A snapshot is serialized here,
+// streamed through t.bw and hashed in the same pass; an output image's
+// trailer is the digest its job carries. It returns the payload size,
+// or -1 when the object is not in place.
+func (t *DiskTier) store(job *diskJob) int64 {
 	size := int64(len(job.data))
 	if job.snap != nil {
 		size = int64(job.snap.MarshalSize())
 	}
 	if size > t.idx.budget {
-		return nil, 0
+		return -1
 	}
-	h := job.key.String()
-	tmp := filepath.Join(t.dir, "tmp", h+".tmp")
+	tmp := filepath.Join(t.dir, "tmp", job.key.String()+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, 0
+		return -1
 	}
-	e := &diskEntry{kind: job.kind, sum: job.sum, layout: job.layout}
+	sum := job.sum
 	if job.snap != nil {
 		h := sha256.New()
 		w := io.MultiWriter(f, h)
@@ -461,51 +367,62 @@ func (t *DiskTier) store(job *diskJob) (*diskEntry, int64) {
 		}
 		err = job.snap.Stream(t.bw)
 		t.bw.Reset(nil) // keep no reference to the file
-		h.Sum(e.sum[:0])
+		h.Sum(sum[:0])
 	} else {
 		_, err = f.Write(job.data)
 	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, 0
+	if err == nil {
+		_, err = f.Write(sum[:])
 	}
-	if f.Sync() != nil || f.Close() != nil {
-		os.Remove(tmp)
-		return nil, 0
+	if err == nil {
+		// Each object's mtime is strictly later than the last one's, so
+		// a reopen's oldest-first order is write order even where the
+		// filesystem clock is coarser than the writes.
+		now := time.Now()
+		if !now.After(t.stamp) {
+			now = t.stamp.Add(time.Microsecond)
+		}
+		t.stamp = now
+		err = os.Chtimes(tmp, now, now)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	dst := t.objectPath(job.key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		os.Remove(tmp)
-		return nil, 0
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(dst), 0o755)
 	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return nil, 0
+	if err == nil {
+		err = os.Rename(tmp, dst)
 	}
-	return e, size
+	if err != nil {
+		os.Remove(tmp)
+		return -1
+	}
+	return size
 }
 
 // commit retires a finished job from pending and indexes its stored
-// object (e of the given size, nil when nothing was stored): journal,
-// then eviction. A job delSnap discarded while it was being written
-// leaves no entry and no object behind.
-func (t *DiskTier) commit(job *diskJob, e *diskEntry, size int64) {
+// object (of the given payload size, -1 when nothing was stored), then
+// evicts. A job delSnap discarded while it was being written leaves no
+// entry and no object behind.
+func (t *DiskTier) commit(job *diskJob, size int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pending[job.key] == job {
 		delete(t.pending, job.key)
 	}
-	if e == nil {
+	if size < 0 {
 		return
 	}
 	if job.dropped {
 		os.Remove(t.objectPath(job.key))
 		return
 	}
-	n := t.idx.put(job.key, *e, size)
-	t.appendJournalLocked(putRecord(n))
-	t.evictLocked(n)
+	t.evictLocked(t.idx.put(job.key, struct{}{}, size))
 }
 
 // get returns the bytes of the output image spilled under key with
@@ -513,12 +430,12 @@ func (t *DiskTier) commit(job *diskJob, e *diskEntry, size int64) {
 // server's immutable image itself, not a copy, and sum the digest the
 // spill carries; bytes read from disk are fresh, and sum the digest they
 // were just verified against. Nil-safe.
-func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, layout string, ok bool) {
+func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, ok bool) {
 	if t == nil {
-		return nil, sum, "", false
+		return nil, sum, false
 	}
-	data, sum, _, layout, ok = t.fetch(key, inj)
-	return data, sum, layout, ok
+	data, sum, _, ok = t.fetch(key, inj)
+	return data, sum, ok
 }
 
 // getSnap / putSnapAsync store one most-recent placement snapshot per
@@ -526,44 +443,44 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, sum [sha256.S
 // answers a pending spill with the spilled snapshot itself, and
 // otherwise parses the digest-verified object; an unparseable object is
 // deleted.
-func (t *DiskTier) getSnap(anc string, inj *fault.Injector) (*core.Snapshot, string, bool) {
+func (t *DiskTier) getSnap(anc string, inj *fault.Injector) (*core.Snapshot, bool) {
 	if t == nil {
-		return nil, "", false
+		return nil, false
 	}
-	data, _, snap, layout, ok := t.fetch(snapDiskKey(anc), inj)
+	data, _, snap, ok := t.fetch(snapDiskKey(anc), inj)
 	if !ok || snap != nil {
-		return snap, layout, ok
+		return snap, ok
 	}
 	snap, err := core.UnmarshalSnapshot(data)
 	if err != nil {
 		t.delSnap(anc)
-		return nil, "", false
+		return nil, false
 	}
-	return snap, layout, true
+	return snap, true
 }
 
 // putSnapAsync spills snap, which the tier keeps and serializes on its
 // writer goroutine; the caller must never modify it again. Nil-safe.
-func (t *DiskTier) putSnapAsync(anc string, snap *core.Snapshot, layout string) {
+func (t *DiskTier) putSnapAsync(anc string, snap *core.Snapshot) {
 	if t == nil {
 		return
 	}
-	t.spill(&diskJob{key: snapDiskKey(anc), kind: diskKindSnap, snap: snap, layout: layout})
+	t.spill(&diskJob{key: snapDiskKey(anc), snap: snap})
 }
 
 // fetch answers a read of key: the pending spill's value (and an output
 // spill's carried digest) when one is queued or being written, else the
-// digest-verified object bytes and that digest. A failed digest check
-// quarantines the object and drops the entry. inj may arm
-// fault.DiskTierCorrupt, which flips one byte of a disk read before
-// verification — the check must turn it into a quarantined miss.
-func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, snap *core.Snapshot, layout string, ok bool) {
+// object's payload, verified against its trailer, and that digest. A
+// short or mismatched object is quarantined and its entry dropped. inj
+// may arm fault.DiskTierCorrupt, which flips one byte of a disk read
+// before verification — the check must turn it into a quarantined miss.
+func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, snap *core.Snapshot, ok bool) {
 	t.mu.Lock()
 	if job := t.pending[key]; job != nil {
-		data, sum, snap, layout = job.data, job.sum, job.snap, job.layout
+		data, sum, snap = job.data, job.sum, job.snap
 		t.stats.PendingHits++
 		t.mu.Unlock()
-		return data, sum, snap, layout, true
+		return data, sum, snap, true
 	}
 	// A read promotes the entry before it is verified; a failed check
 	// removes it anyway.
@@ -571,39 +488,42 @@ func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256
 	if e == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
-		return nil, sum, nil, "", false
+		return nil, sum, nil, false
 	}
-	sum, lay := e.val.sum, e.val.layout
 	t.mu.Unlock()
 
-	data, err := os.ReadFile(t.objectPath(key))
-	if err == nil && inj.Fires(fault.DiskTierCorrupt, key.site()) && len(data) > 0 {
-		data[inj.Pick(fault.DiskTierCorrupt, key.site(), len(data))] ^= 0xFF
+	raw, err := os.ReadFile(t.objectPath(key))
+	if err == nil && inj.Fires(fault.DiskTierCorrupt, key.site()) && len(raw) > 0 {
+		raw[inj.Pick(fault.DiskTierCorrupt, key.site(), len(raw))] ^= 0xFF
 	}
-	if err != nil || sha256.Sum256(data) != sum {
+	n := len(raw) - trailerSize
+	if err != nil || n < 0 || sha256.Sum256(raw[:n]) != [sha256.Size]byte(raw[n:]) {
 		t.quarantine(e, err == nil)
-		return nil, [sha256.Size]byte{}, nil, "", false
+		return nil, sum, nil, false
 	}
 	t.mu.Lock()
 	t.stats.Hits++
 	t.mu.Unlock()
-	return data, sum, nil, lay, true
+	return raw[:n:n], [sha256.Size]byte(raw[n:]), nil, true
 }
 
+// delSnap discards an ancestor's snapshot slot: its pending spill, its
+// index entry and its object.
 func (t *DiskTier) delSnap(anc string) {
 	if t == nil {
 		return
 	}
 	key := snapDiskKey(anc)
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if job := t.pending[key]; job != nil {
 		job.dropped = true
 		delete(t.pending, key)
 	}
 	if e := t.idx.peek(key); e != nil {
-		t.removeLocked(e)
+		t.idx.remove(e)
+		os.Remove(t.objectPath(key))
 	}
-	t.mu.Unlock()
 }
 
 // snapDiskKey derives the disk-tier address of an ancestor's snapshot
@@ -618,13 +538,13 @@ func snapDiskKey(anc string) Key {
 	return k
 }
 
-// quarantine handles a failed read: the entry leaves the index (and
-// journal), and a corrupt file is moved aside for postmortem rather
-// than deleted. fileOK reports whether the object file was readable
-// (false: it vanished; nothing to move).
+// quarantine handles a failed read: the entry leaves the index, and a
+// corrupt file is moved aside for postmortem rather than deleted.
+// fileOK reports whether the object file was readable (false: it
+// vanished; nothing to move).
 func (t *DiskTier) quarantine(e *diskNode, fileOK bool) {
 	t.mu.Lock()
-	t.removeLocked(e)
+	t.idx.remove(e)
 	t.stats.Corrupt++
 	t.mu.Unlock()
 	if fileOK {
@@ -632,35 +552,12 @@ func (t *DiskTier) quarantine(e *diskNode, fileOK bool) {
 	}
 }
 
-// removeLocked drops e from the index and journals the deletion; an
-// entry already removed or replaced is left alone. Caller holds t.mu.
-func (t *DiskTier) removeLocked(e *diskNode) {
-	if t.idx.remove(e) {
-		t.appendJournalLocked(diskRecord{Op: "del", Key: e.key.String()})
-	}
-}
-
-// evictLocked drops cold entries until the byte budget holds, journaling
-// each deletion and removing its object. keep, when non-nil, is never
-// evicted (the entry just inserted). Caller holds t.mu.
+// evictLocked drops cold entries until the byte budget holds, removing
+// each victim's object. keep, when non-nil, is never evicted (the entry
+// just inserted). Caller holds t.mu.
 func (t *DiskTier) evictLocked(keep *diskNode) {
 	t.idx.evict(keep, func(victim *diskNode) {
 		t.stats.Evicted++
-		t.appendJournalLocked(diskRecord{Op: "del", Key: victim.key.String()})
 		os.Remove(t.objectPath(victim.key))
 	})
-}
-
-// appendJournalLocked writes one journal line; caller holds t.mu. The
-// journal is not synced per line — recovery tolerates a torn tail.
-func (t *DiskTier) appendJournalLocked(r diskRecord) {
-	if t.journal == nil {
-		return
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	t.journal.Write(append(b, '\n'))
-	t.ops++
 }

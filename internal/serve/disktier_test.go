@@ -2,18 +2,18 @@ package serve
 
 // Disk-tier tests: spilled outputs survive a restart and answer an
 // empty-RAM server without a pipeline run; crash debris (truncated tmp
-// files, a torn journal tail, missing objects, orphans) is dropped and
-// counted on reopen; corruption is quarantined and degrades to a miss
-// (never wrong bytes); eviction honors the byte budget; and placement
-// snapshots spill so delta ancestry survives a restart too.
+// files, objects too short for a digest, names that are not keys) is
+// dropped and counted on reopen; corruption is quarantined and degrades
+// to a miss (never wrong bytes); eviction honors the byte budget; and
+// placement snapshots spill so delta ancestry survives a restart too.
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -34,9 +34,9 @@ func openTier(t *testing.T, dir string, budget int64) *DiskTier {
 	return tier
 }
 
-// spillOut spills data as an optimized-layout output image under key.
+// spillOut spills data as an output image under key.
 func spillOut(tier *DiskTier, key Key, data []byte) {
-	tier.putAsync(key, data, sha256.Sum256(data), "optimized")
+	tier.putAsync(key, data, sha256.Sum256(data))
 }
 
 // TestDiskTierRestartHit is the durability contract: a rewrite spilled
@@ -93,8 +93,10 @@ func TestDiskTierRestartHit(t *testing.T) {
 	}
 }
 
-// TestDiskTierCrashRecovery: every class of crash debris is dropped,
-// counted as recovered, and the store reopens serving what survived.
+// TestDiskTierCrashRecovery: every class of debris is dropped, counted
+// as recovered, and the store reopens serving what survived. An object
+// file is its own record: one that carries a valid digest is indexed
+// and served, whatever wrote it.
 func TestDiskTierCrashRecovery(t *testing.T) {
 	images := testImages(t)
 	cfg := nullCfg()
@@ -113,58 +115,113 @@ func TestDiskTierCrashRecovery(t *testing.T) {
 	s.Close()
 	tier.Close()
 
-	// Crash debris, one of each kind:
+	// Debris, one of each kind:
 	// (a) a truncated in-flight temp file,
 	if err := os.WriteFile(filepath.Join(dir, "tmp", "deadbeef.tmp"), []byte("half a wri"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// (b) a torn journal tail (crash mid-append),
-	jf, err := os.OpenFile(filepath.Join(dir, "journal"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jf.WriteString(`{"op":"put","kind":"out","key":"ab12`); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
-	// (c) an object whose journal entry promises different bytes
-	// (truncate it, so the size check drops the entry),
+	// (b) an object too short to hold its digest trailer,
 	victimKey := CacheKey(images[0], cfg)
 	victimPath := filepath.Join(dir, "objects", victimKey.String()[:2], victimKey.String())
-	if err := os.Truncate(victimPath, 3); err != nil {
+	if err := os.Truncate(victimPath, trailerSize-1); err != nil {
 		t.Fatal(err)
 	}
-	// (d) an orphaned object file with no journal line.
-	orphan := strings.Repeat("ab", 32)
-	if err := os.MkdirAll(filepath.Join(dir, "objects", orphan[:2]), 0o755); err != nil {
+	// (c) a file whose name is not a key.
+	if err := os.WriteFile(filepath.Join(dir, "objects", victimKey.String()[:2], "stray"), []byte("not an object"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "objects", orphan[:2], orphan), []byte("orphan"), 0o644); err != nil {
+	// Not debris: a payload followed by its digest, written by hand.
+	extra, extraData := CacheKey([]byte("extra"), cfg), []byte("a self-describing object")
+	sum := sha256.Sum256(extraData)
+	if err := os.MkdirAll(filepath.Dir(tier.objectPath(extra)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tier.objectPath(extra), append(append([]byte(nil), extraData...), sum[:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	tier2 := openTier(t, dir, 0)
 	st := tier2.Stats()
-	if st.Recovered < 4 {
-		t.Fatalf("recovered = %d, want >= 4 (tmp + torn line + truncated + orphan)", st.Recovered)
+	if st.Recovered != 3 {
+		t.Fatalf("recovered = %d, want 3 (tmp + short object + stray name)", st.Recovered)
 	}
-	if st.Entries != len(images)-1 {
-		t.Fatalf("reopened tier holds %d entries, want %d", st.Entries, len(images)-1)
+	if st.Entries != len(images) {
+		t.Fatalf("reopened tier holds %d entries, want %d", st.Entries, len(images))
 	}
 	// The damaged entry is gone (miss), the intact ones still verify.
-	if _, _, _, ok := tier2.get(victimKey, nil); ok {
+	if _, _, ok := tier2.get(victimKey, nil); ok {
 		t.Fatal("truncated entry survived recovery")
 	}
 	for i := 1; i < len(images); i++ {
-		data, _, _, ok := tier2.get(CacheKey(images[i], cfg), nil)
+		data, _, ok := tier2.get(CacheKey(images[i], cfg), nil)
 		if !ok || !bytes.Equal(data, want[i]) {
 			t.Fatalf("image %d: surviving entry unreadable or wrong after recovery", i)
 		}
 	}
+	if data, got, ok := tier2.get(extra, nil); !ok || !bytes.Equal(data, extraData) || got != sum {
+		t.Fatal("a well-formed object with no other record was not served")
+	}
+	if st := tier2.Stats(); st.Corrupt != 0 {
+		t.Fatalf("corrupt = %d, want 0", st.Corrupt)
+	}
+}
+
+// TestDiskTierPurgesJournaledFormat: a directory written in the older
+// format — a JSONL journal beside objects with no digest trailer — is
+// purged at open: every object is removed and counted as recovered,
+// the journal goes last, nothing is served from it, and the directory
+// then works as a store.
+func TestDiskTierPurgesJournaledFormat(t *testing.T) {
+	dir := t.TempDir()
+	var journal []byte
+	var keys []Key
+	for i := 0; i < 3; i++ {
+		k := CacheKey([]byte{byte(i)}, nullCfg())
+		payload := bytes.Repeat([]byte{byte(i + 1)}, 100*(i+1))
+		sum := sha256.Sum256(payload)
+		path := filepath.Join(dir, "objects", k.String()[:2], k.String())
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		journal = fmt.Appendf(journal, `{"op":"put","kind":"out","key":"%s","size":%d,"sum":"%x","layout":"optimized"}`+"\n", k, len(payload), sum)
+		keys = append(keys, k)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tier := openTier(t, dir, 0)
+	if st := tier.Stats(); st.Recovered != 3 || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("after open: %+v, want 3 recovered, no entries", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal")); !os.IsNotExist(err) {
+		t.Fatalf("journal left in place: %v", err)
+	}
+	for i, k := range keys {
+		if _, _, ok := tier.get(k, nil); ok {
+			t.Fatalf("key %d served from the journaled format", i)
+		}
+		if _, err := os.Stat(tier.objectPath(k)); !os.IsNotExist(err) {
+			t.Fatalf("key %d: object left in place: %v", i, err)
+		}
+	}
+	spillOut(tier, keys[0], []byte("fresh"))
+	tier.Close()
+	tier2 := openTier(t, dir, 0)
+	if data, _, ok := tier2.get(keys[0], nil); !ok || string(data) != "fresh" {
+		t.Fatal("the purged directory does not serve a new spill")
+	}
+	if st := tier2.Stats(); st.Recovered != 0 {
+		t.Fatalf("second open recovered %d, want 0", st.Recovered)
+	}
 }
 
 // TestDiskTierEvictionAndRestart: the byte budget is enforced LRU-cold-
-// first, eviction is journaled, and a reopen sees only the survivors.
+// first in write order, eviction removes the objects, and a reopen sees
+// only the survivors.
 func TestDiskTierEvictionAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	tier := openTier(t, dir, 0)
@@ -184,13 +241,13 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 	}
 	// The survivors are the most recent puts; evicted keys miss.
 	for i, k := range keys {
-		_, _, _, ok := tier2.get(k, nil)
+		_, _, ok := tier2.get(k, nil)
 		if want := i >= 2; ok != want {
 			t.Fatalf("key %d present=%v, want %v", i, ok, want)
 		}
 	}
 	tier2.Close()
-	// The journaled deletions hold across another reopen.
+	// The deletions hold across another reopen.
 	tier3 := openTier(t, dir, 2500)
 	if st := tier3.Stats(); st.Entries != 2 {
 		t.Fatalf("third open holds %d entries, want 2", st.Entries)
@@ -199,8 +256,8 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 
 // TestDiskTierReopenDropsOversized: an entry larger than the whole
 // budget of a reopened tier is evicted on its own, as the RAM cache
-// refuses one, instead of flushing the entries that fit; the eviction
-// is journaled, so the next open recovers nothing.
+// refuses one, instead of flushing the entries that fit; its object is
+// removed, so the next open recovers nothing.
 func TestDiskTierReopenDropsOversized(t *testing.T) {
 	dir := t.TempDir()
 	tier := openTier(t, dir, 0)
@@ -216,7 +273,7 @@ func TestDiskTierReopenDropsOversized(t *testing.T) {
 	if _, err := os.Stat(tier2.objectPath(big)); !os.IsNotExist(err) {
 		t.Fatalf("oversized object left on disk: %v", err)
 	}
-	if _, _, _, ok := tier2.get(small, nil); !ok {
+	if _, _, ok := tier2.get(small, nil); !ok {
 		t.Fatal("the entry within budget did not survive the reopen")
 	}
 	tier2.Close()
@@ -291,7 +348,7 @@ func TestChaosDiskTierCorruptQuarantines(t *testing.T) {
 	}
 	tier2.Close()
 	tier3 := openTier(t, dir, 0)
-	data, _, _, ok := tier3.get(key, nil)
+	data, _, ok := tier3.get(key, nil)
 	if !ok || !bytes.Equal(data, want) {
 		t.Fatalf("after restart the key reads back ok=%v, equal=%v; want the clean bytes", ok, bytes.Equal(data, want))
 	}
@@ -353,7 +410,7 @@ func TestDiskTierPendingRead(t *testing.T) {
 	start()
 	tier.Close()
 	tier2 := openTier(t, dir, 0)
-	data, _, _, ok := tier2.get(CacheKey(in, cfg), nil)
+	data, _, ok := tier2.get(CacheKey(in, cfg), nil)
 	if !ok || !bytes.Equal(data, cold) {
 		t.Fatal("the spill answered while pending did not land on disk intact")
 	}
@@ -379,34 +436,34 @@ func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
 	dir := t.TempDir()
 	tier, start := openPausedTier(t, dir)
 	older, newer := testSnap(1, 100), testSnap(2, 80)
-	tier.putSnapAsync("slot", older, "optimized")
-	tier.putSnapAsync("slot", newer, "diversity")
-	tier.putSnapAsync("gone", older, "optimized")
+	tier.putSnapAsync("slot", older)
+	tier.putSnapAsync("slot", newer)
+	tier.putSnapAsync("gone", older)
 	tier.delSnap("gone")
 	if n := len(tier.wq); n != 2 {
 		t.Fatalf("queued jobs = %d, want 2 (one per slot)", n)
 	}
-	if snap, layout, ok := tier.getSnap("slot", nil); !ok || snap != newer || layout != "diversity" {
-		t.Fatalf("pending read ok=%v layout=%q, want the newest snapshot itself", ok, layout)
+	if snap, ok := tier.getSnap("slot", nil); !ok || snap != newer {
+		t.Fatalf("pending read ok=%v, want the newest snapshot itself", ok)
 	}
-	if _, _, ok := tier.getSnap("gone", nil); ok {
+	if _, ok := tier.getSnap("gone", nil); ok {
 		t.Fatal("deleted slot still answers from its pending spill")
 	}
 
 	start()
 	tier.Close()
-	journal, err := os.ReadFile(filepath.Join(dir, "journal"))
+	objs, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if puts := strings.Count(string(journal), `"op":"put"`); puts != 1 {
-		t.Fatalf("journal holds %d puts, want 1", puts)
+	if slot := tier.objectPath(snapDiskKey("slot")); len(objs) != 1 || objs[0] != slot {
+		t.Fatalf("objects on disk = %v, want only the slot's", objs)
 	}
 	tier2 := openTier(t, dir, 0)
-	if snap, layout, ok := tier2.getSnap("slot", nil); !ok || !bytes.Equal(snap.Marshal(), newer.Marshal()) || layout != "diversity" {
-		t.Fatalf("after restart ok=%v layout=%q, want the newest snapshot", ok, layout)
+	if snap, ok := tier2.getSnap("slot", nil); !ok || !bytes.Equal(snap.Marshal(), newer.Marshal()) {
+		t.Fatalf("after restart ok=%v, want the newest snapshot", ok)
 	}
-	if _, _, ok := tier2.getSnap("gone", nil); ok {
+	if _, ok := tier2.getSnap("gone", nil); ok {
 		t.Fatal("deleted slot's spill was written")
 	}
 	if st := tier2.Stats(); st.Hits != 1 || st.PendingHits != 0 {
@@ -470,7 +527,7 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 				i := (w + r) % keys
 				spillOut(tier, key(i), blob(i))
 				j := (w*3 + r) % keys
-				if data, _, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
+				if data, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
 					t.Errorf("key %d answered with another key's bytes", j)
 				}
 			}
@@ -483,8 +540,173 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 	}
 	tier2 := openTier(t, dir, 0)
 	for i := 0; i < keys; i++ {
-		if data, _, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
+		if data, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
 			t.Fatalf("key %d missing or wrong after restart", i)
+		}
+	}
+}
+
+// TestDiskHitLayoutMatchesCold: the tier keeps no report, so a disk hit
+// — and a delta from a snapshot read back from disk — names its layout
+// from the request. Under every layout that is the name a cold rewrite
+// reports.
+func TestDiskHitLayoutMatchesCold(t *testing.T) {
+	base, edited := deltaImages(t, 1)
+	for _, lay := range []zipr.LayoutKind{"", zipr.LayoutOptimized, zipr.LayoutDiversity, zipr.LayoutProfileGuided} {
+		cfg := zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}, Layout: lay, Seed: 7}
+		var cold []*zipr.Report
+		for _, in := range [][]byte{base, edited[0]} {
+			_, rep, err := zipr.Rewrite(in, cfg)
+			if err != nil {
+				t.Fatalf("layout %q: %v", lay, err)
+			}
+			cold = append(cold, rep)
+		}
+		dir := t.TempDir()
+		tier := openTier(t, dir, 0)
+		a := New(Options{Workers: 1, Disk: tier})
+		if _, _, err := a.Rewrite(context.Background(), base, cfg); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		tier.Close()
+
+		tier2 := openTier(t, dir, 0)
+		b := New(Options{Workers: 1, Disk: tier2})
+		for i, want := range []struct{ outcome, tier string }{{OutcomeHit, TierDisk}, {OutcomeDelta, ""}} {
+			in := [][]byte{base, edited[0]}[i]
+			_, rep, meta, err := b.RewriteMeta(context.Background(), in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Outcome != want.outcome || meta.Tier != want.tier {
+				t.Fatalf("layout %q request %d: outcome/tier = %s/%s, want %s/%s", lay, i, meta.Outcome, meta.Tier, want.outcome, want.tier)
+			}
+			if rep.Layout != cold[i].Layout {
+				t.Fatalf("layout %q request %d: report layout %q, cold rewrite's %q", lay, i, rep.Layout, cold[i].Layout)
+			}
+		}
+		b.Close()
+	}
+}
+
+// FuzzDiskTierOpen fills a tier directory with arbitrary files and
+// opens it. Each record of the input is a control byte, a length byte
+// and that many payload bytes. The control byte's low two bits place
+// the payload: 0 an output object, 1 a snapshot slot object, 2 a tmp
+// file, 3 a file whose name is not a key. Bit 2 appends the payload's
+// true digest, bit 3 moves an object to the wrong subdirectory, bit 4
+// writes a journal file beside the objects, and bit 5 of the first
+// record shrinks the budget to 256 bytes. Open, get and getSnap must
+// not panic, get must never return bytes whose SHA-256 differs from the
+// sum beside them, and a second open finds nothing left to recover or
+// evict.
+func FuzzDiskTierOpen(f *testing.F) {
+	f.Add([]byte{0, 3, 'a', 'b', 'c'})
+	f.Add([]byte{4, 5, 'h', 'e', 'l', 'l', 'o', 5, 2, 1, 2, 2, 1, 'x', 3, 1, 'y'})
+	f.Add(append([]byte{0x24, 40}, make([]byte, 40)...))
+	f.Add([]byte{0x14, 2, 'o', 'k', 0x0c, 1, 'z', 4, 0})
+	f.Add(append([]byte{5, byte(len(testSnap(3, 10).Marshal()))}, testSnap(3, 10).Marshal()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, sub := range []string{"objects", "tmp"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := int64(0)
+		if len(data) > 0 && data[0]&0x20 != 0 {
+			budget = 256
+		}
+		var keys []Key
+		var slots []string
+		for i := 0; len(data) >= 2 && i < 8; i++ {
+			ctl, n := data[0], int(data[1])
+			data = data[2:]
+			payload := data[:min(n, len(data))]
+			data = data[len(payload):]
+			if ctl&4 != 0 {
+				sum := sha256.Sum256(payload)
+				payload = append(append([]byte(nil), payload...), sum[:]...)
+			}
+			var path string
+			switch ctl & 3 {
+			case 0, 1:
+				key := CacheKey([]byte{byte(i)}, nullCfg())
+				if ctl&3 == 1 {
+					slot := fmt.Sprint("slot", i)
+					key = snapDiskKey(slot)
+					slots = append(slots, slot)
+				} else {
+					keys = append(keys, key)
+				}
+				h, sub := key.String(), key.String()[:2]
+				if ctl&8 != 0 {
+					sub = "zz"
+				}
+				path = filepath.Join(dir, "objects", sub, h)
+			case 2:
+				path = filepath.Join(dir, "tmp", fmt.Sprint(i, ".tmp"))
+			case 3:
+				path = filepath.Join(dir, "objects", "ab", fmt.Sprintf("%x", payload[:min(4, len(payload))]))
+			}
+			if ctl&0x10 != 0 {
+				if err := os.WriteFile(filepath.Join(dir, "journal"), []byte("{}\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A path another record already took as a file or a
+			// directory stays as it is.
+			if os.MkdirAll(filepath.Dir(path), 0o755) == nil {
+				os.WriteFile(path, payload, 0o644)
+			}
+		}
+		tier, err := OpenDiskTier(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if data, sum, ok := tier.get(k, nil); ok && sha256.Sum256(data) != sum {
+				t.Fatalf("key %s: served bytes differ from their sum", k)
+			}
+		}
+		for _, slot := range slots {
+			tier.getSnap(slot, nil)
+		}
+		st := tier.Stats()
+		if st.Bytes > tier.idx.budget {
+			t.Fatalf("stored %d bytes over a budget of %d", st.Bytes, tier.idx.budget)
+		}
+		tier.Close()
+		again, err := OpenDiskTier(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if st := again.Stats(); st.Recovered != 0 || st.Evicted != 0 {
+			t.Fatalf("second open: %+v, want nothing recovered or evicted", st)
+		}
+	})
+}
+
+// TestDiskTierReopenKeepsWriteOrder: recency across a restart is write
+// order, also for objects written faster than the filesystem clock
+// ticks, which would otherwise share a modification time.
+func TestDiskTierReopenKeepsWriteOrder(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTier(t, dir, 0)
+	const n = 16
+	key := func(i int) Key { return CacheKey([]byte{byte(i)}, nullCfg()) }
+	for i := 0; i < n; i++ {
+		spillOut(tier, key(i), bytes.Repeat([]byte{byte(i)}, 100))
+	}
+	tier.Close()
+	tier2 := openTier(t, dir, 0)
+	var order []Key
+	tier2.idx.each(func(e *diskNode) { order = append(order, e.key) })
+	for i := 0; i < n; i++ {
+		if i >= len(order) || order[i] != key(i) {
+			t.Fatalf("reopened index, oldest first, differs from write order at %d", i)
 		}
 	}
 }

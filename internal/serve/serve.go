@@ -18,6 +18,13 @@
 //     saturated queue or an expired deadline rejects with the typed
 //     zerr.ErrBusy class instead of queueing unboundedly.
 //
+// Options.Disk adds a second, durable tier behind the RAM cache
+// (disktier.go): each object file is its payload followed by the
+// payload's SHA-256, so the directory is the whole index — open lists
+// it, a read verifies the file against its own trailer, and no journal
+// has to agree with it. The tier keeps no report; a disk answer takes
+// its layout name from the request.
+//
 // One ownership rule keeps the copies down: bytes the server holds —
 // RAM-cache entries, snapshot images and pending disk spills — are
 // immutable once stored, so the stores share them instead of copying
@@ -347,11 +354,11 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	// so the next repeat stays at RAM latency.
 	if cacheable && s.disk != nil {
 		s.mu.Unlock()
-		if data, sum, layout, ok := s.disk.get(key, s.inj); ok {
+		if data, sum, ok := s.disk.get(key, s.inj); ok {
 			// data is a pending spill's image or a fresh read, and sum
 			// its digest, carried by the spill or just verified; either
 			// way the cache may keep it, and the caller gets a copy.
-			rep := &zipr.Report{Layout: layout, InputSize: len(input), OutputSize: len(data)}
+			rep := &zipr.Report{Layout: layoutName(cfg), InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
 				s.cachePut(key, data, sum, rep)
 				s.count(&s.stats.DiskPromotes)
@@ -404,12 +411,12 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	deltaOK := cacheable && s.snaps != nil && !cfg.Chaos.ArmedPipeline()
 	anc := ancKey{fp: fpSum, inLen: len(input)}
 	if deltaOK {
-		if snap, rep, ok := s.tryDelta(key, anc, inSum, input); ok {
+		if snap, rep, ok := s.tryDelta(key, anc, inSum, input, layoutName(cfg)); ok {
 			out := snap.Output
 			if s.cache != nil {
 				s.cachePut(key, out, snap.OutDigest, rep)
 			}
-			s.disk.putAsync(key, out, snap.OutDigest, rep.Layout)
+			s.disk.putAsync(key, out, snap.OutDigest)
 			repOut := *rep
 			if cfg.CaptureSnapshot {
 				repOut.Snapshot = snap.Clone()
@@ -472,7 +479,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		s.cachePut(key, img, sum, rep)
 	}
 	if cacheable {
-		s.disk.putAsync(key, img, sum, rep.Layout)
+		s.disk.putAsync(key, img, sum)
 	}
 	finish(img, rep, err)
 	repCopy := *rep

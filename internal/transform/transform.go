@@ -42,16 +42,11 @@ type Context struct {
 // Functions returns the program's function partition.
 func (c *Context) Functions() []*ir.Function { return c.Prog.Functions }
 
-// Apply runs the mandatory transformations followed by the given user
-// transforms, in order.
-func Apply(p *ir.Program, transforms ...Transform) error {
-	return ApplyTraced(p, nil, transforms...)
-}
-
-// ApplyTraced is Apply with one span per transformation — "mandatory",
-// then each user transform under its own name, then "normalize" — and
-// per-transform instruction-delta counters emitted to tr; a nil trace
-// disables instrumentation.
+// ApplyTraced runs the mandatory transformations followed by the given
+// user transforms, in order, with one span per transformation —
+// "mandatory", then each user transform under its own name, then
+// "normalize" — and per-transform instruction-delta counters emitted to
+// tr; a nil trace disables instrumentation.
 func ApplyTraced(p *ir.Program, tr *obs.Trace, transforms ...Transform) error {
 	sp := tr.Start("mandatory")
 	err := Mandatory(p)

@@ -45,7 +45,7 @@ func TestNullIsNoOp(t *testing.T) {
 	n := p.AddOrig(0x1000, isa.Inst{Op: isa.OpRet})
 	n.Pinned = true
 	before := len(p.Insts)
-	if err := Apply(p, Null{}); err != nil {
+	if err := ApplyTraced(p, nil, Null{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Insts) != before {
@@ -57,7 +57,7 @@ func TestApplyValidatesAfterTransforms(t *testing.T) {
 	p := testProgram()
 	p.AddOrig(0x1000, isa.Inst{Op: isa.OpRet})
 	bad := brokenTransform{}
-	if err := Apply(p, bad); err == nil || !strings.Contains(err.Error(), "IR invalid") {
+	if err := ApplyTraced(p, nil, bad); err == nil || !strings.Contains(err.Error(), "IR invalid") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestStackPadGrowsMatchedFrames(t *testing.T) {
 	release.Fallthrough = ret
 	p.Functions = []*ir.Function{{Name: "f", Entry: entry, Insts: []*ir.Instruction{entry, body, release, ret}}}
 
-	if err := Apply(p, StackPad{Pad: 100}); err != nil {
+	if err := ApplyTraced(p, nil, StackPad{Pad: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if entry.Inst.Imm != -132 || release.Inst.Imm != 132 {
@@ -103,7 +103,7 @@ func TestStackPadSkipsUnmatchedFrames(t *testing.T) {
 	ret := p.AddOrig(0x1003, isa.Inst{Op: isa.OpRet}) // missing release
 	entry.Fallthrough = ret
 	p.Functions = []*ir.Function{{Name: "f", Entry: entry, Insts: []*ir.Instruction{entry, ret}}}
-	if err := Apply(p, StackPad{Pad: 100}); err != nil {
+	if err := ApplyTraced(p, nil, StackPad{Pad: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if entry.Inst.Imm != -32 {
@@ -122,7 +122,7 @@ func TestStackPadIgnoresSmallAdjustments(t *testing.T) {
 	spill.Fallthrough = un
 	un.Fallthrough = ret
 	p.Functions = []*ir.Function{{Name: "f", Entry: spill, Insts: []*ir.Instruction{spill, un, ret}}}
-	if err := Apply(p, StackPad{Pad: 64, MinFrame: 16}); err != nil {
+	if err := ApplyTraced(p, nil, StackPad{Pad: 64, MinFrame: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if spill.Inst.Imm != -4 {
@@ -165,7 +165,7 @@ func TestCanarySkipsEntryAndComputedGoto(t *testing.T) {
 		{Name: "loop", Entry: f5, Insts: []*ir.Instruction{f5, f5ret}},
 	}
 	before := len(p.Insts)
-	if err := Apply(p, Canary{}); err != nil {
+	if err := ApplyTraced(p, nil, Canary{}); err != nil {
 		t.Fatal(err)
 	}
 	// Only `plain` gets instrumentation: entry push + 5 check insts, plus
@@ -196,7 +196,7 @@ func TestCFISkipsProgramsWithoutIndirectFlow(t *testing.T) {
 	n := p.AddOrig(0x1000, isa.Inst{Op: isa.OpHlt})
 	_ = n
 	before := len(p.Insts)
-	if err := Apply(p, CFI{}); err != nil {
+	if err := ApplyTraced(p, nil, CFI{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Insts) != before || len(p.Deferred) != 0 {
@@ -211,7 +211,7 @@ func TestCFIRewritesSites(t *testing.T) {
 	callr := p.AddOrig(0x1003, isa.Inst{Op: isa.OpCallR, Rd: 4})
 	site := p.AddOrig(0x1005, isa.Inst{Op: isa.OpRet})
 	callr.Fallthrough = site
-	if err := Apply(p, CFI{}); err != nil {
+	if err := ApplyTraced(p, nil, CFI{}); err != nil {
 		t.Fatal(err)
 	}
 	if ret.Inst.Op != isa.OpJmp32 || ret.Target == nil {
@@ -238,7 +238,7 @@ func TestPinBlocks(t *testing.T) {
 	synthetic := p.NewInst(isa.Inst{Op: isa.OpJmp32}) // no OrigAddr
 	synthetic.Target = target
 	p.Functions = []*ir.Function{{Name: "main", Entry: entry, Insts: []*ir.Instruction{entry, site}}}
-	if err := Apply(p, PinBlocks{}); err != nil {
+	if err := ApplyTraced(p, nil, PinBlocks{}); err != nil {
 		t.Fatal(err)
 	}
 	if !target.Pinned || !site.Pinned || !entry.Pinned {

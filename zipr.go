@@ -348,22 +348,8 @@ func (c Config) Fingerprint() string {
 }
 
 // Stats summarizes what the reassembler did; see the paper's §II-C for
-// the vocabulary.
-type Stats struct {
-	Pinned       int // pinned addresses
-	InlinePins   int // pins whose code went back in place
-	Stubs5       int // unconstrained references
-	Stubs2       int // constrained (chained) references
-	Chains       int // chain slots
-	Sleds        int // sleds for dense references
-	SledEntries  int // pinned addresses covered by sleds
-	Dollops      int // dollops placed
-	Splits       int // dollop splits
-	OverflowUsed int // bytes appended past the original text
-	TextGrowth   int // rewritten minus original text bytes
-	FreeLeft     int // unused bytes left inside the original text range
-	Veneers      int // range-extension islands (fixed-width ISAs only)
-}
+// the vocabulary and core.Stats for the fields.
+type Stats = core.Stats
 
 // Report describes a completed rewrite.
 type Report struct {
@@ -545,6 +531,8 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	root := tr.Start("rewrite")
 	defer root.End()
 
+	// Both choices are resolved before any pipeline work, so a bad name
+	// fails at once.
 	var arb disasm.Arbitration
 	switch cfgv.Arbitration {
 	case "", ArbitrationTwoWay:
@@ -554,7 +542,20 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	default:
 		return nil, nil, fmt.Errorf("zipr: %w: unknown arbitration %q", zerr.ErrDisasm, cfgv.Arbitration)
 	}
-	out, report, err := rewriteOnce(bin, cfgv, newPlacer, arb, tr, inj)
+	custom := newPlacer != nil
+	if !custom {
+		switch cfgv.Layout {
+		case LayoutOptimized, "":
+			newPlacer = func(*ir.Program) core.Placer { return layout.Optimized{} }
+		case LayoutDiversity:
+			newPlacer = func(*ir.Program) core.Placer { return layout.NewDiversity(cfgv.Seed) }
+		case LayoutProfileGuided:
+			newPlacer = func(p *ir.Program) core.Placer { return &layout.ProfileGuided{Hot: hotRanges(p, cfgv.HotFuncs)} }
+		default:
+			return nil, nil, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, cfgv.Layout)
+		}
+	}
+	out, report, err := rewriteOnce(bin, cfgv, newPlacer, custom, arb, tr, inj)
 	if err != nil && arb == disasm.ArbWeighted {
 		// Weighted arbitration is advisory: its demotions shrink the pin
 		// set, and a downstream phase can fail on the reshaped inputs
@@ -563,7 +564,7 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 		// is the two-way baseline, so fall back to it deterministically
 		// rather than failing a rewrite the baseline can complete.
 		ferr := err
-		if out, report, err = rewriteOnce(bin, cfgv, newPlacer, disasm.ArbTwoWay, tr, inj); err == nil {
+		if out, report, err = rewriteOnce(bin, cfgv, newPlacer, custom, disasm.ArbTwoWay, tr, inj); err == nil {
 			tr.Add("rewrite.arb-fallback", 1)
 			report.Warnings = append(report.Warnings,
 				fmt.Sprintf("weighted arbitration fell back to two-way: %v", ferr))
@@ -574,8 +575,10 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	return out, report, err
 }
 
-// rewriteOnce runs the three-phase pipeline under one arbitration mode.
-func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) core.Placer, arb disasm.Arbitration, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
+// rewriteOnce runs the three-phase pipeline under one arbitration mode,
+// placing code with newPlacer's placer; custom reports that the caller
+// supplied it in place of Config.Layout's.
+func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) core.Placer, custom bool, arb disasm.Arbitration, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
 	arch, err := isa.ByName(cfgv.ISA)
 	if err != nil {
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrDisasm, err))
@@ -620,32 +623,18 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	}
 
 	// Phase 3: reassembly under the selected layout.
-	var placer core.Placer
-	if newPlacer != nil {
-		placer = newPlacer(prog)
-	} else {
-		switch cfgv.Layout {
-		case LayoutOptimized, "":
-			placer = layout.Optimized{}
-		case LayoutDiversity:
-			placer = layout.NewDiversity(cfgv.Seed)
-		case LayoutProfileGuided:
-			placer = &layout.ProfileGuided{Hot: hotRanges(prog, cfgv.HotFuncs)}
-		default:
-			return nil, nil, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, cfgv.Layout)
-		}
-	}
+	placer := newPlacer(prog)
 	sp = tr.Start("reassemble")
 	res, err := core.Reassemble(prog, core.Options{Placer: placer, Trace: tr, Inject: inj})
 	sp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrLayout, err))
 	}
-	report.Stats = Stats(res.Stats)
+	report.Stats = res.Stats
 	report.Layout = placer.Name()
 	var declined string
 	if cfgv.CaptureSnapshot {
-		report.Snapshot, declined = captureSnapshot(prog, res, cfgv, newPlacer != nil, inj, tr)
+		report.Snapshot, declined = captureSnapshot(prog, res, cfgv, custom, inj, tr)
 	}
 	if cfgv.EmitMap {
 		report.AddrMap = make(map[uint32]uint32)

@@ -8,6 +8,7 @@ import (
 	"zipr/internal/asm"
 	"zipr/internal/binfmt"
 	"zipr/internal/loader"
+	"zipr/internal/obs"
 	"zipr/internal/vm"
 )
 
@@ -358,6 +359,28 @@ func TestSerializedAPIRoundTrip(t *testing.T) {
 	}
 	if _, _, err := Rewrite(data, Config{Layout: "bogus"}); err == nil {
 		t.Fatal("bogus layout accepted")
+	}
+}
+
+// TestUnknownLayoutFailsFast: an unknown layout is refused with the
+// layout class before any pipeline work — no disassemble span opens.
+func TestUnknownLayoutFailsFast(t *testing.T) {
+	tr := NewTrace()
+	_, _, err := RewriteBinary(asm.MustAssemble(progSwitch), Config{Layout: "bogus", Trace: tr})
+	if err == nil || ErrorClass(err) != "layout" || !strings.Contains(err.Error(), `unknown layout "bogus"`) {
+		t.Fatalf("err = %v (class %q), want the layout class naming the layout", err, ErrorClass(err))
+	}
+	var names []string
+	var walk func([]*obs.Span)
+	walk = func(spans []*obs.Span) {
+		for _, sp := range spans {
+			names = append(names, sp.Name)
+			walk(sp.Children)
+		}
+	}
+	walk(tr.Snapshot().Spans)
+	if len(names) != 1 || names[0] != "rewrite" {
+		t.Fatalf("spans opened = %v, want only the rewrite root", names)
 	}
 }
 
