@@ -110,10 +110,14 @@ benchbuild:
 # for a bounded interval — long enough to catch shallow regressions in
 # the allocator's differential contract, the whole-pipeline
 # transcript-equivalence property, the assembler's contract (no
-# panic, a typed error with an in-source line, deterministic output)
-# and the disk tier's open over arbitrary files (no panic, never bytes
-# that differ from their digest), short enough for CI. Crashers are
-# written under testdata/fuzz/ for triage.
+# panic, a typed error with an in-source line, deterministic output),
+# the disk tier's open over arbitrary files (no panic, never bytes
+# that differ from their digest) and the snapshot parser (no panic, a
+# stale refusal or a blob that re-marshals to itself and applies to its
+# own input), short enough for CI. The snapshot seeds are whole corpus
+# snapshots of 60-80 KB, whose byte-by-byte minimisation would take
+# the whole interval, so that target minimises for 100 runs only.
+# Crashers are written under testdata/fuzz/ for triage.
 FUZZTIME ?= 30s
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAlloc$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -123,6 +127,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZVMEquivalence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskTierOpen$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
 
 # Per-ISA sweep: the golden matrices, the veneer program's fail-closed
 # contract, and the chaos schedule sweeps for every supported

@@ -130,22 +130,6 @@ func run() error {
 		return fmt.Errorf("build ziprd: %w", err)
 	}
 
-	// Inputs: a handful of synthetic programs, enough that the ring
-	// spreads them across both workers.
-	var inputs [][]byte
-	for i := 0; i < 8; i++ {
-		seed, prof := synth.CBProfile(i)
-		b, err := synth.Build(seed, prof)
-		if err != nil {
-			return err
-		}
-		img, err := b.Marshal()
-		if err != nil {
-			return err
-		}
-		inputs = append(inputs, img)
-	}
-
 	addrA, err := freePort()
 	if err != nil {
 		return err
@@ -181,28 +165,45 @@ func run() error {
 		}
 	}
 
-	// Round 1: collect the fleet's answers while both workers are up.
-	digests := make([][32]byte, len(inputs))
-	for i, in := range inputs {
+	// Round 1: collect the fleet's answers while both workers are up,
+	// sending fresh synthetic programs until both workers have run the
+	// pipeline. The ring places the workers by the hash of their random
+	// ports, so a few inputs can all land on one worker; the chance that
+	// maxInputs do is negligible.
+	const minInputs, maxInputs = 8, 32
+	var inputs [][]byte
+	var digests [][32]byte
+	var runsA, runsB int64
+	for len(inputs) < minInputs || runsA == 0 || runsB == 0 {
+		if len(inputs) == maxInputs {
+			return fmt.Errorf("load did not shard after %d inputs: pipeline runs %d/%d", maxInputs, runsA, runsB)
+		}
+		seed, prof := synth.CBProfile(len(inputs))
+		b, err := synth.Build(seed, prof)
+		if err != nil {
+			return err
+		}
+		in, err := b.Marshal()
+		if err != nil {
+			return err
+		}
 		out, code, err := rewrite(addrG, in)
 		if err != nil || code != http.StatusOK {
-			return fmt.Errorf("round 1 input %d: status %d err %v", i, code, err)
+			return fmt.Errorf("round 1 input %d: status %d err %v", len(inputs), code, err)
 		}
-		digests[i] = sha256.Sum256(out)
+		inputs = append(inputs, in)
+		digests = append(digests, sha256.Sum256(out))
+		stA, err := statsOf(addrA)
+		if err != nil {
+			return err
+		}
+		stB, err := statsOf(addrB)
+		if err != nil {
+			return err
+		}
+		runsA, runsB = intStat(stA, "PipelineRuns"), intStat(stB, "PipelineRuns")
 	}
-	// Both workers should have seen work.
-	stA, err := statsOf(addrA)
-	if err != nil {
-		return err
-	}
-	stB, err := statsOf(addrB)
-	if err != nil {
-		return err
-	}
-	runsA, runsB := intStat(stA, "PipelineRuns"), intStat(stB, "PipelineRuns")
-	if runsA == 0 || runsB == 0 {
-		return fmt.Errorf("load did not shard: pipeline runs %d/%d", runsA, runsB)
-	}
+	fmt.Printf("fleetsmoke: %d inputs sharded, pipeline runs %d/%d\n", len(inputs), runsA, runsB)
 
 	// Kill worker A mid-run. Every answer must stay byte-identical —
 	// served by B, rerunning the pipeline where it has to.

@@ -3,14 +3,17 @@
 // A Snapshot captures everything needed to answer a rewrite of a
 // *slightly edited* input without running the pipeline: the ancestor
 // input and output images with their SHA-256 digests, the delta-eligible
-// function units, and for every original instruction of every unit its
-// placed address in the output plus editability flags. Apply admits an
-// edited input when every changed byte belongs to a "freely editable"
-// instruction — same opcode, condition and registers, only the immediate
-// differs, and the immediate is inert for the conservative analyses
-// (address-shaped movi/pushi immediates and stack-pointer adjustments
-// under frame-sensitive transforms are excluded) — and then patches the
-// new encodings directly into a copy of the ancestor output.
+// function units, and for every unit its editable spans: maximal runs of
+// consecutive "freely editable" instructions that the rewrite placed
+// contiguously and verbatim, each recorded as one input range and its
+// placed address in the output. Apply admits an edited input when every
+// changed byte lies in a span, and every changed instruction there —
+// found by decoding the span from its start, as capture did — keeps its
+// opcode, condition, registers and length, with an immediate that is
+// inert for the conservative analyses (address-shaped movi/pushi
+// immediates and stack-pointer adjustments under frame-sensitive
+// transforms are excluded); it then patches the new encodings directly
+// into a copy of the ancestor output.
 //
 // Why that is sound: the pipeline is deterministic, and every analysis
 // decision it makes is a function of instruction *structure* (boundaries,
@@ -40,6 +43,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zipr/internal/binfmt"
 	"zipr/internal/ir"
@@ -54,29 +58,19 @@ var (
 	ErrSnapshotStale     = errors.New("core: placement snapshot stale")
 )
 
-// SnapInst flag bits.
-const (
-	snapPlaced   = 1 << 0 // instruction has a placed address in the output
-	snapEditable = 1 << 1 // immediate edits are admissible
-	snapImmSeed  = 1 << 2 // movi/pushi32: immediate feeds pin scan + weak disasm seeds
-)
-
-// SnapInst records one original instruction of a unit: its offset from
-// the unit start and original encoded length in the input, its placed
-// address in the rewritten output, and editability flags.
-type SnapInst struct {
-	Off    uint32
-	Placed uint32
-	Len    uint8
-	Flags  uint8
+// SnapSpan is a maximal run of consecutive freely editable instructions
+// of a unit that the rewrite placed contiguously and verbatim: the input
+// bytes [unit start+Off, +Len) sit unchanged at output address Placed.
+type SnapSpan struct {
+	Off, Len, Placed uint32
 }
 
 // SnapUnit is one delta-eligible function unit: an original-address
-// interval (ir.PartitionUnits) and its instruction records in address
-// order, exactly tiling the interval.
+// interval (ir.PartitionUnits) that the relocatable decode tiles exactly,
+// and its editable spans Snapshot.Spans[Lo:Hi], in address order.
 type SnapUnit struct {
-	Range ir.Range
-	Insts []SnapInst
+	Range  ir.Range
+	Lo, Hi uint32
 }
 
 // Snapshot is a placement snapshot of one completed rewrite. Build one
@@ -107,8 +101,10 @@ type Snapshot struct {
 	InTextOff              uint32
 	OutTextVA              uint32
 	OutTextOff, OutTextLen uint32
-	// Units lists the delta-eligible units sorted by address.
+	// Units lists the delta-eligible units sorted by address; Spans holds
+	// the editable spans of all of them, unit after unit.
 	Units []SnapUnit
+	Spans []SnapSpan
 }
 
 // DeltaInfo reports what an Apply did.
@@ -150,8 +146,8 @@ func segDataOffset(b *binfmt.Binary, seg *binfmt.Segment) int {
 }
 
 // BuildSnapshot constructs the structural part of a snapshot from a
-// completed reassembly: unit partition, per-instruction placed addresses
-// and flags. The serialized input/output images are attached afterwards
+// completed reassembly: the unit partition and each unit's editable
+// spans. The serialized input/output images are attached afterwards
 // with Finish. frameSensitive marks configurations whose
 // transforms read stack-pointer adjustment immediates (StackPad,
 // Canary); sp adjustments are then not editable.
@@ -180,26 +176,20 @@ func BuildSnapshot(p *ir.Program, res *Result, frameSensitive bool, fingerprint 
 	}
 	s.InTextOff, s.OutTextOff = uint32(inOff), uint32(outOff)
 
-	overlapsFixed := func(u ir.Range) bool {
-		for _, f := range p.Fixed {
-			if u.Overlaps(f) {
-				return true
-			}
-		}
-		return false
-	}
-
+	var spans []SnapSpan
+	kept := 0 // spans[:kept] belong to recorded units
 units:
 	for _, u := range ir.PartitionUnits(p) {
+		spans = spans[:kept] // drop the spans of a unit given up on
 		// Units overlapping fixed ranges (embedded data, jump tables,
 		// ambiguous decodes), empty or outside text, or with imperfect
 		// decode tiling are simply not recorded: edits there fall outside
 		// every unit and Apply rejects them, degrading to a full rewrite.
-		if overlapsFixed(u) || u.Start >= u.End || u.Start < text.VAddr || u.End > text.End() {
+		if slices.ContainsFunc(p.Fixed, u.Overlaps) || u.Start >= u.End || u.Start < text.VAddr || u.End > text.End() {
 			continue
 		}
-		su := SnapUnit{Range: u}
-		for addr := u.Start; addr < u.End; {
+		for off := uint32(0); off < u.Len(); {
+			addr := u.Start + off
 			orig, err := arch.Decode(text.Data[addr-text.VAddr:], addr)
 			if err != nil {
 				continue units
@@ -212,30 +202,28 @@ units:
 				continue units
 			}
 			ln := uint32(arch.InstLen(orig))
-			if addr+ln > u.End {
+			if off+ln > u.Len() {
 				continue units // crosses the unit end
 			}
-			rec := SnapInst{Off: addr - u.Start, Len: uint8(ln)}
-			switch orig.Op {
-			case isa.OpMovI, isa.OpPushI32:
-				rec.Flags |= snapImmSeed
-			}
 			placed, ok := res.Layout.AddrOf(n)
-			if ok {
-				rec.Flags |= snapPlaced
-				rec.Placed = placed
-			}
 			spAdd := (orig.Op == isa.OpAddI || orig.Op == isa.OpAddI8) && orig.Rd == isa.SP
-			if ok && n.Target == nil && n.AbsTarget == 0 && n.Inst == orig &&
+			editable := ok && n.Target == nil && n.AbsTarget == 0 && n.Inst == orig &&
 				opEditable(orig.Op) && !(frameSensitive && spAdd) &&
-				placed >= s.OutTextVA && placed+ln <= s.OutTextVA+s.OutTextLen {
-				rec.Flags |= snapEditable
+				placed >= s.OutTextVA && placed+ln <= s.OutTextVA+s.OutTextLen
+			last := len(spans) - 1
+			switch {
+			case !editable:
+			case last >= kept && spans[last].Off+spans[last].Len == off && spans[last].Placed+spans[last].Len == placed:
+				spans[last].Len += ln // contiguous in the input and in the output
+			default:
+				spans = append(spans, SnapSpan{Off: off, Len: ln, Placed: placed})
 			}
-			su.Insts = append(su.Insts, rec)
-			addr += ln
+			off += ln
 		}
-		s.Units = append(s.Units, su)
+		s.Units = append(s.Units, SnapUnit{Range: u, Lo: uint32(kept), Hi: uint32(len(spans))})
+		kept = len(spans)
 	}
+	s.Spans = slices.Clone(spans[:kept]) // exact size: the snapshot may be stored for long
 	return s, nil
 }
 
@@ -251,67 +239,58 @@ func (s *Snapshot) Finish(input, output []byte) error {
 	s.Output = append([]byte(nil), output...)
 	s.InDigest = sha256.Sum256(s.Input)
 	s.OutDigest = sha256.Sum256(s.Output)
-	// The editable-instruction contract says output bytes at each placed
-	// address are the instruction's input encoding; spot-verify the whole
-	// invariant once at export so a violation disables delta here rather
-	// than surfacing as an Apply-time stale error on every request.
-	for ui := range s.Units {
-		u := &s.Units[ui]
-		for _, rec := range u.Insts {
-			if rec.Flags&snapEditable == 0 {
-				continue
-			}
-			in := s.inSlice(u.Range.Start+rec.Off, uint32(rec.Len))
-			out := s.outSlice(rec.Placed, uint32(rec.Len))
+	// The span contract says the output bytes at each span's placed
+	// address are its input bytes; verify the whole invariant once at
+	// export so a violation disables delta here rather than surfacing as
+	// an Apply-time stale error on every request.
+	for _, u := range s.Units {
+		for _, sp := range s.Spans[u.Lo:u.Hi] {
+			in := s.inText(s.Input, u.Range.Start+sp.Off, sp.Len)
+			out := s.outText(s.Output, sp.Placed, sp.Len)
 			if in == nil || out == nil || !bytes.Equal(in, out) {
 				return fmt.Errorf("core: snapshot: placed bytes of %#x diverge from input encoding",
-					u.Range.Start+rec.Off)
+					u.Range.Start+sp.Off)
 			}
 		}
 	}
 	return nil
 }
 
-// inSlice returns the input-image bytes of [va, va+n) in input text.
-func (s *Snapshot) inSlice(va, n uint32) []byte {
-	if va < s.InTextVA || va+n > s.InTextEnd {
-		return nil
-	}
-	off := s.InTextOff + (va - s.InTextVA)
-	if uint32(len(s.Input)) < off+n {
-		return nil
-	}
-	return s.Input[off : off+n]
+// inText returns the bytes of [va, va+n) in the input text of img, an
+// image with the ancestor input's geometry, or nil when that range is
+// outside it.
+func (s *Snapshot) inText(img []byte, va, n uint32) []byte {
+	return textSlice(img, s.InTextOff, s.InTextVA, s.InTextEnd-s.InTextVA, va, n)
 }
 
-// outSlice returns the output-image bytes of [va, va+n) in output text.
-func (s *Snapshot) outSlice(va, n uint32) []byte {
-	if va < s.OutTextVA || va+n > s.OutTextVA+s.OutTextLen {
-		return nil
-	}
-	off := s.OutTextOff + (va - s.OutTextVA)
-	if uint32(len(s.Output)) < off+n {
-		return nil
-	}
-	return s.Output[off : off+n]
+// outText is inText for the output text of img, an image with the
+// ancestor output's geometry.
+func (s *Snapshot) outText(img []byte, va, n uint32) []byte {
+	return textSlice(img, s.OutTextOff, s.OutTextVA, s.OutTextLen, va, n)
 }
 
-// newInSlice is inSlice against a candidate input image (same geometry).
-func (s *Snapshot) newInSlice(input []byte, va, n uint32) []byte {
-	if va < s.InTextVA || va+n > s.InTextEnd {
+// textSlice returns the bytes of [va, va+n) of the text segment at file
+// offset off, virtual address base and length size in img, or nil when
+// the range is not inside that segment or the segment not inside img.
+func textSlice(img []byte, off, base, size, va, n uint32) []byte {
+	if va < base || uint64(va-base)+uint64(n) > uint64(size) {
 		return nil
 	}
-	off := s.InTextOff + (va - s.InTextVA)
-	if uint32(len(input)) < off+n {
+	lo := uint64(off) + uint64(va-base)
+	if lo+uint64(n) > uint64(len(img)) {
 		return nil
 	}
-	return input[off : off+n]
+	return img[lo : lo+uint64(n)]
 }
 
-// Verify checks the snapshot's internal integrity: image digests intact
-// and geometry coherent. Returns ErrSnapshotStale on any mismatch.
+// Verify checks the snapshot's internal integrity: image digests intact,
+// geometry coherent and unit and span tables well formed. Returns
+// ErrSnapshotStale on any mismatch.
 func (s *Snapshot) Verify() error {
 	if err := s.checkGeometry(); err != nil {
+		return err
+	}
+	if err := s.checkUnits(); err != nil {
 		return err
 	}
 	if sha256.Sum256(s.Input) != s.InDigest || sha256.Sum256(s.Output) != s.OutDigest {
@@ -320,31 +299,54 @@ func (s *Snapshot) Verify() error {
 	return nil
 }
 
-// checkGeometry is Verify without the image digests: both images present
-// and the text extents inside them.
+// checkGeometry is the part of Verify that Apply repeats: both images
+// present and the text extents inside them.
 func (s *Snapshot) checkGeometry() error {
 	if len(s.Input) == 0 || len(s.Output) == 0 {
 		return fmt.Errorf("%w: images missing", ErrSnapshotStale)
 	}
-	inLen := s.InTextEnd - s.InTextVA
 	if s.InTextVA > s.InTextEnd ||
-		uint32(len(s.Input)) < s.InTextOff+inLen ||
-		uint32(len(s.Output)) < s.OutTextOff+s.OutTextLen {
+		uint64(s.InTextOff)+uint64(s.InTextEnd-s.InTextVA) > uint64(len(s.Input)) ||
+		uint64(s.OutTextOff)+uint64(s.OutTextLen) > uint64(len(s.Output)) {
 		return fmt.Errorf("%w: text geometry out of bounds", ErrSnapshotStale)
 	}
 	return nil
 }
 
+// checkUnits checks the unit and span tables: units in address order,
+// disjoint and inside input text; each unit's spans non-empty, in order,
+// disjoint and inside it.
+func (s *Snapshot) checkUnits() error {
+	end := s.InTextVA
+	for _, u := range s.Units {
+		if u.Range.Start < end || u.Range.Start > u.Range.End || u.Range.End > s.InTextEnd ||
+			u.Lo > u.Hi || int(u.Hi) > len(s.Spans) {
+			return fmt.Errorf("%w: unit %+v out of order or outside text", ErrSnapshotStale, u.Range)
+		}
+		end = u.Range.End
+		pos := uint32(0)
+		for _, sp := range s.Spans[u.Lo:u.Hi] {
+			if sp.Len == 0 || sp.Off < pos || sp.Off > u.Range.Len() || sp.Len > u.Range.Len()-sp.Off {
+				return fmt.Errorf("%w: span %+v empty, out of order or outside unit %+v",
+					ErrSnapshotStale, sp, u.Range)
+			}
+			pos = sp.Off + sp.Len
+		}
+	}
+	return nil
+}
+
 // Apply answers a rewrite of input using the snapshot: if every byte
-// that differs from the ancestor input belongs to a freely editable
-// instruction of a recorded unit, it returns the ancestor output with
-// the edited instructions re-encoded at their placed addresses — byte
-// for byte what a from-scratch rewrite of input produces. Otherwise it
-// returns ErrDeltaInapplicable (unsupported edit; run the pipeline) or
-// ErrSnapshotStale (snapshot failed verification; evict it). Apply checks
-// the geometry, the unit tiling and the output bytes it patches over,
-// but does not rehash the images: the snapshot's digests were checked
-// when it entered its store (see Snapshot).
+// that differs from the ancestor input lies in an editable span of a
+// recorded unit and only changes immediates there, it returns the
+// ancestor output with the edited instructions re-encoded at their
+// placed addresses — byte for byte what a from-scratch rewrite of input
+// produces. Otherwise it returns ErrDeltaInapplicable (unsupported edit;
+// run the pipeline) or ErrSnapshotStale (snapshot failed verification;
+// evict it). Apply checks the geometry, that each changed span re-tiles
+// into whole instructions, and the output bytes it patches over, but
+// does not rehash the images: the snapshot's digests were checked when
+// it entered its store (see Snapshot).
 func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 	if err := s.checkGeometry(); err != nil {
 		return nil, nil, err
@@ -375,91 +377,109 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 	info := &DeltaInfo{}
 	for ui := range s.Units {
 		u := &s.Units[ui]
-		oldU := s.inSlice(u.Range.Start, u.Range.Len())
-		newU := s.newInSlice(input, u.Range.Start, u.Range.Len())
+		oldU := s.inText(s.Input, u.Range.Start, u.Range.Len())
+		newU := s.inText(input, u.Range.Start, u.Range.Len())
 		if oldU == nil || newU == nil {
 			return nil, nil, fmt.Errorf("%w: unit %+v out of bounds", ErrSnapshotStale, u.Range)
 		}
 		if bytes.Equal(oldU, newU) {
 			continue
 		}
-		// The unit's bytes moved; admit the edit only instruction by
-		// instruction.
+		// The unit's bytes moved. Bytes outside its spans belong to
+		// instructions that are not freely editable and must not change;
+		// inside a span, admit the edit instruction by instruction.
 		info.UnitsChanged++
-		covered := uint32(0)
-		for _, rec := range u.Insts {
-			if rec.Off != covered {
-				return nil, nil, fmt.Errorf("%w: unit tiling gap at +%#x", ErrSnapshotStale, covered)
+		spans := s.Spans[u.Lo:u.Hi]
+		pos := uint32(0)
+		for _, sp := range spans {
+			if !bytes.Equal(oldU[pos:sp.Off], newU[pos:sp.Off]) {
+				return nil, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
+					ErrDeltaInapplicable, u.Range)
 			}
-			covered += uint32(rec.Len)
-			oldB := oldU[rec.Off : rec.Off+uint32(rec.Len)]
-			newB := newU[rec.Off : rec.Off+uint32(rec.Len)]
-			if bytes.Equal(oldB, newB) {
-				continue
-			}
-			addr := u.Range.Start + rec.Off
-			if rec.Flags&snapEditable == 0 {
-				return nil, nil, fmt.Errorf("%w: edited instruction at %#x is not freely editable",
-					ErrDeltaInapplicable, addr)
-			}
-			oldIn, err1 := arch.Decode(oldB, addr)
-			newIn, err2 := arch.Decode(newB, addr)
-			if err1 != nil || err2 != nil {
-				return nil, nil, fmt.Errorf("%w: edited bytes at %#x do not decode",
-					ErrDeltaInapplicable, addr)
-			}
-			if newIn.Op != oldIn.Op || newIn.Cc != oldIn.Cc || newIn.Rd != oldIn.Rd ||
-				newIn.Rs != oldIn.Rs || arch.InstLen(newIn) != int(rec.Len) {
-				return nil, nil, fmt.Errorf("%w: edit at %#x changes more than the immediate",
-					ErrDeltaInapplicable, addr)
-			}
-			if rec.Flags&snapImmSeed != 0 {
-				// movi/pushi immediates feed the pin scan and the weak
-				// disassembler seeds; both values must be provably inert
-				// (outside text) or the analyses could diverge.
-				for _, imm := range [2]uint32{uint32(oldIn.Imm), uint32(newIn.Imm)} {
-					if imm >= s.InTextVA && imm < s.InTextEnd {
-						return nil, nil, fmt.Errorf("%w: immediate %#x at %#x is address-shaped",
-							ErrDeltaInapplicable, imm, addr)
-					}
-				}
-			}
-			dst := s.outSliceOf(out, rec.Placed, uint32(rec.Len))
-			if dst == nil {
-				return nil, nil, fmt.Errorf("%w: placed range %#x out of output text", ErrSnapshotStale, rec.Placed)
-			}
-			if !bytes.Equal(dst, oldB) {
-				// The output must hold the old encoding exactly where the
-				// snapshot says; anything else means the snapshot and
-				// output disagree — never patch on top of that.
-				return nil, nil, fmt.Errorf("%w: output bytes at %#x diverge from recorded encoding",
-					ErrSnapshotStale, rec.Placed)
-			}
-			copy(dst, newB)
-			info.InstsChanged++
+			pos = sp.Off + sp.Len
 		}
-		if covered != u.Range.Len() {
-			return nil, nil, fmt.Errorf("%w: unit tiling short at %+v", ErrSnapshotStale, u.Range)
+		if !bytes.Equal(oldU[pos:], newU[pos:]) {
+			return nil, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
+				ErrDeltaInapplicable, u.Range)
+		}
+		for _, sp := range spans {
+			n, err := s.patchSpan(arch, out, u.Range.Start+sp.Off, sp.Placed,
+				oldU[sp.Off:sp.Off+sp.Len], newU[sp.Off:sp.Off+sp.Len])
+			if err != nil {
+				return nil, nil, err
+			}
+			info.InstsChanged += n
 		}
 	}
 	return out, info, nil
 }
 
-// outSliceOf is outSlice against a caller-owned output copy.
-func (s *Snapshot) outSliceOf(out []byte, va, n uint32) []byte {
-	if va < s.OutTextVA || va+n > s.OutTextVA+s.OutTextLen {
-		return nil
+// patchSpan admits the edits of one span, input bytes was → now at
+// address addr and placed at output address placed, and patches them
+// into out; it returns how many instructions it re-encoded. A changed
+// span is re-decoded from its start over the ancestor input, which is
+// how capture found its boundaries; one that does not decode into whole
+// instructions ending at its end means the snapshot is stale.
+func (s *Snapshot) patchSpan(arch isa.Arch, out []byte, addr, placed uint32, was, now []byte) (int, error) {
+	if bytes.Equal(was, now) {
+		return 0, nil
 	}
-	off := s.OutTextOff + (va - s.OutTextVA)
-	if uint32(len(out)) < off+n {
-		return nil
+	patched := 0
+	for off := 0; off < len(was); {
+		oldIn, err := arch.Decode(was[off:], addr)
+		ln := 0
+		if err == nil {
+			ln = arch.InstLen(oldIn)
+		}
+		if ln == 0 || off+ln > len(was) {
+			return 0, fmt.Errorf("%w: span at %#x does not re-tile", ErrSnapshotStale, addr)
+		}
+		oldB, newB := was[off:off+ln], now[off:off+ln]
+		if !bytes.Equal(oldB, newB) {
+			newIn, err := arch.Decode(newB, addr)
+			if err != nil {
+				return 0, fmt.Errorf("%w: edited bytes at %#x do not decode", ErrDeltaInapplicable, addr)
+			}
+			if newIn.Op != oldIn.Op || newIn.Cc != oldIn.Cc || newIn.Rd != oldIn.Rd ||
+				newIn.Rs != oldIn.Rs || arch.InstLen(newIn) != ln {
+				return 0, fmt.Errorf("%w: edit at %#x changes more than the immediate",
+					ErrDeltaInapplicable, addr)
+			}
+			if oldIn.Op == isa.OpMovI || oldIn.Op == isa.OpPushI32 {
+				// movi/pushi immediates feed the pin scan and the weak
+				// disassembler seeds; both values must be provably inert
+				// (outside text) or the analyses could diverge.
+				for _, imm := range [2]uint32{uint32(oldIn.Imm), uint32(newIn.Imm)} {
+					if imm >= s.InTextVA && imm < s.InTextEnd {
+						return 0, fmt.Errorf("%w: immediate %#x at %#x is address-shaped",
+							ErrDeltaInapplicable, imm, addr)
+					}
+				}
+			}
+			dst := s.outText(out, placed, uint32(ln))
+			if dst == nil {
+				return 0, fmt.Errorf("%w: placed range %#x out of output text", ErrSnapshotStale, placed)
+			}
+			if !bytes.Equal(dst, oldB) {
+				// The output must hold the old encoding exactly where the
+				// snapshot says; anything else means the snapshot and
+				// output disagree — never patch on top of that.
+				return 0, fmt.Errorf("%w: output bytes at %#x diverge from recorded encoding",
+					ErrSnapshotStale, placed)
+			}
+			copy(dst, newB)
+			patched++
+		}
+		off += ln
+		addr += uint32(ln)
+		placed += uint32(ln)
 	}
-	return out[off : off+n]
+	return patched, nil
 }
 
-// Rebase derives the snapshot of a delta-answered rewrite: same units,
-// placement and flags (the layout is identical by construction), new
-// ancestor images. The units are shared with the ancestor snapshot —
+// Rebase derives the snapshot of a delta-answered rewrite: same units
+// and spans (the layout is identical by construction), new ancestor
+// images. The units and spans are shared with the ancestor snapshot —
 // they are immutable after build. input is copied, and inDigest must be
 // its SHA-256 (the caller has it from keying the request); output is
 // not copied: the new snapshot takes ownership of it (Apply's fresh
@@ -480,6 +500,7 @@ func (s *Snapshot) Rebase(input []byte, inDigest [sha256.Size]byte, output []byt
 		OutTextOff:  s.OutTextOff,
 		OutTextLen:  s.OutTextLen,
 		Units:       s.Units,
+		Spans:       s.Spans,
 	}
 }
 
@@ -489,42 +510,34 @@ func (s *Snapshot) Clone() *Snapshot {
 	c := *s
 	c.Input = append([]byte(nil), s.Input...)
 	c.Output = append([]byte(nil), s.Output...)
-	c.Units = append([]SnapUnit(nil), s.Units...)
-	for i := range c.Units {
-		c.Units[i].Insts = append([]SnapInst(nil), c.Units[i].Insts...)
-	}
+	c.Units = slices.Clone(s.Units)
+	c.Spans = slices.Clone(s.Spans)
 	return &c
 }
 
 // SizeBytes estimates the snapshot's resident size for byte-budget
-// accounting: the two images plus the per-instruction records.
+// accounting: the two images plus the unit and span tables.
 func (s *Snapshot) SizeBytes() int64 {
-	n := int64(len(s.Input) + len(s.Output) + len(s.Fingerprint) + 128)
-	for i := range s.Units {
-		n += 48 + int64(len(s.Units[i].Insts))*10
-	}
-	return n
+	return int64(len(s.Input)+len(s.Output)+len(s.Fingerprint)+128) +
+		48*int64(len(s.Units)) + 12*int64(len(s.Spans))
 }
 
 const snapMagic = "ZSNP"
-const snapVersion = 4
+const snapVersion = 5
 
 // Wire-form field sizes.
 const (
 	snapHeaderLen = len(snapMagic) + 4 + 4 + 4 // magic, version, ISA name and fingerprint lengths
 	snapGeomLen   = 6 * 4                      // text geometry
-	snapUnitLen   = 4 + 4 + 4
-	snapInstLen   = 4 + 4 + 1 + 1
+	snapUnitLen   = 4 + 4 + 4                  // range, span count
+	snapSpanLen   = 4 + 4 + 4
 )
 
 // MarshalSize is the exact length of the serialized snapshot.
 func (s *Snapshot) MarshalSize() int {
-	size := snapHeaderLen + len(isa.Of(s.Arch).Name()) + len(s.Fingerprint) + snapGeomLen +
-		2*sha256.Size + 4 + len(s.Input) + 4 + len(s.Output) + 4
-	for i := range s.Units {
-		size += snapUnitLen + len(s.Units[i].Insts)*snapInstLen
-	}
-	return size
+	return snapHeaderLen + len(isa.Of(s.Arch).Name()) + len(s.Fingerprint) + snapGeomLen +
+		2*sha256.Size + 4 + len(s.Input) + 4 + len(s.Output) + 4 +
+		len(s.Units)*snapUnitLen + len(s.Spans)*snapSpanLen
 }
 
 // Marshal serializes the snapshot. The format is versioned and
@@ -582,18 +595,17 @@ func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 	image(s.Input)
 	image(s.Output)
 	b = le.AppendUint32(b, uint32(len(s.Units)))
-	for i := range s.Units {
-		u := &s.Units[i]
+	for _, u := range s.Units {
 		room(snapUnitLen)
 		b = le.AppendUint32(b, u.Range.Start)
 		b = le.AppendUint32(b, u.Range.End)
-		b = le.AppendUint32(b, uint32(len(u.Insts)))
-		for _, rec := range u.Insts {
-			room(snapInstLen)
-			b = le.AppendUint32(b, rec.Off)
-			b = le.AppendUint32(b, rec.Placed)
-			b = append(b, rec.Len, rec.Flags)
-		}
+		b = le.AppendUint32(b, u.Hi-u.Lo)
+	}
+	for _, sp := range s.Spans {
+		room(snapSpanLen)
+		b = le.AppendUint32(b, sp.Off)
+		b = le.AppendUint32(b, sp.Len)
+		b = le.AppendUint32(b, sp.Placed)
 	}
 	if w != nil {
 		w.Write(b)
@@ -604,9 +616,10 @@ func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 
 // UnmarshalSnapshot parses a Marshal-ed snapshot and verifies it
 // (Verify), so a snapshot read back enters a store checked. Blobs of an
-// older format version (v3 still carried a digest per unit), naming an
-// unknown ISA, or whose images fail their digests fail with
-// ErrSnapshotStale.
+// older format version (v4 still carried a record per instruction),
+// naming an unknown ISA, whose units are out of order or outside text,
+// whose spans are empty, overlap, are out of order or run past their
+// unit, or whose images fail their digests fail with ErrSnapshotStale.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	r := snapReader{b: data}
 	if string(r.take(4)) != snapMagic {
@@ -633,30 +646,25 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	s.Input = append([]byte(nil), r.take(int(r.u32()))...)
 	s.Output = append([]byte(nil), r.take(int(r.u32()))...)
 	nUnits := int(r.u32())
-	if r.bad || nUnits > 1<<22 {
+	if r.bad || nUnits > (len(r.b)-r.pos)/snapUnitLen {
 		return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotStale)
 	}
-	for i := 0; i < nUnits; i++ {
-		var u SnapUnit
+	s.Units = make([]SnapUnit, nUnits)
+	nSpans := 0
+	for i := range s.Units {
+		u := &s.Units[i]
 		u.Range.Start = r.u32()
 		u.Range.End = r.u32()
-		nInsts := int(r.u32())
-		if r.bad || nInsts > 1<<26 {
+		n := int(r.u32())
+		if n > (len(r.b)-r.pos)/snapSpanLen-nSpans {
 			return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotStale)
 		}
-		u.Insts = make([]SnapInst, 0, nInsts)
-		for j := 0; j < nInsts; j++ {
-			var rec SnapInst
-			rec.Off = r.u32()
-			rec.Placed = r.u32()
-			one := r.take(2)
-			if r.bad {
-				return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotStale)
-			}
-			rec.Len, rec.Flags = one[0], one[1]
-			u.Insts = append(u.Insts, rec)
-		}
-		s.Units = append(s.Units, u)
+		u.Lo, u.Hi = uint32(nSpans), uint32(nSpans+n)
+		nSpans += n
+	}
+	s.Spans = make([]SnapSpan, nSpans)
+	for i := range s.Spans {
+		s.Spans[i] = SnapSpan{Off: r.u32(), Len: r.u32(), Placed: r.u32()}
 	}
 	if r.bad || len(r.b) != r.pos {
 		return nil, fmt.Errorf("%w: malformed snapshot", ErrSnapshotStale)

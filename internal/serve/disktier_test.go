@@ -11,7 +11,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -468,6 +471,35 @@ func TestDiskTierSnapshotSpillsCoalesce(t *testing.T) {
 	}
 	if st := tier2.Stats(); st.Hits != 1 || st.PendingHits != 0 {
 		t.Fatalf("hits/pending hits = %d/%d, want 1/0", st.Hits, st.PendingHits)
+	}
+}
+
+// TestDiskTierDeletesOldFormatSnapshot: a snapshot object of an older
+// wire format (the spilled blob with its version field set to 4, under
+// a valid trailer) reads as stale: the tier answers no snapshot for its
+// slot and deletes the object.
+func TestDiskTierDeletesOldFormatSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	tier := openTier(t, dir, 0)
+	tier.putSnapAsync("slot", testSnap(1, 100))
+	tier.Close()
+	path := tier.objectPath(snapDiskKey("slot"))
+	obj, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := obj[:len(obj)-sha256.Size]
+	binary.LittleEndian.PutUint32(payload[4:], 4)
+	sum := sha256.Sum256(payload)
+	if err := os.WriteFile(path, append(payload, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tier2 := openTier(t, dir, 0)
+	if _, ok := tier2.getSnap("slot", nil); ok {
+		t.Fatal("a version 4 snapshot object answered a read")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the version 4 snapshot object is still on disk (stat: %v)", err)
 	}
 }
 

@@ -343,7 +343,7 @@ zipr_serve_pipeline_runs 2
 zipr_serve_delta_stale 0
 # HELP zipr_serve_snapshot_bytes placement-snapshot store bytes
 # TYPE zipr_serve_snapshot_bytes gauge
-zipr_serve_snapshot_bytes 12198
+zipr_serve_snapshot_bytes 7242
 # HELP zipr_serve_snapshot_entries stored placement snapshots
 # TYPE zipr_serve_snapshot_entries gauge
 zipr_serve_snapshot_entries 1
@@ -358,7 +358,7 @@ zipr_serve_disk_promotes 1
 zipr_serve_disk_corrupt 0
 # HELP zipr_serve_disk_bytes disk-tier stored bytes
 # TYPE zipr_serve_disk_bytes gauge
-zipr_serve_disk_bytes 46041
+zipr_serve_disk_bytes 31999
 # HELP zipr_serve_disk_entries disk-tier index entries
 # TYPE zipr_serve_disk_entries gauge
 zipr_serve_disk_entries 6

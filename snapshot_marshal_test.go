@@ -18,6 +18,11 @@ import (
 // Format version 3 adds the ISA name after the version; version 2 blobs
 // have none. Version 4 drops the per-unit content digest that versions
 // 2 and 3 wrote after each unit's range; the oracle writes it as zeros.
+// Version 5 replaces the per-instruction records that followed each
+// unit's range with a span count, and writes all spans after the units.
+// For versions before 5 the oracle writes each span as one record
+// flagged editable: a blob of that layout, though not the records that
+// version's capture wrote.
 func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("ZSNP")
@@ -43,19 +48,27 @@ func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 	w32(uint32(len(s.Output)))
 	buf.Write(s.Output)
 	w32(uint32(len(s.Units)))
-	for i := range s.Units {
-		u := &s.Units[i]
+	for _, u := range s.Units {
 		w32(u.Range.Start)
 		w32(u.Range.End)
 		if version < 4 {
 			buf.Write(make([]byte, sha256.Size))
 		}
-		w32(uint32(len(u.Insts)))
-		for _, rec := range u.Insts {
-			w32(rec.Off)
-			w32(rec.Placed)
-			buf.WriteByte(rec.Len)
-			buf.WriteByte(rec.Flags)
+		w32(u.Hi - u.Lo)
+		if version < 5 {
+			for _, sp := range s.Spans[u.Lo:u.Hi] {
+				w32(sp.Off)
+				w32(sp.Placed)
+				buf.WriteByte(byte(sp.Len))
+				buf.WriteByte(1 << 1)
+			}
+		}
+	}
+	if version >= 5 {
+		for _, sp := range s.Spans {
+			w32(sp.Off)
+			w32(sp.Len)
+			w32(sp.Placed)
 		}
 	}
 	return buf.Bytes()
@@ -68,7 +81,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	check := func(name string, snap *Snapshot) {
 		t.Helper()
 		got := snap.Marshal()
-		if want := marshalSnapshotOracle(snap, 4); !bytes.Equal(got, want) {
+		if want := marshalSnapshotOracle(snap, 5); !bytes.Equal(got, want) {
 			t.Fatalf("%s: Marshal differs from the reference encoder (%d vs %d bytes)", name, len(got), len(want))
 		}
 		if cap(got) != len(got) {
@@ -82,7 +95,7 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: Marshal/UnmarshalSnapshot does not round-trip", name)
 		}
 	}
-	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty, 4)) {
+	if empty := (&Snapshot{}); !bytes.Equal(empty.Marshal(), marshalSnapshotOracle(empty, 5)) {
 		t.Fatal("empty snapshot: Marshal differs from the reference encoder")
 	}
 
@@ -116,14 +129,16 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSnapshotShapePinned pins how many units and instruction records
-// the corpus snapshots hold on each ISA (every fourth CB, null and
-// cfi-diversity), so a change to how capture checks a unit cannot drop
-// or add units unnoticed.
+// TestSnapshotShapePinned pins how many units and editable spans the
+// corpus snapshots hold on each ISA (every fourth CB, null and
+// cfi-diversity), and how many input bytes those spans cover, so a
+// change to how capture checks a unit or an instruction cannot drop or
+// add units or editable bytes unnoticed. The editable bytes are the
+// figure the per-instruction records of format v4 gave.
 func TestSnapshotShapePinned(t *testing.T) {
-	want := map[string][2]int{"zvm32": {5044, 486390}, "zvm64": {5008, 484322}}
+	want := map[string][3]int{"zvm32": {5044, 72493, 1688790}, "zvm64": {5008, 71754, 2274952}}
 	for _, arch := range []isa.Arch{isa.ZVM32, isa.ZVM64} {
-		units, insts := 0, 0
+		units, spans, editable := 0, 0, 0
 		for i := 0; i < synth.CorpusSize; i += 4 {
 			seed, prof := synth.CBProfile(i)
 			img := mustImageArch(t, synth.GenerateArch(seed, prof, arch), arch)
@@ -140,23 +155,24 @@ func TestSnapshotShapePinned(t *testing.T) {
 					t.Fatalf("%s/cb%02d/%s: no snapshot captured", arch.Name(), i, deltaConfigName(cfg))
 				}
 				units += len(rep.Snapshot.Units)
-				for _, u := range rep.Snapshot.Units {
-					insts += len(u.Insts)
+				spans += len(rep.Snapshot.Spans)
+				for _, sp := range rep.Snapshot.Spans {
+					editable += int(sp.Len)
 				}
 			}
 		}
-		if got := [2]int{units, insts}; got != want[arch.Name()] {
-			t.Errorf("%s: corpus snapshots hold %d units and %d instruction records, want %d and %d",
-				arch.Name(), units, insts, want[arch.Name()][0], want[arch.Name()][1])
+		if got, w := [3]int{units, spans, editable}, want[arch.Name()]; got != w {
+			t.Errorf("%s: corpus snapshots hold %d units and %d spans of %d editable bytes, want %d, %d and %d",
+				arch.Name(), units, spans, editable, w[0], w[1], w[2])
 		}
 	}
 }
 
-// TestSnapshotFormatV4 checks that a marshaled snapshot carries its ISA
+// TestSnapshotFormatV5 checks that a marshaled snapshot carries its ISA
 // on both ISAs, and that blobs of the previous formats, naming an
 // unknown ISA, or whose images fail their digests are refused as stale
 // (the disk tier then deletes them).
-func TestSnapshotFormatV4(t *testing.T) {
+func TestSnapshotFormatV5(t *testing.T) {
 	seed, prof := synth.CBProfile(3)
 	src := synth.Generate(seed, prof)
 	_, rep, err := Rewrite(mustImage(t, src), Config{CaptureSnapshot: true})
@@ -188,7 +204,7 @@ func TestSnapshotFormatV4(t *testing.T) {
 		if _, err := core.UnmarshalSnapshot(unknown); !errors.Is(err, ErrSnapshotStale) {
 			t.Fatalf("%s: unknown ISA name: err = %v, want ErrSnapshotStale", name, err)
 		}
-		for _, v := range []uint32{2, 3} {
+		for _, v := range []uint32{2, 3, 4} {
 			if _, err := core.UnmarshalSnapshot(marshalSnapshotOracle(snap, v)); !errors.Is(err, ErrSnapshotStale) {
 				t.Fatalf("%s: version %d blob: err = %v, want ErrSnapshotStale", name, v, err)
 			}

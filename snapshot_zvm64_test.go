@@ -49,7 +49,7 @@ func mustImageArch(t *testing.T, src string, arch isa.Arch) []byte {
 // corpus, over the same four (stack × layout) cells. An applied edit
 // must match the rewrite of the edited input byte for byte, and its
 // Rebase must equal a fresh capture of the edited input: the same units
-// and instruction records, the edited images and their digests; a
+// and spans, the edited images and their digests; a
 // refusal must be typed, and most cells must apply. Cells whose base
 // rewrite fails are skipped: cb11 under cfi-optimized hits the known CFI
 // target-table overflow.
@@ -101,10 +101,8 @@ func TestSnapshotIdentityZVM64(t *testing.T) {
 			if len(rebased.Units) != len(wantSnap.Units) {
 				t.Fatalf("cb%02d/%s: rebased %d units, fresh capture %d", i, cell, len(rebased.Units), len(wantSnap.Units))
 			}
-			for ui, r := range rebased.Units {
-				if w := wantSnap.Units[ui]; r.Range != w.Range || !slices.Equal(r.Insts, w.Insts) {
-					t.Fatalf("cb%02d/%s: rebased unit %+v differs from a fresh capture", i, cell, r.Range)
-				}
+			if !slices.Equal(rebased.Units, wantSnap.Units) || !slices.Equal(rebased.Spans, wantSnap.Spans) {
+				t.Fatalf("cb%02d/%s: rebased units or spans differ from a fresh capture", i, cell)
 			}
 			if !bytes.Equal(rebased.Input, wantSnap.Input) || !bytes.Equal(rebased.Output, wantSnap.Output) ||
 				rebased.InDigest != wantSnap.InDigest || rebased.OutDigest != wantSnap.OutDigest {
