@@ -2,10 +2,15 @@
 //
 // Usage:
 //
-//	zipr [-transforms null,cfi,stackpad,canary] [-layout optimized|diversity|profile-guided]
-//	     [-arbitration two-way|weighted] [-isa zvm32|zvm64] [-seed N] [-pad N] [-stats]
+//	zipr [-transforms SPEC] [-layout optimized|diversity|profile-guided]
+//	     [-arbitration two-way|weighted] [-isa zvm32|zvm64] [-seed N] [-stats]
 //	     [-phase-times] [-trace-out trace.jsonl] [-sql "SELECT ..."] [-chaos-seed N]
 //	     input.zelf output.zelf
+//
+// SPEC is the transform spec cmd/ziprd takes too (zipr.ParseTransforms):
+// comma-separated names, each with an optional ":value" parameter, as
+// in cfi,stackpad:32,stir:9. The names are null, cfi, stackpad[:N]
+// (default 64 bytes), canary[:V], stir[:SEED], nop-elide and pin-blocks.
 //
 // The -sql flag runs a SELECT against the IR database captured after
 // construction (tables: instructions, functions, fixed_ranges,
@@ -22,6 +27,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -85,53 +91,46 @@ func verifyPair(origImage, newImage []byte, inputPath string, arch isa.Arch) (st
 }
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "zipr:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	transforms := flag.String("transforms", "null", "comma-separated: null,cfi,stackpad,canary")
-	layoutFlag := flag.String("layout", "optimized", "optimized | diversity | profile-guided")
-	arbFlag := flag.String("arbitration", "two-way", "ambiguity arbitration: two-way | weighted")
-	isaFlag := flag.String("isa", "zvm32", "instruction set of the input binary: zvm32 | zvm64")
-	seed := flag.Int64("seed", 1, "diversity layout seed")
-	pad := flag.Int("pad", 64, "stackpad padding bytes")
-	stats := flag.Bool("stats", false, "print reassembly statistics")
-	warns := flag.Bool("warnings", false, "print analysis warnings")
-	phaseTimes := flag.Bool("phase-times", false, "print a per-phase wall-time and memory-delta table")
-	traceOut := flag.String("trace-out", "", "write the phase trace and metrics as JSON-lines to this file")
-	sql := flag.String("sql", "", "run an SQL SELECT against the captured IR (read-only: WHERE, IN/NOT IN, ORDER BY, LIMIT, COUNT(*))")
-	mapOut := flag.String("map", "", "write an original->rewritten address map to this file")
-	verify := flag.String("verify-input", "", "run original and rewritten binaries on this input file and compare transcripts")
-	chaosSeed := flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off); the run must end in a verified rewrite or a typed error")
-	flag.Parse()
+// run rewrites the binary that args name, writing its report to stdout
+// and flag diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("zipr", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	transforms := fs.String("transforms", "null", "transform spec, e.g. cfi,stackpad:32,stir:9 (null, cfi, stackpad[:N], canary[:V], stir[:SEED], nop-elide, pin-blocks)")
+	layoutFlag := fs.String("layout", "optimized", "optimized | diversity | profile-guided")
+	arbFlag := fs.String("arbitration", "two-way", "ambiguity arbitration: two-way | weighted")
+	isaFlag := fs.String("isa", "zvm32", "instruction set of the input binary: zvm32 | zvm64")
+	seed := fs.Int64("seed", 1, "diversity layout seed")
+	stats := fs.Bool("stats", false, "print reassembly statistics")
+	warns := fs.Bool("warnings", false, "print analysis warnings")
+	phaseTimes := fs.Bool("phase-times", false, "print a per-phase wall-time and memory-delta table")
+	traceOut := fs.String("trace-out", "", "write the phase trace and metrics as JSON-lines to this file")
+	sql := fs.String("sql", "", "run an SQL SELECT against the captured IR (read-only: WHERE, IN/NOT IN, ORDER BY, LIMIT, COUNT(*))")
+	mapOut := fs.String("map", "", "write an original->rewritten address map to this file")
+	verify := fs.String("verify-input", "", "run original and rewritten binaries on this input file and compare transcripts")
+	chaosSeed := fs.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off); the run must end in a verified rewrite or a typed error")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	if flag.NArg() != 2 {
+	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: zipr [flags] input.zelf output.zelf")
 	}
-	input, err := os.ReadFile(flag.Arg(0))
+	input, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 
-	var tfs []zipr.Transform
-	for _, name := range strings.Split(*transforms, ",") {
-		switch strings.TrimSpace(name) {
-		case "", "null":
-			tfs = append(tfs, zipr.Null())
-		case "cfi":
-			tfs = append(tfs, zipr.CFI())
-		case "stackpad":
-			tfs = append(tfs, zipr.StackPad(int32(*pad)))
-		case "canary":
-			tfs = append(tfs, zipr.Canary(0))
-		case "pin-blocks":
-			tfs = append(tfs, zipr.PinBlocks())
-		default:
-			return fmt.Errorf("unknown transform %q", name)
-		}
+	tfs, err := zipr.ParseTransforms(*transforms)
+	if err != nil {
+		return err
 	}
 	var sinks []zipr.TraceSink
 	var traceFile *os.File
@@ -144,7 +143,7 @@ func run() error {
 		sinks = append(sinks, zipr.NewJSONLSink(f))
 	}
 	if *phaseTimes {
-		sinks = append(sinks, zipr.NewTableSink(os.Stdout))
+		sinks = append(sinks, zipr.NewTableSink(stdout))
 	}
 	var tr *zipr.Trace
 	if len(sinks) > 0 {
@@ -162,7 +161,7 @@ func run() error {
 	}
 	if *chaosSeed != 0 {
 		cfg.Chaos = zipr.NewFaultInjector(*chaosSeed)
-		fmt.Printf("chaos: %s\n", cfg.Chaos.Describe())
+		fmt.Fprintf(stdout, "chaos: %s\n", cfg.Chaos.Describe())
 	}
 	out, report, err := zipr.Rewrite(input, cfg)
 	if err != nil {
@@ -171,11 +170,11 @@ func run() error {
 		}
 		return err
 	}
-	if err := os.WriteFile(flag.Arg(1), out, 0o644); err != nil {
+	if err := os.WriteFile(fs.Arg(1), out, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d -> %d bytes (%+.2f%%), layout %s\n",
-		flag.Arg(1), report.InputSize, report.OutputSize,
+	fmt.Fprintf(stdout, "%s: %d -> %d bytes (%+.2f%%), layout %s\n",
+		fs.Arg(1), report.InputSize, report.OutputSize,
 		report.SizeOverhead()*100, report.Layout)
 	if tr != nil {
 		if err := tr.Close(); err != nil {
@@ -185,19 +184,19 @@ func run() error {
 			if err := traceFile.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("%s: phase trace written\n", *traceOut)
+			fmt.Fprintf(stdout, "%s: phase trace written\n", *traceOut)
 		}
 	}
 	if *stats {
 		s := report.Stats
-		fmt.Printf("pins %d (inline %d, 5-byte %d, 2-byte %d, chains %d, sleds %d/%d entries)\n",
+		fmt.Fprintf(stdout, "pins %d (inline %d, 5-byte %d, 2-byte %d, chains %d, sleds %d/%d entries)\n",
 			s.Pinned, s.InlinePins, s.Stubs5, s.Stubs2, s.Chains, s.Sleds, s.SledEntries)
-		fmt.Printf("dollops %d (splits %d), overflow %d bytes, text growth %d, free left %d, veneers %d\n",
+		fmt.Fprintf(stdout, "dollops %d (splits %d), overflow %d bytes, text growth %d, free left %d, veneers %d\n",
 			s.Dollops, s.Splits, s.OverflowUsed, s.TextGrowth, s.FreeLeft, s.Veneers)
 	}
 	if *warns {
 		for _, w := range report.Warnings {
-			fmt.Println("warning:", w)
+			fmt.Fprintln(stdout, "warning:", w)
 		}
 	}
 	if *verify != "" {
@@ -209,7 +208,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(verdict)
+		fmt.Fprintln(stdout, verdict)
 	}
 	if *mapOut != "" {
 		addrs := make([]uint32, 0, len(report.AddrMap))
@@ -224,7 +223,7 @@ func run() error {
 		if err := os.WriteFile(*mapOut, []byte(sb.String()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d mappings\n", *mapOut, len(addrs))
+		fmt.Fprintf(stdout, "%s: %d mappings\n", *mapOut, len(addrs))
 	}
 	if *sql != "" {
 		res, err := report.IRDB.Exec(*sql)
@@ -241,7 +240,7 @@ func run() error {
 			for _, k := range keys {
 				parts = append(parts, fmt.Sprintf("%s=%v", k, row[k]))
 			}
-			fmt.Println(strings.Join(parts, " "))
+			fmt.Fprintln(stdout, strings.Join(parts, " "))
 		}
 	}
 	return nil

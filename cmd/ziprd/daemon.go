@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -19,7 +18,6 @@ import (
 	"time"
 
 	"zipr"
-	"zipr/internal/isa"
 	"zipr/internal/obs"
 	"zipr/internal/serve"
 )
@@ -169,11 +167,9 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 	}
 
 	// Requests that name no known transform, arbitration, layout or ISA
-	// are usage errors, refused before they reach the server.
-	tfs, err := serve.ParseTransforms(req.Transforms)
-	if err == nil {
-		err = checkChoices(req)
-	}
+	// are usage errors, refused before they reach the server. The fleet
+	// gateway routes on the same Config (fleet.routeKey).
+	cfg, err := zipr.ParseConfig(req.Transforms, req.Layout, req.Arbitration, req.ISA, req.Seed)
 	if err != nil {
 		rec.Outcome, rec.Error, rec.Class = serve.OutcomeError, err.Error(), "usage"
 		d.logRecord(rec)
@@ -183,14 +179,7 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 		return response{ID: req.ID, Trace: traceID, Error: err.Error(), Class: "usage"}
 	}
 	tr := obs.New()
-	cfg := zipr.Config{
-		Transforms:  tfs,
-		Layout:      zipr.LayoutKind(req.Layout),
-		Arbitration: zipr.ArbitrationKind(req.Arbitration),
-		ISA:         req.ISA,
-		Seed:        req.Seed,
-		Trace:       tr,
-	}
+	cfg.Trace = tr
 	rec.ConfigSHA = shortDigest([]byte(cfg.Fingerprint()))
 	out, rep, meta, err := d.s.RewriteMeta(ctx, req.Input, cfg)
 	d.agg.AddTrace(tr)
@@ -225,22 +214,6 @@ func (d *daemon) handle(ctx context.Context, req request) response {
 		Cached:     meta.Outcome == serve.OutcomeHit || meta.Outcome == serve.OutcomeShared,
 		Delta:      meta.Outcome == serve.OutcomeDelta,
 	}
-}
-
-// checkChoices refuses an unknown arbitration, layout or ISA by name.
-func checkChoices(req request) error {
-	switch zipr.ArbitrationKind(req.Arbitration) {
-	case "", zipr.ArbitrationTwoWay, zipr.ArbitrationWeighted:
-	default:
-		return fmt.Errorf("unknown arbitration %q", req.Arbitration)
-	}
-	switch zipr.LayoutKind(req.Layout) {
-	case "", zipr.LayoutOptimized, zipr.LayoutDiversity, zipr.LayoutProfileGuided:
-	default:
-		return fmt.Errorf("unknown layout %q", req.Layout)
-	}
-	_, err := isa.ByName(req.ISA)
-	return err
 }
 
 // reqRing is a bounded, concurrency-safe ring of recent request

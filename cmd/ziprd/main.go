@@ -50,9 +50,14 @@
 // per stdin line, one response object per stdout line, responses in
 // input order regardless of -j. Request fields: id, trace, input
 // (base64), transforms, layout, arbitration (two-way, the default, or
-// weighted — DESIGN.md §13), seed, deadline_ms. Response fields:
+// weighted — DESIGN.md §13), isa, seed, deadline_ms. Response fields:
 // id, trace, output (base64), input_size, output_size, layout, cached,
 // delta, error, class.
+//
+// Both modes build a request's configuration with zipr.ParseConfig:
+// transforms is the spec cmd/zipr's -transforms flag takes, and a bad
+// spec or an unknown layout, arbitration or isa is refused with class
+// usage (HTTP 400) before any pipeline run.
 //
 // -access-log appends one JSON line per request (trace ID, content
 // digests, outcome, queue wait, wall time, phase breakdown, error

@@ -338,3 +338,35 @@ func TestSnapshotSkipReasonsCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyRewriteCapturesSnapshots: under CaptureSnapshot, RewriteBinary
+// returns no snapshot (it has no serialized images to record), and
+// Rewrite returns a complete one that verifies.
+func TestOnlyRewriteCapturesSnapshots(t *testing.T) {
+	cb, err := cgcsim.CBArch(3, isa.DefaultArch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Transforms: []Transform{CFI()}, CaptureSnapshot: true}
+	_, rep, err := RewriteBinary(cb.Bin.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Snapshot != nil {
+		t.Fatal("RewriteBinary returned a snapshot")
+	}
+	image, err := cb.Bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err = Rewrite(image, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Snapshot == nil {
+		t.Fatal("Rewrite captured no snapshot")
+	}
+	if err := rep.Snapshot.Verify(); err != nil {
+		t.Fatalf("Rewrite's snapshot does not verify: %v", err)
+	}
+}

@@ -12,11 +12,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,8 +33,8 @@ import (
 
 // fleetGoldenSpecs mirrors serveGoldenConfigs in wire form: the
 // transform spec, layout, and seed query parameters a client would
-// send. Both the gateway's routing key and the worker's rewrite parse
-// these with serve.ParseTransforms, so the specs must round-trip to
+// send. Both the gateway's routing key and the worker's rewrite build
+// their Config with zipr.ParseConfig, so the specs must round-trip to
 // the same configs serveGoldenConfigs builds directly.
 func fleetGoldenSpecs() map[string]string {
 	return map[string]string{
@@ -41,6 +42,18 @@ func fleetGoldenSpecs() map[string]string {
 		"cfi/optimized":  "transforms=cfi",
 		"full/diversity": "transforms=stir:0x57123,nop-elide,stackpad:48,canary:0xA5A5A5A5,cfi&layout=diversity&seed=24789",
 	}
+}
+
+// wireConfig builds a query's Config as cmd/ziprd does.
+func wireConfig(q url.Values) (zipr.Config, error) {
+	var seed int64
+	if v := q.Get("seed"); v != "" {
+		var err error
+		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return zipr.Config{}, err
+		}
+	}
+	return zipr.ParseConfig(q.Get("transforms"), q.Get("layout"), q.Get("arbitration"), q.Get("isa"), seed)
 }
 
 // fleetWorker is a minimal worker daemon: /rewrite with the ziprd
@@ -58,14 +71,11 @@ func fleetWorker(t testing.TB, s *serve.Server) *httptest.Server {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		q := r.URL.Query()
-		tfs, err := serve.ParseTransforms(q.Get("transforms"))
+		cfg, err := wireConfig(r.URL.Query())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		cfg := zipr.Config{Transforms: tfs, Layout: zipr.LayoutKind(q.Get("layout")), ISA: q.Get("isa")}
-		fmt.Sscanf(q.Get("seed"), "%d", &cfg.Seed)
 		out, _, err := s.Rewrite(r.Context(), input, cfg)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -141,19 +151,15 @@ func TestGoldenThroughFleet(t *testing.T) {
 	// single-server golden gate uses, so both gates pin the same cells.
 	direct := serveGoldenConfigs()
 	for cell, query := range fleetGoldenSpecs() {
-		spec := ""
-		for _, kv := range strings.Split(query, "&") {
-			if v, ok := strings.CutPrefix(kv, "transforms="); ok {
-				spec = v
-			}
-		}
-		tfs, err := serve.ParseTransforms(spec)
+		q, err := url.ParseQuery(query)
 		if err != nil {
-			t.Fatalf("%s: spec does not parse: %v", cell, err)
+			t.Fatal(err)
 		}
-		want := direct[cell]
-		got := zipr.Config{Transforms: tfs, Layout: want.Layout, Seed: want.Seed}
-		if got.Fingerprint() != want.Fingerprint() {
+		got, err := wireConfig(q)
+		if err != nil {
+			t.Fatalf("%s: query does not parse: %v", cell, err)
+		}
+		if got.Fingerprint() != direct[cell].Fingerprint() {
 			t.Fatalf("%s: wire spec fingerprint drifted from serveGoldenConfigs", cell)
 		}
 	}

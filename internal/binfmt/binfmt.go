@@ -187,6 +187,24 @@ func (b *Binary) FileSize() int {
 // pad, entry and the four table counts.
 const headerSize = 4 + 2 + 1 + 1 + 4 + 4*2
 
+// segHeaderSize frames each segment's payload: kind, three pad bytes,
+// virtual address and payload length.
+const segHeaderSize = 4 + 4 + 4
+
+// DataOffset returns the file offset of seg's payload in b.Marshal()'s
+// output, or -1 when seg is not one of b's segments.
+func (b *Binary) DataOffset(seg *Segment) int {
+	off := headerSize
+	for i := range b.Segments {
+		off += segHeaderSize
+		if &b.Segments[i] == seg {
+			return off
+		}
+		off += len(b.Segments[i].Data)
+	}
+	return -1
+}
+
 // size validates the binary as Marshal does, failing exactly where
 // Marshal fails, and returns the size of its serialized form.
 func (b *Binary) size() (int, error) {
@@ -208,7 +226,7 @@ func (b *Binary) size() (int, error) {
 	}
 	n := headerSize
 	for _, s := range b.Segments {
-		n += 12 + len(s.Data)
+		n += segHeaderSize + len(s.Data)
 	}
 	str := func(s string) error {
 		if len(s) > 0xFFFF {

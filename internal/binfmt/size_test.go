@@ -1,6 +1,7 @@
 package binfmt_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -40,6 +41,34 @@ func TestFileSizeMatchesMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSize(t, "library", lib)
+}
+
+// TestDataOffsetLocatesPayloads: for every segment of the corpus on
+// both ISAs, DataOffset points at the segment's payload in Marshal's
+// output; a segment of another binary has no offset.
+func TestDataOffsetLocatesPayloads(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ZVM32, isa.ZVM64} {
+		cbs, err := cgcsim.Corpus(synth.CorpusSize, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cb := range cbs {
+			data, err := cb.Bin.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cb.Bin.Segments {
+				seg := &cb.Bin.Segments[i]
+				off := cb.Bin.DataOffset(seg)
+				if off < 0 || off+len(seg.Data) > len(data) || !bytes.Equal(data[off:off+len(seg.Data)], seg.Data) {
+					t.Fatalf("%s/%s segment %d: offset %d does not locate its payload", arch.Name(), cb.Name, i, off)
+				}
+			}
+			if off := cb.Bin.DataOffset(&cb.Bin.Clone().Segments[0]); off != -1 {
+				t.Fatalf("%s/%s: a foreign segment has offset %d", arch.Name(), cb.Name, off)
+			}
+		}
+	}
 }
 
 // TestFileSizeZeroWhereMarshalFails covers every way Marshal fails —

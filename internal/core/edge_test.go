@@ -140,13 +140,12 @@ func TestChainMultiHop(t *testing.T) {
 	// Fixed bytes: [pin+2 .. pin+130) leaves no 5-byte room after the
 	// 2-byte stub within most of the forward window; a small 2-byte gap
 	// at pin+130 lets a hop land, and from there a 5-byte slot is in
-	// range further on.
-	p.Fixed = append(p.Fixed,
-		ir.Range{Start: pinAddr + 2, End: pinAddr + 126},
-		ir.Range{Start: pinAddr + 128, End: pinAddr + 200},
-	)
-	// Backward window is blocked too.
-	p.Fixed = append(p.Fixed, ir.Range{Start: pinAddr - 300, End: pinAddr})
+	// range further on. The backward window is blocked too.
+	p.Fixed = []ir.Range{
+		{Start: pinAddr - 300, End: pinAddr},
+		{Start: pinAddr + 2, End: pinAddr + 126},
+		{Start: pinAddr + 128, End: pinAddr + 200},
+	}
 
 	entry := p.AddOrig(base, isa.Inst{Op: isa.OpMovI, Rd: 5, Imm: int32(pinAddr)})
 	entry.Pinned = true

@@ -132,7 +132,6 @@ type reassembler struct {
 	image    []byte // rewritten text image, starting at text.Start
 	imageEnd uint32
 	fs       *Alloc
-	fixed    []ir.Range // p.Fixed merged and sorted, for inFixed
 
 	// addr is the placement table M, indexed by instruction ID: the
 	// placed address plus one, 0 while unplaced. IDs are dense
@@ -219,7 +218,6 @@ func Reassemble(p *ir.Program, opts Options) (*Result, error) {
 		chainSeen: make([]uint32, p.MaxID()+1),
 		veneers:   make(map[uint32][]uint32),
 	}
-	r.fixed = ir.MergeRanges(p.Fixed)
 	r.fs = NewAlloc(text, p.Fixed)
 	r.fs.SetAlign(arch.Align())
 	if align := arch.Align(); align > 1 {
@@ -382,7 +380,7 @@ func (p *faultPlacer) Choose(space Space, size int, hint, origin uint32) (uint32
 }
 
 // inFixed reports whether addr is inside a fixed range.
-func (r *reassembler) inFixed(addr uint32) bool { return ir.InRanges(r.fixed, addr) }
+func (r *reassembler) inFixed(addr uint32) bool { return ir.InRanges(r.p.Fixed, addr) }
 
 // nextObstacle returns the first address after a that the pin plan must
 // not touch: the next pinned address, the start of the next fixed range,

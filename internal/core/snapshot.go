@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"slices"
 
-	"zipr/internal/binfmt"
 	"zipr/internal/ir"
 	"zipr/internal/isa"
 )
@@ -128,23 +127,6 @@ func opEditable(op isa.Op) bool {
 	return true
 }
 
-// segDataOffset returns the file offset of seg's payload inside
-// b.Marshal()'s output, mirroring the marshal layout (20-byte header,
-// then per-segment 12-byte headers + payload). Returns -1 when seg is
-// not one of b's segments.
-func segDataOffset(b *binfmt.Binary, seg *binfmt.Segment) int {
-	off := 4 + 2 + 1 + 1 + 4 + 4*2 // magic, version, type, pad, entry, counts
-	for i := range b.Segments {
-		s := &b.Segments[i]
-		off += 12
-		if s == seg {
-			return off
-		}
-		off += len(s.Data)
-	}
-	return -1
-}
-
 // BuildSnapshot constructs the structural part of a snapshot from a
 // completed reassembly: the unit partition and each unit's editable
 // spans. The serialized input/output images are attached afterwards
@@ -169,8 +151,8 @@ func BuildSnapshot(p *ir.Program, res *Result, frameSensitive bool, fingerprint 
 		OutTextVA:   outText.VAddr,
 		OutTextLen:  uint32(len(outText.Data)),
 	}
-	inOff := segDataOffset(p.Bin, text)
-	outOff := segDataOffset(res.Binary, outText)
+	inOff := p.Bin.DataOffset(text)
+	outOff := res.Binary.DataOffset(outText)
 	if inOff < 0 || outOff < 0 {
 		return nil, fmt.Errorf("core: snapshot: segment offset unresolved")
 	}

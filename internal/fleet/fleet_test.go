@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -305,7 +306,7 @@ func TestGatewayRateLimit(t *testing.T) {
 func TestChaosWorkerDownTwoOutcomes(t *testing.T) {
 	input := []byte("chaos-input")
 	// Compute the firing site exactly as the gateway will route it.
-	key := routeKey(input, map[string]string{})
+	key := routeKey(input, url.Values{})
 	site := binary.LittleEndian.Uint32(key[:4])
 	var inj *fault.Injector
 	for seed := int64(1); seed <= 1000; seed++ {
@@ -354,23 +355,33 @@ func TestChaosWorkerDownTwoOutcomes(t *testing.T) {
 }
 
 // TestRouteKeyMatchesWorkerKey: the gateway's routing key is the
-// content address the worker's serving layer computes for the same
-// query, the ISA included.
+// content address the worker caches the same query under: the Config
+// zipr.ParseConfig builds from the query (the worker's helper) and the
+// hand-built Config it names, each keyed by serve.CacheKey. A request
+// the worker refuses routes on its input alone.
 func TestRouteKeyMatchesWorkerKey(t *testing.T) {
 	input := []byte("route-input")
-	for _, q := range []map[string]string{
-		{},
-		{"transforms": "cfi", "layout": "diversity", "seed": "7"},
-		{"transforms": "cfi", "isa": "zvm64"},
+	for _, tc := range []struct {
+		q    url.Values
+		want zipr.Config
+	}{
+		{url.Values{}, zipr.Config{Transforms: []zipr.Transform{zipr.Null()}}},
+		{url.Values{"transforms": {"cfi"}, "layout": {"diversity"}, "seed": {"7"}},
+			zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}, Layout: zipr.LayoutDiversity, Seed: 7}},
+		{url.Values{"transforms": {"cfi"}, "isa": {"zvm64"}},
+			zipr.Config{Transforms: []zipr.Transform{zipr.CFI()}, ISA: "zvm64"}},
+		{url.Values{"transforms": {"stackpad:32"}, "arbitration": {"weighted"}},
+			zipr.Config{Transforms: []zipr.Transform{zipr.StackPad(32)}, Arbitration: zipr.ArbitrationWeighted}},
+		{url.Values{"transforms": {"bogus"}, "layout": {"diversity"}, "seed": {"7"}}, zipr.Config{}},
 	} {
-		tfs, err := serve.ParseTransforms(q["transforms"])
-		if err != nil {
-			t.Fatal(err)
+		got := routeKey(input, tc.q)
+		if want := serve.CacheKey(input, tc.want); got != want {
+			t.Errorf("query %v: gateway key differs from the named Config's", tc.q)
 		}
-		cfg := zipr.Config{Transforms: tfs, Layout: zipr.LayoutKind(q["layout"]), ISA: q["isa"]}
-		fmt.Sscanf(q["seed"], "%d", &cfg.Seed)
-		if routeKey(input, q) != serve.CacheKey(input, cfg) {
-			t.Errorf("query %v: gateway key differs from the worker's", q)
+		seed, _ := strconv.ParseInt(tc.q.Get("seed"), 10, 64)
+		cfg, err := zipr.ParseConfig(tc.q.Get("transforms"), tc.q.Get("layout"), tc.q.Get("arbitration"), tc.q.Get("isa"), seed)
+		if err == nil && got != serve.CacheKey(input, cfg) {
+			t.Errorf("query %v: gateway key differs from the worker's", tc.q)
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"time"
 
 	"zipr"
@@ -126,20 +128,17 @@ func (g *Gateway) syncUp() {
 	}
 }
 
-// routeKey computes the request's content-address routing key exactly
-// as the worker's serving layer will, so a request and its repeats pin
-// to the same worker shard. A transform-spec parse error falls back to
-// an input-only key — the chosen worker will produce the 400.
-func routeKey(input []byte, q map[string]string) serve.Key {
-	cfg := zipr.Config{
-		Layout:      zipr.LayoutKind(q["layout"]),
-		Arbitration: zipr.ArbitrationKind(q["arbitration"]),
-		ISA:         q["isa"],
+// routeKey is the request's content address, built as the worker builds
+// it (zipr.ParseConfig, then serve.CacheKey), so a request and its
+// repeats pin to the same worker shard. A request the worker refuses (a
+// bad spec or name) routes on its input alone; a bad seed, which the
+// worker refuses too, reads as 0.
+func routeKey(input []byte, q url.Values) serve.Key {
+	seed, _ := strconv.ParseInt(q.Get("seed"), 10, 64)
+	cfg, err := zipr.ParseConfig(q.Get("transforms"), q.Get("layout"), q.Get("arbitration"), q.Get("isa"), seed)
+	if err != nil {
+		cfg = zipr.Config{}
 	}
-	if tfs, err := serve.ParseTransforms(q["transforms"]); err == nil {
-		cfg.Transforms = tfs
-	}
-	fmt.Sscanf(q["seed"], "%d", &cfg.Seed)
 	return serve.CacheKey(input, cfg)
 }
 
@@ -160,14 +159,7 @@ func (g *Gateway) rewrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
-	key := routeKey(input, map[string]string{
-		"transforms":  q.Get("transforms"),
-		"layout":      q.Get("layout"),
-		"arbitration": q.Get("arbitration"),
-		"isa":         q.Get("isa"),
-		"seed":        q.Get("seed"),
-	})
+	key := routeKey(input, r.URL.Query())
 	site := binary.LittleEndian.Uint32(key[:4])
 	reps := g.ring.replicas(key.String(), maxAttempts)
 	if len(reps) == 0 {

@@ -132,7 +132,8 @@ type Program struct {
 	Insts []*Instruction
 	// Entry is the program entry instruction (nil for libraries).
 	Entry *Instruction
-	// Fixed lists text ranges whose original bytes must stay in place.
+	// Fixed lists text ranges whose original bytes must stay in place,
+	// sorted, disjoint and non-adjacent (MergeRanges' output).
 	Fixed []Range
 	// FixedEntries lists addresses inside fixed ranges that the program
 	// legitimately reaches indirectly (in-text jump-table slots, return
@@ -468,7 +469,8 @@ func (p *Program) Normalize() error {
 
 // Validate checks IR invariants: Target/AbsTarget exclusivity, pinned
 // instructions carrying original addresses, fallthrough presence
-// matching the ISA, and fixed ranges lying inside text.
+// matching the ISA, and fixed ranges lying inside text in MergeRanges'
+// form.
 func (p *Program) Validate() error {
 	text := p.TextRange()
 	for _, i := range p.Insts {
@@ -482,12 +484,15 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("ir: %s is a terminator with a fallthrough", i)
 		}
 	}
-	for _, r := range p.Fixed {
+	for i, r := range p.Fixed {
 		if r.Start >= r.End {
 			return fmt.Errorf("ir: empty fixed range %+v", r)
 		}
 		if r.Start < text.Start || r.End > text.End {
 			return fmt.Errorf("ir: fixed range %+v outside text %+v", r, text)
+		}
+		if i > 0 && r.Start <= p.Fixed[i-1].End {
+			return fmt.Errorf("ir: fixed range %+v not after %+v (want MergeRanges' output)", r, p.Fixed[i-1])
 		}
 	}
 	return nil

@@ -287,6 +287,24 @@ func TestValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("fixed range outside text must be rejected")
 	}
+
+	// Fixed ranges must be MergeRanges' output: sorted, disjoint and
+	// non-adjacent.
+	for _, c := range []struct {
+		name  string
+		fixed []Range
+		ok    bool
+	}{
+		{"merged", []Range{{0x1000, 0x1004}, {0x1008, 0x100c}}, true},
+		{"unsorted", []Range{{0x1008, 0x100c}, {0x1000, 0x1004}}, false},
+		{"overlapping", []Range{{0x1000, 0x1008}, {0x1004, 0x100c}}, false},
+		{"adjacent", []Range{{0x1000, 0x1004}, {0x1004, 0x100c}}, false},
+	} {
+		p.Fixed = c.fixed
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s fixed ranges: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
 }
 
 func TestPinnedInstsSorted(t *testing.T) {

@@ -53,17 +53,6 @@ type cachedReport struct {
 	warnings []string
 }
 
-// layoutName is the Report.Layout of a rewrite under cfg: the layout's
-// name, "" meaning optimized. The server never installs a custom
-// placer, so an answer the disk tier restores without its report takes
-// the name from the request.
-func layoutName(cfg zipr.Config) string {
-	if cfg.Layout == "" {
-		return string(zipr.LayoutOptimized)
-	}
-	return string(cfg.Layout)
-}
-
 func keepReport(rep *zipr.Report) cachedReport {
 	return cachedReport{
 		stats:    rep.Stats,

@@ -190,7 +190,7 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 // and disk tier), an inapplicable edit just moves to the next
 // candidate, and the two-outcome contract holds because a successful
 // Apply is byte-identical to the pipeline by construction. layout is
-// the request's layout name (see layoutName).
+// the request's layout name (Config.EffectiveLayout).
 func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []byte, layout string) (ns *core.Snapshot, rep *zipr.Report, ok bool) {
 	s.mu.Lock()
 	cands := s.snaps.candidates(anc)

@@ -357,8 +357,10 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		if data, sum, ok := s.disk.get(key, s.inj); ok {
 			// data is a pending spill's image or a fresh read, and sum
 			// its digest, carried by the spill or just verified; either
-			// way the cache may keep it, and the caller gets a copy.
-			rep := &zipr.Report{Layout: layoutName(cfg), InputSize: len(input), OutputSize: len(data)}
+			// way the cache may keep it, and the caller gets a copy. The
+			// server never installs a custom placer, so the layout the
+			// request names is the one the cold rewrite reported.
+			rep := &zipr.Report{Layout: string(cfg.EffectiveLayout()), InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
 				s.cachePut(key, data, sum, rep)
 				s.count(&s.stats.DiskPromotes)
@@ -411,7 +413,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	deltaOK := cacheable && s.snaps != nil && !cfg.Chaos.ArmedPipeline()
 	anc := ancKey{fp: fpSum, inLen: len(input)}
 	if deltaOK {
-		if snap, rep, ok := s.tryDelta(key, anc, inSum, input, layoutName(cfg)); ok {
+		if snap, rep, ok := s.tryDelta(key, anc, inSum, input, string(cfg.EffectiveLayout())); ok {
 			out := snap.Output
 			if s.cache != nil {
 				s.cachePut(key, out, snap.OutDigest, rep)

@@ -488,35 +488,3 @@ func TestClosedServerRejects(t *testing.T) {
 		t.Fatalf("closed server = %v, want ErrBusy", err)
 	}
 }
-
-// TestParseTransforms covers the wire spec syntax.
-func TestParseTransforms(t *testing.T) {
-	tfs, err := ParseTransforms("null,cfi,stackpad:32,canary:0x7A437A43,stir:9,nop-elide")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(tfs))
-	for i, tf := range tfs {
-		names[i] = tf.Name()
-	}
-	want := []string{"null", "cfi", "stackpad", "canary", "stir", "nop-elide"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
-	}
-	if _, err := ParseTransforms("bogus"); err == nil {
-		t.Fatal("unknown transform accepted")
-	}
-	if _, err := ParseTransforms("stackpad:xyz"); err == nil {
-		t.Fatal("bad parameter accepted")
-	}
-	// Parameters must reach the fingerprint (distinct cache keys).
-	a, _ := ParseTransforms("stackpad:32")
-	b, _ := ParseTransforms("stackpad:48")
-	fa := zipr.Config{Transforms: a}.Fingerprint()
-	fb := zipr.Config{Transforms: b}.Fingerprint()
-	if fa == fb {
-		t.Fatalf("stackpad parameter lost in fingerprint: %q", fa)
-	}
-}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"zipr/internal/binfmt"
@@ -148,6 +149,62 @@ func NopElide() Transform { return transform.NopElide{} }
 // pass the hot entries as Config.HotFuncs under LayoutProfileGuided.
 func NewProfiler() *transform.Profiler { return &transform.Profiler{} }
 
+// ParseTransforms turns a comma-separated transform specification into
+// a transform stack. Each element is a name with an optional ":value"
+// parameter:
+//
+//	null            the no-op baseline
+//	cfi             control-flow integrity
+//	stackpad[:N]    frame padding of N bytes (default 64)
+//	canary[:V]      stack canary with word V (default built-in)
+//	stir[:SEED]     block-granularity stirring (default seed 1)
+//	nop-elide       no-op padding removal
+//	pin-blocks      the pin-everything ablation
+//
+// An empty spec yields the null stack. This is the one spec grammar:
+// cmd/zipr's -transforms flag and cmd/ziprd's requests both take it.
+func ParseTransforms(spec string) ([]Transform, error) {
+	var tfs []Transform
+	for _, field := range strings.Split(spec, ",") {
+		name, arg, _ := strings.Cut(strings.TrimSpace(field), ":")
+		var bad error
+		param := func(def int64) int64 {
+			if arg == "" {
+				return def
+			}
+			v, err := strconv.ParseInt(arg, 0, 64)
+			if err != nil {
+				bad = fmt.Errorf("zipr: transform %q: bad parameter %q", name, arg)
+			}
+			return v
+		}
+		var t Transform
+		switch name {
+		case "", "null":
+			t = Null()
+		case "cfi":
+			t = CFI()
+		case "stackpad":
+			t = StackPad(int32(param(64)))
+		case "canary":
+			t = Canary(uint32(param(0)))
+		case "stir":
+			t = Stir(param(1))
+		case "nop-elide", "nopelide":
+			t = NopElide()
+		case "pin-blocks":
+			t = PinBlocks()
+		default:
+			return nil, fmt.Errorf("zipr: unknown transform %q", name)
+		}
+		if bad != nil {
+			return nil, bad
+		}
+		tfs = append(tfs, t)
+	}
+	return tfs, nil
+}
+
 // hotRanges converts hot function entries into the original-address
 // spans the profile-guided placer classifies hints against. With no hot
 // entries it returns immediately — the common non-PGO configuration
@@ -257,7 +314,7 @@ type Config struct {
 	// eligible class (unknown custom transforms, pipeline fault injection
 	// armed), and Report.Warnings then names the reason — and, like
 	// CaptureIR/EmitMap, never changes the output.
-	// Only Rewrite completes the snapshot; RewriteBinary leaves it nil.
+	// Only Rewrite captures a snapshot; RewriteBinary ignores the field.
 	CaptureSnapshot bool
 	// Trace, when non-nil, records per-phase spans (disassembly, CFG and
 	// pin analysis, each transform by name, the reassembly sub-phases)
@@ -271,6 +328,74 @@ type Config struct {
 	// absorbed the fault) or a typed error — the chaos harness enforces
 	// this invariant. Nil disables injection with no overhead.
 	Chaos *FaultInjector
+}
+
+// ParseConfig builds the Config a request names in the wire form that
+// cmd/ziprd serves and the fleet gateway routes on: a transform spec
+// (ParseTransforms), the layout, arbitration and ISA names, and the
+// diversity seed. It fails on a bad spec or on a name Check refuses.
+func ParseConfig(transforms, layout, arbitration, isaName string, seed int64) (Config, error) {
+	tfs, err := ParseTransforms(transforms)
+	if err != nil {
+		return Config{}, err
+	}
+	c := Config{Transforms: tfs, Layout: LayoutKind(layout), Arbitration: ArbitrationKind(arbitration), ISA: isaName, Seed: seed}
+	return c, c.Check()
+}
+
+// EffectiveLayout is the layout strategy c selects: Layout, with the
+// empty string meaning LayoutOptimized. It is also the Report.Layout of
+// a rewrite under c that installs no custom placer.
+func (c Config) EffectiveLayout() LayoutKind {
+	if c.Layout == "" {
+		return LayoutOptimized
+	}
+	return c.Layout
+}
+
+// Check refuses a Config that names an unknown arbitration, layout or
+// ISA, in that order, with the error RewriteBinary returns for it
+// (classes disasm, layout and disasm). RewriteBinary runs it before any
+// pipeline work; a front end runs it to refuse a request up front.
+func (c Config) Check() error {
+	_, err := c.resolve()
+	return err
+}
+
+// choices is what a Config's names select.
+type choices struct {
+	arb       disasm.Arbitration
+	newPlacer func(*ir.Program) core.Placer
+	arch      isa.Arch
+}
+
+// resolve maps c's arbitration, layout and ISA names onto the pipeline's
+// choices; Check is its error.
+func (c Config) resolve() (choices, error) {
+	var ch choices
+	switch c.Arbitration {
+	case "", ArbitrationTwoWay:
+		ch.arb = disasm.ArbTwoWay
+	case ArbitrationWeighted:
+		ch.arb = disasm.ArbWeighted
+	default:
+		return ch, fmt.Errorf("zipr: %w: unknown arbitration %q", zerr.ErrDisasm, c.Arbitration)
+	}
+	switch c.EffectiveLayout() {
+	case LayoutOptimized:
+		ch.newPlacer = func(*ir.Program) core.Placer { return layout.Optimized{} }
+	case LayoutDiversity:
+		ch.newPlacer = func(*ir.Program) core.Placer { return layout.NewDiversity(c.Seed) }
+	case LayoutProfileGuided:
+		ch.newPlacer = func(p *ir.Program) core.Placer { return &layout.ProfileGuided{Hot: hotRanges(p, c.HotFuncs)} }
+	default:
+		return ch, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, c.Layout)
+	}
+	var err error
+	if ch.arch, err = isa.ByName(c.ISA); err != nil {
+		return ch, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrDisasm, err))
+	}
+	return ch, nil
 }
 
 // TransformParams is implemented by transforms whose behavior depends
@@ -297,10 +422,7 @@ type TransformParams = transform.Parametric
 func (c Config) Fingerprint() string {
 	var sb strings.Builder
 	sb.WriteString("cfg-v1")
-	layoutKind := c.Layout
-	if layoutKind == "" {
-		layoutKind = LayoutOptimized
-	}
+	layoutKind := c.EffectiveLayout()
 	fmt.Fprintf(&sb, "|layout=%s", layoutKind)
 	if layoutKind == LayoutDiversity {
 		// The seed only reaches the placer under the diversity layout;
@@ -366,9 +488,6 @@ type Report struct {
 	// AddrMap maps original instruction addresses to their rewritten
 	// locations when Config.EmitMap is set.
 	AddrMap map[uint32]uint32
-	// Trace echoes Config.Trace so report consumers can snapshot the
-	// phase spans and metrics of this rewrite; nil when tracing was off.
-	Trace *Trace
 	// Snapshot holds the placement snapshot when Config.CaptureSnapshot
 	// is set and the rewrite was delta-eligible; nil otherwise.
 	Snapshot *Snapshot
@@ -492,7 +611,7 @@ func Rewrite(input []byte, cfgv Config) ([]byte, *Report, error) {
 		}
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrFormat, err))
 	}
-	out, report, err := RewriteBinary(bin, cfgv)
+	out, report, err := rewriteBinaryPlacer(bin, cfgv, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -515,8 +634,10 @@ func Rewrite(input []byte, cfgv Config) ([]byte, *Report, error) {
 	return data, report, nil
 }
 
-// RewriteBinary is Rewrite for in-memory binaries.
+// RewriteBinary is Rewrite for in-memory binaries. It captures no
+// snapshot: one records the serialized images, which only Rewrite has.
 func RewriteBinary(bin *binfmt.Binary, cfgv Config) (*binfmt.Binary, *Report, error) {
+	cfgv.CaptureSnapshot = false
 	return rewriteBinaryPlacer(bin, cfgv, nil)
 }
 
@@ -531,32 +652,18 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	root := tr.Start("rewrite")
 	defer root.End()
 
-	// Both choices are resolved before any pipeline work, so a bad name
+	// The names are resolved before any pipeline work, so a bad one
 	// fails at once.
-	var arb disasm.Arbitration
-	switch cfgv.Arbitration {
-	case "", ArbitrationTwoWay:
-		arb = disasm.ArbTwoWay
-	case ArbitrationWeighted:
-		arb = disasm.ArbWeighted
-	default:
-		return nil, nil, fmt.Errorf("zipr: %w: unknown arbitration %q", zerr.ErrDisasm, cfgv.Arbitration)
+	ch, err := cfgv.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
 	custom := newPlacer != nil
-	if !custom {
-		switch cfgv.Layout {
-		case LayoutOptimized, "":
-			newPlacer = func(*ir.Program) core.Placer { return layout.Optimized{} }
-		case LayoutDiversity:
-			newPlacer = func(*ir.Program) core.Placer { return layout.NewDiversity(cfgv.Seed) }
-		case LayoutProfileGuided:
-			newPlacer = func(p *ir.Program) core.Placer { return &layout.ProfileGuided{Hot: hotRanges(p, cfgv.HotFuncs)} }
-		default:
-			return nil, nil, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, cfgv.Layout)
-		}
+	if custom {
+		ch.newPlacer = newPlacer
 	}
-	out, report, err := rewriteOnce(bin, cfgv, newPlacer, custom, arb, tr, inj)
-	if err != nil && arb == disasm.ArbWeighted {
+	out, report, err := rewriteOnce(bin, cfgv, ch, custom, tr, inj)
+	if err != nil && ch.arb == disasm.ArbWeighted {
 		// Weighted arbitration is advisory: its demotions shrink the pin
 		// set, and a downstream phase can fail on the reshaped inputs
 		// (e.g. a deferred table sized for the smaller target set hits a
@@ -564,7 +671,8 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 		// is the two-way baseline, so fall back to it deterministically
 		// rather than failing a rewrite the baseline can complete.
 		ferr := err
-		if out, report, err = rewriteOnce(bin, cfgv, newPlacer, custom, disasm.ArbTwoWay, tr, inj); err == nil {
+		ch.arb = disasm.ArbTwoWay
+		if out, report, err = rewriteOnce(bin, cfgv, ch, custom, tr, inj); err == nil {
 			tr.Add("rewrite.arb-fallback", 1)
 			report.Warnings = append(report.Warnings,
 				fmt.Sprintf("weighted arbitration fell back to two-way: %v", ferr))
@@ -575,17 +683,13 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	return out, report, err
 }
 
-// rewriteOnce runs the three-phase pipeline under one arbitration mode,
-// placing code with newPlacer's placer; custom reports that the caller
-// supplied it in place of Config.Layout's.
-func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) core.Placer, custom bool, arb disasm.Arbitration, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
-	arch, err := isa.ByName(cfgv.ISA)
-	if err != nil {
-		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrDisasm, err))
-	}
+// rewriteOnce runs the three-phase pipeline under ch's arbitration mode,
+// ISA and placer; custom reports that the caller supplied the placer in
+// place of Config.Layout's.
+func rewriteOnce(bin *binfmt.Binary, cfgv Config, ch choices, custom bool, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
 	// Phase 1: IR construction (disassembly, CFG, pinned addresses).
 	sp := tr.Start("disassemble")
-	agg, err := disasm.DisassembleOpts(bin, disasm.Options{Trace: tr, Inject: inj, Arbitration: arb, Arch: arch})
+	agg, err := disasm.DisassembleOpts(bin, disasm.Options{Trace: tr, Inject: inj, Arbitration: ch.arb, Arch: ch.arch})
 	sp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrDisasm, err))
@@ -596,7 +700,7 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	if err != nil {
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrCFG, err))
 	}
-	report := &Report{Trace: tr}
+	report := &Report{}
 	if cfgv.CaptureIR {
 		sp = tr.Start("capture-ir")
 		db := irdb.New()
@@ -623,7 +727,7 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	}
 
 	// Phase 3: reassembly under the selected layout.
-	placer := newPlacer(prog)
+	placer := ch.newPlacer(prog)
 	sp = tr.Start("reassemble")
 	res, err := core.Reassemble(prog, core.Options{Placer: placer, Trace: tr, Inject: inj})
 	sp.End()
