@@ -109,7 +109,7 @@ func BenchmarkRewriteDelta(b *testing.B) {
 	if err != nil {
 		b.Fatalf("delta refused the stress edit: %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got.Bytes(), want) {
 		b.Fatal("delta output diverges from the from-scratch rewrite")
 	}
 	if info.InstsChanged == 0 {

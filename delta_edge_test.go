@@ -130,7 +130,7 @@ func TestDeltaZeroUnitsRefusesEverything(t *testing.T) {
 	if err != nil || info.UnitsChanged != 0 {
 		t.Fatalf("identical input: err=%v changed=%+v", err, info)
 	}
-	if !bytes.Equal(out, rep.Snapshot.Output) {
+	if !bytes.Equal(out.Bytes(), rep.Snapshot.Output.Bytes()) {
 		t.Fatal("identical input did not reproduce the ancestor output")
 	}
 }

@@ -82,6 +82,7 @@ func checkDeltaIdentity(t *testing.T, cfg Config, base, edited []byte) bool {
 	if rep.Snapshot == nil {
 		t.Fatalf("no snapshot captured")
 	}
+	checkFlatOracle(t, rep.Snapshot, base, edited)
 	got, info, err := rep.Snapshot.Apply(edited)
 	if err != nil {
 		if !errors.Is(err, ErrDeltaInapplicable) && !errors.Is(err, ErrSnapshotStale) {
@@ -94,7 +95,7 @@ func checkDeltaIdentity(t *testing.T, cfg Config, base, edited []byte) bool {
 	if err != nil {
 		t.Fatalf("from-scratch rewrite of edited input: %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("delta output diverges from from-scratch rewrite (%d insts patched in %d units)",
 			info.InstsChanged, info.UnitsChanged)
 	}
@@ -172,7 +173,7 @@ func TestDeltaEditSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("edits=%d: delta output diverges", edits)
 		}
 		if info.UnitsChanged < prevUnits {

@@ -115,7 +115,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("delta output diverges from from-scratch rewrite (%s, bits=%#x, %s, edits=%d)",
 				arch.Name(), stackBits, cfg.Layout, count)
 		}

@@ -384,16 +384,15 @@ func (r *reassembler) inFixed(addr uint32) bool { return ir.InRanges(r.p.Fixed, 
 
 // nextObstacle returns the first address after a that the pin plan must
 // not touch: the next pinned address, the start of the next fixed range,
-// or the end of text.
+// or the end of text. fixed is sorted (ir.Program.Validate checks it),
+// so the next fixed range is found by binary search.
 func nextObstacle(a uint32, pins []*ir.Instruction, i int, fixed []ir.Range, textEnd uint32) uint32 {
 	limit := textEnd
 	if i+1 < len(pins) && pins[i+1].OrigAddr < limit {
 		limit = pins[i+1].OrigAddr
 	}
-	for _, f := range fixed {
-		if f.Start >= a && f.Start < limit {
-			limit = f.Start
-		}
+	if j := sort.Search(len(fixed), func(j int) bool { return fixed[j].Start >= a }); j < len(fixed) {
+		limit = min(limit, fixed[j].Start)
 	}
 	return limit
 }

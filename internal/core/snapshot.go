@@ -13,7 +13,12 @@
 // inert for the conservative analyses (address-shaped movi/pushi
 // immediates and stack-pointer adjustments under frame-sensitive
 // transforms are excluded); it then patches the new encodings directly
-// into a copy of the ancestor output.
+// into the ancestor output.
+//
+// The ancestor images are Images, lists of PageSize pages. Apply's
+// output shares every ancestor output page but the ones it patches,
+// and Rebase's input every ancestor input page the edit left equal, so
+// a lineage of rebased snapshots holds each untouched page once.
 //
 // Why that is sound: the pipeline is deterministic, and every analysis
 // decision it makes is a function of instruction *structure* (boundaries,
@@ -44,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"zipr/internal/ir"
 	"zipr/internal/isa"
@@ -91,7 +97,7 @@ type Snapshot struct {
 	// Input and Output are the ancestor images with their SHA-256
 	// digests, which Verify checks (UnmarshalSnapshot calls it, so a
 	// rotted blob degrades instead of patching garbage).
-	Input, Output       []byte
+	Input, Output       Image
 	InDigest, OutDigest [sha256.Size]byte
 	// Text geometry: virtual bounds of the input text segment (immediate
 	// inertness checks) and the file offsets of the text payloads inside
@@ -217,19 +223,18 @@ func (s *Snapshot) Finish(input, output []byte) error {
 	if uint32(len(input)) < s.InTextOff+inLen || uint32(len(output)) < s.OutTextOff+s.OutTextLen {
 		return fmt.Errorf("core: snapshot: image shorter than text extent")
 	}
-	s.Input = append([]byte(nil), input...)
-	s.Output = append([]byte(nil), output...)
-	s.InDigest = sha256.Sum256(s.Input)
-	s.OutDigest = sha256.Sum256(s.Output)
+	s.Input, s.Output = NewImage(input), NewImage(output)
+	s.InDigest = sha256.Sum256(input)
+	s.OutDigest = sha256.Sum256(output)
 	// The span contract says the output bytes at each span's placed
 	// address are its input bytes; verify the whole invariant once at
 	// export so a violation disables delta here rather than surfacing as
 	// an Apply-time stale error on every request.
 	for _, u := range s.Units {
 		for _, sp := range s.Spans[u.Lo:u.Hi] {
-			in := s.inText(s.Input, u.Range.Start+sp.Off, sp.Len)
-			out := s.outText(s.Output, sp.Placed, sp.Len)
-			if in == nil || out == nil || !bytes.Equal(in, out) {
+			in, okIn := s.inAt(len(input), u.Range.Start+sp.Off, sp.Len)
+			out, okOut := s.outAt(len(output), sp.Placed, sp.Len)
+			if !okIn || !okOut || !bytes.Equal(input[in:in+int(sp.Len)], output[out:out+int(sp.Len)]) {
 				return fmt.Errorf("core: snapshot: placed bytes of %#x diverge from input encoding",
 					u.Range.Start+sp.Off)
 			}
@@ -238,31 +243,29 @@ func (s *Snapshot) Finish(input, output []byte) error {
 	return nil
 }
 
-// inText returns the bytes of [va, va+n) in the input text of img, an
-// image with the ancestor input's geometry, or nil when that range is
-// outside it.
-func (s *Snapshot) inText(img []byte, va, n uint32) []byte {
-	return textSlice(img, s.InTextOff, s.InTextVA, s.InTextEnd-s.InTextVA, va, n)
+// inAt returns the file offset of [va, va+n) in the input text of an
+// image of imgLen bytes with the ancestor input's geometry, or false
+// when that range is outside it.
+func (s *Snapshot) inAt(imgLen int, va, n uint32) (int, bool) {
+	return textAt(imgLen, s.InTextOff, s.InTextVA, s.InTextEnd-s.InTextVA, va, n)
 }
 
-// outText is inText for the output text of img, an image with the
-// ancestor output's geometry.
-func (s *Snapshot) outText(img []byte, va, n uint32) []byte {
-	return textSlice(img, s.OutTextOff, s.OutTextVA, s.OutTextLen, va, n)
+// outAt is inAt for the output text of an image with the ancestor
+// output's geometry.
+func (s *Snapshot) outAt(imgLen int, va, n uint32) (int, bool) {
+	return textAt(imgLen, s.OutTextOff, s.OutTextVA, s.OutTextLen, va, n)
 }
 
-// textSlice returns the bytes of [va, va+n) of the text segment at file
-// offset off, virtual address base and length size in img, or nil when
-// the range is not inside that segment or the segment not inside img.
-func textSlice(img []byte, off, base, size, va, n uint32) []byte {
+// textAt returns the offset of [va, va+n) of the text segment at file
+// offset off, virtual address base and length size in an image of
+// imgLen bytes, or false when the range is not inside that segment or
+// the segment not inside the image.
+func textAt(imgLen int, off, base, size, va, n uint32) (int, bool) {
 	if va < base || uint64(va-base)+uint64(n) > uint64(size) {
-		return nil
+		return 0, false
 	}
 	lo := uint64(off) + uint64(va-base)
-	if lo+uint64(n) > uint64(len(img)) {
-		return nil
-	}
-	return img[lo : lo+uint64(n)]
+	return int(lo), lo+uint64(n) <= uint64(imgLen)
 }
 
 // Verify checks the snapshot's internal integrity: image digests intact,
@@ -275,7 +278,7 @@ func (s *Snapshot) Verify() error {
 	if err := s.checkUnits(); err != nil {
 		return err
 	}
-	if sha256.Sum256(s.Input) != s.InDigest || sha256.Sum256(s.Output) != s.OutDigest {
+	if s.Input.sum() != s.InDigest || s.Output.sum() != s.OutDigest {
 		return fmt.Errorf("%w: image digest mismatch", ErrSnapshotStale)
 	}
 	return nil
@@ -284,12 +287,12 @@ func (s *Snapshot) Verify() error {
 // checkGeometry is the part of Verify that Apply repeats: both images
 // present and the text extents inside them.
 func (s *Snapshot) checkGeometry() error {
-	if len(s.Input) == 0 || len(s.Output) == 0 {
+	if s.Input.Len() == 0 || s.Output.Len() == 0 {
 		return fmt.Errorf("%w: images missing", ErrSnapshotStale)
 	}
 	if s.InTextVA > s.InTextEnd ||
-		uint64(s.InTextOff)+uint64(s.InTextEnd-s.InTextVA) > uint64(len(s.Input)) ||
-		uint64(s.OutTextOff)+uint64(s.OutTextLen) > uint64(len(s.Output)) {
+		uint64(s.InTextOff)+uint64(s.InTextEnd-s.InTextVA) > uint64(s.Input.Len()) ||
+		uint64(s.OutTextOff)+uint64(s.OutTextLen) > uint64(s.Output.Len()) {
 		return fmt.Errorf("%w: text geometry out of bounds", ErrSnapshotStale)
 	}
 	return nil
@@ -323,19 +326,20 @@ func (s *Snapshot) checkUnits() error {
 // recorded unit and only changes immediates there, it returns the
 // ancestor output with the edited instructions re-encoded at their
 // placed addresses — byte for byte what a from-scratch rewrite of input
-// produces. Otherwise it returns ErrDeltaInapplicable (unsupported edit;
+// produces. The result shares every page of the ancestor output that no
+// edit touched. Otherwise it returns ErrDeltaInapplicable (unsupported edit;
 // run the pipeline) or ErrSnapshotStale (snapshot failed verification;
 // evict it). Apply checks the geometry, that each changed span re-tiles
 // into whole instructions, and the output bytes it patches over, but
 // does not rehash the images: the snapshot's digests were checked when
 // it entered its store (see Snapshot).
-func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
+func (s *Snapshot) Apply(input []byte) (Image, *DeltaInfo, error) {
 	if err := s.checkGeometry(); err != nil {
-		return nil, nil, err
+		return Image{}, nil, err
 	}
-	if len(input) != len(s.Input) {
-		return nil, nil, fmt.Errorf("%w: input length %d != ancestor %d",
-			ErrDeltaInapplicable, len(input), len(s.Input))
+	if len(input) != s.Input.Len() {
+		return Image{}, nil, fmt.Errorf("%w: input length %d != ancestor %d",
+			ErrDeltaInapplicable, len(input), s.Input.Len())
 	}
 
 	// Every byte outside the recorded units must be identical: walk the
@@ -345,28 +349,29 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 		u := &s.Units[i]
 		lo := int(s.InTextOff + (u.Range.Start - s.InTextVA))
 		hi := int(s.InTextOff + (u.Range.End - s.InTextVA))
-		if !bytes.Equal(input[pos:lo], s.Input[pos:lo]) {
-			return nil, nil, fmt.Errorf("%w: edit outside function units", ErrDeltaInapplicable)
+		if !s.Input.equal(pos, input[pos:lo]) {
+			return Image{}, nil, fmt.Errorf("%w: edit outside function units", ErrDeltaInapplicable)
 		}
 		pos = hi
 	}
-	if !bytes.Equal(input[pos:], s.Input[pos:]) {
-		return nil, nil, fmt.Errorf("%w: edit outside function units", ErrDeltaInapplicable)
+	if !s.Input.equal(pos, input[pos:]) {
+		return Image{}, nil, fmt.Errorf("%w: edit outside function units", ErrDeltaInapplicable)
 	}
 
 	arch := isa.Of(s.Arch)
-	out := append([]byte(nil), s.Output...)
+	out := Image{pages: slices.Clone(s.Output.pages), size: s.Output.size}
 	info := &DeltaInfo{}
 	for ui := range s.Units {
 		u := &s.Units[ui]
-		oldU := s.inText(s.Input, u.Range.Start, u.Range.Len())
-		newU := s.inText(input, u.Range.Start, u.Range.Len())
-		if oldU == nil || newU == nil {
-			return nil, nil, fmt.Errorf("%w: unit %+v out of bounds", ErrSnapshotStale, u.Range)
+		at, ok := s.inAt(len(input), u.Range.Start, u.Range.Len())
+		if !ok {
+			return Image{}, nil, fmt.Errorf("%w: unit %+v out of bounds", ErrSnapshotStale, u.Range)
 		}
-		if bytes.Equal(oldU, newU) {
+		newU := input[at : at+int(u.Range.Len())]
+		if s.Input.equal(at, newU) {
 			continue
 		}
+		oldU := s.Input.read(nil, at, len(newU))
 		// The unit's bytes moved. Bytes outside its spans belong to
 		// instructions that are not freely editable and must not change;
 		// inside a span, admit the edit instruction by instruction.
@@ -375,20 +380,20 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 		pos := uint32(0)
 		for _, sp := range spans {
 			if !bytes.Equal(oldU[pos:sp.Off], newU[pos:sp.Off]) {
-				return nil, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
+				return Image{}, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
 					ErrDeltaInapplicable, u.Range)
 			}
 			pos = sp.Off + sp.Len
 		}
 		if !bytes.Equal(oldU[pos:], newU[pos:]) {
-			return nil, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
+			return Image{}, nil, fmt.Errorf("%w: edit in %+v outside its editable instructions",
 				ErrDeltaInapplicable, u.Range)
 		}
 		for _, sp := range spans {
 			n, err := s.patchSpan(arch, out, u.Range.Start+sp.Off, sp.Placed,
 				oldU[sp.Off:sp.Off+sp.Len], newU[sp.Off:sp.Off+sp.Len])
 			if err != nil {
-				return nil, nil, err
+				return Image{}, nil, err
 			}
 			info.InstsChanged += n
 		}
@@ -398,11 +403,12 @@ func (s *Snapshot) Apply(input []byte) ([]byte, *DeltaInfo, error) {
 
 // patchSpan admits the edits of one span, input bytes was → now at
 // address addr and placed at output address placed, and patches them
-// into out; it returns how many instructions it re-encoded. A changed
-// span is re-decoded from its start over the ancestor input, which is
-// how capture found its boundaries; one that does not decode into whole
+// into out, which holds its own copy of the ancestor output's page
+// list; it returns how many instructions it re-encoded. A changed span
+// is re-decoded from its start over the ancestor input, which is how
+// capture found its boundaries; one that does not decode into whole
 // instructions ending at its end means the snapshot is stale.
-func (s *Snapshot) patchSpan(arch isa.Arch, out []byte, addr, placed uint32, was, now []byte) (int, error) {
+func (s *Snapshot) patchSpan(arch isa.Arch, out Image, addr, placed uint32, was, now []byte) (int, error) {
 	if bytes.Equal(was, now) {
 		return 0, nil
 	}
@@ -438,18 +444,18 @@ func (s *Snapshot) patchSpan(arch isa.Arch, out []byte, addr, placed uint32, was
 					}
 				}
 			}
-			dst := s.outText(out, placed, uint32(ln))
-			if dst == nil {
+			dst, ok := s.outAt(out.Len(), placed, uint32(ln))
+			if !ok {
 				return 0, fmt.Errorf("%w: placed range %#x out of output text", ErrSnapshotStale, placed)
 			}
-			if !bytes.Equal(dst, oldB) {
+			if !out.equal(dst, oldB) {
 				// The output must hold the old encoding exactly where the
 				// snapshot says; anything else means the snapshot and
 				// output disagree — never patch on top of that.
 				return 0, fmt.Errorf("%w: output bytes at %#x diverge from recorded encoding",
 					ErrSnapshotStale, placed)
 			}
-			copy(dst, newB)
+			out.patch(s.Output, dst, newB)
 			patched++
 		}
 		off += ln
@@ -462,19 +468,19 @@ func (s *Snapshot) patchSpan(arch isa.Arch, out []byte, addr, placed uint32, was
 // Rebase derives the snapshot of a delta-answered rewrite: same units
 // and spans (the layout is identical by construction), new ancestor
 // images. The units and spans are shared with the ancestor snapshot —
-// they are immutable after build. input is copied, and inDigest must be
-// its SHA-256 (the caller has it from keying the request); output is
-// not copied: the new snapshot takes ownership of it (Apply's fresh
-// result is meant to be passed here), so the caller must not modify it
-// afterwards. OutDigest is computed from output.
-func (s *Snapshot) Rebase(input []byte, inDigest [sha256.Size]byte, output []byte) *Snapshot {
+// they are immutable after build. The new input image shares every
+// page of the ancestor input that input leaves equal and copies the
+// others, and inDigest must be input's SHA-256 (the caller has it from
+// keying the request); output, Apply's result, is kept as it is, and
+// OutDigest is computed from it.
+func (s *Snapshot) Rebase(input []byte, inDigest [sha256.Size]byte, output Image) *Snapshot {
 	return &Snapshot{
 		Arch:        s.Arch,
 		Fingerprint: s.Fingerprint,
-		Input:       append([]byte(nil), input...),
+		Input:       s.Input.share(input),
 		Output:      output,
 		InDigest:    inDigest,
-		OutDigest:   sha256.Sum256(output),
+		OutDigest:   output.sum(),
 		InTextVA:    s.InTextVA,
 		InTextEnd:   s.InTextEnd,
 		InTextOff:   s.InTextOff,
@@ -487,21 +493,23 @@ func (s *Snapshot) Rebase(input []byte, inDigest [sha256.Size]byte, output []byt
 }
 
 // Clone returns a deep copy of the snapshot that shares no memory with
-// it, for handing a stored snapshot to a caller who may modify it.
+// it, not even pages, for handing a stored snapshot to a caller who may
+// modify it.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
-	c.Input = append([]byte(nil), s.Input...)
-	c.Output = append([]byte(nil), s.Output...)
+	c.Input = NewImage(s.Input.Bytes())
+	c.Output = NewImage(s.Output.Bytes())
 	c.Units = slices.Clone(s.Units)
 	c.Spans = slices.Clone(s.Spans)
 	return &c
 }
 
 // SizeBytes estimates the snapshot's resident size for byte-budget
-// accounting: the two images plus the unit and span tables.
+// accounting when it shares nothing: a fixed part, the two images and
+// the unit and span tables.
 func (s *Snapshot) SizeBytes() int64 {
-	return int64(len(s.Input)+len(s.Output)+len(s.Fingerprint)+128) +
-		48*int64(len(s.Units)) + 12*int64(len(s.Spans))
+	return int64(s.Input.Len()+s.Output.Len()+len(s.Fingerprint)+128) +
+		int64(len(s.Units))*int64(unsafe.Sizeof(SnapUnit{})) + int64(len(s.Spans))*int64(unsafe.Sizeof(SnapSpan{}))
 }
 
 const snapMagic = "ZSNP"
@@ -518,7 +526,7 @@ const (
 // MarshalSize is the exact length of the serialized snapshot.
 func (s *Snapshot) MarshalSize() int {
 	return snapHeaderLen + len(isa.Of(s.Arch).Name()) + len(s.Fingerprint) + snapGeomLen +
-		2*sha256.Size + 4 + len(s.Input) + 4 + len(s.Output) + 4 +
+		2*sha256.Size + 4 + s.Input.Len() + 4 + s.Output.Len() + 4 +
 		len(s.Units)*snapUnitLen + len(s.Spans)*snapSpanLen
 }
 
@@ -552,15 +560,12 @@ func (s *Snapshot) encode(b []byte, w *bufio.Writer) []byte {
 			b = b[:0]
 		}
 	}
-	image := func(img []byte) {
-		b = le.AppendUint32(b, uint32(len(img)))
-		if w == nil {
-			b = append(b, img...)
-			return
+	image := func(img Image) {
+		b = le.AppendUint32(b, uint32(img.Len()))
+		for _, p := range img.pages {
+			room(len(p))
+			b = append(b, p...)
 		}
-		w.Write(b)
-		w.Write(img)
-		b = b[:0]
 	}
 	name := isa.Of(s.Arch).Name()
 	b = append(b, snapMagic...)
@@ -625,8 +630,8 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 	s.OutTextLen = r.u32()
 	copy(s.InDigest[:], r.take(sha256.Size))
 	copy(s.OutDigest[:], r.take(sha256.Size))
-	s.Input = append([]byte(nil), r.take(int(r.u32()))...)
-	s.Output = append([]byte(nil), r.take(int(r.u32()))...)
+	s.Input = NewImage(r.take(int(r.u32())))
+	s.Output = NewImage(r.take(int(r.u32())))
 	nUnits := int(r.u32())
 	if r.bad || nUnits > (len(r.b)-r.pos)/snapUnitLen {
 		return nil, fmt.Errorf("%w: truncated snapshot", ErrSnapshotStale)

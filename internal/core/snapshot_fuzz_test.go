@@ -52,14 +52,14 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 		if !bytes.Equal(s.Marshal(), blob) {
 			t.Fatal("accepted blob does not marshal back to its bytes")
 		}
-		out, _, err := s.Apply(s.Input)
+		out, _, err := s.Apply(s.Input.Bytes())
 		if err != nil {
 			if !errors.Is(err, core.ErrSnapshotStale) && !errors.Is(err, core.ErrDeltaInapplicable) {
 				t.Fatalf("Apply of the ancestor input: untyped error %v", err)
 			}
 			return
 		}
-		if !bytes.Equal(out, s.Output) {
+		if !bytes.Equal(out.Bytes(), s.Output.Bytes()) {
 			t.Fatal("Apply of the ancestor input does not return the ancestor output")
 		}
 	})

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"unsafe"
 
 	"zipr"
+	"zipr/internal/core"
 )
 
 // Key is a content address for one (input image, rewrite configuration)
@@ -78,9 +80,47 @@ func (r *cachedReport) report(inSize, outSize int) *zipr.Report {
 // pins the output bytes so corruption of a cached entry is detected on
 // hit instead of being served; cachePut's caller supplies it from where
 // the image was made or verified. The output cache is an lru[entry]
-// over output bytes; the Server serializes access under its mutex.
+// over distinct image pages; the Server serializes access under its
+// mutex.
 type entry struct {
-	out []byte
+	img core.Image
 	sum [sha256.Size]byte
 	cachedReport
+}
+
+// pageRefs counts, for one store, the entries that hold each shared
+// allocation (an image page, a snapshot's unit or span table), so the
+// store charges it once, while any entry holds it.
+type pageRefs map[unsafe.Pointer]int
+
+// hold adds (d = 1) or drops (d = -1) one holder of the allocation
+// behind s, and returns its size when that is its first or last holder.
+func hold[T any](r pageRefs, s []T, d int) int64 {
+	p := unsafe.Pointer(unsafe.SliceData(s))
+	was := r[p]
+	if r[p] += d; r[p] == 0 {
+		delete(r, p)
+	}
+	if min(was, r[p]) > 0 {
+		return 0 // another entry holds it
+	}
+	return sizeOf(s)
+}
+
+// sizeOf is the size of s's elements in bytes.
+func sizeOf[T any](s []T) int64 { return int64(len(s)) * int64(unsafe.Sizeof(s[0])) }
+
+// image holds or drops img's pages and returns the bytes that changes.
+func (r pageRefs) image(img core.Image, d int) (n int64) {
+	for _, p := range img.Pages() {
+		n += hold(r, p, d)
+	}
+	return n
+}
+
+// snapshot holds or drops s, whose fixed part every entry pays, so a
+// lone snapshot costs its SizeBytes.
+func (r pageRefs) snapshot(s *core.Snapshot, d int) int64 {
+	n := s.SizeBytes() + r.image(s.Input, d) + r.image(s.Output, d) + hold(r, s.Units, d) + hold(r, s.Spans, d)
+	return n - int64(s.Input.Len()+s.Output.Len()) - sizeOf(s.Units) - sizeOf(s.Spans)
 }

@@ -62,20 +62,21 @@ type snapEntry struct {
 type snapNode = lruNode[snapEntry]
 
 // snapStore is the byte-budgeted LRU of placement snapshots with the
-// ancestor index. The index is also an eviction rule: a snapshot pushed
-// off its ancestor's list of snapCandidates can never be offered to a
-// request again, so it leaves the store. Not safe for concurrent use;
-// the Server serializes access under its mutex.
+// ancestor index. It charges each image page and unit or span table
+// once, so a rebased snapshot costs the pages its edit touched. The
+// index is also an eviction rule: a snapshot pushed off its ancestor's
+// list of snapCandidates can never be offered to a request again, so it
+// leaves the store. Not safe for concurrent use; the Server serializes
+// access under its mutex.
 type snapStore struct {
 	lru   *lru[snapEntry]
 	byAnc map[ancKey][]*snapNode // most recent first, at most snapCandidates
 }
 
 func newSnapStore(budget int64) *snapStore {
-	return &snapStore{
-		lru:   newLRU[snapEntry](budget),
-		byAnc: make(map[ancKey][]*snapNode),
-	}
+	l, refs := newLRU[snapEntry](budget), pageRefs{}
+	l.charge = func(n *snapNode, d int) int64 { return refs.snapshot(n.val.snap, d) }
+	return &snapStore{lru: l, byAnc: make(map[ancKey][]*snapNode)}
 }
 
 // candidates returns up to snapCandidates snapshots for anc, most
@@ -206,7 +207,7 @@ func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []
 		}
 		snap := e.val.snap
 		var err error
-		if s.inj.Fires(fault.DeltaStaleSnapshot, key.site()^e.key.site()) && len(snap.Output) > 0 {
+		if s.inj.Fires(fault.DeltaStaleSnapshot, key.site()^e.key.site()) && snap.Output.Len() > 0 {
 			// Serve a snapshot whose digests mismatch: flip a byte in a
 			// clone (stored entries are shared across concurrent requests)
 			// and verify the clone — a stored snapshot was verified when
@@ -214,12 +215,13 @@ func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []
 			// stale path below then drops the ancestor and the request
 			// degrades to a full rewrite.
 			clone := *snap
-			clone.Output = append([]byte(nil), snap.Output...)
-			clone.Output[s.inj.Pick(fault.DeltaStaleSnapshot, key.site(), len(clone.Output))] ^= 0xFF
+			out := snap.Output.Bytes()
+			out[s.inj.Pick(fault.DeltaStaleSnapshot, key.site(), len(out))] ^= 0xFF
+			clone.Output = core.NewImage(out)
 			snap = &clone
 			err = snap.Verify()
 		}
-		var res []byte
+		var res core.Image
 		if err == nil {
 			res, _, err = snap.Apply(input)
 		}
@@ -235,11 +237,11 @@ func (s *Server) tryDelta(key Key, anc ancKey, inSum [sha256.Size]byte, input []
 			}
 			continue
 		}
-		rep := e.val.report(len(input), len(res))
+		rep := e.val.report(len(input), res.Len())
 		// The answered request becomes a new ancestor: rebase the
 		// snapshot onto its images so edit chains keep delta latency.
-		// Rebase takes res as the new snapshot's output, so from here
-		// on res is shared and immutable like every stored image.
+		// The rebased snapshot shares every page of its ancestor's
+		// images that the edit left equal.
 		ns := e.val.snap.Rebase(input, inSum, res)
 		s.storeSnapshot(key, anc, ns, rep)
 		s.count(&s.stats.DeltaHits)

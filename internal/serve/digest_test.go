@@ -40,7 +40,7 @@ func checkCarriedDigests(t *testing.T, s *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cache.each(func(n *lruNode[entry]) {
-		if sha256.Sum256(n.val.out) != n.val.sum {
+		if sha256.Sum256(n.val.img.Bytes()) != n.val.sum {
 			t.Errorf("RAM entry %s: sum is not the digest of its bytes", n.key)
 		}
 	})

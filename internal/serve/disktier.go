@@ -107,7 +107,7 @@ type diskNode = lruNode[struct{}]
 // longer change, so the writer reads them unlocked.
 type diskJob struct {
 	key  Key
-	data []byte
+	data core.Image
 	sum  [sha256.Size]byte
 	snap *core.Snapshot
 
@@ -129,7 +129,7 @@ type DiskTier struct {
 
 	wq    chan *diskJob
 	wg    sync.WaitGroup
-	bw    *bufio.Writer // the writer goroutine's snapshot stream buffer
+	bw    *bufio.Writer // the writer goroutine's stream buffer
 	stamp time.Time     // the writer goroutine's last object mtime
 }
 
@@ -157,6 +157,7 @@ func openDiskTier(dir string, budget int64) (*DiskTier, error) {
 		idx:     newLRU[struct{}](budget),
 		pending: make(map[Key]*diskJob),
 		wq:      make(chan *diskJob, diskQueueDepth),
+		bw:      bufio.NewWriterSize(nil, 64<<10),
 	}
 	for _, sub := range []string{"objects", "tmp", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -287,10 +288,9 @@ func (t *DiskTier) Stats() DiskStats {
 	return st
 }
 
-// putAsync spills an output image whose SHA-256 is sum. The tier keeps
-// data itself, not a copy: the caller must never modify it again.
-// Nil-safe.
-func (t *DiskTier) putAsync(key Key, data []byte, sum [sha256.Size]byte) {
+// putAsync spills an output image whose SHA-256 is sum, keeping data
+// itself. Nil-safe.
+func (t *DiskTier) putAsync(key Key, data core.Image, sum [sha256.Size]byte) {
 	if t == nil {
 		return
 	}
@@ -339,12 +339,12 @@ func (t *DiskTier) writer() {
 }
 
 // store writes a taken job's object: payload and trailer to tmp, the
-// write time as its mtime, sync, rename. A snapshot is serialized here,
-// streamed through t.bw and hashed in the same pass; an output image's
-// trailer is the digest its job carries. It returns the payload size,
-// or -1 when the object is not in place.
+// write time as its mtime, sync, rename. The payload goes through t.bw:
+// a snapshot is serialized here and hashed in the same pass, and an
+// output image's trailer is the digest its job carries. It returns the
+// payload size, or -1 when the object is not in place.
 func (t *DiskTier) store(job *diskJob) int64 {
-	size := int64(len(job.data))
+	size := int64(job.data.Len())
 	if job.snap != nil {
 		size = int64(job.snap.MarshalSize())
 	}
@@ -359,18 +359,17 @@ func (t *DiskTier) store(job *diskJob) int64 {
 	sum := job.sum
 	if job.snap != nil {
 		h := sha256.New()
-		w := io.MultiWriter(f, h)
-		if t.bw == nil {
-			t.bw = bufio.NewWriterSize(w, 64<<10)
-		} else {
-			t.bw.Reset(w)
-		}
+		t.bw.Reset(io.MultiWriter(f, h))
 		err = job.snap.Stream(t.bw)
-		t.bw.Reset(nil) // keep no reference to the file
 		h.Sum(sum[:0])
 	} else {
-		_, err = f.Write(job.data)
+		t.bw.Reset(f)
+		for _, p := range job.data.Pages() {
+			t.bw.Write(p)
+		}
+		err = t.bw.Flush() // errors stick in t.bw until here
 	}
+	t.bw.Reset(nil) // keep no reference to the file
 	if err == nil {
 		_, err = f.Write(sum[:])
 	}
@@ -425,17 +424,18 @@ func (t *DiskTier) commit(job *diskJob, size int64) {
 	t.evictLocked(t.idx.put(job.key, struct{}{}, size))
 }
 
-// get returns the bytes of the output image spilled under key with
-// their SHA-256, or ok=false. Bytes from a pending spill are the
-// server's immutable image itself, not a copy, and sum the digest the
-// spill carries; bytes read from disk are fresh, and sum the digest they
-// were just verified against. Nil-safe.
-func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, ok bool) {
+// get returns the output image spilled under key with its SHA-256, or
+// ok=false: a pending spill's image and carried digest, or the pages of
+// a verified disk read, with the bytes read in raw. Nil-safe.
+func (t *DiskTier) get(key Key, inj *fault.Injector) (raw []byte, img core.Image, sum [sha256.Size]byte, ok bool) {
 	if t == nil {
-		return nil, sum, false
+		return nil, img, sum, false
 	}
-	data, sum, _, ok = t.fetch(key, inj)
-	return data, sum, ok
+	raw, job, ok := t.fetch(key, inj)
+	if raw != nil {
+		job.data = core.NewImage(raw)
+	}
+	return raw, job.data, job.sum, ok
 }
 
 // getSnap / putSnapAsync store one most-recent placement snapshot per
@@ -447,11 +447,11 @@ func (t *DiskTier) getSnap(anc string, inj *fault.Injector) (*core.Snapshot, boo
 	if t == nil {
 		return nil, false
 	}
-	data, _, snap, ok := t.fetch(snapDiskKey(anc), inj)
-	if !ok || snap != nil {
-		return snap, ok
+	raw, job, ok := t.fetch(snapDiskKey(anc), inj)
+	if !ok || job.snap != nil {
+		return job.snap, ok
 	}
-	snap, err := core.UnmarshalSnapshot(data)
+	snap, err := core.UnmarshalSnapshot(raw)
 	if err != nil {
 		t.delSnap(anc)
 		return nil, false
@@ -468,19 +468,19 @@ func (t *DiskTier) putSnapAsync(anc string, snap *core.Snapshot) {
 	t.spill(&diskJob{key: snapDiskKey(anc), snap: snap})
 }
 
-// fetch answers a read of key: the pending spill's value (and an output
-// spill's carried digest) when one is queued or being written, else the
-// object's payload, verified against its trailer, and that digest. A
+// fetch answers a read of key: a copy of the pending job when one is
+// queued or being written, else the object's payload in raw, verified
+// against its trailer, and that digest in job.sum. A
 // short or mismatched object is quarantined and its entry dropped. inj
 // may arm fault.DiskTierCorrupt, which flips one byte of a disk read
 // before verification — the check must turn it into a quarantined miss.
-func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256.Size]byte, snap *core.Snapshot, ok bool) {
+func (t *DiskTier) fetch(key Key, inj *fault.Injector) (raw []byte, job diskJob, ok bool) {
 	t.mu.Lock()
-	if job := t.pending[key]; job != nil {
-		data, sum, snap = job.data, job.sum, job.snap
+	if p := t.pending[key]; p != nil {
+		job = *p
 		t.stats.PendingHits++
 		t.mu.Unlock()
-		return data, sum, snap, true
+		return nil, job, true
 	}
 	// A read promotes the entry before it is verified; a failed check
 	// removes it anyway.
@@ -488,7 +488,7 @@ func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256
 	if e == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
-		return nil, sum, nil, false
+		return nil, job, false
 	}
 	t.mu.Unlock()
 
@@ -499,12 +499,13 @@ func (t *DiskTier) fetch(key Key, inj *fault.Injector) (data []byte, sum [sha256
 	n := len(raw) - trailerSize
 	if err != nil || n < 0 || sha256.Sum256(raw[:n]) != [sha256.Size]byte(raw[n:]) {
 		t.quarantine(e, err == nil)
-		return nil, sum, nil, false
+		return nil, job, false
 	}
 	t.mu.Lock()
 	t.stats.Hits++
 	t.mu.Unlock()
-	return raw[:n:n], [sha256.Size]byte(raw[n:]), nil, true
+	job.sum = [sha256.Size]byte(raw[n:])
+	return raw[:n:n], job, true
 }
 
 // delSnap discards an ancestor's snapshot slot: its pending spill, its

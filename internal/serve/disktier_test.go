@@ -25,6 +25,16 @@ import (
 	"zipr/internal/fault"
 )
 
+// diskGet is DiskTier.get with the image flattened: a pending spill's
+// bytes or a disk read's, with their digest.
+func diskGet(tier *DiskTier, key Key) ([]byte, [sha256.Size]byte, bool) {
+	raw, img, sum, ok := tier.get(key, nil)
+	if ok && raw == nil {
+		raw = img.Bytes()
+	}
+	return raw, sum, ok
+}
+
 // openTier opens a disk tier rooted in dir, failing the test on error
 // and closing it on cleanup.
 func openTier(t *testing.T, dir string, budget int64) *DiskTier {
@@ -39,7 +49,7 @@ func openTier(t *testing.T, dir string, budget int64) *DiskTier {
 
 // spillOut spills data as an output image under key.
 func spillOut(tier *DiskTier, key Key, data []byte) {
-	tier.putAsync(key, data, sha256.Sum256(data))
+	tier.putAsync(key, core.NewImage(data), sha256.Sum256(data))
 }
 
 // TestDiskTierRestartHit is the durability contract: a rewrite spilled
@@ -152,16 +162,16 @@ func TestDiskTierCrashRecovery(t *testing.T) {
 		t.Fatalf("reopened tier holds %d entries, want %d", st.Entries, len(images))
 	}
 	// The damaged entry is gone (miss), the intact ones still verify.
-	if _, _, ok := tier2.get(victimKey, nil); ok {
+	if _, _, ok := diskGet(tier2, victimKey); ok {
 		t.Fatal("truncated entry survived recovery")
 	}
 	for i := 1; i < len(images); i++ {
-		data, _, ok := tier2.get(CacheKey(images[i], cfg), nil)
+		data, _, ok := diskGet(tier2, CacheKey(images[i], cfg))
 		if !ok || !bytes.Equal(data, want[i]) {
 			t.Fatalf("image %d: surviving entry unreadable or wrong after recovery", i)
 		}
 	}
-	if data, got, ok := tier2.get(extra, nil); !ok || !bytes.Equal(data, extraData) || got != sum {
+	if data, got, ok := diskGet(tier2, extra); !ok || !bytes.Equal(data, extraData) || got != sum {
 		t.Fatal("a well-formed object with no other record was not served")
 	}
 	if st := tier2.Stats(); st.Corrupt != 0 {
@@ -204,7 +214,7 @@ func TestDiskTierPurgesJournaledFormat(t *testing.T) {
 		t.Fatalf("journal left in place: %v", err)
 	}
 	for i, k := range keys {
-		if _, _, ok := tier.get(k, nil); ok {
+		if _, _, ok := diskGet(tier, k); ok {
 			t.Fatalf("key %d served from the journaled format", i)
 		}
 		if _, err := os.Stat(tier.objectPath(k)); !os.IsNotExist(err) {
@@ -214,7 +224,7 @@ func TestDiskTierPurgesJournaledFormat(t *testing.T) {
 	spillOut(tier, keys[0], []byte("fresh"))
 	tier.Close()
 	tier2 := openTier(t, dir, 0)
-	if data, _, ok := tier2.get(keys[0], nil); !ok || string(data) != "fresh" {
+	if data, _, ok := diskGet(tier2, keys[0]); !ok || string(data) != "fresh" {
 		t.Fatal("the purged directory does not serve a new spill")
 	}
 	if st := tier2.Stats(); st.Recovered != 0 {
@@ -244,7 +254,7 @@ func TestDiskTierEvictionAndRestart(t *testing.T) {
 	}
 	// The survivors are the most recent puts; evicted keys miss.
 	for i, k := range keys {
-		_, _, ok := tier2.get(k, nil)
+		_, _, ok := diskGet(tier2, k)
 		if want := i >= 2; ok != want {
 			t.Fatalf("key %d present=%v, want %v", i, ok, want)
 		}
@@ -276,7 +286,7 @@ func TestDiskTierReopenDropsOversized(t *testing.T) {
 	if _, err := os.Stat(tier2.objectPath(big)); !os.IsNotExist(err) {
 		t.Fatalf("oversized object left on disk: %v", err)
 	}
-	if _, _, ok := tier2.get(small, nil); !ok {
+	if _, _, ok := diskGet(tier2, small); !ok {
 		t.Fatal("the entry within budget did not survive the reopen")
 	}
 	tier2.Close()
@@ -351,7 +361,7 @@ func TestChaosDiskTierCorruptQuarantines(t *testing.T) {
 	}
 	tier2.Close()
 	tier3 := openTier(t, dir, 0)
-	data, _, ok := tier3.get(key, nil)
+	data, _, ok := diskGet(tier3, key)
 	if !ok || !bytes.Equal(data, want) {
 		t.Fatalf("after restart the key reads back ok=%v, equal=%v; want the clean bytes", ok, bytes.Equal(data, want))
 	}
@@ -413,7 +423,7 @@ func TestDiskTierPendingRead(t *testing.T) {
 	start()
 	tier.Close()
 	tier2 := openTier(t, dir, 0)
-	data, _, ok := tier2.get(CacheKey(in, cfg), nil)
+	data, _, ok := diskGet(tier2, CacheKey(in, cfg))
 	if !ok || !bytes.Equal(data, cold) {
 		t.Fatal("the spill answered while pending did not land on disk intact")
 	}
@@ -424,10 +434,10 @@ func TestDiskTierPendingRead(t *testing.T) {
 func testSnap(fill byte, n int) *core.Snapshot {
 	s := &core.Snapshot{
 		Fingerprint: "test",
-		Input:       bytes.Repeat([]byte{fill}, n),
-		Output:      bytes.Repeat([]byte{fill ^ 0xFF}, n),
+		Input:       core.NewImage(bytes.Repeat([]byte{fill}, n)),
+		Output:      core.NewImage(bytes.Repeat([]byte{fill ^ 0xFF}, n)),
 	}
-	s.InDigest, s.OutDigest = sha256.Sum256(s.Input), sha256.Sum256(s.Output)
+	s.InDigest, s.OutDigest = sha256.Sum256(s.Input.Bytes()), sha256.Sum256(s.Output.Bytes())
 	return s
 }
 
@@ -559,7 +569,7 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 				i := (w + r) % keys
 				spillOut(tier, key(i), blob(i))
 				j := (w*3 + r) % keys
-				if data, _, ok := tier.get(key(j), nil); ok && !bytes.Equal(data, blob(j)) {
+				if data, _, ok := diskGet(tier, key(j)); ok && !bytes.Equal(data, blob(j)) {
 					t.Errorf("key %d answered with another key's bytes", j)
 				}
 			}
@@ -572,7 +582,7 @@ func TestDiskTierConcurrentSpillsAndReads(t *testing.T) {
 	}
 	tier2 := openTier(t, dir, 0)
 	for i := 0; i < keys; i++ {
-		if data, _, ok := tier2.get(key(i), nil); !ok || !bytes.Equal(data, blob(i)) {
+		if data, _, ok := diskGet(tier2, key(i)); !ok || !bytes.Equal(data, blob(i)) {
 			t.Fatalf("key %d missing or wrong after restart", i)
 		}
 	}
@@ -698,7 +708,7 @@ func FuzzDiskTierOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			if data, sum, ok := tier.get(k, nil); ok && sha256.Sum256(data) != sum {
+			if data, sum, ok := diskGet(tier, k); ok && sha256.Sum256(data) != sum {
 				t.Fatalf("key %s: served bytes differ from their sum", k)
 			}
 		}

@@ -3,6 +3,8 @@ package serve
 // lru is the byte-budgeted least-recently-used list behind all three
 // stores of this package: the RAM output cache, the placement-snapshot
 // store and the disk tier's index. Each node carries its own byte size.
+// What storing a node adds to bytes, and removing it frees, is charge's
+// answer: its size unless the owner's values share pages (pageRefs).
 // put never evicts: the owner calls evict when its rules say so, and
 // learns what each eviction costs it through the victim callback. Not
 // safe for concurrent use; each owner serializes access under its own
@@ -10,6 +12,7 @@ package serve
 type lru[V any] struct {
 	budget int64
 	bytes  int64
+	charge func(n *lruNode[V], d int) int64 // d is +1 on put, -1 on remove
 	nodes  map[Key]*lruNode[V]
 	head   *lruNode[V] // most recently used
 	tail   *lruNode[V] // least recently used
@@ -26,7 +29,8 @@ type lruNode[V any] struct {
 }
 
 func newLRU[V any](budget int64) *lru[V] {
-	return &lru[V]{budget: budget, nodes: make(map[Key]*lruNode[V])}
+	return &lru[V]{budget: budget, nodes: make(map[Key]*lruNode[V]),
+		charge: func(n *lruNode[V], _ int) int64 { return n.size }}
 }
 
 // len returns the number of stored nodes.
@@ -48,9 +52,10 @@ func (l *lru[V]) get(k Key) *lruNode[V] {
 }
 
 // put stores val under k as the most recently used node, replacing any
-// node already stored under k, and returns the new node. A value larger
-// than the whole budget is not stored and put returns nil: it would
-// only evict everything else and then be evicted by the next insert.
+// node already stored under k, and returns the new node; size is what
+// val costs when it shares nothing. A value larger than the whole
+// budget is not stored and put returns nil: it would only evict
+// everything else and then be evicted by the next insert.
 func (l *lru[V]) put(k Key, val V, size int64) *lruNode[V] {
 	if old := l.nodes[k]; old != nil {
 		l.remove(old)
@@ -61,7 +66,7 @@ func (l *lru[V]) put(k Key, val V, size int64) *lruNode[V] {
 	n := &lruNode[V]{key: k, val: val, size: size}
 	l.nodes[k] = n
 	l.pushFront(n)
-	l.bytes += size
+	l.bytes += l.charge(n, 1)
 	return n
 }
 
@@ -73,7 +78,7 @@ func (l *lru[V]) remove(n *lruNode[V]) bool {
 	}
 	delete(l.nodes, n.key)
 	l.unlink(n)
-	l.bytes -= n.size
+	l.bytes -= l.charge(n, -1)
 	return true
 }
 

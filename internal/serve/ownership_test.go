@@ -1,23 +1,24 @@
 package serve
 
-// Ownership tests: the stores share immutable bytes — a delta answer's
+// Ownership tests: the stores share immutable pages — a delta answer's
 // image is at once the new snapshot's output, the cache entry and the
-// pending disk spill — and every slice the server hands out is the
-// caller's own copy. A caller that scribbles over its answers must not
-// change what any later request gets, on any path; fault injection must
-// corrupt only private clones; and the disk writer may stream a
-// snapshot while requests apply it.
+// pending disk spill, and it shares every page its edit left alone with
+// its ancestor's — and every slice the server hands out is the caller's
+// own copy. A caller that scribbles over its answers, or over the
+// snapshot it asked for, must not change what any later request gets,
+// on any path; fault injection must corrupt only private clones; and
+// the disk writer may stream a snapshot while requests apply it.
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"zipr"
+	"zipr/internal/core"
 	"zipr/internal/fault"
 	"zipr/internal/isa"
 )
@@ -52,11 +53,14 @@ func scribble(b []byte) {
 	}
 }
 
-// askScribble sends one request, requires the given outcome and tier
-// and the cold bytes want, then scribbles over the answer.
+// askScribble sends one request under Config.CaptureSnapshot, requires
+// the given outcome and tier and the cold bytes want, then scribbles
+// over the answer and over every page and table of the snapshot a miss
+// or a delta answer hands out.
 func askScribble(t *testing.T, s *Server, in []byte, cfg zipr.Config, want []byte, outcome, tier string) {
 	t.Helper()
-	out, _, meta, err := s.RewriteMeta(context.Background(), in, cfg)
+	cfg.CaptureSnapshot = true
+	out, rep, meta, err := s.RewriteMeta(context.Background(), in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +71,22 @@ func askScribble(t *testing.T, s *Server, in []byte, cfg zipr.Config, want []byt
 		t.Fatalf("%s answer differs from a cold rewrite", outcome)
 	}
 	scribble(out)
+	snap := rep.Snapshot
+	if (outcome == OutcomeMiss || outcome == OutcomeDelta) != (snap != nil) {
+		t.Fatalf("%s answer: snapshot handed out = %v", outcome, snap != nil)
+	}
+	if snap == nil {
+		return
+	}
+	for _, p := range append(snap.Input.Pages(), snap.Output.Pages()...) {
+		scribble(p)
+	}
+	for i := range snap.Units {
+		snap.Units[i].Range.Start ^= 0xA5
+	}
+	for i := range snap.Spans {
+		snap.Spans[i].Placed ^= 0xA5
+	}
 }
 
 // waitDrained waits until the disk tier's writer has retired every
@@ -88,8 +108,9 @@ func waitDrained(t *testing.T, tier *DiskTier) {
 
 // TestAnswersAreCallerOwned: scribbling over every answer — miss,
 // RAM hit, delta, pending disk hit, disk hit with promotion, and
-// singleflight follower — changes nothing any later request gets, and
-// no snapshot goes stale or disk object corrupt because of it.
+// singleflight follower — and over the snapshot clone a miss or a delta
+// answer hands out changes nothing any later request gets, and no
+// snapshot goes stale or disk object corrupt because of it.
 func TestAnswersAreCallerOwned(t *testing.T) {
 	base, edited := familyImages(t, isa.ZVM32, 12, 2)
 	cfg := nullCfg()
@@ -155,7 +176,7 @@ func TestAnswersAreCallerOwned(t *testing.T) {
 		s.mu.Lock()
 		s.inflight[k] = c
 		s.mu.Unlock()
-		leader := append([]byte(nil), want[0]...)
+		leader := core.NewImage(want[0])
 		const followers = 4
 		var wg sync.WaitGroup
 		for i := 0; i < followers; i++ {
@@ -178,7 +199,7 @@ func TestAnswersAreCallerOwned(t *testing.T) {
 		s.mu.Unlock()
 		close(c.done)
 		wg.Wait()
-		if !bytes.Equal(leader, want[0]) {
+		if !bytes.Equal(leader.Bytes(), want[0]) {
 			t.Fatal("a follower's scribble reached the leader's bytes")
 		}
 	})
@@ -278,15 +299,34 @@ func TestDeltaHitsOverlapSnapshotStreaming(t *testing.T) {
 	}
 }
 
-// TestDeltaHitAllocBound: one served delta answer allocates about four
-// images: Apply's patched output (kept by the rebased snapshot, the
-// cache and the disk spill alike), the rebased snapshot's copy of the
-// input, and the caller's copy, plus small change. The stores' old
-// private copies would add several more.
+// touchedPages counts the pages in which a and b, of equal length,
+// differ.
+func touchedPages(a, b []byte) int {
+	n := 0
+	for off := 0; off < len(a); off += core.PageSize {
+		end := min(off+core.PageSize, len(a))
+		if !bytes.Equal(a[off:end], b[off:end]) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeltaHitAllocBound: one served delta answer on a family of many
+// pages allocates one image, the caller's copy, plus two pages for each
+// page its edit touches — the output page Apply patches and the input
+// page Rebase copies — plus small change. The rebased snapshot, the
+// cache entry and the disk spill share every other page with the
+// ancestor; an Apply that copied the whole ancestor output would add an
+// image. The best of four answers counts, as the disk writer allocates
+// beside them.
 func TestDeltaHitAllocBound(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ZVM32, isa.ZVM64} {
 		t.Run(arch.Name(), func(t *testing.T) {
-			base, edited := familyImages(t, arch, 48, 4)
+			base, edited := familyImages(t, arch, 400, 4)
+			if len(base) < 64<<10 {
+				t.Fatalf("family image is %d bytes, want at least 64 KiB", len(base))
+			}
 			cfg := archCfg(arch)
 			tier := openTier(t, t.TempDir(), 0)
 			s := New(Options{Workers: 1, Disk: tier})
@@ -294,9 +334,11 @@ func TestDeltaHitAllocBound(t *testing.T) {
 			if _, _, err := s.Rewrite(context.Background(), base, cfg); err != nil {
 				t.Fatal(err)
 			}
-			best := uint64(1 << 62)
-			var size int
+			prev, best := base, int64(1<<62)
 			for _, in := range edited {
+				// The newest snapshot, prev's, answers in.
+				touched := touchedPages(prev, in)
+				prev = in
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				out, _, meta, err := s.RewriteMeta(context.Background(), in, cfg)
@@ -304,14 +346,15 @@ func TestDeltaHitAllocBound(t *testing.T) {
 				if err != nil || meta.Outcome != OutcomeDelta {
 					t.Fatalf("outcome %s err %v, want delta", meta.Outcome, err)
 				}
-				size = max(len(in), len(out))
-				best = min(best, after.TotalAlloc-before.TotalAlloc)
+				// What the answer allocated beyond its caller's copy and
+				// two pages per touched page.
+				over := int64(after.TotalAlloc-before.TotalAlloc) - int64(len(out)+2*touched*core.PageSize)
+				t.Logf("%s: image %d bytes, %d pages touched, %d bytes allocated beyond them",
+					arch.Name(), len(out), touched, over)
+				best = min(best, over)
 			}
-			t.Logf("%s: %d bytes allocated per delta answer, image %d bytes (%.2f images)",
-				arch.Name(), best, size, float64(best)/float64(size))
-			if limit := uint64(4*size + 16<<10); best > limit {
-				t.Fatal(fmt.Sprintf("a delta answer allocated %d bytes, over %d (4 images of %d bytes, plus 16 KiB)",
-					best, limit, size))
+			if best > 16<<10 {
+				t.Fatalf("every delta answer allocated %d bytes or more beyond one image and two pages per touched page, over 16 KiB", best)
 			}
 		})
 	}

@@ -25,15 +25,16 @@
 // has to agree with it. The tier keeps no report; a disk answer takes
 // its layout name from the request.
 //
-// One ownership rule keeps the copies down: bytes the server holds —
+// One ownership rule keeps the copies down: images the server holds —
 // RAM-cache entries, snapshot images and pending disk spills — are
-// immutable once stored, so the stores share them instead of copying
-// (a delta answer's image, and a miss's captured snapshot output, is at
-// once the snapshot's output, the cache entry and the disk spill).
-// Every slice handed to a caller is a fresh copy, made once on the way
-// out, except a miss leader's answer, which is the pipeline's own
-// output when the snapshot kept a copy; a snapshot handed out under
-// Config.CaptureSnapshot is a deep copy.
+// immutable page lists (core.Image), so the stores share them (a delta
+// answer's image, and a miss's captured snapshot output, is at once the
+// snapshot's output, the cache entry and the disk spill), a delta
+// answer shares every page its edit left alone with its ancestor, and
+// each store charges a page once (pageRefs). Every slice handed to a
+// caller is one fresh flat copy, except a miss leader's answer, the
+// pipeline's own output, and a disk read's, the bytes read; a snapshot
+// handed out under Config.CaptureSnapshot is a deep copy.
 //
 // The same rule lets each image be hashed once, where it is made: a
 // request's input and fingerprint digests key it and then serve as a
@@ -69,6 +70,7 @@ import (
 	"time"
 
 	"zipr"
+	"zipr/internal/core"
 	"zipr/internal/fault"
 	"zipr/internal/obs"
 	"zipr/internal/zerr"
@@ -181,7 +183,7 @@ type Server struct {
 // followers that requested the same key while it ran.
 type call struct {
 	done chan struct{}
-	out  []byte
+	out  core.Image
 	rep  *zipr.Report
 	err  error
 }
@@ -211,6 +213,8 @@ func New(opts Options) *Server {
 	s.tel = newTelemetry(opts.Registry, s.counts)
 	if opts.CacheBytes > 0 {
 		s.cache = newLRU[entry](opts.CacheBytes)
+		refs := pageRefs{}
+		s.cache.charge = func(n *lruNode[entry], d int) int64 { return refs.image(n.val.img, d) }
 	}
 	if opts.SnapshotBytes > 0 {
 		s.snaps = newSnapStore(opts.SnapshotBytes)
@@ -325,11 +329,11 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	if cacheable && s.cache != nil {
 		if n := s.cache.get(key); n != nil {
 			e := &n.val
-			stored, sum := e.out, e.sum
-			rep := e.report(len(input), len(stored))
+			stored, sum := e.img, e.sum
+			rep := e.report(len(input), stored.Len())
 			s.mu.Unlock()
 			// The one copy: the caller's answer, verified after copying.
-			out := append([]byte(nil), stored...)
+			out := stored.Bytes()
 			if s.inj.Fires(fault.CacheCorrupt, key.site()) && len(out) > 0 {
 				// Corrupt the answer, a private clone, never the stored
 				// bytes, which a snapshot or a pending disk spill may
@@ -354,19 +358,21 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	// so the next repeat stays at RAM latency.
 	if cacheable && s.disk != nil {
 		s.mu.Unlock()
-		if data, sum, ok := s.disk.get(key, s.inj); ok {
-			// data is a pending spill's image or a fresh read, and sum
-			// its digest, carried by the spill or just verified; either
-			// way the cache may keep it, and the caller gets a copy. The
-			// server never installs a custom placer, so the layout the
-			// request names is the one the cold rewrite reported.
-			rep := &zipr.Report{Layout: string(cfg.EffectiveLayout()), InputSize: len(input), OutputSize: len(data)}
+		if raw, img, sum, ok := s.disk.get(key, s.inj); ok {
+			// img is a pending spill's image or a read's pages, and sum
+			// its digest; the cache keeps img, the caller the bytes read
+			// or a copy. The server never installs a custom placer, so
+			// the layout the request names is the cold rewrite's.
+			if raw == nil {
+				raw = img.Bytes()
+			}
+			rep := &zipr.Report{Layout: string(cfg.EffectiveLayout()), InputSize: len(input), OutputSize: len(raw)}
 			if s.cache != nil {
-				s.cachePut(key, data, sum, rep)
+				s.cachePut(key, img, sum, rep)
 				s.count(&s.stats.DiskPromotes)
 			}
 			meta.Outcome, meta.Tier = OutcomeHit, TierDisk
-			return append([]byte(nil), data...), rep, meta, nil
+			return raw, rep, meta, nil
 		}
 		s.mu.Lock()
 	}
@@ -384,7 +390,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 				rep.Snapshot = rep.Snapshot.Clone()
 			}
 			meta.Outcome = OutcomeShared
-			return append([]byte(nil), c.out...), &rep, meta, nil
+			return c.out.Bytes(), &rep, meta, nil
 		case <-ctx.Done():
 			s.count(&s.stats.Expired)
 			meta.Outcome = OutcomeBusy
@@ -395,7 +401,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	s.inflight[key] = c
 	s.mu.Unlock()
 
-	finish := func(out []byte, rep *zipr.Report, err error) {
+	finish := func(out core.Image, rep *zipr.Report, err error) {
 		c.out, c.rep, c.err = out, rep, err
 		s.mu.Lock()
 		delete(s.inflight, key)
@@ -425,14 +431,14 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			}
 			finish(out, rep, nil)
 			meta.Outcome = OutcomeDelta
-			return append([]byte(nil), out...), &repOut, meta, nil
+			return out.Bytes(), &repOut, meta, nil
 		}
 	}
 
 	wait, err := s.admit(ctx, key.site())
 	meta.QueueWait = wait
 	if err != nil {
-		finish(nil, nil, err)
+		finish(core.Image{}, nil, err)
 		meta.Outcome = OutcomeBusy
 		return nil, nil, meta, err
 	}
@@ -451,18 +457,17 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	out, rep, err := zipr.Rewrite(input, rcfg)
 	<-s.sem
 	if err != nil {
-		finish(nil, nil, err)
+		finish(core.Image{}, nil, err)
 		meta.Outcome = outcomeOfError(err)
 		return nil, nil, meta, err
 	}
-	// img is the image the server keeps, and answer the caller's.
-	img, answer := out, out
+	// One copy of the output: img, the image the server keeps, is at
+	// once the cache entry, the disk spill and the followers' source;
+	// the pipeline's own bytes go to the leader uncopied. A captured
+	// snapshot's output is that image, with the digest Finish took.
+	var img core.Image
 	var sum [sha256.Size]byte
 	if deltaOK && rep.Snapshot != nil {
-		// One copy of the output: the stored snapshot's image is at
-		// once the cache entry, the disk spill and the followers'
-		// source, with the digest Finish took; the pipeline's own
-		// bytes go to the leader uncopied.
 		snap := rep.Snapshot
 		img, sum = snap.Output, snap.OutDigest
 		s.storeSnapshot(key, anc, snap, rep)
@@ -472,7 +477,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			rep.Snapshot = nil
 		}
 	} else {
-		answer = append([]byte(nil), out...)
+		img = core.NewImage(out)
 		if cacheable {
 			sum = sha256.Sum256(out)
 		}
@@ -486,7 +491,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	finish(img, rep, err)
 	repCopy := *rep
 	meta.Outcome = OutcomeMiss
-	return answer, &repCopy, meta, nil
+	return out, &repCopy, meta, nil
 }
 
 // outcomeOfError classifies a failed request: saturation (the typed
@@ -535,18 +540,17 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 }
 
 // cachePut stores a completed rewrite's output in the content-addressed
-// cache, counting evictions the insert forced. The cache keeps out
-// itself, not a copy: out must be the server's own immutable image, and
-// sum its SHA-256.
-func (s *Server) cachePut(key Key, out []byte, sum [sha256.Size]byte, rep *zipr.Report) {
+// cache, counting evictions the insert forced. The cache keeps img
+// itself, and sum is its SHA-256.
+func (s *Server) cachePut(key Key, img core.Image, sum [sha256.Size]byte, rep *zipr.Report) {
 	e := entry{
-		out:          out,
+		img:          img,
 		sum:          sum,
 		cachedReport: keepReport(rep),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := s.cache.put(key, e, int64(len(e.out))); n != nil {
+	if n := s.cache.put(key, e, int64(img.Len())); n != nil {
 		s.cache.evict(n, func(*lruNode[entry]) { s.stats.Evictions++ })
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"zipr"
+	"zipr/internal/core"
 	"zipr/internal/fault"
 	"zipr/internal/obs"
 	"zipr/internal/synth"
@@ -182,7 +183,7 @@ func TestSingleflightFollowerSharesLeader(t *testing.T) {
 	want := []byte("leader-bytes")
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		c.out, c.rep = want, &zipr.Report{Layout: "optimized"}
+		c.out, c.rep = core.NewImage(want), &zipr.Report{Layout: "optimized"}
 		s.mu.Lock()
 		delete(s.inflight, k)
 		s.mu.Unlock()
@@ -253,7 +254,7 @@ func TestLRUEviction(t *testing.T) {
 	c := s.cache
 	put := func(id byte, n int) {
 		out := bytes.Repeat([]byte{id}, n)
-		s.cachePut(Key{id}, out, sha256.Sum256(out), &zipr.Report{})
+		s.cachePut(Key{id}, core.NewImage(out), sha256.Sum256(out), &zipr.Report{})
 	}
 	put(1, 40)
 	put(2, 40)

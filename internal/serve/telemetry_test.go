@@ -343,7 +343,7 @@ zipr_serve_pipeline_runs 2
 zipr_serve_delta_stale 0
 # HELP zipr_serve_snapshot_bytes placement-snapshot store bytes
 # TYPE zipr_serve_snapshot_bytes gauge
-zipr_serve_snapshot_bytes 7242
+zipr_serve_snapshot_bytes 6826
 # HELP zipr_serve_snapshot_entries stored placement snapshots
 # TYPE zipr_serve_snapshot_entries gauge
 zipr_serve_snapshot_entries 1

@@ -1,6 +1,7 @@
 package zipr
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -43,10 +44,10 @@ func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 	w32(s.OutTextLen)
 	buf.Write(s.InDigest[:])
 	buf.Write(s.OutDigest[:])
-	w32(uint32(len(s.Input)))
-	buf.Write(s.Input)
-	w32(uint32(len(s.Output)))
-	buf.Write(s.Output)
+	w32(uint32(s.Input.Len()))
+	buf.Write(s.Input.Bytes())
+	w32(uint32(s.Output.Len()))
+	buf.Write(s.Output.Bytes())
 	w32(uint32(len(s.Units)))
 	for _, u := range s.Units {
 		w32(u.Range.Start)
@@ -76,7 +77,8 @@ func marshalSnapshotOracle(s *Snapshot, version uint32) []byte {
 
 // TestSnapshotMarshalMatchesOracle checks the append encoder against the
 // reference encoder on corpus snapshots (as captured, and rebased after
-// a one-function edit), and that UnmarshalSnapshot round-trips them.
+// a one-function edit), that Stream writes the same bytes, and that
+// UnmarshalSnapshot round-trips them.
 func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 	check := func(name string, snap *Snapshot) {
 		t.Helper()
@@ -86,6 +88,10 @@ func TestSnapshotMarshalMatchesOracle(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Errorf("%s: Marshal buffer cap %d, len %d: size estimate is off", name, cap(got), len(got))
+		}
+		var streamed bytes.Buffer
+		if err := snap.Stream(bufio.NewWriter(&streamed)); err != nil || !bytes.Equal(streamed.Bytes(), got) {
+			t.Fatalf("%s: Stream wrote %d bytes (err %v), not Marshal's %d", name, streamed.Len(), err, len(got))
 		}
 		back, err := core.UnmarshalSnapshot(got)
 		if err != nil {
@@ -210,7 +216,7 @@ func TestSnapshotFormatV5(t *testing.T) {
 			}
 		}
 		rotted := bytes.Clone(blob)
-		rotted[bytes.Index(blob, snap.Output)] ^= 0xFF
+		rotted[bytes.Index(blob, snap.Output.Bytes())] ^= 0xFF
 		if _, err := core.UnmarshalSnapshot(rotted); !errors.Is(err, ErrSnapshotStale) {
 			t.Fatalf("%s: blob with a flipped output byte: err = %v, want ErrSnapshotStale", name, err)
 		}

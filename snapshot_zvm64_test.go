@@ -78,6 +78,7 @@ func TestSnapshotIdentityZVM64(t *testing.T) {
 			if snap.Arch != isa.ZVM64 {
 				t.Fatalf("cb%02d/%s: snapshot Arch = %v, want zvm64", i, cell, snap.Arch)
 			}
+			checkFlatOracle(t, snap, base, edited)
 			got, info, err := snap.Apply(edited)
 			if err != nil {
 				if !errors.Is(err, ErrDeltaInapplicable) && !errors.Is(err, ErrSnapshotStale) {
@@ -90,7 +91,7 @@ func TestSnapshotIdentityZVM64(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cb%02d/%s: rewrite of edited input: %v", i, cell, err)
 			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("cb%02d/%s: delta output diverges (%d insts patched in %d units)",
 					i, cell, info.InstsChanged, info.UnitsChanged)
 			}
@@ -104,7 +105,7 @@ func TestSnapshotIdentityZVM64(t *testing.T) {
 			if !slices.Equal(rebased.Units, wantSnap.Units) || !slices.Equal(rebased.Spans, wantSnap.Spans) {
 				t.Fatalf("cb%02d/%s: rebased units or spans differ from a fresh capture", i, cell)
 			}
-			if !bytes.Equal(rebased.Input, wantSnap.Input) || !bytes.Equal(rebased.Output, wantSnap.Output) ||
+			if !bytes.Equal(rebased.Input.Bytes(), wantSnap.Input.Bytes()) || !bytes.Equal(rebased.Output.Bytes(), wantSnap.Output.Bytes()) ||
 				rebased.InDigest != wantSnap.InDigest || rebased.OutDigest != wantSnap.OutDigest {
 				t.Fatalf("cb%02d/%s: rebased images or digests differ from a fresh capture", i, cell)
 			}
